@@ -19,7 +19,6 @@ from .superalgebra import (
 from .diffops import (
     LinearOperator,
     Metric,
-    SuperDimension,
     check_sl2,
     euler,
     euler_b,
@@ -62,7 +61,6 @@ from .integration import (
 from .modules import (
     RepSpace,
     SpaceSpec,
-    Submodule,
     branching,
     decompose_simple,
     in_window,

@@ -7,11 +7,9 @@ under `superh check <suite>`; the acceptance tests drive the same functions.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
 from .diffops import (
@@ -63,22 +61,13 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status in ("pass", "degenerate", "inconclusive") else 1
+        return 0 if self.status in ("pass", "degenerate") else 1
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SUPERH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def pmap(fn: Callable, items: list) -> list:
-    workers = thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+# projector products applied literally to this many vectors of every piece
+LITERAL_VECTORS = 2
+# degree cap of the invariance checks inside suite_integrals
+INVARIANCE_K = 4
 
 
 # -- individual suites ------------------------------------------------------------
@@ -184,8 +173,7 @@ def suite_fischer(cells: list[tuple[int, int]], k_max: int) -> Report:
     return report
 
 
-def suite_projections(cells: list[tuple[int, int]], k_max: int,
-                      literal_vectors: int = 2) -> Report:
+def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
     """Piece decomposition of H_k plus the delta action of the projectors.
 
     Every piece vector is checked to be a joint eigenvector of the two
@@ -223,7 +211,7 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int,
                         ok = False
                         report.fail(f"projector scalar failed at ({m},{n},{k}) "
                                     f"target ({tgt.l},{tgt.q}) source ({src.l},{src.q})")
-                    for row in src.basis.rows[:literal_vectors]:
+                    for row in src.basis.rows[:LITERAL_VECTORS]:
                         v = vec_to_poly(dict(row), m, n, k)
                         got = Q.apply(v)
                         expect = v.scaled(want)
@@ -253,7 +241,7 @@ def suite_lemma_lf(cells: list[tuple[int, int]]) -> Report:
 
 
 def suite_integrals(cells: list[tuple[int, int]], k_max: int,
-                    invariance_k: int = 4, seed: int = 20240) -> Report:
+                    seed: int = 20240) -> Report:
     report = Report("check integrals", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
         equal_ok = True
@@ -263,7 +251,7 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
                 if pizzetti(f, m, n) != supersphere_integral_phi(f, m, n):
                     equal_ok = False
                     report.fail(f"integral routes differ on {f} at ({m}|{2*n})")
-        inv = invariance_suite(m, n, min(k_max, invariance_k), seed=seed)
+        inv = invariance_suite(m, n, min(k_max, INVARIANCE_K), seed=seed)
         M = m - 2 * n
         report.rows.append({"m": m, "n": n, "routes": "pass" if equal_ok else "fail",
                             "invariance": "pass" if inv.passed else "fail",
@@ -293,16 +281,14 @@ def suite_irreducibility(cells: list[tuple[int, int]], k_max: int) -> Report:
     return report
 
 
-def suite_windows(cells: list[tuple[int, int]], k_max: int | None = None) -> Report:
+def suite_windows(cells: list[tuple[int, int]], k_max: int) -> Report:
     report = Report("check windows", {"cells": cells})
     any_window = False
     for (m, n) in cells:
         band = window_interval(m, n)
         if band is None:
             continue
-        for k in range(band[0], band[1] + 1):
-            if k_max is not None and k > k_max:
-                continue
+        for k in range(band[0], min(band[1], k_max) + 1):
             any_window = True
             res = window_submodule_check(m, n, k)
             report.rows.append({"m": m, "n": n, "k": k,
@@ -343,38 +329,33 @@ def suite_branching(cells: list[tuple[int, int]], k_max: int,
     return report
 
 
-SUITES = ("sl2", "lb", "killing", "projections", "fischer", "integrals",
-          "irreducibility", "windows", "branching", "all")
+# name -> runner(cells, k_max, seed); `check all` runs them in this order
+_RUNNERS = {
+    "sl2": lambda cells, k_max, seed: suite_sl2(cells, k_max),
+    "lb": lambda cells, k_max, seed: suite_lb(cells, k_max),
+    "killing": lambda cells, k_max, seed: suite_killing(cells),
+    "projections": lambda cells, k_max, seed: suite_projections(cells, k_max),
+    "fischer": lambda cells, k_max, seed: suite_fischer(cells, k_max),
+    "integrals": lambda cells, k_max, seed: suite_integrals(cells, k_max, seed=seed),
+    "irreducibility": lambda cells, k_max, seed: suite_irreducibility(
+        [c for c in cells if c[0] >= 2], k_max),
+    "windows": lambda cells, k_max, seed: suite_windows(cells, k_max),
+    "branching": lambda cells, k_max, seed: suite_branching(
+        [c for c in cells if c[0] >= 2], k_max),
+}
+SUITES = (*_RUNNERS, "all")
 
 
 def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
               seed: int = 20240) -> Report:
-    if name == "sl2":
-        return suite_sl2(cells, k_max)
-    if name == "lb":
-        return suite_lb(cells, k_max)
-    if name == "killing":
-        return suite_killing(cells)
-    if name == "projections":
-        return suite_projections(cells, k_max)
-    if name == "fischer":
-        return suite_fischer(cells, k_max)
-    if name == "integrals":
-        return suite_integrals(cells, k_max, seed=seed)
-    if name == "irreducibility":
-        return suite_irreducibility([c for c in cells if c[0] >= 2], k_max)
-    if name == "windows":
-        return suite_windows(cells, k_max)
-    if name == "branching":
-        return suite_branching([c for c in cells if c[0] >= 2], k_max)
     if name == "all":
         merged = Report("check all", {"cells": cells, "k_max": k_max})
-        names = ["sl2", "lb", "killing", "projections", "fischer",
-                 "integrals", "irreducibility", "windows", "branching"]
-        results = pmap(lambda nm: run_suite(nm, cells, k_max, seed), names)
-        for nm, rep in zip(names, results):
+        for nm, runner in _RUNNERS.items():
+            rep = runner(cells, k_max, seed)
             merged.rows.append({"suite": nm, "status": rep.status})
             if rep.status == "fail":
                 merged.fail(f"{nm}: {rep.counterexample}")
         return merged
-    raise ValueError(f"unknown suite {name!r}")
+    if name not in _RUNNERS:
+        raise ValueError(f"unknown suite {name!r}")
+    return _RUNNERS[name](cells, k_max, seed)

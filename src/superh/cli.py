@@ -4,7 +4,9 @@ Subcommands: dims, check, integrate, decompose, branch, fischer.  Ranges are
 written `a..b` (or a single integer).  Output formats: a human table (default),
 `--format json` and `--format csv`; JSON reports round-trip bit-exactly through
 `load_report`.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
-error.  The environment variable SUPERH_THREADS caps internal parallelism.
+error.  `integrate` parses exponents and term degrees up to MAX_DEGREE (64)
+and exits 2 when the polynomial uses a variable outside (m|2n); an expression
+that starts with '-' goes after `--`, as in `superh integrate -m 2 -n 1 -- "-x1^2"`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import io
 import json
 import sys
 
-from .superalgebra import ParseError, parse
+from .superalgebra import MAX_DEGREE, ParseError, parse
 from .harmonic import decompose_Hk, dim_Hk, fischer
 from .integration import pizzetti, supersphere_integral_phi
 from .modules import branching, in_window, simple_dim
@@ -58,13 +60,14 @@ def load_report(text: str) -> dict:
     return json.loads(text)
 
 
+def _row_keys(report: Report) -> list[str]:
+    """Every key of every row, in order of first appearance."""
+    return list(dict.fromkeys(key for row in report.rows for key in row))
+
+
 def report_to_csv(report: Report) -> str:
     out = io.StringIO()
-    keys: list[str] = []
-    for row in report.rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = _row_keys(report)
     writer = csv.DictWriter(out, fieldnames=keys)
     writer.writeheader()
     for row in report.rows:
@@ -74,11 +77,7 @@ def report_to_csv(report: Report) -> str:
 
 def report_to_table(report: Report) -> str:
     lines = [f"{report.command}  [{report.status}]"]
-    keys: list[str] = []
-    for row in report.rows:
-        for key in row:
-            if key not in keys:
-                keys.append(key)
+    keys = _row_keys(report)
     if keys:
         widths = {k: max(len(str(k)), *(len(str(r.get(k, ""))) for r in report.rows))
                   for k in keys}
@@ -127,8 +126,13 @@ def cmd_integrate(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = Report("integrate", {"expr": args.expr, "m": args.m[0], "n": args.n[0]})
     m, n = args.m[0], args.n[0]
+    if (any(i > m for mono in f.terms for i, _ in mono.bosonic)
+            or any(j > 2 * n for mono in f.terms for j in mono.fermionic)):
+        print(f"error: {args.expr!r} uses a variable outside ({m}|{2 * n})",
+              file=sys.stderr)
+        return EXIT_USAGE
+    report = Report("integrate", {"expr": args.expr, "m": m, "n": n})
     a = pizzetti(f, m, n)
     b = supersphere_integral_phi(f, m, n)
     report.rows.append({"method": "pizzetti", "value": str(a),
@@ -232,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("integrate", help="supersphere integral of a polynomial")
-    p.add_argument("expr", help="polynomial, e.g. '2*x1^2 - xg1*xg2'")
+    p.add_argument("expr", help="polynomial, e.g. '2*x1^2 - xg1*xg2', with exponents "
+                   f"and term degrees up to {MAX_DEGREE}; put an expression that "
+                   "starts with '-' after '--'")
     add_common(p, need_k=False)
     p.set_defaults(func=cmd_integrate)
 

@@ -25,6 +25,7 @@ from .superalgebra import (
     SuperPolynomial,
     monomial_basis,
     basis_index,
+    partial,
 )
 from .linalg import Vec
 
@@ -127,21 +128,6 @@ def operator_sum(ops: Sequence[LinearOperator]) -> LinearOperator:
 
 
 # -- the orthosymplectic metric ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuperDimension:
-    m: int
-    n: int
-
-    @property
-    def M(self) -> int:
-        return self.m - 2 * self.n
-
-    def in_minus_two_naturals(self) -> bool:
-        """Whether M lies in {0, -2, -4, ...}."""
-        M = self.M
-        return M <= 0 and M % 2 == 0
 
 
 def index_parity(i: int, m: int) -> int:
@@ -273,10 +259,6 @@ def r2_from_metric(m: int, n: int) -> SuperPolynomial:
     return out
 
 
-def r2_bosonic(m: int) -> SuperPolynomial:
-    return r2(m, 0)
-
-
 def theta2(n: int) -> SuperPolynomial:
     return r2(0, n)
 
@@ -303,14 +285,6 @@ def nabla2_from_metric(m: int, n: int) -> LinearOperator:
     parts = [Compose((met.nabla_upper(j), met.nabla_lower(j)))
              for j in range(1, met.size + 1)]
     return operator_sum(parts)
-
-
-def nabla2_bosonic(m: int) -> LinearOperator:
-    return nabla2(m, 0)
-
-
-def nabla2_fermionic(n: int) -> LinearOperator:
-    return nabla2(0, n)
 
 
 @lru_cache(maxsize=None)
@@ -406,7 +380,7 @@ def laplace_beltrami_bosonic(m: int) -> LinearOperator:
     """r^2 laplace_b - E_b (m-2+E_b); acts through the bosonic variables only."""
     E = euler_b(m)
     return Add((
-        Compose((MultiplyBy(r2_bosonic(m)), nabla2_bosonic(m))),
+        Compose((MultiplyBy(r2(m, 0)), nabla2(m, 0))),
         Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(m - 2)), E)))),
     ))
 
@@ -416,7 +390,7 @@ def laplace_beltrami_fermionic(n: int) -> LinearOperator:
     """theta^2 laplace_f - E_f (-2n-2+E_f); the purely fermionic analogue."""
     E = euler_f(n)
     return Add((
-        Compose((MultiplyBy(theta2(n)), nabla2_fermionic(n))),
+        Compose((MultiplyBy(theta2(n)), nabla2(0, n))),
         Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(-2 * n - 2)), E)))),
     ))
 
@@ -440,17 +414,13 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
     return SuperPolynomial({basis[i]: c for i, c in v.items() if c})
 
 
-def matrix_between(op: LinearOperator, m: int, n: int, k_from: int, k_to: int) -> list[Vec]:
-    """Columns of the operator matrix P_{k_from} -> P_{k_to}."""
-    cols = []
-    for mono in monomial_basis(m, n, k_from):
-        image = op.apply(SuperPolynomial.monomial(mono))
-        cols.append(poly_to_vec(image, m, n, k_to) if image else {})
-    return cols
-
-
 def matrix_on_degree(op: LinearOperator, m: int, n: int, k: int) -> list[Vec]:
-    return matrix_between(op, m, n, k, k)
+    """Columns of the matrix of a degree-preserving operator on P_k."""
+    cols = []
+    for mono in monomial_basis(m, n, k):
+        image = op.apply(SuperPolynomial.monomial(mono))
+        cols.append(poly_to_vec(image, m, n, k) if image else {})
+    return cols
 
 
 # -- structural checks ---------------------------------------------------------
@@ -461,9 +431,6 @@ class CheckReport:
     name: str
     passed: bool
     failures: list
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
@@ -549,7 +516,7 @@ def killing_check(coeffs: dict[int, SuperPolynomial], m: int, n: int) -> bool:
     zero = SuperPolynomial.zero()
 
     def nabla_up(jj: int, f: SuperPolynomial) -> SuperPolynomial:
-        d = f.dx(jj) if jj <= m else f.dxg(jj - m)
+        d = partial(f, jj, m, n)
         return -d if jj > m else d
 
     for j in range(1, size + 1):

@@ -206,8 +206,10 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
     total = sum(p.dim for p in pieces)
     direct = False
     witness = None
+    # full rank mod p certifies independence over Q; rank_modp is None when
+    # it refuses the vectors, and then the exact route below decides
     if total == width and rank_modp(all_vecs, width) == total:
-        direct = True  # full rank mod p certifies independence over Q
+        direct = True
     else:
         witness = _fischer_dependency_witness(m, n, k)
         if witness is None:
@@ -354,9 +356,6 @@ class ProjectionOperator:
     spectral_fallback: bool
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        return self.op.apply(f)
-
-    def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
         return self.op.apply(f)
 
     def scalar_on_piece(self, p: int, q: int) -> Fraction:

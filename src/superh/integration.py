@@ -336,15 +336,13 @@ def sqrt_one_minus_theta2_over_r2(m: int, n: int) -> LaurentSuperFunction:
     return LaurentSuperFunction(parts)
 
 
-def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
-    """Supersphere integral through phi#, the Berezin integral and sphere moments."""
-    if m < 1:
-        raise ValueError("supersphere integration requires m >= 1")
-    image = phi_sharp(f, m, n) * berezin_density(m, n)
+def _sphere_berezin(f: SuperPolynomial, density: SuperPolynomial,
+                    m: int, n: int) -> ScaledRational:
+    """int_S int_B density * phi#(f): Berezin integral, then sphere moments."""
+    image = phi_sharp(f, m, n) * density
     total = ScaledRational.zero()
-    berezin_prefactor = ScaledRational(Fraction(1), -2 * n)
     for _, numerator in sorted(image.parts.items()):
-        top, _ = berezin(numerator, n)
+        top, prefactor = berezin(numerator, n)
         # on the unit sphere the r^{-2j} factor is 1
         for mono, c in top.terms.items():
             if mono.fermionic:
@@ -354,8 +352,15 @@ def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRation
                 exps[idx - 1] = e
             moment = sphere_moment(exps, m)
             if not moment.is_zero():
-                total = total + moment * berezin_prefactor * c
+                total = total + moment * prefactor * c
     return total
+
+
+def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
+    """Supersphere integral through phi#, the Berezin integral and sphere moments."""
+    if m < 1:
+        raise ValueError("supersphere integration requires m >= 1")
+    return _sphere_berezin(f, berezin_density(m, n), m, n)
 
 
 # -- invariance and uniqueness harnesses -------------------------------------------
@@ -370,8 +375,11 @@ class InvarianceReport:
     failures: list
 
 
-def invariance_suite(m: int, n: int, k_max: int, orthogonality_pairs: int = 25,
-                     seed: int = 20240, exhaustive_pairs: bool = False) -> InvarianceReport:
+# harmonic pairs checked in (c) per degree pair when the bases are large
+ORTHOGONALITY_PAIRS = 25
+
+
+def invariance_suite(m: int, n: int, k_max: int, seed: int = 20240) -> InvarianceReport:
     """Exact invariance checks of the supersphere functional T.
 
     (a) T(L_ij f) = 0 for every generator and monomial of degree <= k_max;
@@ -398,11 +406,11 @@ def invariance_suite(m: int, n: int, k_max: int, orthogonality_pairs: int = 25,
             hl = harmonic_polys(m, n, l)
             if not hk or not hl:
                 continue
-            if exhaustive_pairs or len(hk) * len(hl) <= orthogonality_pairs:
+            if len(hk) * len(hl) <= ORTHOGONALITY_PAIRS:
                 pairs = [(a, b) for a in hk for b in hl]
             else:
                 pairs = [(rng.choice(hk), rng.choice(hl))
-                         for _ in range(orthogonality_pairs)]
+                         for _ in range(ORTHOGONALITY_PAIRS)]
             for a, b in pairs:
                 if not pizzetti(a * b, m, n).is_zero():
                     failures.append(("T(H_k H_l) != 0", (k, l), None, str(a * b)))
@@ -428,20 +436,6 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
         densities.append(power)
         power = power * th
 
-    def functional(density: SuperPolynomial, f: SuperPolynomial) -> ScaledRational:
-        image = phi_sharp(f, m, n) * density
-        total = ScaledRational.zero()
-        for _, numerator in sorted(image.parts.items()):
-            top, _ = berezin(numerator, n)
-            for mono, c in top.terms.items():
-                exps = [0] * m
-                for idx, e in mono.bosonic:
-                    exps[idx - 1] = e
-                moment = sphere_moment(exps, m)
-                if not moment.is_zero():
-                    total = total + moment * c
-        return total
-
     rows = []
     for k in range(0, k_max + 1):
         for mono in monomial_basis(m, n, k):
@@ -450,7 +444,7 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
                 Lf = osp_generator(i, j, m, n).apply(f)
                 if Lf.is_zero():
                     continue
-                vals = [functional(d, Lf) for d in densities]
+                vals = [_sphere_berezin(Lf, d, m, n) for d in densities]
                 hs = {v.h for v in vals if not v.is_zero()}
                 if not hs:
                     continue

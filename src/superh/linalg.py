@@ -7,8 +7,9 @@ two subspaces are equal iff their echelon matrices are equal.
 Full-rank facts are (optionally) certified through a single large prime:
 a matrix of full rank mod p has full rank over Q, so the modular check is an
 exact proof whenever it reaches the expected rank.  Rank-deficient outcomes are
-never trusted from the modular pass alone; callers fall back to exact
-elimination or to an explicit dependency witness.
+never trusted from the modular pass alone, and vectors with an entry whose
+denominator p divides are refused by it; in both cases callers fall back to
+exact elimination or to an explicit dependency witness.
 """
 
 from __future__ import annotations
@@ -26,30 +27,6 @@ PRIME = 99_999_989
 
 
 # -- sparse vector helpers ----------------------------------------------------
-
-
-def vec_scale(v: Vec, c: Fraction) -> Vec:
-    if not c:
-        return {}
-    return {i: c * x for i, x in v.items()}
-
-
-def vec_add_scaled(v: Vec, c: Fraction, w: Vec) -> Vec:
-    """v + c*w as a new dict."""
-    if not c or not w:
-        return dict(v)
-    out = dict(v)
-    for i, x in w.items():
-        s = out.get(i)
-        if s is None:
-            out[i] = c * x
-        else:
-            s = s + c * x
-            if s:
-                out[i] = s
-            else:
-                del out[i]
-    return out
 
 
 def _iadd_scaled(out: Vec, c: Fraction, w: Vec) -> None:
@@ -106,9 +83,6 @@ class Echelon:
         self.rows[c] = v
         return True
 
-    def contains(self, v: Vec) -> bool:
-        return not self.reduce(v)
-
     def sorted_rows(self) -> list[tuple[int, Vec]]:
         return sorted(self.rows.items())
 
@@ -164,11 +138,12 @@ class Subspace:
                 return None
         return coords
 
-    def linear_combination(self, coords: Sequence[Fraction]) -> Vec:
+    def linear_combination(self, coords: Vec) -> Vec:
+        """sum_i coords[i] * (basis row i), for sparse coordinates."""
         out: Vec = {}
-        for c, row in zip(coords, self.rows):
+        for i, c in coords.items():
             if c:
-                _iadd_scaled(out, c, row)
+                _iadd_scaled(out, c, self.rows[i])
         return out
 
     def sum_with(self, other: "Subspace") -> "Subspace":
@@ -251,18 +226,16 @@ def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
 # -- modular certificates ------------------------------------------------------
 
 
-def vec_modp(v: Vec, width: int, p: int = PRIME) -> np.ndarray:
-    out = np.zeros(width, dtype=np.int64)
-    for i, x in v.items():
-        out[i] = x.numerator * pow(x.denominator, p - 2, p) % p
-    return out
-
-
 def matrix_modp(vectors: Sequence[Vec], width: int, p: int = PRIME) -> np.ndarray:
+    """The vectors reduced mod p as matrix rows.
+
+    Raises ValueError when p divides a denominator: that entry has no image
+    mod p, and mapping it to anything would make the certificate unsound.
+    """
     mat = np.zeros((len(vectors), width), dtype=np.int64)
     for r, v in enumerate(vectors):
         for i, x in v.items():
-            mat[r, i] = x.numerator * pow(x.denominator, p - 2, p) % p
+            mat[r, i] = x.numerator * pow(x.denominator, -1, p) % p
     return mat
 
 
@@ -293,10 +266,15 @@ def rref_modp(a: np.ndarray, p: int = PRIME) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
-def rank_modp(vectors: Sequence[Vec], width: int, p: int = PRIME) -> int:
+def rank_modp(vectors: Sequence[Vec], width: int, p: int = PRIME) -> int | None:
+    """Rank mod p, or None when an entry cannot be reduced mod p."""
     if not vectors:
         return 0
-    _, pivots = rref_modp(matrix_modp(vectors, width, p), p)
+    try:
+        mat = matrix_modp(vectors, width, p)
+    except ValueError:
+        return None
+    _, pivots = rref_modp(mat, p)
     return len(pivots)
 
 
@@ -304,7 +282,7 @@ def certified_full_rank(vectors: Sequence[Vec], width: int) -> bool:
     """True iff the vectors are linearly independent over Q.
 
     The modular pass is a sound certificate when it reaches len(vectors);
-    otherwise the exact elimination decides.
+    otherwise, or when it refuses the vectors, the exact elimination decides.
     """
     n = len(vectors)
     if n == 0:
@@ -314,41 +292,3 @@ def certified_full_rank(vectors: Sequence[Vec], width: int) -> bool:
     if rank_modp(vectors, width) == n:
         return True
     return rank_of_vectors(vectors, width) == n
-
-
-class EchelonModP:
-    """Row space accumulator mod p for fast closure iteration."""
-
-    def __init__(self, width: int, p: int = PRIME):
-        self.width = width
-        self.p = p
-        self.rows = np.zeros((0, width), dtype=np.int64)
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def add_batch(self, batch: np.ndarray) -> int:
-        """Absorb new rows; returns how many new dimensions appeared."""
-        p = self.p
-        batch = batch % p
-        if self.rows.shape[0]:
-            for idx, c in enumerate(self.pivots):
-                coeffs = batch[:, c].copy()
-                nz = np.nonzero(coeffs)[0]
-                if nz.size:
-                    batch[nz] = (batch[nz] - np.outer(coeffs[nz], self.rows[idx])) % p
-        added = 0
-        reduced, new_pivots = rref_modp(batch, p)
-        for row, c in zip(reduced, new_pivots):
-            # reduce stored rows against the new pivot
-            if self.rows.shape[0]:
-                coeffs = self.rows[:, c].copy()
-                nz = np.nonzero(coeffs)[0]
-                if nz.size:
-                    self.rows[nz] = (self.rows[nz] - np.outer(coeffs[nz], row)) % p
-            self.rows = np.vstack([self.rows, row[None, :]])
-            self.pivots.append(c)
-            added += 1
-        return added

@@ -37,12 +37,8 @@ from .linalg import (
     certified_full_rank,
 )
 from .diffops import (
-    Compose,
-    Differentiate,
     LinearOperator,
-    Scale,
     nabla2,
-    operator_sum,
     osp_generator,
     generator_pairs,
     poly_to_vec,
@@ -50,7 +46,6 @@ from .diffops import (
     vec_to_poly,
 )
 from .harmonic import (
-    HarmonicPiece,
     bosonic_harmonics,
     decompose_Hk,
     dim_H_bosonic,
@@ -69,6 +64,11 @@ SpaceKind = Literal["Pk", "Hk", "PkModR2", "HkModSub"]
 # dimension threshold above which irreducibility uses the certified
 # reachability shortcut instead of exhaustive exact closures
 EXACT_CLOSURE_LIMIT = 60
+# rounds of generator applications the reachability shortcut may spend
+CONNECTIVITY_ROUNDS = 6
+# random small-integer combinations tried by indecomposability_witness, and their seed
+WITNESS_TRIES = 8
+WITNESS_SEED = 20240
 
 
 @dataclass(frozen=True)
@@ -128,27 +128,15 @@ class _FullChart(_Chart):
 class _SubChart(_Chart):
     """Coordinates along the echelon basis of a subspace of P_k."""
 
-    def __init__(self, m, n, k, subspace: Subspace, membership_check=None):
+    def __init__(self, m, n, k, subspace: Subspace):
         self.m, self.n, self.k = m, n, k
         self.subspace = subspace
         self.dim = subspace.dim
-        self.membership_check = membership_check
 
     def lift(self, coords: Vec) -> SuperPolynomial:
-        vec: Vec = {}
-        for i, c in coords.items():
-            if c:
-                for col, x in self.subspace.rows[i].items():
-                    s = vec.get(col, Fraction(0)) + c * x
-                    if s:
-                        vec[col] = s
-                    elif col in vec:
-                        del vec[col]
-        return vec_to_poly(vec, self.m, self.n, self.k)
+        return vec_to_poly(self.subspace.linear_combination(coords), self.m, self.n, self.k)
 
     def project(self, f: SuperPolynomial) -> Vec:
-        if self.membership_check is not None and not self.membership_check(f):
-            raise ValueError("polynomial is not a member of the subspace")
         vec = poly_to_vec(f, self.m, self.n, self.k)
         return {i: vec[p] for i, p in enumerate(self.subspace.pivots) if p in vec}
 
@@ -181,7 +169,6 @@ class RepSpace:
     spec: SpaceSpec
     chart: _Chart
     gen_pairs: list[tuple[int, int]]
-    _ops: dict = field(default_factory=dict, repr=False)
     _matrices: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -200,15 +187,8 @@ class RepSpace:
     def dim(self) -> int:
         return self.chart.dim
 
-    def generator_op(self, i: int, j: int) -> LinearOperator:
-        op = self._ops.get((i, j))
-        if op is None:
-            op = osp_generator(i, j, self.m, self.n)
-            self._ops[(i, j)] = op
-        return op
-
     def apply_generator(self, i: int, j: int, coords: Vec) -> Vec:
-        return self.apply_operator(self.generator_op(i, j), coords)
+        return self.apply_operator(osp_generator(i, j, self.m, self.n), coords)
 
     def apply_operator(self, op: LinearOperator, coords: Vec) -> Vec:
         return self.chart.project(op.apply(self.chart.lift(coords)))
@@ -216,12 +196,9 @@ class RepSpace:
     def generator_matrix(self, i: int, j: int) -> list[Vec]:
         """Matrix of L_ij as a list of column vectors in chart coordinates."""
         key = (i, j)
-        mat = self._matrices.get(key)
-        if mat is None:
-            op = self.generator_op(i, j)
-            mat = [self.apply_operator(op, {c: Fraction(1)}) for c in range(self.dim)]
-            self._matrices[key] = mat
-        return mat
+        if key not in self._matrices:
+            self._matrices[key] = self.operator_matrix(osp_generator(i, j, self.m, self.n))
+        return self._matrices[key]
 
     def operator_matrix(self, op: LinearOperator) -> list[Vec]:
         return [self.apply_operator(op, {c: Fraction(1)}) for c in range(self.dim)]
@@ -231,10 +208,6 @@ class RepSpace:
 
     def coords_of_poly(self, f: SuperPolynomial) -> Vec:
         return self.chart.project(f)
-
-    def piece_groups(self) -> list[tuple[tuple, list[Vec]]]:
-        """Labeled joint-eigenspace seed groups spanning the module."""
-        return _piece_groups(self)
 
 
 def _divisor_r2p(m: int, n: int, k: int) -> Subspace:
@@ -256,7 +229,7 @@ def hk_window_intersection(m: int, n: int, k: int) -> Subspace:
     return hk.intersect(_divisor_r2p(m, n, k))
 
 
-def rep_space(spec: SpaceSpec, validate: bool = True) -> RepSpace:
+def rep_space(spec: SpaceSpec) -> RepSpace:
     m, n, k = spec.m, spec.n, spec.k
     pairs = generator_pairs(m, n)
     if spec.kind == "Pk":
@@ -273,8 +246,7 @@ def rep_space(spec: SpaceSpec, validate: bool = True) -> RepSpace:
         divisor = Subspace.from_vectors(divisor_rows, hk.dim)
         chart = _QuotientChart(parent, divisor)
     rep = RepSpace(spec, chart, pairs)
-    if validate:
-        _validate_rep(rep)
+    _validate_rep(rep)
     return rep
 
 
@@ -288,7 +260,7 @@ def _validate_rep(rep: RepSpace) -> None:
         for row in chart.divisor.rows:
             d = parent.lift(dict(row))
             for (i, j) in rep.gen_pairs:
-                image = rep.generator_op(i, j).apply(d)
+                image = osp_generator(i, j, m, n).apply(d)
                 if image.is_zero():
                     continue
                 if chart.divisor.reduce(parent.project(image)):
@@ -298,7 +270,7 @@ def _validate_rep(rep: RepSpace) -> None:
         lap = nabla2(m, n)
         probe = vec_to_poly(chart.subspace.rows[0], m, n, k)
         for (i, j) in rep.gen_pairs:
-            if not lap.apply(rep.generator_op(i, j).apply(probe)).is_zero():
+            if not lap.apply(osp_generator(i, j, m, n).apply(probe)).is_zero():
                 raise RuntimeError(f"L_{i}{j} does not preserve the kernel chart")
 
 
@@ -314,16 +286,13 @@ def _project_piece(rep: RepSpace, polys: Sequence[SuperPolynomial]) -> list[Vec]
     return out
 
 
-def _piece_polys(piece: HarmonicPiece, m: int, n: int, k: int) -> list[SuperPolynomial]:
-    return subspace_polys(piece.basis, m, n, k)
-
-
 def _piece_groups(rep: RepSpace) -> list[tuple[tuple, list[Vec]]]:
+    """Labeled joint-eigenspace seed groups spanning the module."""
     m, n, k = rep.m, rep.n, rep.k
     groups: list[tuple[tuple, list[Vec]]] = []
     if rep.spec.kind in ("Hk", "HkModSub"):
         for piece in decompose_Hk(m, n, k):
-            vecs = _project_piece(rep, _piece_polys(piece, m, n, k))
+            vecs = _project_piece(rep, subspace_polys(piece.basis, m, n, k))
             if vecs:
                 groups.append(((piece.l, piece.p, piece.q), vecs))
     elif rep.spec.kind == "Pk":
@@ -331,7 +300,7 @@ def _piece_groups(rep: RepSpace) -> list[tuple[tuple, list[Vec]]]:
             deg = k - 2 * j
             r2j = _r2_power(m, n, j)
             for piece in decompose_Hk(m, n, deg):
-                polys = [r2j * f for f in _piece_polys(piece, m, n, deg)]
+                polys = [r2j * f for f in subspace_polys(piece.basis, m, n, deg)]
                 vecs = _project_piece(rep, polys)
                 if vecs:
                     groups.append(((j, piece.l, piece.p, piece.q), vecs))
@@ -359,18 +328,7 @@ def _piece_groups(rep: RepSpace) -> list[tuple[tuple, list[Vec]]]:
 # -- closures ----------------------------------------------------------------------
 
 
-@dataclass
-class Submodule:
-    """Generator-invariant subspace, in module coordinates."""
-
-    subspace: Subspace
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
-
-def submodule_closure(rep: RepSpace, seeds: Sequence[Vec]) -> Submodule:
+def submodule_closure(rep: RepSpace, seeds: Sequence[Vec]) -> Subspace:
     """Smallest generator-invariant subspace containing the seeds.
 
     Exact iteration V <- V + sum_G G V until the dimension stabilizes; on
@@ -387,8 +345,8 @@ def submodule_closure(rep: RepSpace, seeds: Sequence[Vec]) -> Submodule:
                     fresh.append(w)
         frontier = fresh
     if ech.dim == rep.dim:
-        return Submodule(Subspace.from_vectors(rep.basis_coords(), rep.dim))
-    return Submodule(Subspace(rep.dim, ech.sorted_rows()))
+        return Subspace.from_vectors(rep.basis_coords(), rep.dim)
+    return Subspace(rep.dim, ech.sorted_rows())
 
 
 def _closure_reaches_all(rep: RepSpace, seeds: Sequence[Vec]) -> bool:
@@ -398,7 +356,7 @@ def _closure_reaches_all(rep: RepSpace, seeds: Sequence[Vec]) -> bool:
 # -- irreducibility -----------------------------------------------------------------
 
 
-def _certify_strong_connectivity(rep: RepSpace, max_rounds: int = 6) -> bool | None:
+def _certify_strong_connectivity(rep: RepSpace) -> bool | None:
     """Exact reachability certificate between the pieces of an H_k-type module.
 
     Applies generators to piece vectors and certifies nonzero piece components
@@ -415,7 +373,7 @@ def _certify_strong_connectivity(rep: RepSpace, max_rounds: int = 6) -> bool | N
     if rep.spec.kind == "HkModSub":
         surviving = []
         for pc in pieces:
-            vecs = _project_piece(rep, _piece_polys(pc, m, n, k))
+            vecs = _project_piece(rep, subspace_polys(pc.basis, m, n, k))
             if vecs:
                 surviving.append(pc)
         pieces = surviving
@@ -431,7 +389,7 @@ def _certify_strong_connectivity(rep: RepSpace, max_rounds: int = 6) -> bool | N
     edges: dict[int, set[int]] = {i: set() for i in range(len(pieces))}
     iterators = []
     for pc in pieces:
-        polys = _piece_polys(pc, m, n, k)
+        polys = subspace_polys(pc.basis, m, n, k)
         iterators.append(iter([(op_pair, f) for f in polys[:4] for op_pair in ordered_pairs]))
 
     def strongly_connected() -> bool:
@@ -449,7 +407,7 @@ def _certify_strong_connectivity(rep: RepSpace, max_rounds: int = 6) -> bool | N
                 return False
         return True
 
-    for _ in range(max_rounds):
+    for _ in range(CONNECTIVITY_ROUNDS):
         progressed = False
         for src, it in enumerate(iterators):
             for (i, j), f in itertools.islice(it, 8):
@@ -488,7 +446,7 @@ def is_irreducible(rep: RepSpace) -> bool:
         verdict = _certify_strong_connectivity(rep)
         if verdict is True:
             return True
-    groups = rep.piece_groups()
+    groups = _piece_groups(rep)
     for _, vecs in groups:
         if not _closure_reaches_all(rep, vecs):
             return False
@@ -499,32 +457,28 @@ def is_irreducible(rep: RepSpace) -> bool:
     return True
 
 
-def indecomposability_witness(rep: RepSpace, candidates: Sequence[Vec] | None = None,
-                              seed: int = 20240, random_tries: int = 8) -> str:
+def indecomposability_witness(rep: RepSpace) -> str:
     """'verified' when some single vector generates the whole module.
 
-    A cyclic vector makes the module indecomposable.  Default candidates are
-    the vectors of the purely bosonic harmonic piece (q = 0, l = 0), then
-    random small-integer combinations.  'inconclusive' never claims a
-    decomposition exists.
+    A cyclic vector makes the module indecomposable.  The candidates are the
+    vectors of the purely bosonic harmonic piece (q = 0, l = 0), then random
+    small-integer combinations.  'inconclusive' never claims a decomposition
+    exists.
     """
-    cand: list[Vec] = list(candidates) if candidates is not None else []
-    if candidates is None:
-        # labels end in (..., p, q); the purely bosonic piece has p = k, q = 0
-        for label, vecs in rep.piece_groups():
-            if label[-1] == 0 and label[-2] == rep.k:
-                cand.extend(vecs)
-        rng = random.Random(seed)
-        basis = rep.basis_coords()
-        for _ in range(random_tries):
-            combo: Vec = {}
-            for b in basis:
-                c = Fraction(rng.randint(-3, 3))
-                if c:
-                    for col, x in b.items():
-                        combo[col] = combo.get(col, Fraction(0)) + c * x
-            if combo:
-                cand.append(combo)
+    cand: list[Vec] = []
+    # labels end in (..., p, q); the purely bosonic piece has p = k, q = 0
+    for label, vecs in _piece_groups(rep):
+        if label[-1] == 0 and label[-2] == rep.k:
+            cand.extend(vecs)
+    rng = random.Random(WITNESS_SEED)
+    for _ in range(WITNESS_TRIES):
+        combo: Vec = {}
+        for i in range(rep.dim):
+            c = Fraction(rng.randint(-3, 3))
+            if c:
+                combo[i] = c
+        if combo:
+            cand.append(combo)
     for v in cand:
         if v and _closure_reaches_all(rep, [v]):
             return "verified"
@@ -649,7 +603,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
                        _SubChart(m, n, k, sub), generator_pairs(m, n))
     sub_irred = True
     for piece in decompose_Hk(m, n, kpp):
-        polys = [r2t * f for f in _piece_polys(piece, m, n, kpp)]
+        polys = [r2t * f for f in subspace_polys(piece.basis, m, n, kpp)]
         vecs = _project_piece(sub_rep, polys)
         if vecs and not _closure_reaches_all(sub_rep, vecs):
             sub_irred = False
@@ -746,10 +700,9 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     sub_pairs = [(i, j) for (i, j) in W.gen_pairs if i >= 2 and j >= 2]
     dimW = W.dim
     R2p = r2(m, n) - SuperPolynomial.x(1, 2)
-    lap_sub = operator_sum(tuple(
-        [Compose((Differentiate(i), Differentiate(i))) for i in range(2, m + 1)]
-        + [Compose((Scale(Fraction(-4)), Differentiate(2 * j - 1, fermionic=True),
-                    Differentiate(2 * j, fermionic=True))) for j in range(1, n + 1)]))
+    # the shifted harmonics have no x1, so nabla^2 acts on them as the
+    # Laplacian in x2..xm and the Grassmann pairs
+    lap = nabla2(m, n)
     Mp = (m - 1) - 2 * n
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra
@@ -765,7 +718,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
         block_vecs = []
         for h in subspace_polys(harmonic_basis(m - 1, n, l), m - 1, n, l):
             hs = shift_bosonic_indices(h, 1)
-            if not lap_sub.apply(hs).is_zero():
+            if not lap.apply(hs).is_zero():
                 return "inconclusive: shifted harmonic basis is not harmonic"
             poly = radial * hs
             # the block carries the plain action: generators commute with the

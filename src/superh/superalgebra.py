@@ -46,9 +46,6 @@ class SuperMonomial(NamedTuple):
     def bosonic_degree(self) -> int:
         return sum(e for _, e in self.bosonic)
 
-    def parity(self) -> Parity:
-        return Parity(len(self.fermionic) % 2)
-
 
 ONE_MONOMIAL = SuperMonomial((), ())
 
@@ -302,9 +299,6 @@ class SuperPolynomial:
     def constant_term(self) -> Fraction:
         return self.terms.get(ONE_MONOMIAL, Fraction(0))
 
-    def coefficient(self, mono: SuperMonomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def __repr__(self) -> str:
         return f"SuperPolynomial({render(self)!r})"
 
@@ -336,14 +330,6 @@ def partial(f: SuperPolynomial, index: int, m: int, n: int) -> SuperPolynomial:
     if index <= m:
         return f.dx(index)
     return f.dxg(index - m)
-
-
-def multiply(f: SuperPolynomial, g: SuperPolynomial) -> SuperPolynomial:
-    return f * g
-
-
-def homogeneous_component(f: SuperPolynomial, k: int) -> SuperPolynomial:
-    return f.homogeneous_component(k)
 
 
 # -- degree bases -----------------------------------------------------------
@@ -445,6 +431,10 @@ class ParseError(ValueError):
     pass
 
 
+# Largest exponent, and largest degree of a term, that `parse` accepts.
+MAX_DEGREE = 64
+
+
 _TOKEN = re.compile(r"\s*(xg\d+|x\d+|\d+/\d+|\d+|\^|\*|\+|-)")
 
 
@@ -463,7 +453,11 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse(text: str) -> SuperPolynomial:
-    """Parse the rendering grammar: sums of '*'-joined factors with '^' powers."""
+    """Parse the rendering grammar: sums of '*'-joined factors with '^' powers.
+
+    Exponents and the degree of every term are capped at MAX_DEGREE, so that
+    parsing, and integrating what was parsed, ends in bounded time.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
@@ -475,22 +469,31 @@ def parse(text: str) -> SuperPolynomial:
             raise ParseError("expected a factor")
         tok = tokens[i]
         i += 1
-        if tok.startswith("xg"):
-            base = SuperPolynomial.xg(int(tok[2:]))
-        elif tok.startswith("x"):
-            base = SuperPolynomial.x(int(tok[1:]))
-        elif "/" in tok:
+        if "/" in tok:
             num, den = tok.split("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator in {tok}")
             return SuperPolynomial.constant(Fraction(int(num), int(den))), i
-        else:
-            base = SuperPolynomial.constant(int(tok))
+        if not tok[-1].isdigit():
+            raise ParseError(f"expected a factor, got {tok!r}")
+        e = 1
         if i < len(tokens) and tokens[i] == "^":
             i += 1
             if i >= len(tokens) or not tokens[i].isdigit():
                 raise ParseError("expected an integer exponent after '^'")
-            base = base ** int(tokens[i])
+            e = int(tokens[i])
+            if e > MAX_DEGREE:
+                raise ParseError(f"exponent {e} exceeds the cap {MAX_DEGREE}")
             i += 1
-        return base, i
+        if not tok.startswith("x"):
+            return SuperPolynomial.constant(int(tok) ** e), i
+        index = int(tok.lstrip("xg"))
+        if index < 1:
+            raise ParseError(f"variable index 0 in {tok}")
+        if not tok.startswith("xg"):
+            return SuperPolynomial.x(index, e), i
+        # xg^2 = 0, so only the powers 0 and 1 survive
+        return (SuperPolynomial.xg(index) ** e if e < 2 else SuperPolynomial.zero()), i
 
     while i < len(tokens):
         sign = 1
@@ -502,5 +505,7 @@ def parse(text: str) -> SuperPolynomial:
         while i < len(tokens) and tokens[i] == "*":
             factor, i = parse_factor(i + 1)
             term = term * factor
+            if term.degree() > MAX_DEGREE:
+                raise ParseError(f"a term exceeds the degree cap {MAX_DEGREE}")
         result = result + term.scaled(sign)
     return result

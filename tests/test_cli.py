@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superh.cli import (
     EXIT_FAIL,
@@ -10,7 +13,7 @@ from superh.cli import (
     main,
     parse_range,
 )
-from superh.checks import Report
+from superh.checks import SUITES, Report, run_suite
 
 
 def run(capsys, *argv):
@@ -146,11 +149,29 @@ def test_failure_exit_code():
     assert report.exit_code == EXIT_FAIL
 
 
-def test_thread_cap_env_var(monkeypatch):
-    from superh.checks import run_suite, thread_count
-    monkeypatch.setenv("SUPERH_THREADS", "2")
-    assert thread_count() == 2
+def test_check_all_runs_every_suite():
     report = run_suite("all", [(2, 1)], 3)
     assert report.status == "pass"
-    monkeypatch.setenv("SUPERH_THREADS", "bogus")
-    assert thread_count() == 1
+    assert [row["suite"] for row in report.rows] == list(SUITES[:-1])
+
+
+@pytest.mark.parametrize("expr", ["x0", "2/0", "x5^2", "xg3*xg4", "x1^99999999"])
+def test_integrate_bad_input_is_a_usage_error(capsys, expr):
+    code, out, _ = run(capsys, "integrate", "-m", "2", "-n", "1", "--", expr)
+    assert code == EXIT_USAGE and out == ""
+
+
+def test_integrate_leading_minus_after_double_dash(capsys):
+    code, out, _ = run(capsys, "integrate", "-m", "2", "-n", "1", "--format", "json",
+                       "--", "-x1^2")
+    assert code == EXIT_PASS
+    assert all(r["value"] == "-1 * pi^0" for r in load_report(out)["rows"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.text(max_size=16),
+                 st.text(alphabet="xg0123456789/^*+- ", max_size=24)))
+def test_integrate_any_text_exits_cleanly(text):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["integrate", "-m", "2", "-n", "1", "--", text])
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 from superh.linalg import (
+    PRIME,
     Subspace,
     certified_full_rank,
     kernel_of_equations,
@@ -65,6 +66,14 @@ def test_modp_rank_certificate_consistency():
         assert certified_full_rank(vecs, width) == (exact == len(vecs))
 
 
+def test_modp_certificate_refuses_denominators_divisible_by_p():
+    # exact rank 1: the second row is p times the first
+    vecs = [{0: Fraction(1, PRIME), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(PRIME)}]
+    assert rank_of_vectors(vecs, 2) == 1
+    assert certified_full_rank(vecs, 2) is False
+    assert rank_modp(vecs, 2) is None
+
+
 def test_echelon_is_reduced():
     rng = random.Random(3)
     for trial in range(10):
@@ -91,7 +100,7 @@ def test_membership_and_coordinates():
     v = {0: Fraction(2), 1: Fraction(3), 2: Fraction(1)}
     coords = sub.coordinates(v)
     assert coords is not None
-    assert sub.linear_combination(coords) == v
+    assert sub.linear_combination(dict(enumerate(coords))) == v
     assert sub.coordinates({2: Fraction(1)}) is None
 
 
