@@ -4,15 +4,18 @@ Subcommands: dims, check, integrate, decompose, branch, fischer.  Ranges are
 written `a..b` (or a single integer).  Output formats: a human table (default),
 `--format json` and `--format csv`; JSON reports round-trip bit-exactly through
 `load_report`.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
-error.  `integrate` parses exponents and term degrees up to MAX_DEGREE (64)
-and exits 2 when the polynomial uses a variable outside (m|2n); an expression
-that starts with '-' goes after `--`, as in `superh integrate -m 2 -n 1 -- "-x1^2"`.
+error.  `integrate`, `decompose` and `branch` answer for one cell and exit 2
+when a range has several values.  `integrate` parses exponents and term
+degrees up to MAX_DEGREE (64) and exits 2 when the polynomial uses a variable
+outside (m|2n); an expression that starts with '-' goes after `--`, as in
+`superh integrate -m 2 -n 1 -- "-x1^2"`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -39,6 +42,14 @@ def parse_range(text: str) -> list[int]:
         return [int(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; use N or A..B")
+
+
+def _single_values(args, *names: str) -> list[int]:
+    """The value of each named range; a range of several values is a usage error."""
+    if any(len(getattr(args, name)) != 1 for name in names):
+        flags = " ".join(f"-{name}" for name in names)
+        raise ValueError(f"{args.cmd} answers for one cell: give {flags} single values")
+    return [getattr(args, name)[0] for name in names]
 
 
 def report_to_dict(report: Report) -> dict:
@@ -126,12 +137,7 @@ def cmd_integrate(args) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    m, n = args.m[0], args.n[0]
-    if (any(i > m for mono in f.terms for i, _ in mono.bosonic)
-            or any(j > 2 * n for mono in f.terms for j in mono.fermionic)):
-        print(f"error: {args.expr!r} uses a variable outside ({m}|{2 * n})",
-              file=sys.stderr)
-        return EXIT_USAGE
+    m, n = _single_values(args, "m", "n")
     report = Report("integrate", {"expr": args.expr, "m": m, "n": n})
     a = pizzetti(f, m, n)
     b = supersphere_integral_phi(f, m, n)
@@ -146,8 +152,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    report = Report("decompose", {"m": args.m[0], "n": args.n[0], "k": args.k[0]})
-    m, n, k = args.m[0], args.n[0], args.k[0]
+    m, n, k = _single_values(args, "m", "n", "k")
+    report = Report("decompose", {"m": m, "n": n, "k": k})
     try:
         pieces = decompose_Hk(m, n, k)
     except (ValueError, RuntimeError) as exc:
@@ -162,7 +168,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    m, n, k = args.m[0], args.n[0], args.k[0]
+    m, n, k = _single_values(args, "m", "n", "k")
     try:
         b = branching(m, n, k, explicit=args.explicit)
     except ValueError as exc:
@@ -203,6 +209,7 @@ def cmd_fischer(args) -> int:
     return report.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superh",
@@ -223,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-k", **kwargs)
         p.add_argument("--format", choices=("human", "json", "csv"),
                        default="human")
-        p.add_argument("--seed", type=int, default=20240,
-                       help="seed for randomized property sampling")
 
     p = sub.add_parser("dims", help="dimension table of H_k and the simple module")
     add_common(p)
@@ -233,6 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES)
     add_common(p, k_default=[6])
+    p.add_argument("--seed", type=int, default=20240,
+                   help="seed for randomized property sampling")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("integrate", help="supersphere integral of a polynomial")

@@ -34,34 +34,10 @@ from .linalg import Vec
 
 
 class LinearOperator:
-    """Composable linear endomorphism of the polynomial ring."""
+    """Linear endomorphism of the polynomial ring."""
 
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         raise NotImplementedError
-
-    def __call__(self, f: SuperPolynomial) -> SuperPolynomial:
-        return self.apply(f)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return Add((self, other))
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return Add((self, Compose((Scale(Fraction(-1)), other))))
-
-    def __neg__(self) -> "LinearOperator":
-        return Compose((Scale(Fraction(-1)), self))
-
-    def __mul__(self, other):
-        if isinstance(other, LinearOperator):
-            return Compose((self, other))
-        if isinstance(other, (int, Fraction)):
-            return Compose((Scale(Fraction(other)), self))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Compose((Scale(Fraction(other)), self))
-        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -339,6 +315,15 @@ def generator_commutator(i, j, k, l, m, n) -> LinearOperator:
     return Add((Compose((A, B)), Compose((Scale(-s), B, A))))
 
 
+def _radial_laplace_beltrami(radius2: SuperPolynomial, lap: LinearOperator,
+                             E: LinearOperator, M: int) -> LinearOperator:
+    """Form A of a Laplace-Beltrami operator: R^2 nabla^2 - E(M-2+E)."""
+    return Add((
+        Compose((MultiplyBy(radius2), lap)),
+        Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(M - 2)), E)))),
+    ))
+
+
 @lru_cache(maxsize=None)
 def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
     """Both constructions of the Laplace-Beltrami operator.
@@ -347,12 +332,7 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
     -1/2 sum L_ij g[i][l] g[j][k] L_kl in the generators.  Their equality on
     every graded piece is a tested invariant.
     """
-    M = m - 2 * n
-    E = euler(m, n)
-    form_a = Add((
-        Compose((MultiplyBy(r2(m, n)), nabla2(m, n))),
-        Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(M - 2)), E)))),
-    ))
+    form_a = _radial_laplace_beltrami(r2(m, n), nabla2(m, n), euler(m, n), m - 2 * n)
     met = metric(m, n)
     size = m + 2 * n
     parts = []
@@ -378,24 +358,24 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
 @lru_cache(maxsize=None)
 def laplace_beltrami_bosonic(m: int) -> LinearOperator:
     """r^2 laplace_b - E_b (m-2+E_b); acts through the bosonic variables only."""
-    E = euler_b(m)
-    return Add((
-        Compose((MultiplyBy(r2(m, 0)), nabla2(m, 0))),
-        Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(m - 2)), E)))),
-    ))
+    return _radial_laplace_beltrami(r2(m, 0), nabla2(m, 0), euler_b(m), m)
 
 
 @lru_cache(maxsize=None)
 def laplace_beltrami_fermionic(n: int) -> LinearOperator:
     """theta^2 laplace_f - E_f (-2n-2+E_f); the purely fermionic analogue."""
-    E = euler_f(n)
-    return Add((
-        Compose((MultiplyBy(theta2(n)), nabla2(0, n))),
-        Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(-2 * n - 2)), E)))),
-    ))
+    return _radial_laplace_beltrami(theta2(n), nabla2(0, n), euler_f(n), -2 * n)
 
 
 # -- matrices of operators -----------------------------------------------------
+
+
+def check_variables(f: SuperPolynomial, m: int, n: int) -> None:
+    """Raise ValueError when f uses a variable outside (m|2n)."""
+    for bosonic, fermionic in f.terms:
+        # both index tuples are ascending, so the last entry is the largest
+        if (bosonic and bosonic[-1][0] > m) or (fermionic and fermionic[-1] > 2 * n):
+            raise ValueError(f"{f} uses a variable outside ({m}|{2 * n})")
 
 
 def poly_to_vec(f: SuperPolynomial, m: int, n: int, k: int) -> Vec:

@@ -30,6 +30,7 @@ from .diffops import (
     Compose,
     LinearOperator,
     Scale,
+    check_variables,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
     nabla2,
@@ -52,6 +53,8 @@ def dim_Hk(m: int, n: int, k: int) -> int:
     """Closed-form dimension of H_k for m >= 1 (double binomial sum)."""
     if m < 1:
         raise ValueError("the closed form requires m >= 1; use the fermionic kernel")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if k < 0:
         return 0
     total = 0
@@ -112,6 +115,7 @@ def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
 
 
 def is_harmonic(f: SuperPolynomial, m: int, n: int) -> bool:
+    check_variables(f, m, n)
     return nabla2(m, n).apply(f).is_zero()
 
 
@@ -374,8 +378,7 @@ class ZeroDenominator(ArithmeticError):
     pass
 
 
-def projection_Q(r: int, s: int, k: int, m: int, n: int,
-                 allow_fallback: bool = True) -> ProjectionOperator:
+def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
     """Projector onto the piece (r, k-2r-s, s) of H_k.
 
     The bosonic factors run over i = 0..k skipping the target degree, the
@@ -397,9 +400,6 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int,
             continue
         denom = Fraction((i - k + 2 * r + s) * (k + i - 2 * r - s + m - 2))
         if denom == 0:
-            if not allow_fallback:
-                raise ZeroDenominator(
-                    f"factor i={i} of Q_({r},{s})^{k} on ({m}|{2*n}) has a zero denominator")
             fallback = True
             break
         bos_factors.append((Fraction(i * (m - 2 + i)), denom))

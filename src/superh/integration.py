@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
-from .diffops import nabla2, osp_generator, generator_pairs, r2, theta2
+from .diffops import check_variables, nabla2, osp_generator, generator_pairs, r2, theta2
 from .harmonic import harmonic_polys
 
 
@@ -162,6 +162,7 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum."""
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
+    check_variables(f, m, n)
     M = m - 2 * n
     lap = nabla2(m, n)
     total = ScaledRational.zero()
@@ -360,6 +361,7 @@ def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRation
     """Supersphere integral through phi#, the Berezin integral and sphere moments."""
     if m < 1:
         raise ValueError("supersphere integration requires m >= 1")
+    check_variables(f, m, n)
     return _sphere_berezin(f, berezin_density(m, n), m, n)
 
 

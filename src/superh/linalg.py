@@ -126,17 +126,12 @@ class Subspace:
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
-    def coordinates(self, v: Vec, check: bool = True) -> list[Fraction] | None:
-        """Coefficients of v in the echelon basis (pivot-column readoff)."""
-        coords = [v.get(p, Fraction(0)) for p in self.pivots]
-        if check:
-            residual = dict(v)
-            for c, row in zip(coords, self.rows):
-                if c:
-                    _iadd_scaled(residual, -c, row)
-            if residual:
-                return None
-        return coords
+    def coordinates(self, v: Vec) -> list[Fraction] | None:
+        """Coefficients of v in the echelon basis (pivot-column readoff), or
+        None when v is not in the subspace."""
+        if self.reduce(v):
+            return None
+        return [v.get(p, Fraction(0)) for p in self.pivots]
 
     def linear_combination(self, coords: Vec) -> Vec:
         """sum_i coords[i] * (basis row i), for sparse coordinates."""
@@ -226,21 +221,22 @@ def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
 # -- modular certificates ------------------------------------------------------
 
 
-def matrix_modp(vectors: Sequence[Vec], width: int, p: int = PRIME) -> np.ndarray:
-    """The vectors reduced mod p as matrix rows.
+def matrix_modp(vectors: Sequence[Vec], width: int) -> np.ndarray:
+    """The vectors reduced mod PRIME as matrix rows.
 
-    Raises ValueError when p divides a denominator: that entry has no image
-    mod p, and mapping it to anything would make the certificate unsound.
+    Raises ValueError when PRIME divides a denominator: that entry has no image
+    mod PRIME, and mapping it to anything would make the certificate unsound.
     """
     mat = np.zeros((len(vectors), width), dtype=np.int64)
     for r, v in enumerate(vectors):
         for i, x in v.items():
-            mat[r, i] = x.numerator * pow(x.denominator, -1, p) % p
+            mat[r, i] = x.numerator * pow(x.denominator, -1, PRIME) % PRIME
     return mat
 
 
-def rref_modp(a: np.ndarray, p: int = PRIME) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (nonzero rows, pivot columns)."""
+def rref_modp(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod PRIME; returns (nonzero rows, pivot columns)."""
+    p = PRIME
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape
     r = 0
@@ -266,15 +262,15 @@ def rref_modp(a: np.ndarray, p: int = PRIME) -> tuple[np.ndarray, list[int]]:
     return a[:r], pivots
 
 
-def rank_modp(vectors: Sequence[Vec], width: int, p: int = PRIME) -> int | None:
-    """Rank mod p, or None when an entry cannot be reduced mod p."""
+def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
+    """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME."""
     if not vectors:
         return 0
     try:
-        mat = matrix_modp(vectors, width, p)
+        mat = matrix_modp(vectors, width)
     except ValueError:
         return None
-    _, pivots = rref_modp(mat, p)
+    _, pivots = rref_modp(mat)
     return len(pivots)
 
 

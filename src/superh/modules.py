@@ -7,7 +7,8 @@ Four kinds of module are supported on parameters (m, n, k):
   * PkModR2   - the quotient P_k / R^2 P_{k-2},
   * HkModSub  - the quotient H_k / (H_k  intersect  R^2 P_{k-2}).
 
-Every module carries the exact matrices of the generators L_ij.  Submodules
+Each is a subquotient S / D of P_k, held by one class, RepSpace, that acts
+through the exact matrices of the generators L_ij.  Submodules
 are certified by exact closure; irreducibility of H_k-type modules over Q
 reduces, for m >= 2, to reachability between the joint eigenspace pieces,
 because every invariant subspace is a sum of pieces (the pieces are pairwise
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Sequence
@@ -34,10 +35,10 @@ from .linalg import (
     Echelon,
     Subspace,
     Vec,
+    _iadd_scaled,
     certified_full_rank,
 )
 from .diffops import (
-    LinearOperator,
     nabla2,
     osp_generator,
     generator_pairs,
@@ -98,116 +99,74 @@ def in_window(m: int, n: int, k: int) -> bool:
     return w is not None and w[0] <= k <= w[1]
 
 
-# -- coordinates --------------------------------------------------------------
-
-
-class _Chart:
-    """Maps between module coordinates and polynomials of degree k."""
-
-    dim: int
-
-    def lift(self, coords: Vec) -> SuperPolynomial:
-        raise NotImplementedError
-
-    def project(self, f: SuperPolynomial) -> Vec:
-        raise NotImplementedError
-
-
-class _FullChart(_Chart):
-    def __init__(self, m, n, k):
-        self.m, self.n, self.k = m, n, k
-        self.dim = dim_Pk(m, n, k)
-
-    def lift(self, coords: Vec) -> SuperPolynomial:
-        return vec_to_poly(coords, self.m, self.n, self.k)
-
-    def project(self, f: SuperPolynomial) -> Vec:
-        return poly_to_vec(f, self.m, self.n, self.k)
-
-
-class _SubChart(_Chart):
-    """Coordinates along the echelon basis of a subspace of P_k."""
-
-    def __init__(self, m, n, k, subspace: Subspace):
-        self.m, self.n, self.k = m, n, k
-        self.subspace = subspace
-        self.dim = subspace.dim
-
-    def lift(self, coords: Vec) -> SuperPolynomial:
-        return vec_to_poly(self.subspace.linear_combination(coords), self.m, self.n, self.k)
-
-    def project(self, f: SuperPolynomial) -> Vec:
-        vec = poly_to_vec(f, self.m, self.n, self.k)
-        return {i: vec[p] for i, p in enumerate(self.subspace.pivots) if p in vec}
-
-
-class _QuotientChart(_Chart):
-    """Coordinates on parent-chart coordinates modulo a divisor subspace."""
-
-    def __init__(self, parent: _Chart, divisor: Subspace):
-        self.parent = parent
-        self.divisor = divisor
-        self.columns = divisor.complement_columns()
-        self.col_pos = {c: i for i, c in enumerate(self.columns)}
-        self.dim = len(self.columns)
-
-    def lift(self, coords: Vec) -> SuperPolynomial:
-        return self.parent.lift({self.columns[i]: c for i, c in coords.items()})
-
-    def project(self, f: SuperPolynomial) -> Vec:
-        reduced = self.divisor.reduce(self.parent.project(f))
-        return {self.col_pos[c]: x for c, x in reduced.items()}
-
-
 # -- module spaces --------------------------------------------------------------
 
 
-@dataclass
+def _readoff(sub: Subspace, v: Vec) -> Vec:
+    """Echelon coordinates in sub of a vector v of sub, read off at the pivots."""
+    return {i: v[p] for i, p in enumerate(sub.pivots) if p in v}
+
+
 class RepSpace:
-    """A polynomial module with exact generator matrices in a fixed chart."""
+    """The subquotient sub / divisor of P_k with exact generator matrices.
 
-    spec: SpaceSpec
-    chart: _Chart
-    gen_pairs: list[tuple[int, int]]
-    _matrices: dict = field(default_factory=dict, repr=False)
+    ``sub`` is a subspace of P_k (None for all of P_k) and ``divisor`` a
+    subspace of sub's echelon coordinates (None without a quotient).  Module
+    coordinates are sub's coordinates off the divisor's pivots.  Each column of
+    a generator matrix is computed on first use, by lift, L_ij and projection;
+    applying a generator to a module vector is a sparse mat-vec over them.
+    """
 
-    @property
-    def m(self) -> int:
-        return self.spec.m
+    def __init__(self, spec: SpaceSpec, sub: Subspace | None,
+                 divisor: Subspace | None, gen_pairs: list[tuple[int, int]]):
+        self.spec, self.sub, self.divisor, self.gen_pairs = spec, sub, divisor, gen_pairs
+        self.m, self.n, self.k = spec.m, spec.n, spec.k
+        width = dim_Pk(spec.m, spec.n, spec.k) if sub is None else sub.dim
+        # the sub coordinates that serve as module coordinates, in order
+        self._kept = list(range(width)) if divisor is None else divisor.complement_columns()
+        self.dim = len(self._kept)
+        self._kept_pos = {c: i for i, c in enumerate(self._kept)}
+        self._matrix_columns: dict[tuple[int, int, int], Vec] = {}
 
-    @property
-    def n(self) -> int:
-        return self.spec.n
+    def _sub_poly(self, v: Vec) -> SuperPolynomial:
+        if self.sub is not None:
+            v = self.sub.linear_combination(v)
+        return vec_to_poly(v, self.m, self.n, self.k)
 
-    @property
-    def k(self) -> int:
-        return self.spec.k
+    def _sub_coords(self, f: SuperPolynomial) -> Vec:
+        v = poly_to_vec(f, self.m, self.n, self.k)
+        return v if self.sub is None else _readoff(self.sub, v)
 
-    @property
-    def dim(self) -> int:
-        return self.chart.dim
+    def lift(self, coords: Vec) -> SuperPolynomial:
+        return self._sub_poly({self._kept[i]: c for i, c in coords.items()})
 
-    def apply_generator(self, i: int, j: int, coords: Vec) -> Vec:
-        return self.apply_operator(osp_generator(i, j, self.m, self.n), coords)
+    def coords_of_poly(self, f: SuperPolynomial) -> Vec:
+        v = self._sub_coords(f)
+        if self.divisor is not None:
+            v = self.divisor.reduce(v)
+        return {self._kept_pos[c]: x for c, x in v.items()}
 
-    def apply_operator(self, op: LinearOperator, coords: Vec) -> Vec:
-        return self.chart.project(op.apply(self.chart.lift(coords)))
+    def _column(self, i: int, j: int, c: int) -> Vec:
+        key = (i, j, c)
+        col = self._matrix_columns.get(key)
+        if col is None:
+            image = osp_generator(i, j, self.m, self.n).apply(self.lift({c: Fraction(1)}))
+            col = self._matrix_columns[key] = self.coords_of_poly(image)
+        return col
 
     def generator_matrix(self, i: int, j: int) -> list[Vec]:
-        """Matrix of L_ij as a list of column vectors in chart coordinates."""
-        key = (i, j)
-        if key not in self._matrices:
-            self._matrices[key] = self.operator_matrix(osp_generator(i, j, self.m, self.n))
-        return self._matrices[key]
+        """Matrix of L_ij as a list of column vectors in module coordinates."""
+        return [self._column(i, j, c) for c in range(self.dim)]
 
-    def operator_matrix(self, op: LinearOperator) -> list[Vec]:
-        return [self.apply_operator(op, {c: Fraction(1)}) for c in range(self.dim)]
+    def apply_generator(self, i: int, j: int, coords: Vec) -> Vec:
+        out: Vec = {}
+        for c, x in coords.items():
+            if x:
+                _iadd_scaled(out, x, self._column(i, j, c))
+        return out
 
     def basis_coords(self) -> list[Vec]:
         return [{c: Fraction(1)} for c in range(self.dim)]
-
-    def coords_of_poly(self, f: SuperPolynomial) -> Vec:
-        return self.chart.project(f)
 
 
 def _divisor_r2p(m: int, n: int, k: int) -> Subspace:
@@ -231,47 +190,38 @@ def hk_window_intersection(m: int, n: int, k: int) -> Subspace:
 
 def rep_space(spec: SpaceSpec) -> RepSpace:
     m, n, k = spec.m, spec.n, spec.k
-    pairs = generator_pairs(m, n)
-    if spec.kind == "Pk":
-        chart: _Chart = _FullChart(m, n, k)
-    elif spec.kind == "Hk":
-        chart = _SubChart(m, n, k, harmonic_basis(m, n, k))
-    elif spec.kind == "PkModR2":
-        chart = _QuotientChart(_FullChart(m, n, k), _divisor_r2p(m, n, k))
-    else:  # HkModSub
-        hk = harmonic_basis(m, n, k)
-        inter = hk_window_intersection(m, n, k)
-        parent = _SubChart(m, n, k, hk)
-        divisor_rows = [parent.project(vec_to_poly(row, m, n, k)) for row in inter.rows]
-        divisor = Subspace.from_vectors(divisor_rows, hk.dim)
-        chart = _QuotientChart(parent, divisor)
-    rep = RepSpace(spec, chart, pairs)
+    sub = harmonic_basis(m, n, k) if spec.kind in ("Hk", "HkModSub") else None
+    divisor = None
+    if spec.kind == "PkModR2":
+        divisor = _divisor_r2p(m, n, k)
+    elif spec.kind == "HkModSub":
+        rows = [_readoff(sub, row) for row in hk_window_intersection(m, n, k).rows]
+        divisor = Subspace.from_vectors(rows, sub.dim)
+    rep = RepSpace(spec, sub, divisor, generator_pairs(m, n))
     _validate_rep(rep)
     return rep
 
 
 def _validate_rep(rep: RepSpace) -> None:
-    """Quotient charts: every generator must map the divisor into the divisor;
-    subspace charts: generators must preserve the subspace (spot check)."""
-    m, n, k = rep.m, rep.n, rep.k
-    chart = rep.chart
-    if isinstance(chart, _QuotientChart):
-        parent = chart.parent
-        for row in chart.divisor.rows:
-            d = parent.lift(dict(row))
+    """Quotients: every generator must map the divisor into the divisor;
+    subspaces: generators must preserve the harmonic subspace (spot check)."""
+    m, n = rep.m, rep.n
+    if rep.divisor is not None:
+        for row in rep.divisor.rows:
+            d = rep._sub_poly(row)
             for (i, j) in rep.gen_pairs:
                 image = osp_generator(i, j, m, n).apply(d)
                 if image.is_zero():
                     continue
-                if chart.divisor.reduce(parent.project(image)):
+                if rep.divisor.reduce(rep._sub_coords(image)):
                     raise RuntimeError(
                         f"L_{i}{j} does not preserve the divisor of {rep.spec}")
-    if isinstance(chart, _SubChart) and chart.subspace.dim:
+    if rep.sub is not None and rep.sub.dim:
         lap = nabla2(m, n)
-        probe = vec_to_poly(chart.subspace.rows[0], m, n, k)
+        probe = rep._sub_poly({0: Fraction(1)})
         for (i, j) in rep.gen_pairs:
             if not lap.apply(osp_generator(i, j, m, n).apply(probe)).is_zero():
-                raise RuntimeError(f"L_{i}{j} does not preserve the kernel chart")
+                raise RuntimeError(f"L_{i}{j} does not preserve the harmonic subspace")
 
 
 # -- piece seed groups ------------------------------------------------------------
@@ -280,7 +230,7 @@ def _validate_rep(rep: RepSpace) -> None:
 def _project_piece(rep: RepSpace, polys: Sequence[SuperPolynomial]) -> list[Vec]:
     out = []
     for f in polys:
-        v = rep.chart.project(f)
+        v = rep.coords_of_poly(f)
         if v:
             out.append(v)
     return out
@@ -599,8 +549,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
         ok = False
         details.append("submodule invariance FAILED")
     # irreducibility of the submodule: closures from its pieces
-    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k),
-                       _SubChart(m, n, k, sub), generator_pairs(m, n))
+    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
     sub_irred = True
     for piece in decompose_Hk(m, n, kpp):
         polys = [r2t * f for f in subspace_polys(piece.basis, m, n, kpp)]

@@ -98,6 +98,10 @@ def test_integrate_parse_error(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["dims", "-m", "2"]) == EXIT_USAGE
     assert main(["check", "nosuch", "-m", "2", "-n", "1"]) == EXIT_USAGE
+    # a space that does not exist, and a range where one cell is answered
+    assert main(["dims", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
+    assert main(["branch", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
+    assert main(["decompose", "-m", "2..4", "-n", "1", "-k", "2"]) == EXIT_USAGE
 
 
 def test_decompose(capsys):

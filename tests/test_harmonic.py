@@ -13,7 +13,6 @@ from superh.diffops import (
     poly_to_vec,
 )
 from superh.harmonic import (
-    ZeroDenominator,
     bosonic_harmonics,
     decompose_Hk,
     dim_Hk,
@@ -81,6 +80,11 @@ def test_dim_examples():
 def test_dim_requires_bosonic_direction():
     with pytest.raises(ValueError):
         dim_Hk(0, 2, 1)
+
+
+def test_dim_rejects_negative_n():
+    with pytest.raises(ValueError):
+        dim_Hk(2, -1, 2)
 
 
 def test_kernel_vectors_are_harmonic():
@@ -256,8 +260,6 @@ def test_projection_fallback_on_one_bosonic_variable():
         v = vec_to_poly(dict(pc.basis.rows[0]), 1, 1, 2)
         img = Q.apply(v)
         assert img == (v if (pc.l, pc.q) == (1, 0) else SP.zero())
-    with pytest.raises(ZeroDenominator):
-        projection_Q(1, 0, 2, 1, 1, allow_fallback=False)
 
 
 def test_projection_idempotent_and_orthogonal_as_matrices():
@@ -277,7 +279,7 @@ def test_projection_idempotent_and_orthogonal_as_matrices():
         # columns of A o B where columns are vectors in P_k coordinates
         out = []
         for bcol in b_cols:
-            coords = hb.coordinates(bcol, check=True)
+            coords = hb.coordinates(bcol)
             acc = {}
             for idx, c in enumerate(coords):
                 if c:

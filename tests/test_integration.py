@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from superh.superalgebra import SuperPolynomial as SP, monomial_basis
+from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
 from superh.diffops import r2, theta2, osp_generator, generator_pairs
-from superh.harmonic import harmonic_polys
+from superh.harmonic import harmonic_polys, is_harmonic
 from superh.integration import (
     LaurentSuperFunction,
     ScaledRational,
@@ -241,3 +241,12 @@ def test_invariant_density_is_unique():
                 scale = a / b
                 break
         assert scale and all(a == b * scale for a, b in zip(sol, expected)), (m, n)
+
+
+@pytest.mark.parametrize("text, m, n", [("x3^2", 2, 0), ("x3^2", 2, 1),
+                                        ("xg3*xg4", 2, 1), ("x1*xg1", 2, 0)])
+def test_library_rejects_variables_outside_the_space(text, m, n):
+    f = parse(text)
+    for fn in (is_harmonic, pizzetti, supersphere_integral_phi):
+        with pytest.raises(ValueError):
+            fn(f, m, n)

@@ -45,13 +45,18 @@ def test_rep_space_dimensions():
 
 
 def test_generator_matrices_represent_action():
-    rep = rep_space(SpaceSpec("Hk", 2, 1, 2))
-    for (i, j) in rep.gen_pairs:
-        mat = rep.generator_matrix(i, j)
-        op = osp_generator(i, j, 2, 1)
-        for c in range(rep.dim):
-            basis_poly = rep.chart.lift({c: Fraction(1)})
-            assert rep.chart.project(op.apply(basis_poly)) == mat[c]
+    for kind in ("Pk", "Hk", "PkModR2", "HkModSub"):
+        rep = rep_space(SpaceSpec(kind, 2, 1, 2))
+        combo = {c: Fraction(c + 1, 2) for c in range(rep.dim)}
+        for (i, j) in rep.gen_pairs:
+            mat = rep.generator_matrix(i, j)
+            op = osp_generator(i, j, 2, 1)
+            for c in range(rep.dim):
+                basis_poly = rep.lift({c: Fraction(1)})
+                assert rep.coords_of_poly(op.apply(basis_poly)) == mat[c], (kind, i, j, c)
+            # a vector that is not a basis vector goes through the mat-vec
+            expected = rep.coords_of_poly(op.apply(rep.lift(combo)))
+            assert rep.apply_generator(i, j, combo) == expected, (kind, i, j)
 
 
 def test_generator_matrices_commute_with_casimir():
@@ -59,7 +64,7 @@ def test_generator_matrices_commute_with_casimir():
                  SpaceSpec("PkModR2", 2, 1, 2), SpaceSpec("HkModSub", 2, 1, 2)]:
         rep = rep_space(spec)
         form_a, _ = laplace_beltrami(rep.m, rep.n)
-        cas = rep.operator_matrix(form_a)
+        cas = [rep.coords_of_poly(form_a.apply(rep.lift(e))) for e in rep.basis_coords()]
         for (i, j) in rep.gen_pairs:
             gen = rep.generator_matrix(i, j)
             for c in range(rep.dim):
@@ -301,10 +306,9 @@ def test_branching_explicit_small():
 def test_quotient_charts_are_well_defined():
     # rep_space validates that generators preserve the divisor; a bogus divisor
     # must be rejected by the same machinery
-    from superh.modules import RepSpace, _QuotientChart, _FullChart, _validate_rep
+    from superh.modules import RepSpace, _validate_rep
     m, n, k = 2, 1, 2
     bogus = Subspace.from_vectors([poly_to_vec(SP.x(1, 2), m, n, k)], 8)
-    chart = _QuotientChart(_FullChart(m, n, k), bogus)
-    rep = RepSpace(SpaceSpec("PkModR2", m, n, k), chart, generator_pairs(m, n))
+    rep = RepSpace(SpaceSpec("PkModR2", m, n, k), None, bogus, generator_pairs(m, n))
     with pytest.raises(RuntimeError):
         _validate_rep(rep)
