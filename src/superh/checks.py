@@ -348,6 +348,9 @@ SUITES = (*_RUNNERS, "all")
 
 def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
               seed: int = 20240) -> Report:
+    bad = [c for c in cells if c[0] < 0 or c[1] < 0]
+    if bad:
+        raise ValueError(f"no space (m|2n) with a negative parameter: {bad[0]}")
     if name == "all":
         merged = Report("check all", {"cells": cells, "k_max": k_max})
         for nm, runner in _RUNNERS.items():

@@ -14,7 +14,9 @@ reduces, for m >= 2, to reachability between the joint eigenspace pieces,
 because every invariant subspace is a sum of pieces (the pieces are pairwise
 non-isomorphic irreducible modules for the degree-preserving block of the
 algebra).  Reachability edges are certified exactly by applying a generator to
-a piece vector and extracting a nonzero component with a piece projector.
+a piece vector and reading a nonzero coordinate of the image in the basis of
+piece vectors, through one exact inverse per module; the certificate runs at
+every dimension, and exhaustive closures decide whatever it leaves open.
 
 The degenerate band: for even M = m - 2n <= 0 and 2 - M/2 <= k <= 2 - M, H_k
 contains the invariant subspace R^(2k+M-2) H_{2-M-k}; the quotient HkModSub is
@@ -55,16 +57,14 @@ from .harmonic import (
     comb0,
     fermionic_harmonics,
     harmonic_basis,
-    projection_Q,
     subspace_polys,
     _r2_power,
 )
 
 SpaceKind = Literal["Pk", "Hk", "PkModR2", "HkModSub"]
+# labeled piece groups: (label, vectors in module coordinates)
+PieceGroups = list[tuple[tuple, list[Vec]]]
 
-# dimension threshold above which irreducibility uses the certified
-# reachability shortcut instead of exhaustive exact closures
-EXACT_CLOSURE_LIMIT = 60
 # rounds of generator applications the reachability shortcut may spend
 CONNECTIVITY_ROUNDS = 6
 # random small-integer combinations tried by indecomposability_witness, and their seed
@@ -236,10 +236,10 @@ def _project_piece(rep: RepSpace, polys: Sequence[SuperPolynomial]) -> list[Vec]
     return out
 
 
-def _piece_groups(rep: RepSpace) -> list[tuple[tuple, list[Vec]]]:
+def _piece_groups(rep: RepSpace) -> PieceGroups:
     """Labeled joint-eigenspace seed groups spanning the module."""
     m, n, k = rep.m, rep.n, rep.k
-    groups: list[tuple[tuple, list[Vec]]] = []
+    groups: PieceGroups = []
     if rep.spec.kind in ("Hk", "HkModSub"):
         for piece in decompose_Hk(m, n, k):
             vecs = _project_piece(rep, subspace_polys(piece.basis, m, n, k))
@@ -306,45 +306,68 @@ def _closure_reaches_all(rep: RepSpace, seeds: Sequence[Vec]) -> bool:
 # -- irreducibility -----------------------------------------------------------------
 
 
-def _certify_strong_connectivity(rep: RepSpace) -> bool | None:
+def _piece_inverse(groups: PieceGroups, dim: int) -> tuple[list[Vec], list[int]] | None:
+    """Rows of A^-1 and the group of each row of A, where the rows of A are the
+    group vectors; None unless they are a basis.  One exact elimination of
+    [A | I]: every pivot must land in the left block, and the right halves of
+    the reduced rows are then the rows of A^-1.
+    """
+    rows = [v for _, vecs in groups for v in vecs]
+    if len(rows) != dim:
+        return None
+    ech = Echelon(2 * dim)
+    for i, v in enumerate(rows):
+        row = dict(v)
+        row[dim + i] = Fraction(1)
+        ech.add(row)
+    if any(p >= dim for p in ech.rows):
+        return None
+    inv = [{c - dim: x for c, x in ech.rows[p].items() if c >= dim} for p in range(dim)]
+    owner = [g for g, (_, vecs) in enumerate(groups) for _ in vecs]
+    return inv, owner
+
+
+def _nonzero_pieces(inv: list[Vec], owner: list[int], w: Vec) -> set[int]:
+    """Groups on which w has a nonzero piece coordinate.
+
+    The coordinates of w in the basis of group vectors are sum_c w_c inv[c].
+    """
+    y: Vec = {}
+    for c, x in w.items():
+        _iadd_scaled(y, x, inv[c])
+    return {owner[i] for i in y}
+
+
+def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | None:
     """Exact reachability certificate between the pieces of an H_k-type module.
 
-    Applies generators to piece vectors and certifies nonzero piece components
-    with the projection operators; when the certified edge graph is strongly
-    connected the module has no proper invariant piece sum, hence (for m >= 2)
-    no proper submodule at all.  Returns True on success, None when the budget
-    runs out (caller falls back to exhaustive closures), and False never:
-    absence of edges is not certified here.
+    Applies generators to piece vectors; a nonzero exact coordinate of the
+    image, in the basis of piece vectors, in the block of piece dst certifies
+    the edge src -> dst.  A strongly connected edge graph leaves no proper
+    invariant piece sum, hence (for m >= 2) no proper submodule, at any
+    dimension.  Returns True on success, None when the groups are not a basis
+    or the budget runs out (caller falls back to exhaustive closures), and
+    False never: absence of edges is not certified here.
     """
-    m, n, k = rep.m, rep.n, rep.k
+    m, n = rep.m, rep.n
     if m < 2 or rep.spec.kind not in ("Hk", "HkModSub"):
         return None
-    pieces = decompose_Hk(m, n, k)
-    if rep.spec.kind == "HkModSub":
-        surviving = []
-        for pc in pieces:
-            vecs = _project_piece(rep, subspace_polys(pc.basis, m, n, k))
-            if vecs:
-                surviving.append(pc)
-        pieces = surviving
-    if len(pieces) <= 1:
+    basis = _piece_inverse(groups, rep.dim)
+    if basis is None:
+        return None
+    if len(groups) <= 1:
         return True
+    inv, owner = basis
     lap = nabla2(m, n)
-    projectors = {}
-    for pc in pieces:
-        projectors[(pc.l, pc.q)] = projection_Q(pc.l, pc.q, k, m, n)
     # mixed generators first: they move between pieces
     ordered_pairs = sorted(rep.gen_pairs,
                            key=lambda ij: 0 if (ij[0] <= m < ij[1]) else 1)
-    edges: dict[int, set[int]] = {i: set() for i in range(len(pieces))}
-    iterators = []
-    for pc in pieces:
-        polys = subspace_polys(pc.basis, m, n, k)
-        iterators.append(iter([(op_pair, f) for f in polys[:4] for op_pair in ordered_pairs]))
+    edges: dict[int, set[int]] = {g: set() for g in range(len(groups))}
+    iterators = [iter([(op_pair, v) for v in vecs[:4] for op_pair in ordered_pairs])
+                 for _, vecs in groups]
 
     def strongly_connected() -> bool:
-        nodes = range(len(pieces))
-        for start in nodes:
+        for start in edges:
             seen = {start}
             stack = [start]
             while stack:
@@ -353,26 +376,21 @@ def _certify_strong_connectivity(rep: RepSpace) -> bool | None:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
-            if len(seen) != len(pieces):
+            if len(seen) != len(groups):
                 return False
         return True
 
     for _ in range(CONNECTIVITY_ROUNDS):
         progressed = False
         for src, it in enumerate(iterators):
-            for (i, j), f in itertools.islice(it, 8):
+            for (i, j), v in itertools.islice(it, 8):
                 progressed = True
-                w = osp_generator(i, j, m, n).apply(f)
-                if w.is_zero():
+                image = osp_generator(i, j, m, n).apply(rep.lift(v))
+                if image.is_zero():
                     continue
-                if not lap.apply(w).is_zero():
+                if not lap.apply(image).is_zero():
                     raise RuntimeError("generator image left the harmonic space")
-                for dst, pc in enumerate(pieces):
-                    if dst == src or dst in edges[src]:
-                        continue
-                    comp = projectors[(pc.l, pc.q)].apply(w)
-                    if not comp.is_zero():
-                        edges[src].add(dst)
+                edges[src] |= _nonzero_pieces(inv, owner, rep.coords_of_poly(image))
             if strongly_connected():
                 return True
         if not progressed:
@@ -383,20 +401,18 @@ def _certify_strong_connectivity(rep: RepSpace) -> bool | None:
 def is_irreducible(rep: RepSpace) -> bool:
     """Exact irreducibility of the module over the rationals.
 
-    Small modules: exhaustive exact closures from every piece group (for
-    m >= 2 every invariant subspace is a sum of pieces, so this is complete)
-    and, at m = 1, additionally from every basis vector.  Large H_k-type
-    modules first try the certified piece-reachability shortcut.
+    H_k-type modules with m >= 2 first try the piece-reachability certificate,
+    at every dimension.  Otherwise exhaustive exact closures from every piece
+    group decide (for m >= 2 every invariant subspace is a sum of pieces, so
+    this is complete), at m = 1 additionally from every basis vector.
     """
     if rep.dim < 1:
         raise ValueError("module must have dimension >= 1")
     if rep.dim == 1:
         return True
-    if rep.dim > EXACT_CLOSURE_LIMIT:
-        verdict = _certify_strong_connectivity(rep)
-        if verdict is True:
-            return True
     groups = _piece_groups(rep)
+    if _certify_strong_connectivity(rep, groups):
+        return True
     for _, vecs in groups:
         if not _closure_reaches_all(rep, vecs):
             return False

@@ -102,6 +102,11 @@ def test_usage_error_exit_code(capsys):
     assert main(["dims", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
     assert main(["branch", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
     assert main(["decompose", "-m", "2..4", "-n", "1", "-k", "2"]) == EXIT_USAGE
+    # check suites refuse cells that do not exist
+    assert main(["check", "lb", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
+    assert main(["check", "killing", "-m", "2", "-n", "-1"]) == EXIT_USAGE
+    assert main(["check", "lb", "-m", "-1", "-n", "1", "-k", "2"]) == EXIT_USAGE
+    assert main(["check", "windows", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
 
 
 def test_decompose(capsys):

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,20 @@ from superh.diffops import (
     poly_to_vec,
     r2,
 )
-from superh.harmonic import decompose_Hk, dim_Hk, harmonic_basis, subspace_polys
+from superh.harmonic import (
+    decompose_Hk,
+    dim_Hk,
+    harmonic_basis,
+    projection_Q,
+    subspace_polys,
+)
 from superh.linalg import Subspace
 from superh.modules import (
     SpaceSpec,
+    _certify_strong_connectivity,
+    _nonzero_pieces,
+    _piece_groups,
+    _piece_inverse,
     branching,
     branching_case,
     branching_explicit_check,
@@ -153,6 +164,64 @@ def test_irreducibility_grid_small():
         for k in range(0, 5):
             expected = not in_window(m, n, k)
             assert is_irreducible(rep_space(SpaceSpec("Hk", m, n, k))) == expected
+
+
+def test_certificate_verdicts_hold_under_closures():
+    # exhaustive closures are the oracle: whenever the reachability certificate
+    # says irreducible, every piece group generates the whole module
+    for m in range(2, 5):
+        for n in range(1, 3):
+            for k in range(0, 5):
+                rep = rep_space(SpaceSpec("Hk", m, n, k))
+                groups = _piece_groups(rep)
+                verdict = _certify_strong_connectivity(rep, groups)
+                assert verdict in (True, None), (m, n, k)
+                if verdict:
+                    assert not in_window(m, n, k), (m, n, k)
+                    for label, vecs in groups:
+                        assert submodule_closure(rep, vecs).dim == rep.dim, (m, n, k, label)
+
+
+def test_certificate_leaves_the_band_to_closures():
+    for (m, n, k) in [(2, 1, 2), (2, 2, 3), (2, 2, 4), (4, 2, 2)]:
+        rep = rep_space(SpaceSpec("Hk", m, n, k))
+        assert _certify_strong_connectivity(rep, _piece_groups(rep)) is None, (m, n, k)
+        assert not is_irreducible(rep)
+
+
+def test_certificate_fires_on_a_large_module():
+    rep = rep_space(SpaceSpec("Hk", 3, 2, 4))
+    assert rep.dim == 80
+    assert _certify_strong_connectivity(rep, _piece_groups(rep)) is True
+
+
+def test_certificate_refuses_groups_that_are_not_a_basis():
+    rep = rep_space(SpaceSpec("Hk", 3, 1, 3))
+    groups = _piece_groups(rep)
+    assert _certify_strong_connectivity(rep, groups) is True
+    (label, vecs), *rest = groups
+    short = [(label, vecs[1:])] + rest
+    assert _certify_strong_connectivity(rep, short) is None
+    # as many vectors as the dimension, but dependent
+    doubled = [(label, [vecs[1]] + vecs[1:])] + rest
+    assert _certify_strong_connectivity(rep, doubled) is None
+
+
+def test_piece_coordinates_match_the_projectors():
+    # the pieces with a nonzero exact coordinate are the pieces whose
+    # projector leaves the image nonzero
+    for (m, n, k) in [(3, 1, 3), (4, 2, 2)]:
+        rep = rep_space(SpaceSpec("Hk", m, n, k))
+        groups = _piece_groups(rep)
+        inv, owner = _piece_inverse(groups, rep.dim)
+        projectors = [projection_Q(l, q, k, m, n) for (l, _, q), _ in groups]
+        for _, vecs in groups:
+            for v, (i, j) in itertools.product(vecs[:4], rep.gen_pairs):
+                image = osp_generator(i, j, m, n).apply(rep.lift(v))
+                blocks = _nonzero_pieces(inv, owner, rep.coords_of_poly(image))
+                expected = {g for g, Q in enumerate(projectors)
+                            if not Q.apply(image).is_zero()}
+                assert blocks == expected, (m, n, k, i, j)
 
 
 def test_pk_reducible_for_degree_two_and_up():
