@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
 from .diffops import (
+    OperatorMatrices,
     check_sl2,
     generator_pairs,
     generator_vector_field,
@@ -21,7 +22,7 @@ from .diffops import (
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
     partial_vector_field,
-    vec_to_poly,
+    variable_poly,
 )
 from .harmonic import (
     bosonic_eigenvalue,
@@ -84,8 +85,18 @@ def suite_sl2(cells: list[tuple[int, int]], k_max: int) -> Report:
     return report
 
 
+def _times(v: dict, c) -> dict:
+    """c * v as a sparse vector."""
+    return {i: c * x for i, x in v.items()} if c else {}
+
+
 def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
-    """Both Laplace-Beltrami constructions agree; eigenvalue -k(M-2+k) on H_k."""
+    """Both Laplace-Beltrami constructions agree; eigenvalue -k(M-2+k) on H_k.
+
+    The two forms are evaluated from their own trees as matrices on P_k and
+    compared column by column; the eigenvalue is checked on every row of the
+    harmonic basis by a mat-vec with the form A matrix.
+    """
     report = Report("check lb", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
         M = m - 2 * n
@@ -93,16 +104,18 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
         forms_ok = True
         eigen_ok = True
         for k in range(0, k_max + 1):
-            for mono in monomial_basis(m, n, k):
-                f = SuperPolynomial.monomial(mono)
-                if form_a.apply(f) != form_b.apply(f):
+            mats = OperatorMatrices(m, n)
+            mat_a = mats.matrix(form_a, k)
+            for c, col in enumerate(mats.matrix(form_b, k)):
+                if col != mat_a[c]:
                     forms_ok = False
+                    f = SuperPolynomial.monomial(monomial_basis(m, n, k)[c])
                     report.fail(f"LB forms differ on {f} at ({m}|{2*n})")
                     break
-            eig = Fraction(-k * (M - 2 + k))
-            for row in harmonic_basis(m, n, k).rows:
-                h = vec_to_poly(dict(row), m, n, k)
-                if form_a.apply(h) != h.scaled(eig):
+            eig = -k * (M - 2 + k)
+            rows = harmonic_basis(m, n, k).rows
+            for row, image in zip(rows, mats.apply(form_a, rows, k)):
+                if image != _times(row, eig):
                     eigen_ok = False
                     report.fail(f"LB eigenvalue failed on H_{k}({m}|{2*n})")
                     break
@@ -123,10 +136,12 @@ def suite_killing(cells: list[tuple[int, int]]) -> Report:
             if not killing_check(partial_vector_field(j, m, n), m, n):
                 ok = False
                 report.fail(f"translation field {j} failed at ({m}|{2*n})")
-        euler_type = {1: SuperPolynomial.x(1)}
-        if killing_check(euler_type, m, n):
+        # negative control: no Killing field has a quadratic coefficient
+        size = m + 2 * n
+        if size and killing_check(
+                {1: variable_poly(1, m, n) * variable_poly(size, m, n)}, m, n):
             ok = False
-            report.fail(f"Euler-type field passed the Killing condition at ({m}|{2*n})")
+            report.fail(f"quadratic field passed the Killing condition at ({m}|{2*n})")
         report.rows.append({"m": m, "n": n, "result": "pass" if ok else "fail"})
     return report
 
@@ -187,14 +202,19 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
         lb_f = laplace_beltrami_fermionic(n)
         for k in range(0, k_max + 1):
             pieces = decompose_Hk(m, n, k)
+            mats = OperatorMatrices(m, n)
+            # kept for the degree: every projector factor below reuses them
+            mats.matrix(lb_b, k)
+            mats.matrix(lb_f, k)
             fallback_used = False
             ok = True
             for pc in pieces:
-                lam_b = Fraction(bosonic_eigenvalue(m, pc.p))
-                lam_f = Fraction(fermionic_eigenvalue(n, pc.q))
-                for row in pc.basis.rows:
-                    v = vec_to_poly(dict(row), m, n, k)
-                    if lb_b.apply(v) != v.scaled(lam_b) or lb_f.apply(v) != v.scaled(lam_f):
+                lam_b = bosonic_eigenvalue(m, pc.p)
+                lam_f = fermionic_eigenvalue(n, pc.q)
+                rows = pc.basis.rows
+                for v, wb, wf in zip(rows, mats.apply(lb_b, rows, k),
+                                     mats.apply(lb_f, rows, k)):
+                    if wb != _times(v, lam_b) or wf != _times(v, lam_f):
                         ok = False
                         report.fail(f"piece ({pc.l},{pc.p},{pc.q}) of H_{k}({m}|{2*n}) "
                                     "is not a joint eigenspace")
@@ -211,11 +231,10 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
                         ok = False
                         report.fail(f"projector scalar failed at ({m},{n},{k}) "
                                     f"target ({tgt.l},{tgt.q}) source ({src.l},{src.q})")
-                    for row in src.basis.rows[:LITERAL_VECTORS]:
-                        v = vec_to_poly(dict(row), m, n, k)
-                        got = Q.apply(v)
-                        expect = v.scaled(want)
-                        if got != expect:
+                    # Q.op is a chain of factors; each acts on the vectors by mat-vec
+                    rows = src.basis.rows[:LITERAL_VECTORS]
+                    for v, got in zip(rows, mats.apply(Q.op, rows, k)):
+                        if got != _times(v, want):
                             ok = False
                             report.fail(f"projector application failed at ({m},{n},{k})")
             report.rows.append({"m": m, "n": n, "k": k, "pieces": len(pieces),
@@ -351,6 +370,8 @@ def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
     bad = [c for c in cells if c[0] < 0 or c[1] < 0]
     if bad:
         raise ValueError(f"no space (m|2n) with a negative parameter: {bad[0]}")
+    if k_max < 0:
+        raise ValueError(f"no degree range up to k_max = {k_max}")
     if name == "all":
         merged = Report("check all", {"cells": cells, "k_max": k_max})
         for nm, runner in _RUNNERS.items():

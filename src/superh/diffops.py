@@ -10,19 +10,31 @@ With these conventions the key objects come out as:
     L_ij = X_i nabla_j - (-1)^{[i][j]} X_j nabla_i
 
 where [i] = 0 for a bosonic index and 1 for a Grassmann index.  All operators
-are immutable expression trees evaluated by structural recursion; composition
-is right-to-left (the rightmost factor acts first).
+are immutable expression trees; composition is right-to-left (the rightmost
+factor acts first).  A tree has two evaluators:
+
+* ``op.apply(f)`` recurses over the tree on one polynomial.  It serves one-off
+  uses and is the reference that the matrices are tested against.
+* ``OperatorMatrices`` (and ``matrix_on_degree``) evaluates the tree per degree
+  as a sparse matrix P_k -> P_k', or on many coordinate vectors of P_k at once,
+  from cached integer matrices of d/dxi, d/dxgj and multiplication by a
+  monomial.  The bulk checks (sl2, Laplace-Beltrami, projections, harmonic
+  kernels) run on it.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .superalgebra import (
+    SuperMonomial,
     SuperPolynomial,
+    _mul_monomials,
     monomial_basis,
     basis_index,
     partial,
@@ -36,11 +48,13 @@ from .linalg import Vec
 class LinearOperator:
     """Linear endomorphism of the polynomial ring."""
 
+    __slots__ = ()
+
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplyBy(LinearOperator):
     poly: SuperPolynomial
 
@@ -48,7 +62,7 @@ class MultiplyBy(LinearOperator):
         return self.poly * f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Differentiate(LinearOperator):
     """Plain partial derivative d/dxi (bosonic) or left d/dxgj (fermionic)."""
 
@@ -59,7 +73,7 @@ class Differentiate(LinearOperator):
         return f.dxg(self.index) if self.fermionic else f.dx(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scale(LinearOperator):
     factor: Fraction
 
@@ -67,7 +81,7 @@ class Scale(LinearOperator):
         return f.scaled(self.factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Add(LinearOperator):
     parts: tuple[LinearOperator, ...]
 
@@ -78,7 +92,7 @@ class Add(LinearOperator):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compose(LinearOperator):
     """Composition; the rightmost factor acts first."""
 
@@ -153,14 +167,23 @@ class Metric:
                 out = out + variable_poly(i, self.m, self.n).scaled(c)
         return out
 
+    @cached_property
+    def coordinates(self) -> tuple[SuperPolynomial, ...]:
+        """X_1..X_{m+2n}, built once per metric and shared by the generators."""
+        return tuple(variable_poly(i, self.m, self.n) for i in range(1, self.size + 1))
+
+    @cached_property
+    def _nabla_lower(self) -> tuple[LinearOperator, ...]:
+        return tuple(
+            operator_sum([Compose((Scale(c), plain_partial(i, self.m, self.n)))
+                          for i in range(1, self.size + 1) if (c := self.inv_entry(j, i))])
+            for j in range(1, self.size + 1))
+
     def nabla_lower(self, j: int) -> LinearOperator:
-        """nabla_j = d/dX^j = sum_i inv(g)[j][i] d/dX_i."""
-        parts = []
-        for i in range(1, self.size + 1):
-            c = self.inv_entry(j, i)
-            if c:
-                parts.append(Compose((Scale(c), plain_partial(i, self.m, self.n))))
-        return operator_sum(parts)
+        """nabla_j = d/dX^j = sum_i inv(g)[j][i] d/dX_i (one shared tree per j)."""
+        if not 1 <= j <= self.size:
+            raise IndexError(f"variable index {j} out of range for ({self.m}|{2*self.n})")
+        return self._nabla_lower[j - 1]
 
     def nabla_upper(self, j: int) -> LinearOperator:
         """nabla^j = (-1)^{[j]} d/dX_j."""
@@ -291,8 +314,8 @@ def osp_generator(i: int, j: int, m: int, n: int) -> LinearOperator:
     met = metric(m, n)
     sign = Fraction(-1 if index_parity(i, m) and index_parity(j, m) else 1)
     return operator_sum((
-        Compose((MultiplyBy(variable_poly(i, m, n)), met.nabla_lower(j))),
-        Compose((Scale(-sign), MultiplyBy(variable_poly(j, m, n)), met.nabla_lower(i))),
+        Compose((MultiplyBy(met.coordinates[i - 1]), met.nabla_lower(j))),
+        Compose((Scale(-sign), MultiplyBy(met.coordinates[j - 1]), met.nabla_lower(i))),
     ))
 
 
@@ -394,13 +417,259 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
     return SuperPolynomial({basis[i]: c for i, c in v.items() if c})
 
 
+# Per-degree matrices.  The same trees are evaluated on coordinate vectors of
+# one degree P_k, many vectors at a time.  A leaf is a primitive: d/dxi, d/dxgj
+# or multiplication by one monomial.  Each sends a basis monomial to at most
+# one basis monomial, injectively, so its matrix is two int arrays (target row
+# or -1, and value); multiplication by a polynomial sums its terms.  While a
+# subtree is evaluated its result carries a scalar factor beside its columns,
+# so Scale costs nothing and Add sums columns with integer multipliers over a
+# common denominator: entries stay Python ints until a Scale by a true fraction
+# is applied to them.  Vectors in flight are dicts; a matrix that is kept for
+# reuse is packed in compressed sparse column form.  `cols is None` stands for
+# the identity on the basis of P_k.
+
+
+def _pack(cols: list[Vec]) -> tuple:
+    """A kept matrix in compressed sparse column form (starts, rows, values)."""
+    starts, rows, vals = array("i", [0]), array("i"), []
+    for col in cols:
+        rows.extend(col)
+        vals.extend(col.values())
+        starts.append(len(rows))
+    return starts, rows, vals
+
+
+def _matvec(mat: tuple, v: Vec) -> Vec:
+    """sum_c v[c] * mat[c] for a kept matrix, without zero entries."""
+    starts, rows, vals = mat
+    out: Vec = {}
+    for c, x in v.items():
+        for t in range(starts[c], starts[c + 1]):
+            r = rows[t]
+            s = out.get(r)
+            out[r] = x * vals[t] if s is None else s + x * vals[t]
+    return {r: s for r, s in out.items() if s}
+
+
+def _scaled(v: Vec, c) -> Vec:
+    """c * v; an entry that comes out integral is stored as an int."""
+    out: Vec = {}
+    for r, x in v.items():
+        y = c * x
+        out[r] = y.numerator if y.denominator == 1 else y
+    return out
+
+
+def _lincomb(*terms: tuple[int, Vec]) -> Vec:
+    """sum c * v over the (c, v) terms, without zero entries."""
+    out: Vec = {}
+    for c, v in terms:
+        for r, x in v.items():
+            out[r] = out.get(r, 0) + c * x
+    return {r: x for r, x in out.items() if x}
+
+
+def _accumulate(acc: list[Vec], mult, cols: list[Vec] | None) -> None:
+    """acc += mult * cols, column by column (None is the identity)."""
+    if cols is None:
+        cols = [{c: 1} for c in range(len(acc))]
+    for a, col in zip(acc, cols):
+        for r, y in col.items():
+            s = a.get(r, 0) + mult * y
+            if s:
+                a[r] = s
+            else:
+                del a[r]
+
+
+def _shared_nodes(op: LinearOperator) -> dict[int, int]:
+    """Reference counts of the Add and Compose nodes that op's tree reaches twice."""
+    refs: dict[int, int] = {}
+    stack = [op]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Add, Compose)):
+            refs[id(node)] = refs.get(id(node), 0) + 1
+            if refs[id(node)] == 1:
+                stack.extend(node.parts)
+    return {i: count for i, count in refs.items() if count > 1}
+
+
+def _dx_image(mono: SuperMonomial, i: int):
+    """d/dxi of a monomial as (coefficient, monomial), or None."""
+    for pos, (idx, e) in enumerate(mono.bosonic):
+        if idx == i:
+            rest = ((idx, e - 1),) if e > 1 else ()
+            return e, SuperMonomial(mono.bosonic[:pos] + rest + mono.bosonic[pos + 1:],
+                                    mono.fermionic)
+    return None
+
+
+def _dxg_image(mono: SuperMonomial, j: int):
+    """Left d/dxgj of a monomial: one sign per Grassmann factor passed."""
+    if j not in mono.fermionic:
+        return None
+    pos = mono.fermionic.index(j)
+    return (-1 if pos % 2 else 1), SuperMonomial(
+        mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
+
+
+class OperatorMatrices:
+    """Operator trees evaluated as sparse matrices on the degrees of (m|2n).
+
+    ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
+    each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
+    runs op on coordinate vectors of P_k without forming op's matrix.  The
+    object keeps the primitive matrices of the leaves and the matrix of every
+    ``matrix`` call, and later trees that contain such a root reuse it.  A node
+    that one tree reaches twice (the generators of the quadratic Casimir) is
+    evaluated once and dropped after its last use; products are not kept.
+    Create one object per degree and drop it when the degree is done.
+    """
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self._leaves: dict[tuple, tuple[array, array]] = {}
+        self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
+
+    def _dim(self, k: int) -> int:
+        return len(monomial_basis(self.m, self.n, k)) if k >= 0 else 0
+
+    def matrix(self, op: LinearOperator, k: int) -> list[Vec]:
+        root = self._roots.get((id(op), k))
+        if root is not None:
+            return self._product(root[1], None)
+        factor, cols, k_out = self._run(op, None, k, _shared_nodes(op), {})
+        cols = self._finish(factor, cols, self._dim(k))
+        self._roots[(id(op), k)] = (op, _pack(cols), k_out)
+        return cols
+
+    def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
+        factor, cols, _ = self._run(op, list(vecs), k, _shared_nodes(op), {})
+        return self._finish(factor, cols, len(vecs))
+
+    @staticmethod
+    def _finish(factor, cols: list[Vec] | None, ncols: int) -> list[Vec]:
+        """The columns with the carried factor multiplied in."""
+        if cols is None:
+            cols = [{c: 1} for c in range(ncols)]
+        if factor == 1:
+            return cols
+        return [_scaled(v, factor) for v in cols] if factor else [{} for _ in cols]
+
+    def _run(self, op, cols, k, shared, memo):
+        """(factor, columns, target degree) of op on cols; see the comment above."""
+        key = (id(op), k)
+        root = self._roots.get(key)
+        if root is not None:
+            return 1, self._product(root[1], cols), root[2]
+        uses = shared.get(id(op))
+        if uses is None:
+            return self._eval(op, cols, k, shared, memo)
+        hit = memo.get(key)
+        if hit is None:
+            factor, mat, k_out = self._eval(op, None, k, shared, memo)
+            if mat is not None:
+                mat = _pack(mat)
+            hit = memo[key] = (op, factor, mat, k_out)
+        shared[id(op)] = uses - 1
+        if uses == 1:
+            del memo[key]
+        _, factor, mat, k_out = hit
+        return factor, cols if mat is None else self._product(mat, cols), k_out
+
+    @staticmethod
+    def _product(mat: tuple, cols: list[Vec] | None) -> list[Vec]:
+        """A packed matrix applied to cols (to the basis for None)."""
+        if cols is None:
+            starts, rows, vals = mat
+            return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
+        return [_matvec(mat, v) for v in cols]
+
+    def _eval(self, op, cols, k, shared, memo):
+        if isinstance(op, Scale):
+            return op.factor, cols, k
+        if isinstance(op, Compose):
+            factor = 1
+            for part in reversed(op.parts):
+                f, cols, k = self._run(part, cols, k, shared, memo)
+                factor *= f
+            return factor, cols, k
+        if isinstance(op, Add):
+            acc: list[Vec] = [{} for _ in range(self._dim(k) if cols is None else len(cols))]
+            denom, k_out = 1, None
+            for part in op.parts:
+                f, part_cols, k_part = self._run(part, cols, k, shared, memo)
+                if not f:
+                    continue
+                if k_out is None:
+                    k_out = k_part
+                elif k_part != k_out:
+                    raise ValueError("a sum of operators of different degrees has no matrix")
+                if (f * denom).denominator != 1:
+                    wider = math.lcm(denom, f.denominator)
+                    for a in acc:
+                        for r in a:
+                            a[r] *= wider // denom
+                    denom = wider
+                _accumulate(acc, int(f * denom), part_cols)
+            return Fraction(1, denom), acc, k if k_out is None else k_out
+        if isinstance(op, Differentiate):
+            return 1, self._leaf(op.index, op.fermionic, k, cols), k - 1
+        if isinstance(op, MultiplyBy):
+            degrees = {mono.degree() for mono in op.poly.terms}
+            if len(degrees) > 1:
+                raise ValueError(f"multiplication by {op.poly} does not preserve a degree")
+            k_out = k + (degrees.pop() if degrees else 0)
+            terms = [(mono, c.numerator if c.denominator == 1 else c)
+                     for mono, c in op.poly.terms.items()]
+            if len(terms) == 1:
+                return terms[0][1], self._leaf(terms[0][0], None, k, cols), k_out
+            acc = [{} for _ in range(self._dim(k) if cols is None else len(cols))]
+            for mono, c in terms:
+                _accumulate(acc, c, self._leaf(mono, None, k, cols))
+            return 1, acc, k_out
+        raise TypeError(f"no matrix for operator {type(op).__name__}")
+
+    def _leaf(self, what, fermionic, k: int, cols: list[Vec] | None) -> list[Vec]:
+        """A primitive on P_k applied to cols: d/dxi or d/dxgj for an int `what`
+        (fermionic False or True), multiplication by the monomial `what` for
+        fermionic None."""
+        key = (what, fermionic, k)
+        if key not in self._leaves:
+            rows, vals = array("i"), array("i")
+            out_deg = k - 1 if fermionic is not None else k + what.degree()
+            target = basis_index(self.m, self.n, out_deg) if out_deg >= 0 else {}
+            for mono in monomial_basis(self.m, self.n, k) if k >= 0 else ():
+                if fermionic is None:
+                    sign, prod = _mul_monomials(what, mono)
+                    image = (sign, prod) if sign else None
+                else:
+                    image = _dxg_image(mono, what) if fermionic else _dx_image(mono, what)
+                row = -1 if image is None else target.get(image[1])
+                if row is None:
+                    raise ValueError(f"{what} times {mono} lies outside ({self.m}|{2 * self.n})")
+                rows.append(row)
+                vals.append(0 if image is None else image[0])
+            self._leaves[key] = rows, vals
+        rows, vals = self._leaves[key]
+        if cols is None:
+            return [{r: y} if r >= 0 else {} for r, y in zip(rows, vals)]
+        # the map is injective on monomials, so no two entries meet
+        out = []
+        for v in cols:
+            w: Vec = {}
+            for c, x in v.items():
+                if rows[c] >= 0:
+                    w[rows[c]] = x * vals[c]
+            out.append(w)
+        return out
+
+
 def matrix_on_degree(op: LinearOperator, m: int, n: int, k: int) -> list[Vec]:
-    """Columns of the matrix of a degree-preserving operator on P_k."""
-    cols = []
-    for mono in monomial_basis(m, n, k):
-        image = op.apply(SuperPolynomial.monomial(mono))
-        cols.append(poly_to_vec(image, m, n, k) if image else {})
-    return cols
+    """Columns of the matrix of op on P_k, in the basis of the target degree."""
+    return OperatorMatrices(m, n).matrix(op, k)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -417,7 +686,9 @@ def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
     """Exact sl2 commutation relations on every P_k, k <= k_max.
 
     With H = E + M/2, A = nabla^2/2 and B = R^2/2 the relations are
-    [A, B] = H, [A, H] = 2A and [B, H] = -2B, checked monomial by monomial.
+    [A, B] = H, [A, H] = 2A and [B, H] = -2B.  They are checked on every basis
+    column of the per-degree matrices, in the integral form
+    [nabla^2, R^2] = 2(2H), [nabla^2, 2H] = 4 nabla^2, [R^2, 2H] = -4 R^2.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
@@ -425,28 +696,34 @@ def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
     lap = nabla2(m, n)
     mulr2 = MultiplyBy(r2(m, n))
     E = euler(m, n)
-    half_M = Fraction(M, 2)
     failures = []
     for k in range(0, k_max + 1):
-        for mono in monomial_basis(m, n, k):
-            f = SuperPolynomial.monomial(mono)
-            hf = E.apply(f) + f.scaled(half_M)
-            # [nabla^2/2, R^2/2] = E + M/2
-            lhs1 = (lap.apply(mulr2.apply(f)) - mulr2.apply(lap.apply(f))).scaled(Fraction(1, 4))
-            if lhs1 != hf:
-                failures.append((k, "[A,B]=H", str(f)))
-                continue
-            # [nabla^2/2, E + M/2] = nabla^2
-            lapf = lap.apply(f)
-            lhs2 = (lap.apply(hf) - (E.apply(lapf) + lapf.scaled(half_M))).scaled(Fraction(1, 2))
-            if lhs2 != lapf:
-                failures.append((k, "[A,H]=2A", str(f)))
-                continue
-            # [R^2/2, E + M/2] = -R^2
-            r2f = mulr2.apply(f)
-            lhs3 = (mulr2.apply(hf) - (E.apply(r2f) + r2f.scaled(half_M))).scaled(Fraction(1, 2))
-            if lhs3 != -r2f:
-                failures.append((k, "[B,H]=-2B", str(f)))
+        mats = OperatorMatrices(m, n)
+
+        def two_h(vecs: list[Vec], d: int) -> list[Vec]:
+            """2H = 2E + M on vectors of P_d."""
+            return [_lincomb((2, e), (M, v)) for v, e in zip(vecs, mats.apply(E, vecs, d))]
+
+        def holds(left: list[Vec], right: list[Vec], c: int, vecs: list[Vec]) -> list[bool]:
+            """left - right == c * vecs, column by column."""
+            return [_lincomb((1, a), (-1, b)) == _lincomb((c, v))
+                    for a, b, v in zip(left, right, vecs)]
+
+        lapf = mats.matrix(lap, k)
+        r2f = mats.matrix(mulr2, k)
+        hf = two_h([{c: 1} for c in range(len(lapf))], k)
+        # one relation at a time, so that only its images are alive
+        relations = [("[A,B]=H", holds(mats.apply(lap, r2f, k + 2),
+                                       mats.apply(mulr2, lapf, k - 2), 2, hf))]
+        relations.append(("[A,H]=2A", holds(mats.apply(lap, hf, k), two_h(lapf, k - 2),
+                                            4, lapf)))
+        relations.append(("[B,H]=-2B", holds(mats.apply(mulr2, hf, k), two_h(r2f, k + 2),
+                                             -4, r2f)))
+        for c, mono in enumerate(monomial_basis(m, n, k)):
+            for name, passed in relations:
+                if not passed[c]:
+                    failures.append((k, name, str(SuperPolynomial.monomial(mono))))
+                    break
     return CheckReport("sl2", not failures, failures)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .superalgebra import SuperPolynomial, monomial_basis, dim_Pk
+from .superalgebra import SuperPolynomial, dim_Pk
 from .linalg import (
     Subspace,
     Vec,
@@ -29,10 +29,12 @@ from .diffops import (
     Add,
     Compose,
     LinearOperator,
+    OperatorMatrices,
     Scale,
     check_variables,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
+    matrix_on_degree,
     nabla2,
     osp_generator,
     poly_to_vec,
@@ -86,13 +88,11 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
         # nabla^2 lowers degree by 2, so every polynomial of degree < 2 is harmonic
         return Subspace.from_vectors(
             [{i: Fraction(1)} for i in range(width)], width)
-    lap = nabla2(m, n)
-    target_index = {mono: t for t, mono in enumerate(monomial_basis(m, n, k - 2))}
-    rows: list[Vec] = [dict() for _ in target_index]
-    for c, mono in enumerate(monomial_basis(m, n, k)):
-        image = lap.apply(SuperPolynomial.monomial(mono))
-        for tm, coeff in image.terms.items():
-            rows[target_index[tm]][c] = coeff
+    # the equations are the rows of the nabla^2 matrix P_k -> P_{k-2}
+    rows: list[Vec] = [{} for _ in range(dim_Pk(m, n, k - 2))]
+    for c, col in enumerate(matrix_on_degree(nabla2(m, n), m, n, k)):
+        for t, coeff in col.items():
+            rows[t][c] = coeff
     return kernel_of_equations(rows, width)
 
 
@@ -289,6 +289,7 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     pieces: list[HarmonicPiece] = []
     all_vecs: list[Vec] = []
     lap = nabla2(m, n)
+    mats = OperatorMatrices(m, n)
     for q in range(0, min(n, k) + 1):
         hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
         if not hf:
@@ -307,10 +308,10 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
                     if prod.is_zero():
                         raise RuntimeError(
                             f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) produced a zero vector")
-                    if not lap.apply(prod).is_zero():
-                        raise RuntimeError(
-                            f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) is not harmonic")
                     vecs.append(poly_to_vec(prod, m, n, k))
+            if any(mats.apply(lap, vecs, k)):
+                raise RuntimeError(
+                    f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) is not harmonic")
             sub = Subspace.from_vectors(vecs, width)
             if sub.dim != len(hb) * len(hf):
                 raise RuntimeError(

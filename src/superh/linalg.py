@@ -74,7 +74,7 @@ class Echelon:
         if not v:
             return False
         c = min(v)
-        inv = 1 / v[c]
+        inv = Fraction(1) / v[c]  # a Fraction also for an int entry
         v = {i: inv * x for i, x in v.items()}
         for row in self.rows.values():
             coeff = row.get(c)

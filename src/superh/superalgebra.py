@@ -349,8 +349,14 @@ def _bosonic_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=None)
+def _exponent_pair(i: int, e: int) -> tuple[int, int]:
+    """One shared (index, exponent) tuple for all cached bases."""
+    return (i, e)
+
+
 def _dense_to_sparse(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((i + 1, e) for i, e in enumerate(exps) if e)
+    return tuple(_exponent_pair(i + 1, e) for i, e in enumerate(exps) if e)
 
 
 @lru_cache(maxsize=None)
@@ -364,10 +370,10 @@ def monomial_basis(m: int, n: int, k: int) -> tuple[SuperMonomial, ...]:
         kb = k - nf
         if m == 0 and kb > 0:
             continue
-        bos_list = [_dense_to_sparse(e) for e in _bosonic_compositions(kb, m)]
-        for bos in bos_list:
-            for mask in itertools.combinations(range(1, 2 * n + 1), nf):
-                out.append(SuperMonomial(bos, mask))
+        masks = list(itertools.combinations(range(1, 2 * n + 1), nf))
+        for exps in _bosonic_compositions(kb, m):
+            bos = _dense_to_sparse(exps)
+            out.extend(SuperMonomial(bos, mask) for mask in masks)
     return tuple(out)
 
 

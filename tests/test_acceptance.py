@@ -136,5 +136,5 @@ def test_criterion_10_branching(capsys):
 def test_criterion_11_killing_characterization(capsys):
     report = suite_killing(FULL_GRID)
     announce(capsys, 11,
-             "all generators and translations are Killing fields; the Euler field is not",
+             "all generators and translations are Killing fields; a quadratic field is not",
              report.status == "pass", report.counterexample or "")

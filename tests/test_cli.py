@@ -107,6 +107,9 @@ def test_usage_error_exit_code(capsys):
     assert main(["check", "killing", "-m", "2", "-n", "-1"]) == EXIT_USAGE
     assert main(["check", "lb", "-m", "-1", "-n", "1", "-k", "2"]) == EXIT_USAGE
     assert main(["check", "windows", "-m", "2", "-n", "-1", "-k", "2"]) == EXIT_USAGE
+    # and a degree range that is empty
+    for suite in ("sl2", "lb", "fischer", "integrals", "irreducibility"):
+        assert main(["check", suite, "-m", "2", "-n", "1", "-k", "-1"]) == EXIT_USAGE, suite
 
 
 def test_decompose(capsys):
@@ -184,3 +187,10 @@ def test_integrate_any_text_exits_cleanly(text):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["integrate", "-m", "2", "-n", "1", "--", text])
     assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
+
+
+def test_check_killing_without_bosonic_variables(capsys):
+    for n in ("1", "0"):
+        code, out, _ = run(capsys, "check", "killing", "-m", "0", "-n", n, "--format", "json")
+        assert code == EXIT_PASS, (n, out)
+        assert load_report(out)["status"] == "pass"

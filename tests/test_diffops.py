@@ -4,6 +4,11 @@ import pytest
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, render
 from superh.diffops import (
+    Compose,
+    Differentiate,
+    MultiplyBy,
+    OperatorMatrices,
+    Scale,
     check_sl2,
     euler,
     euler_b,
@@ -13,6 +18,8 @@ from superh.diffops import (
     generator_vector_field,
     killing_check,
     laplace_beltrami,
+    laplace_beltrami_bosonic,
+    laplace_beltrami_fermionic,
     matrix_on_degree,
     metric,
     nabla2,
@@ -22,8 +29,11 @@ from superh.diffops import (
     poly_to_vec,
     r2,
     r2_from_metric,
+    variable_poly,
     vec_to_poly,
 )
+from superh.checks import suite_killing
+from superh.harmonic import decompose_Hk, projection_Q
 from superh.linalg import Subspace
 
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
@@ -191,6 +201,16 @@ def test_killing_examples():
     assert not killing_check({1: SP.x(1)}, m, n)
 
 
+def test_killing_rejects_the_quadratic_control():
+    """X_1 X_{m+2n} d/dX_1, the negative control of suite_killing, is never Killing."""
+    cells = [(m, n) for m in (1, 2, 3, 4) for n in (0, 1, 2)] + [(0, 1), (0, 2)]
+    for (m, n) in cells:
+        size = m + 2 * n
+        control = {1: variable_poly(1, m, n) * variable_poly(size, m, n)}
+        assert not killing_check(control, m, n), (m, n)
+    assert suite_killing(cells + [(0, 0)]).status == "pass"
+
+
 def test_killing_rejects_mixed_parity():
     with pytest.raises(ValueError):
         killing_check({1: SP.x(1) + SP.xg(1)}, 2, 1)
@@ -205,3 +225,94 @@ def test_poly_vec_roundtrip():
         assert vec_to_poly(v, 2, 1, 3) == f
     with pytest.raises(ValueError):
         poly_to_vec(SP.x(1), 2, 1, 2)
+
+
+# -- per-degree matrices against the tree evaluator -----------------------------
+
+MATRIX_GRID = [(m, n) for m in range(0, 4) for n in range(0, 3)]
+
+
+def _named_operators(m, n):
+    """(name, operator, degree shift) of every named operator on (m|2n)."""
+    size = m + 2 * n
+    form_a, form_b = laplace_beltrami(m, n)
+    ops = [("nabla2", nabla2(m, n), -2), ("nabla2_from_metric", nabla2_from_metric(m, n), -2),
+           ("euler", euler(m, n), 0), ("euler_b", euler_b(m), 0), ("euler_f", euler_f(n), 0),
+           ("lb_form_a", form_a, 0), ("lb_form_b", form_b, 0),
+           ("lb_bosonic", laplace_beltrami_bosonic(m), 0),
+           ("lb_fermionic", laplace_beltrami_fermionic(n), 0),
+           ("r2", MultiplyBy(r2(m, n)), 2)]
+    ops += [(f"L_{i}{j}", osp_generator(i, j, m, n), 0)
+            for i in range(1, size + 1) for j in range(1, size + 1)]
+    return ops
+
+
+def _tree_column(op, mono, m, n, k_out):
+    image = op.apply(SP.monomial(mono))
+    return poly_to_vec(image, m, n, k_out) if image else {}
+
+
+def test_matrices_equal_the_tree_on_every_monomial():
+    for (m, n) in MATRIX_GRID:
+        for name, op, shift in _named_operators(m, n):
+            for k in range(0, 4):
+                cols = matrix_on_degree(op, m, n, k)
+                basis = monomial_basis(m, n, k)
+                assert len(cols) == len(basis), (m, n, name, k)
+                for mono, col in zip(basis, cols):
+                    assert col == _tree_column(op, mono, m, n, k + shift), \
+                        (m, n, name, k, render(SP.monomial(mono)))
+
+
+def test_primitive_matrices_match_dx_and_dxg():
+    for (m, n) in MATRIX_GRID:
+        leaves = ([(Differentiate(i), lambda f, i=i: f.dx(i)) for i in range(1, m + 1)]
+                  + [(Differentiate(j, fermionic=True), lambda f, j=j: f.dxg(j))
+                     for j in range(1, 2 * n + 1)])
+        for k in range(0, 5):
+            target = len(monomial_basis(m, n, k - 1)) if k else 0
+            for op, deriv in leaves:
+                cols = matrix_on_degree(op, m, n, k)
+                for mono, col in zip(monomial_basis(m, n, k), cols):
+                    image = deriv(SP.monomial(mono))
+                    assert col == (poly_to_vec(image, m, n, k - 1) if image else {})
+                    # columns live in the basis of P_{k-1}
+                    assert all(0 <= r < target for r in col)
+
+
+def test_degree_changing_columns_use_the_target_basis():
+    m, n = 2, 1
+    for k in range(0, 4):
+        for op, k_out in ((nabla2(m, n), k - 2), (MultiplyBy(r2(m, n)), k + 2)):
+            cols = matrix_on_degree(op, m, n, k)
+            assert len(cols) == len(monomial_basis(m, n, k))
+            for mono, col in zip(monomial_basis(m, n, k), cols):
+                image = op.apply(SP.monomial(mono))
+                got = vec_to_poly(col, m, n, k_out) if col else SP.zero()
+                assert got == image
+
+
+def test_integral_matrices_keep_int_entries():
+    m, n, k = 2, 2, 3
+    form_a, form_b = laplace_beltrami(m, n)
+    for op in (nabla2(m, n), form_a, form_b, osp_generator(1, 3, m, n),
+               osp_generator(3, 4, m, n)):
+        for col in matrix_on_degree(op, m, n, k):
+            assert all(type(x) is int for x in col.values())
+    third = matrix_on_degree(Compose((Scale(Fraction(1, 3)), euler(m, n))), m, n, k)
+    assert third[0] == {0: 1} and third[1] == {1: 1}
+    # only a Scale by a true fraction leaves Fraction entries
+    lap_third = matrix_on_degree(Compose((Scale(Fraction(1, 3)), nabla2(m, n))), m, n, 2)
+    assert lap_third[0] == {0: Fraction(2, 3)} and type(lap_third[0][0]) is Fraction
+
+
+def test_apply_on_vectors_matches_the_projector_tree():
+    for (m, n, k) in [(2, 1, 3), (3, 1, 2), (1, 1, 3)]:
+        mats = OperatorMatrices(m, n)
+        for pc in decompose_Hk(m, n, k):
+            Q = projection_Q(pc.l, pc.q, k, m, n)
+            for piece in decompose_Hk(m, n, k):
+                rows = piece.basis.rows
+                for row, got in zip(rows, mats.apply(Q.op, rows, k)):
+                    image = Q.apply(vec_to_poly(row, m, n, k))
+                    assert got == (poly_to_vec(image, m, n, k) if image else {})
