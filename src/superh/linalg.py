@@ -25,6 +25,8 @@ Vec = dict[int, Fraction]
 # length up to ~900 cannot overflow (900 * p^2 < 2^63).
 PRIME = 99_999_989
 
+_ONE = Fraction(1)
+
 
 # -- sparse vector helpers ----------------------------------------------------
 
@@ -74,7 +76,7 @@ class Echelon:
         if not v:
             return False
         c = min(v)
-        inv = Fraction(1) / v[c]  # a Fraction also for an int entry
+        inv = _ONE / v[c]  # a Fraction also for an int entry
         v = {i: inv * x for i, x in v.items()}
         for row in self.rows.values():
             coeff = row.get(c)

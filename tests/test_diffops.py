@@ -307,8 +307,13 @@ def test_integral_matrices_keep_int_entries():
 
 
 def test_apply_on_vectors_matches_the_projector_tree():
-    for (m, n, k) in [(2, 1, 3), (3, 1, 2), (1, 1, 3)]:
+    """Q as a chain of factor mat-vecs, with and without kept Laplace-Beltrami matrices."""
+    for (m, n, k, keep) in [(2, 1, 3, False), (2, 1, 3, True), (3, 1, 2, True),
+                            (1, 1, 3, False), (1, 1, 3, True)]:
         mats = OperatorMatrices(m, n)
+        if keep:
+            mats.matrix(laplace_beltrami_bosonic(m), k)
+            mats.matrix(laplace_beltrami_fermionic(n), k)
         for pc in decompose_Hk(m, n, k):
             Q = projection_Q(pc.l, pc.q, k, m, n)
             for piece in decompose_Hk(m, n, k):
