@@ -34,7 +34,7 @@ from .harmonic import (
     projection_Q,
     verify_lemma_Lf,
 )
-from .integration import invariance_suite, pizzetti, supersphere_integral_phi
+from .integration import PizzettiRows, invariance_suite, pizzetti, supersphere_integral_phi
 from .modules import (
     SpaceSpec,
     branching,
@@ -76,9 +76,10 @@ INVARIANCE_K = 4
 
 def suite_sl2(cells: list[tuple[int, int]], k_max: int) -> Report:
     report = Report("check sl2", {"cells": cells, "k_max": k_max})
+    checked = max(2, k_max)  # the sl2 relations need the degrees up to 2
     for (m, n) in cells:
-        res = check_sl2(m, n, max(2, k_max))
-        report.rows.append({"m": m, "n": n, "k_max": k_max,
+        res = check_sl2(m, n, checked)
+        report.rows.append({"m": m, "n": n, "k_max": checked,
                             "result": "pass" if res.passed else "fail"})
         if not res.passed:
             report.fail(f"sl2 relation failed at (m,n)=({m},{n}): {res.failures[0]}")
@@ -261,15 +262,27 @@ def suite_lemma_lf(cells: list[tuple[int, int]]) -> Report:
 
 def suite_integrals(cells: list[tuple[int, int]], k_max: int,
                     seed: int = 20240) -> Report:
+    """Pizzetti and phi# agree on every monomial, and T is osp-invariant.
+
+    Each monomial's tree Pizzetti value is also compared with the row
+    functional that the invariance checks use, so that functional is certified
+    on every monomial of degree <= k_max.  `seed` has no effect: the
+    invariance checks sample nothing.
+    """
     report = Report("check integrals", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
+        T = PizzettiRows(m, n)
         equal_ok = True
         for k in range(0, k_max + 1):
-            for mono in monomial_basis(m, n, k):
+            for c, mono in enumerate(monomial_basis(m, n, k)):
                 f = SuperPolynomial.monomial(mono)
-                if pizzetti(f, m, n) != supersphere_integral_phi(f, m, n):
+                value = pizzetti(f, m, n)
+                if value != supersphere_integral_phi(f, m, n):
                     equal_ok = False
                     report.fail(f"integral routes differ on {f} at ({m}|{2*n})")
+                if value != T.value({c: 1}, k):
+                    equal_ok = False
+                    report.fail(f"Pizzetti row and tree differ on {f} at ({m}|{2*n})")
         inv = invariance_suite(m, n, min(k_max, INVARIANCE_K), seed=seed)
         M = m - 2 * n
         report.rows.append({"m": m, "n": n, "routes": "pass" if equal_ok else "fail",
@@ -356,17 +369,31 @@ _RUNNERS = {
     "projections": lambda cells, k_max, seed: suite_projections(cells, k_max),
     "fischer": lambda cells, k_max, seed: suite_fischer(cells, k_max),
     "integrals": lambda cells, k_max, seed: suite_integrals(cells, k_max, seed=seed),
-    "irreducibility": lambda cells, k_max, seed: suite_irreducibility(
-        [c for c in cells if c[0] >= 2], k_max),
+    "irreducibility": lambda cells, k_max, seed: suite_irreducibility(cells, k_max),
     "windows": lambda cells, k_max, seed: suite_windows(cells, k_max),
-    "branching": lambda cells, k_max, seed: suite_branching(
-        [c for c in cells if c[0] >= 2], k_max),
+    "branching": lambda cells, k_max, seed: suite_branching(cells, k_max),
 }
 SUITES = (*_RUNNERS, "all")
+# the least m a suite runs on: the supersphere, the piece decomposition and the
+# degenerate band need a bosonic variable, and branching splits one off
+_MIN_M = {"projections": 1, "integrals": 1, "windows": 1, "irreducibility": 2,
+          "branching": 2}
+
+
+def _split_cells(name: str, cells: list[tuple[int, int]]):
+    """(cells the suite runs on, cells it skips)."""
+    lo = _MIN_M.get(name, 0)
+    return [c for c in cells if c[0] >= lo], [c for c in cells if c[0] < lo]
 
 
 def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
               seed: int = 20240) -> Report:
+    """Run a named suite, or every suite for "all".
+
+    A suite skips the cells below its least m (_MIN_M).  A report names the
+    cells it skipped (for "all", in that suite's row), and a single suite with
+    no cell left raises ValueError.
+    """
     bad = [c for c in cells if c[0] < 0 or c[1] < 0]
     if bad:
         raise ValueError(f"no space (m|2n) with a negative parameter: {bad[0]}")
@@ -375,11 +402,23 @@ def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
     if name == "all":
         merged = Report("check all", {"cells": cells, "k_max": k_max})
         for nm, runner in _RUNNERS.items():
-            rep = runner(cells, k_max, seed)
-            merged.rows.append({"suite": nm, "status": rep.status})
+            run, skipped = _split_cells(nm, cells)
+            rep = runner(run, k_max, seed)
+            row = {"suite": nm, "status": rep.status if run else "skipped"}
+            if skipped:
+                row["skipped"] = [list(c) for c in skipped]
+            merged.rows.append(row)
             if rep.status == "fail":
                 merged.fail(f"{nm}: {rep.counterexample}")
         return merged
     if name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}")
-    return _RUNNERS[name](cells, k_max, seed)
+    run, skipped = _split_cells(name, cells)
+    if not run and skipped:
+        named = ", ".join(f"({m}|{2 * n})" for m, n in skipped)
+        raise ValueError(f"check {name} needs m >= {_MIN_M[name]}; "
+                         f"it would skip every cell: {named}")
+    report = _RUNNERS[name](run, k_max, seed)
+    if skipped:
+        report.parameters["skipped"] = [list(c) for c in skipped]
+    return report

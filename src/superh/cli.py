@@ -8,7 +8,9 @@ error.  `integrate`, `decompose` and `branch` answer for one cell and exit 2
 when a range has several values.  `integrate` parses exponents and term
 degrees up to MAX_DEGREE (64) and exits 2 when the polynomial uses a variable
 outside (m|2n); an expression that starts with '-' goes after `--`, as in
-`superh integrate -m 2 -n 1 -- "-x1^2"`.
+`superh integrate -m 2 -n 1 -- "-x1^2"`.  When the reader of stdout closes it
+early (`superh dims ... | head -1`), the rest of the output is dropped and the
+exit code is still the verdict's.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from .superalgebra import MAX_DEGREE, ParseError, parse
@@ -101,12 +104,19 @@ def report_to_table(report: Report) -> str:
 
 
 def emit(report: Report, fmt: str) -> None:
+    """Print the report; a reader that closed stdout early drops the rest."""
     if fmt == "json":
-        print(report_to_json(report))
+        text = report_to_json(report) + "\n"
     elif fmt == "csv":
-        print(report_to_csv(report), end="")
+        text = report_to_csv(report)
     else:
-        print(report_to_table(report))
+        text = report_to_table(report) + "\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the verdict stands; point stdout at devnull so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def cmd_dims(args) -> int:
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES)
     add_common(p, k_default=[6])
     p.add_argument("--seed", type=int, default=20240,
-                   help="seed for randomized property sampling")
+                   help="accepted for compatibility; no check samples")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("integrate", help="supersphere integral of a polynomial")

@@ -515,12 +515,17 @@ def _dxg_image(mono: SuperMonomial, j: int):
         mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
 
 
+# basis columns that OperatorMatrices.columns applies an operator to at once
+COLUMN_CHUNK = 64
+
+
 class OperatorMatrices:
     """Operator trees evaluated as sparse matrices on the degrees of (m|2n).
 
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
-    runs op on coordinate vectors of P_k without forming op's matrix.  The
+    runs op on coordinate vectors of P_k without forming op's matrix, and
+    ``columns(op, k)`` streams op's columns without keeping them.  The
     object keeps the primitive matrices of the leaves and the matrix of every
     ``matrix`` call, and later trees that contain such a root reuse it.  A node
     that one tree reaches twice (the generators of the quadratic Casimir) is
@@ -548,6 +553,17 @@ class OperatorMatrices:
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
         factor, cols, _ = self._run(op, list(vecs), k, _shared_nodes(op), {})
         return self._finish(factor, cols, len(vecs))
+
+    def columns(self, op: LinearOperator, k: int):
+        """(c, column c of op on P_k) for every basis monomial of P_k.
+
+        The columns are applied a chunk at a time and not kept, so no whole
+        matrix of op is alive at once.
+        """
+        dim = self._dim(k)
+        for lo in range(0, dim, COLUMN_CHUNK):
+            units = [{c: 1} for c in range(lo, min(lo + COLUMN_CHUNK, dim))]
+            yield from enumerate(self.apply(op, units, k), lo)
 
     @staticmethod
     def _finish(factor, cols: list[Vec] | None, ncols: int) -> list[Vec]:

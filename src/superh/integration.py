@@ -12,6 +12,14 @@ Gamma-function bookkeeping of the two integral representations:
 
 Both routes are exact and must agree on polynomials; this equality is part of
 the acceptance suite, so neither side may be expressed through the other.
+
+The Pizzetti sum has two evaluators.  ``pizzetti`` walks the nabla^2 tree on
+one polynomial; it serves one-off integrals (``superh integrate``), the
+comparison of the two routes and the reference in tests.  ``PizzettiRows``
+holds T on P_k as one int row times one weight, built from the per-degree
+nabla^2 matrices; the bulk invariance checks (``invariance_suite``,
+``invariant_density_solutions``) evaluate T that way on the columns of the
+generator matrices and never apply a tree.
 """
 
 from __future__ import annotations
@@ -23,8 +31,19 @@ from functools import lru_cache
 from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
-from .diffops import check_variables, nabla2, osp_generator, generator_pairs, r2, theta2
-from .harmonic import harmonic_polys
+from .diffops import (
+    MultiplyBy,
+    OperatorMatrices,
+    check_variables,
+    generator_pairs,
+    nabla2,
+    osp_generator,
+    r2,
+    theta2,
+    vec_to_poly,
+)
+from .harmonic import harmonic_basis
+from .linalg import Vec, kernel_of_equations
 
 
 # -- scalars q * pi^(h/2) ------------------------------------------------------
@@ -158,6 +177,12 @@ def berezin(f: SuperPolynomial, n: int) -> tuple[SuperPolynomial, ScaledRational
     return out, ScaledRational(Fraction(1), -2 * n)
 
 
+def _pizzetti_weight(M: int, j: int) -> ScaledRational:
+    """2 pi^{M/2} / (4^j j! Gamma(j + M/2)), the weight of (nabla^{2j} f)(0)."""
+    w = reciprocal_gamma(Fraction(M, 2) + j) * Fraction(2, 4 ** j * math.factorial(j))
+    return ScaledRational(w.q, w.h + M)
+
+
 def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum."""
     if m < 1:
@@ -167,16 +192,65 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     lap = nabla2(m, n)
     total = ScaledRational.zero()
     g = f
-    k = 0
+    j = 0
     while g:
         c = g.constant_term()
         if c:
-            weight = reciprocal_gamma(Fraction(M, 2) + k) * Fraction(2, 4 ** k * math.factorial(k))
-            term = weight * c
-            total = total + ScaledRational(term.q, term.h + M)
+            total = total + _pizzetti_weight(M, j) * c
         g = lap.apply(g)
-        k += 1
+        j += 1
     return total
+
+
+def _dot(row: Vec, v: Vec):
+    """sum_c row[c] * v[c] for sparse vectors."""
+    return sum(row.get(c, 0) * x for c, x in v.items())
+
+
+class PizzettiRows:
+    """The Pizzetti functional T of one cell (m|2n), one degree at a time.
+
+    On P_k, T(f) = weight(k) * (row(k) . f).  For even k the row holds
+    (nabla^k x^c)(0) for every basis monomial x^c, and it comes from the
+    transposed chain of the nabla^2 matrices P_k -> P_{k-2} -> ... -> P_0:
+    row(k)[c] = row(k-2) . (column c of nabla^2 on P_k).  The nabla^2 columns
+    are evaluated a chunk at a time and dropped; only the int rows and the
+    weights are kept.  For odd k the row is empty and T vanishes.
+    """
+
+    def __init__(self, m: int, n: int):
+        if m < 1:
+            raise ValueError("pizzetti requires m >= 1")
+        self.m, self.n = m, n
+        self._rows: dict[int, Vec] = {0: {0: 1}}
+        self._weights: dict[int, ScaledRational] = {}
+
+    def row(self, k: int) -> Vec:
+        """(nabla^k x^c)(0) on the monomial basis of P_k, without zero entries."""
+        if k < 0:
+            raise ValueError(f"no degree {k}")
+        if k % 2:
+            return {}
+        top = max(self._rows)
+        while top < k:
+            below = self._rows[top]
+            top += 2
+            cols = OperatorMatrices(self.m, self.n).columns(nabla2(self.m, self.n), top)
+            self._rows[top] = {c: x for c, col in cols if (x := _dot(below, col))}
+        return self._rows[k]
+
+    def weight(self, k: int) -> ScaledRational:
+        """The factor of row(k) in T on P_k; zero for odd k."""
+        if k % 2:
+            return ScaledRational.zero()
+        w = self._weights.get(k)
+        if w is None:
+            w = self._weights[k] = _pizzetti_weight(self.m - 2 * self.n, k // 2)
+        return w
+
+    def value(self, v: Vec, k: int) -> ScaledRational:
+        """T of the coordinate vector v of P_k."""
+        return self.weight(k) * _dot(self.row(k), v)
 
 
 def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
@@ -377,46 +451,67 @@ class InvarianceReport:
     failures: list
 
 
-# harmonic pairs checked in (c) per degree pair when the bases are large
-ORTHOGONALITY_PAIRS = 25
-
-
 def invariance_suite(m: int, n: int, k_max: int, seed: int = 20240) -> InvarianceReport:
     """Exact invariance checks of the supersphere functional T.
 
-    (a) T(L_ij f) = 0 for every generator and monomial of degree <= k_max;
+    T is evaluated by its Pizzetti rows on the columns of per-degree operator
+    matrices, over whole bases:
+
+    (a) T(L_ij f) = 0 for every generator and monomial f of degree <= k_max,
+        i.e. row(k) . column == 0 for every column of every generator on P_k;
     (b) T(R^2 f) = T(f) on the same monomials;
-    (c) T(h_k h_l) = 0 for harmonics of distinct degrees k != l <= k_max,
-        exhaustively when the bases are small, sampled otherwise.
+    (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
+        k < l <= k_max (see ``orthogonality_failures``).
+
+    No check samples, so ``seed`` has no effect; it is kept for callers.
     """
-    import random
-    rng = random.Random(seed)
+    T = PizzettiRows(m, n)
+    pairs = generator_pairs(m, n)
+    gens = [osp_generator(i, j, m, n) for (i, j) in pairs]
+    mul_r2 = MultiplyBy(r2(m, n))
     failures = []
-    gens = [osp_generator(i, j, m, n) for (i, j) in generator_pairs(m, n)]
-    R2 = r2(m, n)
     for k in range(0, k_max + 1):
-        for mono in monomial_basis(m, n, k):
-            f = SuperPolynomial.monomial(mono)
-            for (i, j), L in zip(generator_pairs(m, n), gens):
-                if not pizzetti(L.apply(f), m, n).is_zero():
-                    failures.append(("T(L f) != 0", k, (i, j), str(f)))
-            if pizzetti(R2 * f, m, n) != pizzetti(f, m, n):
-                failures.append(("T(R^2 f) != T(f)", k, None, str(f)))
+        mats = OperatorMatrices(m, n)
+        basis = monomial_basis(m, n, k)
+        row = T.row(k)
+        for (i, j), L in zip(pairs, gens):
+            for c, col in mats.columns(L, k):
+                if _dot(row, col):
+                    failures.append(("T(L f) != 0", k, (i, j),
+                                     str(SuperPolynomial.monomial(basis[c]))))
+        for c, col in mats.columns(mul_r2, k):
+            if T.value(col, k + 2) != T.value({c: 1}, k):
+                failures.append(("T(R^2 f) != T(f)", k, None,
+                                 str(SuperPolynomial.monomial(basis[c]))))
     for k in range(0, k_max + 1):
-        hk = harmonic_polys(m, n, k)
+        hk = harmonic_basis(m, n, k).rows
         for l in range(k + 1, k_max + 1):
-            hl = harmonic_polys(m, n, l)
-            if not hk or not hl:
-                continue
-            if len(hk) * len(hl) <= ORTHOGONALITY_PAIRS:
-                pairs = [(a, b) for a in hk for b in hl]
-            else:
-                pairs = [(rng.choice(hk), rng.choice(hl))
-                         for _ in range(ORTHOGONALITY_PAIRS)]
-            for a, b in pairs:
-                if not pizzetti(a * b, m, n).is_zero():
-                    failures.append(("T(H_k H_l) != 0", (k, l), None, str(a * b)))
+            failures += orthogonality_failures(T, k, hk, l, harmonic_basis(m, n, l).rows)
     return InvarianceReport(m, n, k_max, not failures, failures)
+
+
+def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
+                           l: int, b_rows: list[Vec]) -> list:
+    """Failures of T(a b) = 0 over all a in a_rows (of P_k) and b in b_rows (of P_l).
+
+    For each a, u_a[s] = row(k + l) . (a x^s) is read off the columns of
+    multiplication by a on P_l, and u_a . b must vanish for every b.  When
+    k + l is odd the row is structurally zero and nothing is checked.
+    """
+    if (k + l) % 2:
+        return []
+    m, n = T.m, T.n
+    row = T.row(k + l)
+    mats = OperatorMatrices(m, n)
+    failures = []
+    for a in a_rows:
+        pa = vec_to_poly(a, m, n, k)
+        u = {s: x for s, col in mats.columns(MultiplyBy(pa), l) if (x := _dot(row, col))}
+        for b in b_rows:
+            if _dot(u, b):
+                failures.append(("T(H_k H_l) != 0", (k, l), None,
+                                 str(pa * vec_to_poly(b, m, n, l))))
+    return failures
 
 
 def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fraction]]:
@@ -425,12 +520,12 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
     Solves, exactly, for coefficient vectors (a_0..a_n) of
     alpha = sum_i a_i theta^{2i} such that
     int_S int_B alpha(theta^2) phi#(L f) = 0 for all generators L and all
-    monomials f of degree <= k_max.  A one-dimensional solution space is the
-    uniqueness statement; the known solution is (1-theta^2)^{m/2-1}.
+    monomials f of degree <= k_max, with L f read off the columns of the
+    generator matrices.  A one-dimensional solution space is the uniqueness
+    statement; the known solution is (1-theta^2)^{m/2-1}.
     """
     if m < 1 or n < 1:
         raise ValueError("needs m >= 1 and n >= 1")
-    from .linalg import kernel_of_equations
     th = theta2(n)
     densities = []
     power = SuperPolynomial.one()
@@ -438,14 +533,15 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
         densities.append(power)
         power = power * th
 
+    gens = [osp_generator(i, j, m, n) for (i, j) in generator_pairs(m, n)]
     rows = []
     for k in range(0, k_max + 1):
-        for mono in monomial_basis(m, n, k):
-            f = SuperPolynomial.monomial(mono)
-            for (i, j) in generator_pairs(m, n):
-                Lf = osp_generator(i, j, m, n).apply(f)
-                if Lf.is_zero():
+        mats = OperatorMatrices(m, n)
+        for L in gens:
+            for _, col in mats.columns(L, k):
+                if not col:
                     continue
+                Lf = vec_to_poly(col, m, n, k)
                 vals = [_sphere_berezin(Lf, d, m, n) for d in densities]
                 hs = {v.h for v in vals if not v.is_zero()}
                 if not hs:

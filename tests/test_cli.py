@@ -194,3 +194,62 @@ def test_check_killing_without_bosonic_variables(capsys):
         code, out, _ = run(capsys, "check", "killing", "-m", "0", "-n", n, "--format", "json")
         assert code == EXIT_PASS, (n, out)
         assert load_report(out)["status"] == "pass"
+
+
+def test_check_sl2_reports_the_checked_degree(capsys):
+    # the sl2 relations are always checked up to degree 2
+    for k, checked in (("0", 2), ("1", 2), ("3", 3)):
+        code, out, _ = run(capsys, "check", "sl2", "-m", "2", "-n", "1", "-k", k,
+                           "--format", "json")
+        assert code == EXIT_PASS
+        assert [r["k_max"] for r in load_report(out)["rows"]] == [checked], k
+
+
+def test_suites_name_the_cells_they_skip(capsys):
+    for suite, m in (("irreducibility", "0"), ("irreducibility", "1"),
+                     ("branching", "0"), ("branching", "0..1")):
+        code, out, err = run(capsys, "check", suite, "-m", m, "-n", "1", "-k", "2")
+        assert code == EXIT_USAGE and out == "", (suite, m)
+        assert "(1|2)" in err or "(0|2)" in err, err
+    code, out, _ = run(capsys, "check", "branching", "-m", "1..2", "-n", "1", "-k", "1",
+                       "--format", "json")
+    doc = load_report(out)
+    assert code == EXIT_PASS and doc["parameters"]["skipped"] == [[1, 1]]
+    assert {r["m"] for r in doc["rows"]} == {2}
+    # check all names the skipped cells in the rows of the suites that skipped them
+    rows = {r["suite"]: r for r in run_suite("all", [(1, 1), (2, 1)], 2).rows}
+    assert rows["irreducibility"] == {"suite": "irreducibility", "status": "pass",
+                                      "skipped": [[1, 1]]}
+    assert rows["branching"]["skipped"] == [[1, 1]]
+    assert all("skipped" not in r for s, r in rows.items()
+               if s not in ("irreducibility", "branching"))
+    rows = {r["suite"]: r for r in run_suite("all", [(1, 0)], 2).rows}
+    assert rows["irreducibility"]["status"] == "skipped"
+    assert all("skipped" not in r for r in run_suite("all", [(2, 1)], 2).rows)
+    # the suites that need a bosonic variable skip m = 0, and the rest run there
+    report = run_suite("all", [(0, 1), (2, 1)], 2)
+    assert report.status == "pass"
+    skipped = {r["suite"] for r in report.rows if r.get("skipped") == [[0, 1]]}
+    assert skipped == {"projections", "integrals", "windows", "irreducibility", "branching"}
+    for suite in ("projections", "integrals", "windows"):
+        code, out, err = run(capsys, "check", suite, "-m", "0", "-n", "1", "-k", "2")
+        assert code == EXIT_USAGE and "needs m >= 1" in err and "(0|2)" in err, suite
+
+
+def test_closed_stdout_ends_quietly_with_the_verdict():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import superh
+    env = {"PYTHONPATH": str(Path(superh.__file__).resolve().parents[1]), "PATH": ""}
+    # several hundred kB of table, far more than a pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "superh.cli", "dims", "-m", "1..20",
+                             "-n", "0..10", "-k", "0..30"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"dims")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PASS
+    assert err == b""

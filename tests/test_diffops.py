@@ -4,6 +4,7 @@ import pytest
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, render
 from superh.diffops import (
+    COLUMN_CHUNK,
     Compose,
     Differentiate,
     MultiplyBy,
@@ -262,6 +263,17 @@ def test_matrices_equal_the_tree_on_every_monomial():
                 for mono, col in zip(basis, cols):
                     assert col == _tree_column(op, mono, m, n, k + shift), \
                         (m, n, name, k, render(SP.monomial(mono)))
+
+
+def test_streamed_columns_equal_the_matrix():
+    # (3|4) at k = 4 has 110 monomials, so the columns cross a chunk boundary
+    m, n, k = 3, 2, 4
+    assert len(monomial_basis(m, n, k)) > COLUMN_CHUNK
+    for name, op, _ in _named_operators(m, n):
+        streamed = list(OperatorMatrices(m, n).columns(op, k))
+        assert [c for c, _ in streamed] == list(range(len(monomial_basis(m, n, k))))
+        assert [col for _, col in streamed] == matrix_on_degree(op, m, n, k), name
+    assert list(OperatorMatrices(m, n).columns(nabla2(m, n), -1)) == []
 
 
 def test_primitive_matrices_match_dx_and_dxg():

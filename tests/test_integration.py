@@ -4,15 +4,18 @@ import pytest
 import sympy
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
-from superh.diffops import r2, theta2, osp_generator, generator_pairs
-from superh.harmonic import harmonic_polys, is_harmonic
+from superh import diffops
+from superh.diffops import poly_to_vec, r2, theta2, osp_generator, generator_pairs
+from superh.harmonic import harmonic_basis, harmonic_polys, is_harmonic
 from superh.integration import (
     LaurentSuperFunction,
+    PizzettiRows,
     ScaledRational,
     berezin,
     berezin_density,
     invariance_suite,
     invariant_density_solutions,
+    orthogonality_failures,
     phi_sharp,
     phi_sharp_inverse,
     pizzetti,
@@ -200,6 +203,68 @@ def test_invariance_suite():
     for (m, n) in [(3, 1), (2, 1), (1, 1)]:
         report = invariance_suite(m, n, 4)
         assert report.passed, (m, n, report.failures[:2])
+
+
+def test_pizzetti_rows_match_the_tree_on_every_monomial():
+    # m = 1 and the cells with M = m - 2n <= 0 are included
+    for m in range(1, 5):
+        for n in range(0, 3):
+            T = PizzettiRows(m, n)
+            for k in range(0, 7):
+                row = T.row(k)
+                assert all(type(x) is int for x in row.values()), (m, n, k)
+                if k % 2:
+                    assert row == {} and T.weight(k).is_zero()
+                for c, mono in enumerate(monomial_basis(m, n, k)):
+                    assert T.value({c: 1}, k) == pizzetti(SP.monomial(mono), m, n), \
+                        (m, n, k, mono)
+
+
+def test_pizzetti_rows_on_a_polynomial():
+    m, n = 3, 1
+    T = PizzettiRows(m, n)
+    f = parse("3*x1^2*x2^2 - 1/2*x3^2*xg1*xg2 + x1*x2^3 + 5*xg1*xg2*x1^2")
+    assert T.value(poly_to_vec(f, m, n, 4), 4) == pizzetti(f, m, n)
+    R2 = r2(m, n)
+    assert T.value(poly_to_vec(R2 * R2, m, n, 4), 4) == T.value({0: 1}, 0)
+    with pytest.raises(ValueError):
+        PizzettiRows(0, 1)
+    with pytest.raises(ValueError):
+        T.row(-2)
+
+
+def test_orthogonality_check_reports_a_non_harmonic_vector():
+    m, n = 3, 1
+    T = PizzettiRows(m, n)
+    h2 = list(harmonic_basis(m, n, 2).rows)
+    assert orthogonality_failures(T, 0, [{0: 1}], 2, h2) == []
+    # x1^2 is not harmonic: nabla^2 x1^2 = 2, and T(1 * x1^2) != 0
+    x1sq = poly_to_vec(SP.x(1, 2), m, n, 2)
+    failures = orthogonality_failures(T, 0, [{0: 1}], 2, h2 + [x1sq])
+    assert failures == [("T(H_k H_l) != 0", (0, 2), None, str(SP.x(1, 2)))]
+    # a non-harmonic left factor is reported too
+    x2_4 = poly_to_vec(SP.x(2, 4), m, n, 4)
+    failures = orthogonality_failures(T, 2, [x1sq], 4, [x2_4])
+    assert failures == [("T(H_k H_l) != 0", (2, 4), None, str(SP.x(1, 2) * SP.x(2, 4)))]
+    # T vanishes on odd degrees, so a pair with an odd degree sum is not checked
+    assert orthogonality_failures(T, 2, [x1sq], 1, [{0: 1}]) == []
+
+
+def test_bulk_invariance_checks_apply_no_tree(monkeypatch):
+    calls = []
+    for cls in (diffops.MultiplyBy, diffops.Differentiate, diffops.Scale,
+                diffops.Add, diffops.Compose):
+        def counted(self, f, _apply=cls.apply):
+            calls.append(type(self).__name__)
+            return _apply(self, f)
+        monkeypatch.setattr(cls, "apply", counted)
+    for (m, n) in [(1, 0), (2, 1), (3, 2), (1, 2)]:
+        assert invariance_suite(m, n, 4).passed, (m, n)
+    assert invariant_density_solutions(2, 1, k_max=4)
+    assert calls == []
+    # the patch does count the tree path
+    pizzetti(SP.x(1, 2), 2, 1)
+    assert calls
 
 
 def test_generator_composition_vanishes():
