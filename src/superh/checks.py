@@ -34,7 +34,7 @@ from .harmonic import (
     projection_Q,
     verify_lemma_Lf,
 )
-from .integration import PizzettiRows, invariance_suite, pizzetti, supersphere_integral_phi
+from .integration import invariance_suite, pizzetti, supersphere_integral_phi
 from .modules import (
     SpaceSpec,
     branching,
@@ -265,13 +265,13 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
     """Pizzetti and phi# agree on every monomial, and T is osp-invariant.
 
     Each monomial's tree Pizzetti value is also compared with the row
-    functional that the invariance checks use, so that functional is certified
-    on every monomial of degree <= k_max.  `seed` has no effect: the
-    invariance checks sample nothing.
+    functional that the invariance checks used, so that functional is
+    certified on every monomial of degree <= k_max.  `seed` has no effect (the
+    invariance checks sample nothing); it is accepted for callers that pass it.
     """
     report = Report("check integrals", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
-        T = PizzettiRows(m, n)
+        inv = invariance_suite(m, n, min(k_max, INVARIANCE_K))
         equal_ok = True
         for k in range(0, k_max + 1):
             for c, mono in enumerate(monomial_basis(m, n, k)):
@@ -280,10 +280,9 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
                 if value != supersphere_integral_phi(f, m, n):
                     equal_ok = False
                     report.fail(f"integral routes differ on {f} at ({m}|{2*n})")
-                if value != T.value({c: 1}, k):
+                if value != inv.functional.value({c: 1}, k):
                     equal_ok = False
                     report.fail(f"Pizzetti row and tree differ on {f} at ({m}|{2*n})")
-        inv = invariance_suite(m, n, min(k_max, INVARIANCE_K), seed=seed)
         M = m - 2 * n
         report.rows.append({"m": m, "n": n, "routes": "pass" if equal_ok else "fail",
                             "invariance": "pass" if inv.passed else "fail",
@@ -361,17 +360,17 @@ def suite_branching(cells: list[tuple[int, int]], k_max: int,
     return report
 
 
-# name -> runner(cells, k_max, seed); `check all` runs them in this order
+# name -> runner(cells, k_max); `check all` runs them in this order
 _RUNNERS = {
-    "sl2": lambda cells, k_max, seed: suite_sl2(cells, k_max),
-    "lb": lambda cells, k_max, seed: suite_lb(cells, k_max),
-    "killing": lambda cells, k_max, seed: suite_killing(cells),
-    "projections": lambda cells, k_max, seed: suite_projections(cells, k_max),
-    "fischer": lambda cells, k_max, seed: suite_fischer(cells, k_max),
-    "integrals": lambda cells, k_max, seed: suite_integrals(cells, k_max, seed=seed),
-    "irreducibility": lambda cells, k_max, seed: suite_irreducibility(cells, k_max),
-    "windows": lambda cells, k_max, seed: suite_windows(cells, k_max),
-    "branching": lambda cells, k_max, seed: suite_branching(cells, k_max),
+    "sl2": suite_sl2,
+    "lb": suite_lb,
+    "killing": lambda cells, k_max: suite_killing(cells),
+    "projections": suite_projections,
+    "fischer": suite_fischer,
+    "integrals": suite_integrals,
+    "irreducibility": suite_irreducibility,
+    "windows": suite_windows,
+    "branching": suite_branching,
 }
 SUITES = (*_RUNNERS, "all")
 # the least m a suite runs on: the supersphere, the piece decomposition and the
@@ -386,24 +385,40 @@ def _split_cells(name: str, cells: list[tuple[int, int]]):
     return [c for c in cells if c[0] >= lo], [c for c in cells if c[0] < lo]
 
 
-def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
-              seed: int = 20240) -> Report:
+def _top_degree(name: str, k_max: int) -> int:
+    """The largest degree whose monomial basis the suite builds."""
+    if name == "sl2":
+        return max(2, k_max) + 2
+    if name == "integrals":
+        return max(k_max, min(k_max, INVARIANCE_K) + 2)
+    return 0 if name == "killing" else k_max
+
+
+def run_suite(name: str, cells: list[tuple[int, int]], k_max: int) -> Report:
     """Run a named suite, or every suite for "all".
 
     A suite skips the cells below its least m (_MIN_M).  A report names the
     cells it skipped (for "all", in that suite's row), and a single suite with
-    no cell left raises ValueError.
+    no cell left raises ValueError.  So does, before any work, a cell whose
+    basis at the suite's top degree is larger than MAX_BASIS_DIM.
     """
     bad = [c for c in cells if c[0] < 0 or c[1] < 0]
     if bad:
         raise ValueError(f"no space (m|2n) with a negative parameter: {bad[0]}")
     if k_max < 0:
         raise ValueError(f"no degree range up to k_max = {k_max}")
+    if name not in _RUNNERS and name != "all":
+        raise ValueError(f"unknown suite {name!r}")
+    # the largest basis each cell needs comes first: monomial_basis refuses one
+    # above MAX_BASIS_DIM before any other work, and caches it for the suite
+    for nm in _RUNNERS if name == "all" else [name]:
+        for (m, n) in _split_cells(nm, cells)[0]:
+            monomial_basis(m, n, _top_degree(nm, k_max))
     if name == "all":
         merged = Report("check all", {"cells": cells, "k_max": k_max})
         for nm, runner in _RUNNERS.items():
             run, skipped = _split_cells(nm, cells)
-            rep = runner(run, k_max, seed)
+            rep = runner(run, k_max)
             row = {"suite": nm, "status": rep.status if run else "skipped"}
             if skipped:
                 row["skipped"] = [list(c) for c in skipped]
@@ -411,14 +426,12 @@ def run_suite(name: str, cells: list[tuple[int, int]], k_max: int,
             if rep.status == "fail":
                 merged.fail(f"{nm}: {rep.counterexample}")
         return merged
-    if name not in _RUNNERS:
-        raise ValueError(f"unknown suite {name!r}")
     run, skipped = _split_cells(name, cells)
     if not run and skipped:
         named = ", ".join(f"({m}|{2 * n})" for m, n in skipped)
         raise ValueError(f"check {name} needs m >= {_MIN_M[name]}; "
                          f"it would skip every cell: {named}")
-    report = _RUNNERS[name](run, k_max, seed)
+    report = _RUNNERS[name](run, k_max)
     if skipped:
         report.parameters["skipped"] = [list(c) for c in skipped]
     return report

@@ -8,9 +8,11 @@ error.  `integrate`, `decompose` and `branch` answer for one cell and exit 2
 when a range has several values.  `integrate` parses exponents and term
 degrees up to MAX_DEGREE (64) and exits 2 when the polynomial uses a variable
 outside (m|2n); an expression that starts with '-' goes after `--`, as in
-`superh integrate -m 2 -n 1 -- "-x1^2"`.  When the reader of stdout closes it
-early (`superh dims ... | head -1`), the rest of the output is dropped and the
-exit code is still the verdict's.
+`superh integrate -m 2 -n 1 -- "-x1^2"`.  A command that would build a
+monomial basis larger than MAX_BASIS_DIM exits 2 naming the limit; `check`
+tests its cells before any work.  No check samples, so `check` has no seed.
+When the reader of stdout closes it early (`superh dims ... | head -1`), the
+rest of the output is dropped and the exit code is still the verdict's.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ def cmd_dims(args) -> int:
 def cmd_check(args) -> int:
     cells = [(m, n) for m in args.m for n in args.n]
     k_max = max(args.k)
-    report = run_suite(args.suite, cells, k_max, seed=args.seed)
+    report = run_suite(args.suite, cells, k_max)
     emit(report, args.format)
     return report.exit_code
 
@@ -248,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES)
     add_common(p, k_default=[6])
-    p.add_argument("--seed", type=int, default=20240,
-                   help="accepted for compatibility; no check samples")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("integrate", help="supersphere integral of a polynomial")

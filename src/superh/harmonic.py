@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .superalgebra import SuperPolynomial, dim_Pk
+from .superalgebra import SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
     Subspace,
     Vec,
@@ -83,7 +83,7 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
         raise ValueError("m and n must be nonnegative")
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    width = dim_Pk(m, n, k)
+    width = len(monomial_basis(m, n, k))  # refuses a basis above MAX_BASIS_DIM
     if k < 2:
         # nabla^2 lowers degree by 2, so every polynomial of degree < 2 is harmonic
         return Subspace.from_vectors(

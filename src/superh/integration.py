@@ -449,9 +449,10 @@ class InvarianceReport:
     k_max: int
     passed: bool
     failures: list
+    functional: PizzettiRows  # the rows the checks evaluated T by
 
 
-def invariance_suite(m: int, n: int, k_max: int, seed: int = 20240) -> InvarianceReport:
+def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
     """Exact invariance checks of the supersphere functional T.
 
     T is evaluated by its Pizzetti rows on the columns of per-degree operator
@@ -462,8 +463,6 @@ def invariance_suite(m: int, n: int, k_max: int, seed: int = 20240) -> Invarianc
     (b) T(R^2 f) = T(f) on the same monomials;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
         k < l <= k_max (see ``orthogonality_failures``).
-
-    No check samples, so ``seed`` has no effect; it is kept for callers.
     """
     T = PizzettiRows(m, n)
     pairs = generator_pairs(m, n)
@@ -487,7 +486,7 @@ def invariance_suite(m: int, n: int, k_max: int, seed: int = 20240) -> Invarianc
         hk = harmonic_basis(m, n, k).rows
         for l in range(k + 1, k_max + 1):
             failures += orthogonality_failures(T, k, hk, l, harmonic_basis(m, n, l).rows)
-    return InvarianceReport(m, n, k_max, not failures, failures)
+    return InvarianceReport(m, n, k_max, not failures, failures, T)
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],

@@ -8,8 +8,10 @@ Four kinds of module are supported on parameters (m, n, k):
   * HkModSub  - the quotient H_k / (H_k  intersect  R^2 P_{k-2}).
 
 Each is a subquotient S / D of P_k, held by one class, RepSpace, that acts
-through the exact matrices of the generators L_ij.  Submodules
-are certified by exact closure; irreducibility of H_k-type modules over Q
+through the exact matrices of the generators L_ij.  Every generator action
+goes through RepSpace.image, which checks that each generator image stays in
+the module's subspace S and raises otherwise.  Submodules are certified by
+exact closure; irreducibility of H_k-type modules over Q
 reduces, for m >= 2, to reachability between the joint eigenspace pieces,
 because every invariant subspace is a sum of pieces (the pieces are pairwise
 non-isomorphic irreducible modules for the degree-preserving block of the
@@ -32,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .superalgebra import SuperPolynomial, monomial_basis, dim_Pk
+from .superalgebra import SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
     Echelon,
     Subspace,
@@ -41,6 +43,8 @@ from .linalg import (
     certified_full_rank,
 )
 from .diffops import (
+    MultiplyBy,
+    matrix_on_degree,
     nabla2,
     osp_generator,
     generator_pairs,
@@ -112,46 +116,64 @@ class RepSpace:
 
     ``sub`` is a subspace of P_k (None for all of P_k) and ``divisor`` a
     subspace of sub's echelon coordinates (None without a quotient).  Module
-    coordinates are sub's coordinates off the divisor's pivots.  Each column of
-    a generator matrix is computed on first use, by lift, L_ij and projection;
-    applying a generator to a module vector is a sparse mat-vec over them.
+    coordinates are sub's coordinates off the divisor's pivots.  Generators act
+    only through ``image``, which checks that every image stays in sub.  A
+    column of a generator matrix is the divisor-reduced image of a basis
+    vector, computed on first use; applying a generator to a module vector is
+    a sparse mat-vec over them.
     """
 
     def __init__(self, spec: SpaceSpec, sub: Subspace | None,
                  divisor: Subspace | None, gen_pairs: list[tuple[int, int]]):
         self.spec, self.sub, self.divisor, self.gen_pairs = spec, sub, divisor, gen_pairs
         self.m, self.n, self.k = spec.m, spec.n, spec.k
-        width = dim_Pk(spec.m, spec.n, spec.k) if sub is None else sub.dim
+        width = len(monomial_basis(spec.m, spec.n, spec.k)) if sub is None else sub.dim
         # the sub coordinates that serve as module coordinates, in order
         self._kept = list(range(width)) if divisor is None else divisor.complement_columns()
         self.dim = len(self._kept)
         self._kept_pos = {c: i for i, c in enumerate(self._kept)}
         self._matrix_columns: dict[tuple[int, int, int], Vec] = {}
 
-    def _sub_poly(self, v: Vec) -> SuperPolynomial:
-        if self.sub is not None:
-            v = self.sub.linear_combination(v)
-        return vec_to_poly(v, self.m, self.n, self.k)
+    def _in_pk(self, v: Vec) -> Vec:
+        """A vector of sub's coordinates as a vector of P_k."""
+        return v if self.sub is None else self.sub.linear_combination(v)
 
-    def _sub_coords(self, f: SuperPolynomial) -> Vec:
-        v = poly_to_vec(f, self.m, self.n, self.k)
-        return v if self.sub is None else _readoff(self.sub, v)
+    def image(self, i: int, j: int, v: Vec) -> Vec:
+        """L_ij v in sub's coordinates for v in sub's coordinates; RuntimeError
+        unless the coordinates read off at the pivots recombine to the image."""
+        f = vec_to_poly(self._in_pk(v), self.m, self.n, self.k)
+        image = poly_to_vec(osp_generator(i, j, self.m, self.n).apply(f),
+                            self.m, self.n, self.k)
+        if self.sub is None:
+            return image
+        coords = _readoff(self.sub, image)
+        if self.sub.linear_combination(coords) != image:
+            raise RuntimeError(f"L_{i}{j} maps a vector of {self.spec} out of its subspace")
+        return coords
 
     def lift(self, coords: Vec) -> SuperPolynomial:
-        return self._sub_poly({self._kept[i]: c for i, c in coords.items()})
+        return vec_to_poly(self._in_pk({self._kept[i]: c for i, c in coords.items()}),
+                           self.m, self.n, self.k)
 
-    def coords_of_poly(self, f: SuperPolynomial) -> Vec:
-        v = self._sub_coords(f)
+    def _module_coords(self, v: Vec) -> Vec:
+        """Module coordinates of a vector in sub's coordinates."""
         if self.divisor is not None:
             v = self.divisor.reduce(v)
         return {self._kept_pos[c]: x for c, x in v.items()}
+
+    def coords(self, v: Vec) -> Vec:
+        """Module coordinates of a vector v of P_k that lies in sub."""
+        return self._module_coords(v if self.sub is None else _readoff(self.sub, v))
+
+    def coords_of_poly(self, f: SuperPolynomial) -> Vec:
+        return self.coords(poly_to_vec(f, self.m, self.n, self.k))
 
     def _column(self, i: int, j: int, c: int) -> Vec:
         key = (i, j, c)
         col = self._matrix_columns.get(key)
         if col is None:
-            image = osp_generator(i, j, self.m, self.n).apply(self.lift({c: Fraction(1)}))
-            col = self._matrix_columns[key] = self.coords_of_poly(image)
+            image = self.image(i, j, {self._kept[c]: Fraction(1)})
+            col = self._matrix_columns[key] = self._module_coords(image)
         return col
 
     def generator_matrix(self, i: int, j: int) -> list[Vec]:
@@ -171,21 +193,14 @@ class RepSpace:
 
 def _divisor_r2p(m: int, n: int, k: int) -> Subspace:
     """R^2 P_{k-2} as a subspace of P_k."""
-    width = dim_Pk(m, n, k)
-    if k < 2:
-        return Subspace(width, [])
-    R2 = r2(m, n)
-    vecs = []
-    for mono in monomial_basis(m, n, k - 2):
-        vecs.append(poly_to_vec(R2 * SuperPolynomial.monomial(mono), m, n, k))
-    return Subspace.from_vectors(vecs, width)
+    return Subspace.from_vectors(matrix_on_degree(MultiplyBy(r2(m, n)), m, n, k - 2),
+                                 dim_Pk(m, n, k))
 
 
 @lru_cache(maxsize=None)
 def hk_window_intersection(m: int, n: int, k: int) -> Subspace:
     """H_k intersect R^2 P_{k-2}, computed by exact subspace intersection."""
-    hk = harmonic_basis(m, n, k)
-    return hk.intersect(_divisor_r2p(m, n, k))
+    return harmonic_basis(m, n, k).intersect(_divisor_r2p(m, n, k))
 
 
 def rep_space(spec: SpaceSpec) -> RepSpace:
@@ -203,37 +218,21 @@ def rep_space(spec: SpaceSpec) -> RepSpace:
 
 
 def _validate_rep(rep: RepSpace) -> None:
-    """Quotients: every generator must map the divisor into the divisor;
-    subspaces: generators must preserve the harmonic subspace (spot check)."""
-    m, n = rep.m, rep.n
-    if rep.divisor is not None:
-        for row in rep.divisor.rows:
-            d = rep._sub_poly(row)
-            for (i, j) in rep.gen_pairs:
-                image = osp_generator(i, j, m, n).apply(d)
-                if image.is_zero():
-                    continue
-                if rep.divisor.reduce(rep._sub_coords(image)):
-                    raise RuntimeError(
-                        f"L_{i}{j} does not preserve the divisor of {rep.spec}")
-    if rep.sub is not None and rep.sub.dim:
-        lap = nabla2(m, n)
-        probe = rep._sub_poly({0: Fraction(1)})
+    """Quotients: every generator must map the divisor into the divisor."""
+    if rep.divisor is None:
+        return
+    for row in rep.divisor.rows:
         for (i, j) in rep.gen_pairs:
-            if not lap.apply(osp_generator(i, j, m, n).apply(probe)).is_zero():
-                raise RuntimeError(f"L_{i}{j} does not preserve the harmonic subspace")
+            if rep.divisor.reduce(rep.image(i, j, row)):
+                raise RuntimeError(
+                    f"L_{i}{j} does not preserve the divisor of {rep.spec}")
 
 
 # -- piece seed groups ------------------------------------------------------------
 
 
 def _project_piece(rep: RepSpace, polys: Sequence[SuperPolynomial]) -> list[Vec]:
-    out = []
-    for f in polys:
-        v = rep.coords_of_poly(f)
-        if v:
-            out.append(v)
-    return out
+    return [v for v in map(rep.coords_of_poly, polys) if v]
 
 
 def _piece_groups(rep: RepSpace) -> PieceGroups:
@@ -242,7 +241,7 @@ def _piece_groups(rep: RepSpace) -> PieceGroups:
     groups: PieceGroups = []
     if rep.spec.kind in ("Hk", "HkModSub"):
         for piece in decompose_Hk(m, n, k):
-            vecs = _project_piece(rep, subspace_polys(piece.basis, m, n, k))
+            vecs = [v for v in map(rep.coords, piece.basis.rows) if v]
             if vecs:
                 groups.append(((piece.l, piece.p, piece.q), vecs))
     elif rep.spec.kind == "Pk":
@@ -349,7 +348,7 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | N
     or the budget runs out (caller falls back to exhaustive closures), and
     False never: absence of edges is not certified here.
     """
-    m, n = rep.m, rep.n
+    m = rep.m
     if m < 2 or rep.spec.kind not in ("Hk", "HkModSub"):
         return None
     basis = _piece_inverse(groups, rep.dim)
@@ -358,7 +357,6 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | N
     if len(groups) <= 1:
         return True
     inv, owner = basis
-    lap = nabla2(m, n)
     # mixed generators first: they move between pieces
     ordered_pairs = sorted(rep.gen_pairs,
                            key=lambda ij: 0 if (ij[0] <= m < ij[1]) else 1)
@@ -385,12 +383,7 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | N
         for src, it in enumerate(iterators):
             for (i, j), v in itertools.islice(it, 8):
                 progressed = True
-                image = osp_generator(i, j, m, n).apply(rep.lift(v))
-                if image.is_zero():
-                    continue
-                if not lap.apply(image).is_zero():
-                    raise RuntimeError("generator image left the harmonic space")
-                edges[src] |= _nonzero_pieces(inv, owner, rep.coords_of_poly(image))
+                edges[src] |= _nonzero_pieces(inv, owner, rep.apply_generator(i, j, v))
             if strongly_connected():
                 return True
         if not progressed:
@@ -533,14 +526,12 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
         raise ValueError(f"(m,n,k)=({m},{n},{k}) is not in the degenerate band")
     details = []
     ok = True
-    width = dim_Pk(m, n, k)
     t = k + M // 2 - 1
     kpp = 2 - M - k
-    sub_vecs = []
     r2t = _r2_power(m, n, t)
-    for h in subspace_polys(harmonic_basis(m, n, kpp), m, n, kpp):
-        sub_vecs.append(poly_to_vec(r2t * h, m, n, k))
-    sub = Subspace.from_vectors(sub_vecs, width)
+    sub = Subspace.from_vectors(
+        (poly_to_vec(r2t * h, m, n, k)
+         for h in subspace_polys(harmonic_basis(m, n, kpp), m, n, kpp)), dim_Pk(m, n, k))
     inter = hk_window_intersection(m, n, k)
     if sub == inter:
         details.append(f"R^{2*t} H_{kpp} equals H_{k} intersect R^2 P_{k-2} "
@@ -548,35 +539,28 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
     else:
         ok = False
         details.append("subspace identity FAILED")
-    # generator invariance of the submodule
-    invariant = True
-    for (i, j) in generator_pairs(m, n):
-        op = osp_generator(i, j, m, n)
-        for v in sub_vecs:
-            image = op.apply(vec_to_poly(v, m, n, k))
-            if image and not sub.contains(poly_to_vec(image, m, n, k)):
-                invariant = False
-                break
-        if not invariant:
-            break
-    if invariant:
-        details.append("submodule is generator-invariant")
-    else:
+    # the submodule is invariant iff every generator column stays in it
+    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+    try:
+        for (i, j) in sub_rep.gen_pairs:
+            sub_rep.generator_matrix(i, j)
+    except RuntimeError:
         ok = False
         details.append("submodule invariance FAILED")
-    # irreducibility of the submodule: closures from its pieces
-    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
-    sub_irred = True
-    for piece in decompose_Hk(m, n, kpp):
-        polys = [r2t * f for f in subspace_polys(piece.basis, m, n, kpp)]
-        vecs = _project_piece(sub_rep, polys)
-        if vecs and not _closure_reaches_all(sub_rep, vecs):
-            sub_irred = False
-    if sub_irred:
-        details.append("submodule is irreducible")
     else:
-        ok = False
-        details.append("submodule irreducibility FAILED")
+        details.append("submodule is generator-invariant")
+        # irreducibility of the submodule: closures from its pieces
+        sub_irred = True
+        for piece in decompose_Hk(m, n, kpp):
+            polys = [r2t * f for f in subspace_polys(piece.basis, m, n, kpp)]
+            vecs = _project_piece(sub_rep, polys)
+            if vecs and not _closure_reaches_all(sub_rep, vecs):
+                sub_irred = False
+        if sub_irred:
+            details.append("submodule is irreducible")
+        else:
+            ok = False
+            details.append("submodule irreducibility FAILED")
     quotient = rep_space(SpaceSpec("HkModSub", m, n, k))
     if is_irreducible(quotient):
         details.append("quotient is irreducible (submodule is maximal)")
@@ -714,12 +698,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
         classes.setdefault(class_key(l), []).append((l, sub))
 
     # the simple module as the image of H_k
-    v_rows = []
-    for row in harmonic_basis(m, n, k).rows:
-        v = W.coords_of_poly(vec_to_poly(dict(row), m, n, k))
-        if v:
-            v_rows.append(v)
-    V = Subspace.from_vectors(v_rows, dimW)
+    V = Subspace.from_vectors(map(W.coords, harmonic_basis(m, n, k).rows), dimW)
     if V.dim != simple_dim(m, n, k):
         return f"inconclusive: embedded module has dimension {V.dim}"
 

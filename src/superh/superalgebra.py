@@ -359,12 +359,20 @@ def _dense_to_sparse(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(_exponent_pair(i + 1, e) for i, e in enumerate(exps) if e)
 
 
+# The largest dim P_k whose monomial basis is built: the work on a basis grows
+# faster than its size (one `check lb` cell: 2.7 s at 1408, 6.1 s at 2972).
+MAX_BASIS_DIM = 3000
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(m: int, n: int, k: int) -> tuple[SuperMonomial, ...]:
     """All degree-k monomials, ordered by Grassmann degree, then bosonic
-    descending-lex, then ascending mask."""
+    descending-lex, then ascending mask; refused above MAX_BASIS_DIM."""
     if m < 0 or n < 0 or k < 0:
         raise ValueError("m, n, k must be nonnegative")
+    if dim_Pk(m, n, k) > MAX_BASIS_DIM:
+        raise ValueError(f"P_{k} of ({m}|{2 * n}) has dimension {dim_Pk(m, n, k)}, "
+                         f"above the limit MAX_BASIS_DIM = {MAX_BASIS_DIM}")
     out = []
     for nf in range(0, min(k, 2 * n) + 1):
         kb = k - nf

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from superh.cli import (
     parse_range,
 )
 from superh.checks import SUITES, Report, run_suite
+from superh.superalgebra import MAX_BASIS_DIM, dim_Pk, monomial_basis
 
 
 def run(capsys, *argv):
@@ -234,6 +236,37 @@ def test_suites_name_the_cells_they_skip(capsys):
     for suite in ("projections", "integrals", "windows"):
         code, out, err = run(capsys, "check", suite, "-m", "0", "-n", "1", "-k", "2")
         assert code == EXIT_USAGE and "needs m >= 1" in err and "(0|2)" in err, suite
+
+
+@pytest.mark.parametrize("argv", [["decompose", "-m", "30", "-n", "30", "-k", "12"],
+                                  ["check", "lb", "-m", "12", "-n", "6", "-k", "8"],
+                                  ["check", "all", "-m", "2..12", "-n", "6", "-k", "8"]])
+def test_a_basis_above_the_limit_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_USAGE and out == ""
+    assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err
+
+
+def test_the_basis_limit_admits_the_largest_tested_cell():
+    assert dim_Pk(4, 2, 8) == 1408 <= MAX_BASIS_DIM
+    assert len(monomial_basis(4, 2, 8)) == 1408
+    with pytest.raises(ValueError, match="MAX_BASIS_DIM"):
+        monomial_basis(12, 6, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUITES), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+def test_check_keeps_the_exit_code_contract(suite, m, n, k):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", suite, "-m", str(m), "-n", str(n), "-k", str(k),
+                     "--format", "json"])
+    assert code in (EXIT_PASS, EXIT_FAIL, EXIT_USAGE)
+    if out.getvalue():
+        doc = load_report(out.getvalue())
+        assert doc["status"] != "pass" or doc["rows"], (suite, m, n, k)
 
 
 def test_closed_stdout_ends_quietly_with_the_verdict():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from superh.superalgebra import SuperPolynomial as SP
+from superh import diffops
+from superh.superalgebra import SuperPolynomial as SP, dim_Pk
 from superh.diffops import (
     generator_pairs,
     laplace_beltrami,
@@ -21,6 +22,7 @@ from superh.harmonic import (
 )
 from superh.linalg import Subspace
 from superh.modules import (
+    RepSpace,
     SpaceSpec,
     _certify_strong_connectivity,
     _nonzero_pieces,
@@ -68,6 +70,49 @@ def test_generator_matrices_represent_action():
             # a vector that is not a basis vector goes through the mat-vec
             expected = rep.coords_of_poly(op.apply(rep.lift(combo)))
             assert rep.apply_generator(i, j, combo) == expected, (kind, i, j)
+
+
+def test_images_that_leave_the_subspace_are_refused():
+    # span{x1} in (2|2) is not invariant: L_12 maps x1 to a multiple of x2
+    m, n, k = 2, 1, 1
+    sub = Subspace.from_vectors([poly_to_vec(SP.x(1), m, n, k)], dim_Pk(m, n, k))
+    rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+    with pytest.raises(RuntimeError):
+        rep.apply_generator(1, 2, {0: Fraction(1)})
+    with pytest.raises(RuntimeError):
+        rep.generator_matrix(1, 2)
+
+
+def test_every_module_tree_application_comes_from_image(monkeypatch):
+    inside = [0]
+    outside, images = [], []
+    for cls in (diffops.MultiplyBy, diffops.Differentiate, diffops.Scale,
+                diffops.Add, diffops.Compose):
+        def counted(self, f, _apply=cls.apply):
+            if not inside[0]:
+                outside.append(type(self).__name__)
+            return _apply(self, f)
+        monkeypatch.setattr(cls, "apply", counted)
+
+    def guarded(self, i, j, v, _image=RepSpace.image):
+        inside[0] += 1
+        images.append((i, j))
+        try:
+            return _image(self, i, j, v)
+        finally:
+            inside[0] -= 1
+    monkeypatch.setattr(RepSpace, "image", guarded)
+    # the certificate, band closures, a quotient by a divisor and P_k itself
+    for spec, expected in [(SpaceSpec("Hk", 3, 2, 4), True), (SpaceSpec("Hk", 2, 1, 2), False),
+                           (SpaceSpec("HkModSub", 2, 2, 3), True),
+                           (SpaceSpec("PkModR2", 2, 1, 2), False),
+                           (SpaceSpec("Pk", 2, 1, 2), False)]:
+        assert is_irreducible(rep_space(spec)) == expected, spec
+    assert window_submodule_check(2, 2, 3).passed
+    assert images and outside == []
+    # the patch does count a tree application outside image
+    osp_generator(1, 2, 2, 1).apply(SP.x(1))
+    assert outside
 
 
 def test_generator_matrices_commute_with_casimir():
