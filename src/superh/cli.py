@@ -9,8 +9,9 @@ when a range has several values.  `integrate` parses exponents and term
 degrees up to MAX_DEGREE (64) and exits 2 when the polynomial uses a variable
 outside (m|2n); an expression that starts with '-' goes after `--`, as in
 `superh integrate -m 2 -n 1 -- "-x1^2"`.  A command that would build a
-monomial basis larger than MAX_BASIS_DIM exits 2 naming the limit; `check`
-tests its cells before any work.  No check samples, so `check` has no seed.
+monomial basis larger than MAX_BASIS_DIM, or operator trees on more variables
+m + 2n than that, exits 2 naming the limit; `check` tests its cells before any
+work.  No check samples, so `check` has no seed.
 When the reader of stdout closes it early (`superh dims ... | head -1`), the
 rest of the output is dropped and the exit code is still the verdict's.
 """

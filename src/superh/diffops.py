@@ -20,6 +20,14 @@ factor acts first).  A tree has two evaluators:
   from cached integer matrices of d/dxi, d/dxgj and multiplication by a
   monomial.  The bulk checks (sl2, Laplace-Beltrami, projections, harmonic
   kernels) run on it.
+
+Beside the two evaluators, ``OperatorMatrices.generator_image`` applies a
+generator L_ij to a coordinate vector of P_k without its tree.  L_ij is first
+order, X_i nabla_j - (-1)^{[i][j]} X_j nabla_i, so it has at most two words,
+each d/dX_l on P_k followed by multiplication by one variable on P_{k-1}; both
+are read from the leaf arrays, with coefficients from inv(g) and the sign.  The
+module, branching and invariance checks act through it; the tree stays the
+definition of L_ij and the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _mul_monomials,
+    check_variable_count,
     monomial_basis,
     basis_index,
     partial,
@@ -202,6 +211,7 @@ class Metric:
 
 @lru_cache(maxsize=None)
 def metric(m: int, n: int) -> Metric:
+    check_variable_count(m, n)
     size = m + 2 * n
     g = [[Fraction(0)] * size for _ in range(size)]
     for i in range(m):
@@ -241,6 +251,7 @@ def _check_metric(met: Metric) -> None:
 @lru_cache(maxsize=None)
 def r2(m: int, n: int) -> SuperPolynomial:
     """R^2 = x1^2 + ... + xm^2 - xg1*xg2 - ... - xg(2n-1)*xg(2n)."""
+    check_variable_count(m, n)
     out = SuperPolynomial.zero()
     for i in range(1, m + 1):
         out = out + SuperPolynomial.x(i, 2)
@@ -265,6 +276,7 @@ def theta2(n: int) -> SuperPolynomial:
 @lru_cache(maxsize=None)
 def nabla2(m: int, n: int) -> LinearOperator:
     """Super Laplace operator: bosonic Laplacian - 4 sum_j d/dxg(2j-1) d/dxg(2j)."""
+    check_variable_count(m, n)
     parts: list[LinearOperator] = []
     for i in range(1, m + 1):
         d = Differentiate(i)
@@ -537,6 +549,7 @@ class OperatorMatrices:
         self.m, self.n = m, n
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
+        self._words: dict[tuple[int, int, int], list[tuple]] = {}
 
     def _dim(self, k: int) -> int:
         return len(monomial_basis(self.m, self.n, k)) if k >= 0 else 0
@@ -648,10 +661,10 @@ class OperatorMatrices:
             return 1, acc, k_out
         raise TypeError(f"no matrix for operator {type(op).__name__}")
 
-    def _leaf(self, what, fermionic, k: int, cols: list[Vec] | None) -> list[Vec]:
-        """A primitive on P_k applied to cols: d/dxi or d/dxgj for an int `what`
-        (fermionic False or True), multiplication by the monomial `what` for
-        fermionic None."""
+    def _leaf_arrays(self, what, fermionic, k: int) -> tuple[array, array]:
+        """(target row or -1, value) per basis monomial of P_k of a primitive:
+        d/dxi or d/dxgj for an int `what` (fermionic False or True),
+        multiplication by the monomial `what` for fermionic None."""
         key = (what, fermionic, k)
         if key not in self._leaves:
             rows, vals = array("i"), array("i")
@@ -669,7 +682,11 @@ class OperatorMatrices:
                 rows.append(row)
                 vals.append(0 if image is None else image[0])
             self._leaves[key] = rows, vals
-        rows, vals = self._leaves[key]
+        return self._leaves[key]
+
+    def _leaf(self, what, fermionic, k: int, cols: list[Vec] | None) -> list[Vec]:
+        """A primitive on P_k (see ``_leaf_arrays``) applied to cols."""
+        rows, vals = self._leaf_arrays(what, fermionic, k)
         if cols is None:
             return [{r: y} if r >= 0 else {} for r, y in zip(rows, vals)]
         # the map is injective on monomials, so no two entries meet
@@ -681,6 +698,41 @@ class OperatorMatrices:
                     w[rows[c]] = x * vals[c]
             out.append(w)
         return out
+
+    def _generator_words(self, i: int, j: int, k: int) -> list[tuple]:
+        """The words of L_ij on P_k as (coefficient, d/dX_p arrays on P_k,
+        X_a arrays on P_{k-1}): L_ij = sum_l F^l nabla_l by
+        ``generator_vector_field``, with nabla_l = sum_p inv(g)[l][p] d/dX_p."""
+        key = (i, j, k)
+        words = self._words.get(key)
+        if words is None:
+            m, met = self.m, metric(self.m, self.n)
+            words = []
+            for l, field in generator_vector_field(i, j, m, self.n).items():
+                for x_a, c_a in field.terms.items():
+                    for p, g in enumerate(met.g_inv[l - 1], 1):
+                        if g:
+                            c = c_a * g
+                            c = c.numerator if c.denominator == 1 else c
+                            d = self._leaf_arrays(*((p, False) if p <= m else (p - m, True)), k)
+                            words.append((c, *d, *self._leaf_arrays(x_a, None, k - 1)))
+            self._words[key] = words
+        return words
+
+    def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
+        """L_ij v for a coordinate vector v of P_k, without the tree.
+
+        Each word sends a basis monomial to at most one: d/dX_l on P_k, then
+        multiplication by X_a on P_{k-1}, read from the leaf arrays."""
+        out: Vec = {}
+        for coef, d_rows, d_vals, x_rows, x_vals in self._generator_words(i, j, k):
+            for c, x in v.items():
+                r = d_rows[c]
+                if r >= 0 and (t := x_rows[r]) >= 0:
+                    y = coef * d_vals[c] * x_vals[r] * x
+                    s = out.get(t)
+                    out[t] = y if s is None else s + y
+        return {t: y for t, y in out.items() if y}
 
 
 def matrix_on_degree(op: LinearOperator, m: int, n: int, k: int) -> list[Vec]:

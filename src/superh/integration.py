@@ -18,8 +18,9 @@ one polynomial; it serves one-off integrals (``superh integrate``), the
 comparison of the two routes and the reference in tests.  ``PizzettiRows``
 holds T on P_k as one int row times one weight, built from the per-degree
 nabla^2 matrices; the bulk invariance checks (``invariance_suite``,
-``invariant_density_solutions``) evaluate T that way on the columns of the
-generator matrices and never apply a tree.
+``invariant_density_solutions``) evaluate T that way on the generator
+columns, which ``OperatorMatrices.generator_image`` gives in closed form, and
+never apply a tree.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .diffops import (
     check_variables,
     generator_pairs,
     nabla2,
-    osp_generator,
     r2,
     theta2,
     vec_to_poly,
@@ -465,17 +465,15 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         k < l <= k_max (see ``orthogonality_failures``).
     """
     T = PizzettiRows(m, n)
-    pairs = generator_pairs(m, n)
-    gens = [osp_generator(i, j, m, n) for (i, j) in pairs]
     mul_r2 = MultiplyBy(r2(m, n))
     failures = []
     for k in range(0, k_max + 1):
         mats = OperatorMatrices(m, n)
         basis = monomial_basis(m, n, k)
         row = T.row(k)
-        for (i, j), L in zip(pairs, gens):
-            for c, col in mats.columns(L, k):
-                if _dot(row, col):
+        for (i, j) in generator_pairs(m, n):
+            for c in range(len(basis)):
+                if _dot(row, mats.generator_image(i, j, {c: 1}, k)):
                     failures.append(("T(L f) != 0", k, (i, j),
                                      str(SuperPolynomial.monomial(basis[c]))))
         for c, col in mats.columns(mul_r2, k):
@@ -532,12 +530,12 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
         densities.append(power)
         power = power * th
 
-    gens = [osp_generator(i, j, m, n) for (i, j) in generator_pairs(m, n)]
     rows = []
     for k in range(0, k_max + 1):
         mats = OperatorMatrices(m, n)
-        for L in gens:
-            for _, col in mats.columns(L, k):
+        for (i, j) in generator_pairs(m, n):
+            for c in range(len(monomial_basis(m, n, k))):
+                col = mats.generator_image(i, j, {c: 1}, k)
                 if not col:
                     continue
                 Lf = vec_to_poly(col, m, n, k)

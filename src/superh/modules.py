@@ -44,9 +44,9 @@ from .linalg import (
 )
 from .diffops import (
     MultiplyBy,
+    OperatorMatrices,
     matrix_on_degree,
     nabla2,
-    osp_generator,
     generator_pairs,
     poly_to_vec,
     r2,
@@ -117,10 +117,12 @@ class RepSpace:
     ``sub`` is a subspace of P_k (None for all of P_k) and ``divisor`` a
     subspace of sub's echelon coordinates (None without a quotient).  Module
     coordinates are sub's coordinates off the divisor's pivots.  Generators act
-    only through ``image``, which checks that every image stays in sub.  A
-    column of a generator matrix is the divisor-reduced image of a basis
-    vector, computed on first use; applying a generator to a module vector is
-    a sparse mat-vec over them.
+    only through ``image``, which evaluates L_ij on the P_k vector in closed
+    form (``OperatorMatrices.generator_image``, from leaf arrays that the
+    module's own ``mats`` keeps for its lifetime) and checks that every image
+    stays in sub.  A column of a generator matrix is the divisor-reduced image
+    of a basis vector, computed on first use; applying a generator to a module
+    vector is a sparse mat-vec over them.
     """
 
     def __init__(self, spec: SpaceSpec, sub: Subspace | None,
@@ -133,6 +135,7 @@ class RepSpace:
         self.dim = len(self._kept)
         self._kept_pos = {c: i for i, c in enumerate(self._kept)}
         self._matrix_columns: dict[tuple[int, int, int], Vec] = {}
+        self.mats = OperatorMatrices(spec.m, spec.n)
 
     def _in_pk(self, v: Vec) -> Vec:
         """A vector of sub's coordinates as a vector of P_k."""
@@ -141,9 +144,7 @@ class RepSpace:
     def image(self, i: int, j: int, v: Vec) -> Vec:
         """L_ij v in sub's coordinates for v in sub's coordinates; RuntimeError
         unless the coordinates read off at the pivots recombine to the image."""
-        f = vec_to_poly(self._in_pk(v), self.m, self.n, self.k)
-        image = poly_to_vec(osp_generator(i, j, self.m, self.n).apply(f),
-                            self.m, self.n, self.k)
+        image = self.mats.generator_image(i, j, self._in_pk(v), self.k)
         if self.sub is None:
             return image
         coords = _readoff(self.sub, image)
@@ -172,7 +173,7 @@ class RepSpace:
         key = (i, j, c)
         col = self._matrix_columns.get(key)
         if col is None:
-            image = self.image(i, j, {self._kept[c]: Fraction(1)})
+            image = self.image(i, j, {self._kept[c]: 1})
             col = self._matrix_columns[key] = self._module_coords(image)
         return col
 
@@ -640,7 +641,6 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     Returns 'verified' or an 'inconclusive: ...' diagnosis; never overclaims.
     """
     from .superalgebra import shift_bosonic_indices
-    from .diffops import theta2
 
     case, ls = branching_case(m, n, k)
     if case == "not_completely_reducible":
@@ -652,6 +652,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     # the shifted harmonics have no x1, so nabla^2 acts on them as the
     # Laplacian in x2..xm and the Grassmann pairs
     lap = nabla2(m, n)
+    mats = W.mats
     Mp = (m - 1) - 2 * n
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra
@@ -663,22 +664,20 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
             continue
         eps = (k - l) % 2
         j = (k - l - eps) // 2
-        radial = SuperPolynomial.x(1) ** eps * R2p ** j
-        block_vecs = []
-        for h in subspace_polys(harmonic_basis(m - 1, n, l), m - 1, n, l):
-            hs = shift_bosonic_indices(h, 1)
-            if not lap.apply(hs).is_zero():
-                return "inconclusive: shifted harmonic basis is not harmonic"
-            poly = radial * hs
-            # the block carries the plain action: generators commute with the
-            # radial factor (checked exactly below on the block basis)
-            for (a, b) in sub_pairs:
-                op = osp_generator(a, b, m, n)
-                if op.apply(poly) != radial * op.apply(hs):
-                    return "inconclusive: block intertwiner identity failed"
-            v = W.coords_of_poly(poly)
-            if v:
-                block_vecs.append(v)
+        radial = MultiplyBy(SuperPolynomial.x(1) ** eps * R2p ** j)
+        hs = [poly_to_vec(shift_bosonic_indices(h, 1), m, n, l)
+              for h in subspace_polys(harmonic_basis(m - 1, n, l), m - 1, n, l)]
+        if any(mats.apply(lap, hs, l)):
+            return "inconclusive: shifted harmonic basis is not harmonic"
+        polys = mats.apply(radial, hs, l)
+        # the block carries the plain action: generators commute with the
+        # radial factor (checked exactly on the block basis)
+        for (a, b) in sub_pairs:
+            moved = [mats.generator_image(a, b, h, l) for h in hs]
+            if ([mats.generator_image(a, b, p, k) for p in polys]
+                    != mats.apply(radial, moved, l)):
+                return "inconclusive: block intertwiner identity failed"
+        block_vecs = [v for v in map(W.coords, polys) if v]
         sub = Subspace.from_vectors(block_vecs, dimW)
         if sub.dim != dl:
             return f"inconclusive: block l={l} has rank {sub.dim}, expected {dl}"

@@ -364,12 +364,22 @@ def _dense_to_sparse(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 MAX_BASIS_DIM = 3000
 
 
+def check_variable_count(m: int, n: int) -> None:
+    """Refuse (m|2n) when its m + 2n variables (dim P_1) exceed MAX_BASIS_DIM:
+    the operator trees of a cell grow with its variable count."""
+    if m + 2 * n > MAX_BASIS_DIM:
+        raise ValueError(f"({m}|{2 * n}) has {m + 2 * n} variables (dim P_1), "
+                         f"above the limit MAX_BASIS_DIM = {MAX_BASIS_DIM}")
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(m: int, n: int, k: int) -> tuple[SuperMonomial, ...]:
     """All degree-k monomials, ordered by Grassmann degree, then bosonic
-    descending-lex, then ascending mask; refused above MAX_BASIS_DIM."""
+    descending-lex, then ascending mask; refused above MAX_BASIS_DIM, as is
+    every basis of a cell with more variables than that."""
     if m < 0 or n < 0 or k < 0:
         raise ValueError("m, n, k must be nonnegative")
+    check_variable_count(m, n)
     if dim_Pk(m, n, k) > MAX_BASIS_DIM:
         raise ValueError(f"P_{k} of ({m}|{2 * n}) has dimension {dim_Pk(m, n, k)}, "
                          f"above the limit MAX_BASIS_DIM = {MAX_BASIS_DIM}")

@@ -249,6 +249,17 @@ def test_a_basis_above_the_limit_is_refused_at_once(capsys, argv):
     assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err
 
 
+@pytest.mark.parametrize("argv", [["decompose", "-m", "10000000", "-n", "0", "-k", "1"],
+                                  ["integrate", "-m", "10000000", "-n", "0", "--", "x1"],
+                                  ["check", "killing", "-m", "3001", "-n", "0", "-k", "0"]])
+def test_a_variable_count_above_the_limit_is_refused_before_any_tree(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_USAGE and out == ""
+    assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err and "variables" in err
+
+
 def test_the_basis_limit_admits_the_largest_tested_cell():
     assert dim_Pk(4, 2, 8) == 1408 <= MAX_BASIS_DIM
     assert len(monomial_basis(4, 2, 8)) == 1408

@@ -318,6 +318,26 @@ def test_integral_matrices_keep_int_entries():
     assert lap_third[0] == {0: Fraction(2, 3)} and type(lap_third[0][0]) is Fraction
 
 
+def test_closed_form_generators_equal_the_tree_on_every_monomial():
+    """generator_image against osp_generator(i, j).apply on the acceptance grid."""
+    for m in range(1, 5):
+        for n in range(0, 3):
+            for k in range(0, 7):
+                mats = OperatorMatrices(m, n)
+                basis = monomial_basis(m, n, k)
+                for (i, j) in generator_pairs(m, n):
+                    op = osp_generator(i, j, m, n)
+                    for c, mono in enumerate(basis):
+                        got = mats.generator_image(i, j, {c: 1}, k)
+                        assert got == _tree_column(op, mono, m, n, k), (m, n, k, i, j, c)
+                        assert all(type(x) is int for x in got.values())
+    # a vector whose images cancel: L_12 (x1^2 + x2^2) = 0 in (2|0)
+    v = poly_to_vec(SP.x(1, 2) + SP.x(2, 2), 2, 0, 2)
+    assert OperatorMatrices(2, 0).generator_image(1, 2, v, 2) == {}
+    with pytest.raises(IndexError):
+        OperatorMatrices(2, 1).generator_image(0, 1, {0: 1}, 1)
+
+
 def test_apply_on_vectors_matches_the_projector_tree():
     """Q as a chain of factor mat-vecs, with and without kept Laplace-Beltrami matrices."""
     for (m, n, k, keep) in [(2, 1, 3, False), (2, 1, 3, True), (3, 1, 2, True),

@@ -84,24 +84,21 @@ def test_images_that_leave_the_subspace_are_refused():
 
 
 def test_every_module_tree_application_comes_from_image(monkeypatch):
-    inside = [0]
-    outside, images = [], []
+    """Module work applies no operator tree at all: every generator action is a
+    closed-form RepSpace.image, and the branching blocks use per-degree matrices."""
+    applied = []
     for cls in (diffops.MultiplyBy, diffops.Differentiate, diffops.Scale,
                 diffops.Add, diffops.Compose):
         def counted(self, f, _apply=cls.apply):
-            if not inside[0]:
-                outside.append(type(self).__name__)
+            applied.append(type(self).__name__)
             return _apply(self, f)
         monkeypatch.setattr(cls, "apply", counted)
+    images = []
 
-    def guarded(self, i, j, v, _image=RepSpace.image):
-        inside[0] += 1
+    def counted_image(self, i, j, v, _image=RepSpace.image):
         images.append((i, j))
-        try:
-            return _image(self, i, j, v)
-        finally:
-            inside[0] -= 1
-    monkeypatch.setattr(RepSpace, "image", guarded)
+        return _image(self, i, j, v)
+    monkeypatch.setattr(RepSpace, "image", counted_image)
     # the certificate, band closures, a quotient by a divisor and P_k itself
     for spec, expected in [(SpaceSpec("Hk", 3, 2, 4), True), (SpaceSpec("Hk", 2, 1, 2), False),
                            (SpaceSpec("HkModSub", 2, 2, 3), True),
@@ -109,10 +106,11 @@ def test_every_module_tree_application_comes_from_image(monkeypatch):
                            (SpaceSpec("Pk", 2, 1, 2), False)]:
         assert is_irreducible(rep_space(spec)) == expected, spec
     assert window_submodule_check(2, 2, 3).passed
-    assert images and outside == []
-    # the patch does count a tree application outside image
+    assert branching_explicit_check(2, 2, 3) == "verified"
+    assert images and applied == []
+    # the patch does count a tree application
     osp_generator(1, 2, 2, 1).apply(SP.x(1))
-    assert outside
+    assert applied
 
 
 def test_generator_matrices_commute_with_casimir():
