@@ -11,7 +11,9 @@ outside (m|2n); an expression that starts with '-' goes after `--`, as in
 `superh integrate -m 2 -n 1 -- "-x1^2"`.  A command that would build a
 monomial basis larger than MAX_BASIS_DIM, or operator trees on more variables
 m + 2n than that, exits 2 naming the limit; `check` tests its cells before any
-work.  No check samples, so `check` has no seed.
+work.  `integrate` also exits 2 naming the limit when its Pizzetti walk reaches
+a nabla^{2j} f of more than MAX_BASIS_DIM terms (x1^2*...*x32^2 would need
+C(32, 16) of them).  No check samples, so `check` has no seed.
 When the reader of stdout closes it early (`superh dims ... | head -1`), the
 rest of the output is dropped and the exit code is still the verdict's.
 """
@@ -246,33 +248,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension table of H_k and the simple module")
     add_common(p)
-    p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("check", help="run a named verification suite")
     p.add_argument("suite", choices=SUITES)
     add_common(p, k_default=[6])
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("integrate", help="supersphere integral of a polynomial")
     p.add_argument("expr", help="polynomial, e.g. '2*x1^2 - xg1*xg2', with exponents "
                    f"and term degrees up to {MAX_DEGREE}; put an expression that "
                    "starts with '-' after '--'")
     add_common(p, need_k=False)
-    p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("decompose", help="joint eigenspace pieces of H_k")
     add_common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("branch", help="branching of the simple module")
     add_common(p)
     p.add_argument("--explicit", action="store_true",
                    help="also verify the decomposition explicitly")
-    p.set_defaults(func=cmd_branch)
 
     p = sub.add_parser("fischer", help="radial decomposition of P_k")
     add_common(p)
-    p.set_defaults(func=cmd_fischer)
     return parser
 
 
@@ -283,7 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        # looked up per call, so a rebinding of cli.cmd_* is seen by a cached parser
+        return globals()[f"cmd_{args.cmd}"](args)
     except (ValueError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,12 +15,21 @@ the acceptance suite, so neither side may be expressed through the other.
 
 The Pizzetti sum has two evaluators.  ``pizzetti`` walks the nabla^2 tree on
 one polynomial; it serves one-off integrals (``superh integrate``), the
-comparison of the two routes and the reference in tests.  ``PizzettiRows``
+comparison of the two routes and the reference in tests, and it refuses a
+walk whose nabla^{2j} f holds more than MAX_BASIS_DIM terms.  ``PizzettiRows``
 holds T on P_k as one int row times one weight, built from the per-degree
 nabla^2 matrices; the bulk invariance checks (``invariance_suite``,
 ``invariant_density_solutions``) evaluate T that way on the generator
 columns, which ``OperatorMatrices.generator_image`` gives in closed form, and
 never apply a tree.
+
+The phi# route has a definition and an evaluator, and neither uses Pizzetti.
+``phi_sharp`` (with ``LaurentSuperFunction``) and ``berezin`` define it on
+polynomials; ``_sphere_berezin`` evaluates the whole route term by term in
+closed form, from the density's coefficients in theta^{2i}, in time linear
+in n per term.  ``supersphere_integral_phi`` and
+``invariant_density_solutions`` use the evaluator; the tests compare it with
+the definition on whole bases.
 """
 
 from __future__ import annotations
@@ -28,10 +37,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
-from .superalgebra import SuperPolynomial, monomial_basis
+from .superalgebra import MAX_BASIS_DIM, SuperPolynomial, monomial_basis
 from .diffops import (
     MultiplyBy,
     OperatorMatrices,
@@ -184,7 +192,11 @@ def _pizzetti_weight(M: int, j: int) -> ScaledRational:
 
 
 def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
-    """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum."""
+    """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum.
+
+    Raises ValueError once some nabla^{2j} f holds more than MAX_BASIS_DIM
+    terms: the walk can grow like 2^m, e.g. on x1^2 * ... * xm^2.
+    """
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
     check_variables(f, m, n)
@@ -194,6 +206,9 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     g = f
     j = 0
     while g:
+        if len(g.terms) > MAX_BASIS_DIM:
+            raise ValueError(f"nabla^{2 * j} f has {len(g.terms)} terms, above the "
+                             f"Pizzetti term budget MAX_BASIS_DIM = {MAX_BASIS_DIM}")
         c = g.constant_term()
         if c:
             total = total + _pizzetti_weight(M, j) * c
@@ -374,26 +389,14 @@ def phi_sharp_inverse(L: LaurentSuperFunction, m: int, n: int) -> LaurentSuperFu
     return out
 
 
-@lru_cache(maxsize=None)
-def _binomial_series_theta(m_half_exponent: Fraction, n: int) -> SuperPolynomial:
-    """(1 - theta^2)^e as an exact polynomial (theta^2 is nilpotent)."""
-    th = theta2(n)
-    out = SuperPolynomial.one()
-    power = SuperPolynomial.one()
-    coeff = Fraction(1)
-    e = Fraction(m_half_exponent)
+def berezin_density_coefficients(m: int, n: int) -> list[Fraction]:
+    """delta_i = (-1)^i C(m/2 - 1, i) for i = 0..n: the coefficients of theta^{2i}
+    in the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
+    e = Fraction(m, 2) - 1
+    out = [Fraction(1)]
     for i in range(1, n + 1):
-        power = power * th
-        if power.is_zero():
-            break
-        coeff *= (e - (i - 1)) / i
-        out = out + power.scaled(coeff * (-1) ** i)
+        out.append(out[-1] * (i - 1 - e) / i)
     return out
-
-
-def berezin_density(m: int, n: int) -> SuperPolynomial:
-    """(1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
-    return _binomial_series_theta(Fraction(m, 2) - 1, n)
 
 
 def sqrt_one_minus_theta2_over_r2(m: int, n: int) -> LaurentSuperFunction:
@@ -411,23 +414,44 @@ def sqrt_one_minus_theta2_over_r2(m: int, n: int) -> LaurentSuperFunction:
     return LaurentSuperFunction(parts)
 
 
-def _sphere_berezin(f: SuperPolynomial, density: SuperPolynomial,
+def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
                     m: int, n: int) -> ScaledRational:
-    """int_S int_B density * phi#(f): Berezin integral, then sphere moments."""
-    image = phi_sharp(f, m, n) * density
+    """int_S int_B alpha(theta^2) phi#(f), term by term in closed form.
+
+    alpha = sum_i density[i] theta^{2i}, i = 0..n.  For one term c x^a theta^b
+    of f, with d = |a| and omega_p = xg(2p-1) xg(2p):
+      * phi#(x^a) = sum_j (-1)^j C(d/2, j) theta^{2j} r^{-2j} x^a, since
+        (d/dr^2)^j x^a = j! C(d/2, j) r^{-2j} x^a (``LaurentSuperFunction.d_r2``),
+        and r = 1 on the unit sphere;
+      * theta^{2t} = (-1)^t t! e_t(omega), and the Berezin integral of
+        theta^b e_t(omega) is 1 when b is the union of s whole pairs
+        {2p-1, 2p} and t = n - s, and 0 otherwise;
+      * x^a integrates to sphere_moment(a), which is 0 unless every a_i is even.
+    So the term contributes
+      c * sphere_moment(a) * pi^(-n) * (-1)^(n-s) (n-s)!
+        * sum_j (-1)^j C(d/2, j) density[n-s-j].
+    ``phi_sharp``, the product with the density polynomial and ``berezin``
+    remain the definition; the tests compare the two on whole bases.
+    """
+    prefactor = ScaledRational(Fraction(1), -2 * n)
     total = ScaledRational.zero()
-    for _, numerator in sorted(image.parts.items()):
-        top, prefactor = berezin(numerator, n)
-        # on the unit sphere the r^{-2j} factor is 1
-        for mono, c in top.terms.items():
-            if mono.fermionic:
-                raise AssertionError("Berezin output must be bosonic")
-            exps = [0] * m
-            for idx, e in mono.bosonic:
-                exps[idx - 1] = e
-            moment = sphere_moment(exps, m)
-            if not moment.is_zero():
-                total = total + moment * prefactor * c
+    for (bosonic, fermionic), c in f.terms.items():
+        if len(fermionic) % 2 or any(e % 2 for _, e in bosonic):
+            continue
+        if not all(fermionic[q] % 2 and fermionic[q + 1] == fermionic[q] + 1
+                   for q in range(0, len(fermionic), 2)):
+            continue
+        t = n - len(fermionic) // 2
+        half = sum(e for _, e in bosonic) // 2
+        series = sum((-1) ** j * math.comb(half, j) * density[t - j]
+                     for j in range(min(half, t) + 1))
+        if not series:
+            continue
+        exps = [0] * m
+        for idx, e in bosonic:
+            exps[idx - 1] = e
+        total = total + sphere_moment(exps, m) * prefactor * (
+            c * (-1) ** t * math.factorial(t) * series)
     return total
 
 
@@ -436,7 +460,7 @@ def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRation
     if m < 1:
         raise ValueError("supersphere integration requires m >= 1")
     check_variables(f, m, n)
-    return _sphere_berezin(f, berezin_density(m, n), m, n)
+    return _sphere_berezin(f, berezin_density_coefficients(m, n), m, n)
 
 
 # -- invariance and uniqueness harnesses -------------------------------------------
@@ -523,12 +547,8 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
     """
     if m < 1 or n < 1:
         raise ValueError("needs m >= 1 and n >= 1")
-    th = theta2(n)
-    densities = []
-    power = SuperPolynomial.one()
-    for i in range(0, n + 1):
-        densities.append(power)
-        power = power * th
+    # the densities theta^{2i}, as coefficient vectors
+    densities = [[int(t == i) for t in range(n + 1)] for i in range(n + 1)]
 
     rows = []
     for k in range(0, k_max + 1):

@@ -260,6 +260,34 @@ def test_a_variable_count_above_the_limit_is_refused_before_any_tree(capsys, arg
     assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err and "variables" in err
 
 
+def _squares_product(m):
+    return "*".join(f"x{i}^2" for i in range(1, m + 1))
+
+
+def test_a_pizzetti_walk_above_the_term_budget_is_refused(capsys):
+    # nabla^{2j} of x1^2*...*x32^2 holds C(32, j) terms
+    start = time.perf_counter()
+    code, out, err = run(capsys, "integrate", "-m", "32", "-n", "0", "--", _squares_product(32))
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_USAGE and out == ""
+    assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err
+    # C(12, 6) = 924 terms at the widest step stay inside the budget
+    code, out, _ = run(capsys, "integrate", "-m", "12", "-n", "0", "--format", "json",
+                       "--", _squares_product(12))
+    assert code == EXIT_PASS
+    assert load_report(out)["status"] == "pass"
+
+
+def test_integrate_is_bounded_in_the_grassmann_pairs(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "integrate", "-m", "3", "-n", "400", "--format", "json",
+                       "--", "x1^2*xg1*xg2")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_PASS
+    a, b = load_report(out)["rows"]
+    assert a["q"] == b["q"] != "0" and a["h"] == b["h"] == -798
+
+
 def test_the_basis_limit_admits_the_largest_tested_cell():
     assert dim_Pk(4, 2, 8) == 1408 <= MAX_BASIS_DIM
     assert len(monomial_basis(4, 2, 8)) == 1408

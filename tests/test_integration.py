@@ -1,18 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
-from superh import diffops
+from superh import diffops, integration
 from superh.diffops import poly_to_vec, r2, theta2, osp_generator, generator_pairs
 from superh.harmonic import harmonic_basis, harmonic_polys, is_harmonic
 from superh.integration import (
     LaurentSuperFunction,
     PizzettiRows,
     ScaledRational,
+    _sphere_berezin,
     berezin,
-    berezin_density,
+    berezin_density_coefficients,
     invariance_suite,
     invariant_density_solutions,
     orthogonality_failures,
@@ -165,11 +167,104 @@ def test_phi_sharp_inverse_is_identity():
                 assert back.equals(LaurentSuperFunction.from_poly(f), m)
 
 
+# -- the phi# route in closed form against its polynomial definition ------------------
+
+
+def berezin_density(m, n):
+    """(1 - theta^2)^(m/2 - 1) as a polynomial, truncated by nilpotency."""
+    th = theta2(n)
+    out, power, coeff = SP.one(), SP.one(), Fraction(1)
+    e = Fraction(m, 2) - 1
+    for i in range(1, n + 1):
+        power = power * th
+        coeff *= (e - (i - 1)) / i
+        out = out + power.scaled(coeff * (-1) ** i)
+    return out
+
+
+def density_poly(coeffs, n):
+    """sum_i coeffs[i] theta^{2i}."""
+    return sum((theta2(n) ** i * c for i, c in enumerate(coeffs)), SP.zero())
+
+
+def sphere_berezin_by_definition(image, density, m, n):
+    """int_S int_B density * image, for image = phi#(f): the Berezin integral of
+    every Laurent part (r = 1 on the sphere), then the sphere moments."""
+    total = ScaledRational.zero()
+    for numerator in (image * density).parts.values():
+        top, prefactor = berezin(numerator, n)
+        for mono, c in top.terms.items():
+            assert not mono.fermionic
+            exps = [0] * m
+            for idx, e in mono.bosonic:
+                exps[idx - 1] = e
+            total = total + sphere_moment(exps, m) * prefactor * c
+    return total
+
+
 def test_berezin_density_truncates():
     # (1-theta^2)^(m/2-1) at n=1: 1 - (m/2-1) theta^2
     for m in (1, 2, 3, 4):
         expected = SP.one() - theta2(1).scaled(Fraction(m, 2) - 1)
         assert berezin_density(m, 1) == expected
+        assert berezin_density_coefficients(m, 1) == [1, 1 - Fraction(m, 2)]
+        for n in range(0, 4):
+            coeffs = berezin_density_coefficients(m, n)
+            assert density_poly(coeffs, n) == berezin_density(m, n), (m, n)
+
+
+def test_closed_form_phi_route_matches_its_definition_on_every_monomial():
+    for m in range(1, 5):
+        for n in range(0, 4):
+            densities = [(berezin_density_coefficients(m, n), berezin_density(m, n))]
+            densities += [([int(t == i) for t in range(n + 1)], theta2(n) ** i)
+                          for i in range(n + 1)]
+            for k in range(0, 7):
+                for mono in monomial_basis(m, n, k):
+                    f = SP.monomial(mono, 3)
+                    image = phi_sharp(f, m, n)
+                    for coeffs, density in densities:
+                        assert (_sphere_berezin(f, coeffs, m, n)
+                                == sphere_berezin_by_definition(image, density, m, n)), \
+                            (m, n, mono, coeffs)
+
+
+def test_closed_form_phi_route_matches_its_definition_on_random_polynomials():
+    rng = random.Random(20240)
+    for (m, n) in [(1, 1), (2, 2), (3, 3), (4, 2), (2, 3), (3, 0)]:
+        monos = [mono for k in range(0, 7) for mono in monomial_basis(m, n, k)]
+        for _ in range(10):
+            f = SP({mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    for mono in rng.sample(monos, 6)})
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n + 1)]
+            assert len({len(mono.fermionic) for mono in f.terms}) > 1 or n == 0
+            assert (_sphere_berezin(f, coeffs, m, n) == sphere_berezin_by_definition(
+                phi_sharp(f, m, n), density_poly(coeffs, n), m, n)), (m, n, str(f))
+
+
+def test_phi_route_builds_no_polynomial_product(monkeypatch):
+    calls = []
+
+    def counted_phi(f, m, n, _phi=integration.phi_sharp):
+        calls.append("phi_sharp")
+        return _phi(f, m, n)
+
+    def counted_mul(self, other, _mul=SP.__mul__):
+        calls.append("__mul__")
+        return _mul(self, other)
+
+    polys = [(parse("x1^2*xg1*xg2 - 3*x2^4 + 1/2*xg1*xg2*xg3*xg4 + x1*xg1"), 2, 2),
+             (parse("x1^2*x2^2*x3^2 + xg1*xg2"), 3, 1)]
+    monkeypatch.setattr(integration, "phi_sharp", counted_phi)
+    monkeypatch.setattr(SP, "__mul__", counted_mul)
+    for f, m, n in polys:
+        supersphere_integral_phi(f, m, n)
+    assert invariant_density_solutions(2, 1, k_max=4)
+    assert calls == []
+    # the patches do count the polynomial definition
+    f, m, n = polys[0]
+    sphere_berezin_by_definition(integration.phi_sharp(f, m, n), berezin_density(m, n), m, n)
+    assert {"phi_sharp", "__mul__"} <= set(calls)
 
 
 # -- the two integration routes agree ------------------------------------------------
