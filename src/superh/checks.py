@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
 from .diffops import (
-    OperatorMatrices,
+    _lincomb,
     check_sl2,
     generator_pairs,
     generator_vector_field,
@@ -21,6 +21,7 @@ from .diffops import (
     laplace_beltrami,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
+    operator_matrices,
     partial_vector_field,
     variable_poly,
 )
@@ -86,11 +87,6 @@ def suite_sl2(cells: list[tuple[int, int]], k_max: int) -> Report:
     return report
 
 
-def _times(v: dict, c) -> dict:
-    """c * v as a sparse vector."""
-    return {i: c * x for i, x in v.items()} if c else {}
-
-
 def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
     """Both Laplace-Beltrami constructions agree; eigenvalue -k(M-2+k) on H_k.
 
@@ -104,8 +100,8 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
         form_a, form_b = laplace_beltrami(m, n)
         forms_ok = True
         eigen_ok = True
+        mats = operator_matrices(m, n)
         for k in range(0, k_max + 1):
-            mats = OperatorMatrices(m, n)
             mat_a = mats.matrix(form_a, k)
             for c, col in enumerate(mats.matrix(form_b, k)):
                 if col != mat_a[c]:
@@ -116,7 +112,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
             eig = -k * (M - 2 + k)
             rows = harmonic_basis(m, n, k).rows
             for row, image in zip(rows, mats.apply(form_a, rows, k)):
-                if image != _times(row, eig):
+                if image != _lincomb((eig, row)):
                     eigen_ok = False
                     report.fail(f"LB eigenvalue failed on H_{k}({m}|{2*n})")
                     break
@@ -201,10 +197,10 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
     for (m, n) in cells:
         lb_b = laplace_beltrami_bosonic(m)
         lb_f = laplace_beltrami_fermionic(n)
+        mats = operator_matrices(m, n)
         for k in range(0, k_max + 1):
             pieces = decompose_Hk(m, n, k)
-            mats = OperatorMatrices(m, n)
-            # kept for the degree: every projector factor below reuses them
+            # kept by the owner: every projector factor below reuses them
             mats.matrix(lb_b, k)
             mats.matrix(lb_f, k)
             fallback_used = False
@@ -215,7 +211,7 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
                 rows = pc.basis.rows
                 for v, wb, wf in zip(rows, mats.apply(lb_b, rows, k),
                                      mats.apply(lb_f, rows, k)):
-                    if wb != _times(v, lam_b) or wf != _times(v, lam_f):
+                    if wb != _lincomb((lam_b, v)) or wf != _lincomb((lam_f, v)):
                         ok = False
                         report.fail(f"piece ({pc.l},{pc.p},{pc.q}) of H_{k}({m}|{2*n}) "
                                     "is not a joint eigenspace")
@@ -235,7 +231,7 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
                     # Q.op is a chain of factors; each acts on the vectors by mat-vec
                     rows = src.basis.rows[:LITERAL_VECTORS]
                     for v, got in zip(rows, mats.apply(Q.op, rows, k)):
-                        if got != _times(v, want):
+                        if got != _lincomb((want, v)):
                             ok = False
                             report.fail(f"projector application failed at ({m},{n},{k})")
             report.rows.append({"m": m, "n": n, "k": k, "pieces": len(pieces),

@@ -15,11 +15,11 @@ factor acts first).  A tree has two evaluators:
 
 * ``op.apply(f)`` recurses over the tree on one polynomial.  It serves one-off
   uses and is the reference that the matrices are tested against.
-* ``OperatorMatrices`` (and ``matrix_on_degree``) evaluates the tree per degree
-  as a sparse matrix P_k -> P_k', or on many coordinate vectors of P_k at once,
-  from cached integer matrices of d/dxi, d/dxgj and multiplication by a
-  monomial.  The bulk checks (sl2, Laplace-Beltrami, projections, harmonic
-  kernels) run on it.
+* ``operator_matrices(m, n)``, the one ``OperatorMatrices`` of a space,
+  evaluates the tree per degree as a sparse matrix P_k -> P_k', or on many
+  coordinate vectors of P_k at once, from cached integer matrices of d/dxi,
+  d/dxgj and multiplication by a monomial.  The bulk checks (sl2,
+  Laplace-Beltrami, projections, harmonic kernels) run on it.
 
 Beside the two evaluators, ``OperatorMatrices.generator_image`` applies a
 generator L_ij to a coordinate vector of P_k without its tree.  L_ij is first
@@ -45,7 +45,6 @@ from .superalgebra import (
     _mul_monomials,
     check_variable_count,
     monomial_basis,
-    basis_index,
     partial,
 )
 from .linalg import Vec
@@ -233,16 +232,18 @@ def metric(m: int, n: int) -> Metric:
 
 
 def _check_metric(met: Metric) -> None:
-    size = met.size
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            if i <= met.m and j <= met.m and met.entry(i, j) != met.entry(j, i):
+    """The bosonic block symmetric, the fermionic block antisymmetric and
+    g * inv(g) = I, read over the nonzero entries only."""
+    g, g_inv = ([{j: x for j, x in enumerate(row) if x} for row in mat]
+                for mat in (met.g, met.g_inv))
+    for i, row in enumerate(g):
+        for j, x in row.items():
+            if i < met.m and j < met.m and g[j].get(i) != x:
                 raise AssertionError("bosonic block must be symmetric")
-            if i > met.m and j > met.m and met.entry(i, j) != -met.entry(j, i):
+            if i >= met.m and j >= met.m and g[j].get(i) != -x:
                 raise AssertionError("fermionic block must be antisymmetric")
-            prod = sum(met.entry(i, k) * met.inv_entry(k, j) for k in range(1, size + 1))
-            if prod != (1 if i == j else 0):
-                raise AssertionError("g * inv(g) != identity")
+        if _lincomb(*((x, g_inv[k]) for k, x in row.items())) != {i: 1}:
+            raise AssertionError("g * inv(g) != identity")
 
 
 # -- named operators ----------------------------------------------------------
@@ -414,7 +415,7 @@ def check_variables(f: SuperPolynomial, m: int, n: int) -> None:
 
 
 def poly_to_vec(f: SuperPolynomial, m: int, n: int, k: int) -> Vec:
-    index = basis_index(m, n, k)
+    index = operator_matrices(m, n).index(k)
     out: Vec = {}
     for mono, c in f.terms.items():
         idx = index.get(mono)
@@ -538,18 +539,30 @@ class OperatorMatrices:
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
     runs op on coordinate vectors of P_k without forming op's matrix, and
     ``columns(op, k)`` streams op's columns without keeping them.  The
-    object keeps the primitive matrices of the leaves and the matrix of every
-    ``matrix`` call, and later trees that contain such a root reuse it.  A node
-    that one tree reaches twice (the generators of the quadratic Casimir) is
-    evaluated once and dropped after its last use; products are not kept.
-    Create one object per degree and drop it when the degree is done.
+    object keeps the basis index maps, the leaf arrays, the generator words and
+    the matrix of every ``matrix`` call, and later trees that contain such a
+    root reuse it.  A node that one tree reaches twice (the generators of the
+    quadratic Casimir) is evaluated once and dropped after its last use;
+    products are not kept.  ``operator_matrices`` keeps one object per space
+    for the life of the process, so a tree passed to ``matrix`` must live as
+    long (a cached tree, or ``mul_r2``); a tree built per call goes through
+    ``apply`` or ``columns``, which keep nothing.
     """
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
+        self._index: dict[int, dict[SuperMonomial, int]] = {}
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
         self._words: dict[tuple[int, int, int], list[tuple]] = {}
+        self.mul_r2 = MultiplyBy(r2(m, n))  # lives as long as the matrices kept of it
+
+    def index(self, k: int) -> dict[SuperMonomial, int]:
+        """Position of each basis monomial of P_k (empty below degree 0)."""
+        if k not in self._index:
+            basis = monomial_basis(self.m, self.n, k) if k >= 0 else ()
+            self._index[k] = {mono: i for i, mono in enumerate(basis)}
+        return self._index[k]
 
     def _dim(self, k: int) -> int:
         return len(monomial_basis(self.m, self.n, k)) if k >= 0 else 0
@@ -669,7 +682,7 @@ class OperatorMatrices:
         if key not in self._leaves:
             rows, vals = array("i"), array("i")
             out_deg = k - 1 if fermionic is not None else k + what.degree()
-            target = basis_index(self.m, self.n, out_deg) if out_deg >= 0 else {}
+            target = self.index(out_deg)
             for mono in monomial_basis(self.m, self.n, k) if k >= 0 else ():
                 if fermionic is None:
                     sign, prod = _mul_monomials(what, mono)
@@ -735,9 +748,10 @@ class OperatorMatrices:
         return {t: y for t, y in out.items() if y}
 
 
-def matrix_on_degree(op: LinearOperator, m: int, n: int, k: int) -> list[Vec]:
-    """Columns of the matrix of op on P_k, in the basis of the target degree."""
-    return OperatorMatrices(m, n).matrix(op, k)
+@lru_cache(maxsize=None)
+def operator_matrices(m: int, n: int) -> OperatorMatrices:
+    """The one OperatorMatrices of (m|2n), shared by every degree and caller."""
+    return OperatorMatrices(m, n)
 
 
 # -- structural checks ---------------------------------------------------------
@@ -761,22 +775,20 @@ def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     M = m - 2 * n
-    lap = nabla2(m, n)
-    mulr2 = MultiplyBy(r2(m, n))
-    E = euler(m, n)
+    mats = operator_matrices(m, n)
+    lap, mulr2, E = nabla2(m, n), mats.mul_r2, euler(m, n)
     failures = []
+
+    def two_h(vecs: list[Vec], d: int) -> list[Vec]:
+        """2H = 2E + M on vectors of P_d."""
+        return [_lincomb((2, e), (M, v)) for v, e in zip(vecs, mats.apply(E, vecs, d))]
+
+    def holds(left: list[Vec], right: list[Vec], c: int, vecs: list[Vec]) -> list[bool]:
+        """left - right == c * vecs, column by column."""
+        return [_lincomb((1, a), (-1, b)) == _lincomb((c, v))
+                for a, b, v in zip(left, right, vecs)]
+
     for k in range(0, k_max + 1):
-        mats = OperatorMatrices(m, n)
-
-        def two_h(vecs: list[Vec], d: int) -> list[Vec]:
-            """2H = 2E + M on vectors of P_d."""
-            return [_lincomb((2, e), (M, v)) for v, e in zip(vecs, mats.apply(E, vecs, d))]
-
-        def holds(left: list[Vec], right: list[Vec], c: int, vecs: list[Vec]) -> list[bool]:
-            """left - right == c * vecs, column by column."""
-            return [_lincomb((1, a), (-1, b)) == _lincomb((c, v))
-                    for a, b, v in zip(left, right, vecs)]
-
         lapf = mats.matrix(lap, k)
         r2f = mats.matrix(mulr2, k)
         hf = two_h([{c: 1} for c in range(len(lapf))], k)

@@ -29,13 +29,12 @@ from .diffops import (
     Add,
     Compose,
     LinearOperator,
-    OperatorMatrices,
     Scale,
     check_variables,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
-    matrix_on_degree,
     nabla2,
+    operator_matrices,
     osp_generator,
     poly_to_vec,
     r2,
@@ -90,7 +89,7 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
             [{i: Fraction(1)} for i in range(width)], width)
     # the equations are the rows of the nabla^2 matrix P_k -> P_{k-2}
     rows: list[Vec] = [{} for _ in range(dim_Pk(m, n, k - 2))]
-    for c, col in enumerate(matrix_on_degree(nabla2(m, n), m, n, k)):
+    for c, col in enumerate(operator_matrices(m, n).matrix(nabla2(m, n), k)):
         for t, coeff in col.items():
             rows[t][c] = coeff
     return kernel_of_equations(rows, width)
@@ -289,7 +288,7 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     pieces: list[HarmonicPiece] = []
     all_vecs: list[Vec] = []
     lap = nabla2(m, n)
-    mats = OperatorMatrices(m, n)
+    mats = operator_matrices(m, n)
     for q in range(0, min(n, k) + 1):
         hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
         if not hf:

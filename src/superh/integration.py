@@ -42,10 +42,10 @@ from typing import Iterable
 from .superalgebra import MAX_BASIS_DIM, SuperPolynomial, monomial_basis
 from .diffops import (
     MultiplyBy,
-    OperatorMatrices,
     check_variables,
     generator_pairs,
     nabla2,
+    operator_matrices,
     r2,
     theta2,
     vec_to_poly,
@@ -250,7 +250,7 @@ class PizzettiRows:
         while top < k:
             below = self._rows[top]
             top += 2
-            cols = OperatorMatrices(self.m, self.n).columns(nabla2(self.m, self.n), top)
+            cols = operator_matrices(self.m, self.n).columns(nabla2(self.m, self.n), top)
             self._rows[top] = {c: x for c, col in cols if (x := _dot(below, col))}
         return self._rows[k]
 
@@ -489,10 +489,9 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         k < l <= k_max (see ``orthogonality_failures``).
     """
     T = PizzettiRows(m, n)
-    mul_r2 = MultiplyBy(r2(m, n))
+    mats = operator_matrices(m, n)
     failures = []
     for k in range(0, k_max + 1):
-        mats = OperatorMatrices(m, n)
         basis = monomial_basis(m, n, k)
         row = T.row(k)
         for (i, j) in generator_pairs(m, n):
@@ -500,7 +499,7 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
                 if _dot(row, mats.generator_image(i, j, {c: 1}, k)):
                     failures.append(("T(L f) != 0", k, (i, j),
                                      str(SuperPolynomial.monomial(basis[c]))))
-        for c, col in mats.columns(mul_r2, k):
+        for c, col in mats.columns(mats.mul_r2, k):
             if T.value(col, k + 2) != T.value({c: 1}, k):
                 failures.append(("T(R^2 f) != T(f)", k, None,
                                  str(SuperPolynomial.monomial(basis[c]))))
@@ -523,7 +522,7 @@ def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
         return []
     m, n = T.m, T.n
     row = T.row(k + l)
-    mats = OperatorMatrices(m, n)
+    mats = operator_matrices(m, n)
     failures = []
     for a in a_rows:
         pa = vec_to_poly(a, m, n, k)
@@ -551,8 +550,8 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
     densities = [[int(t == i) for t in range(n + 1)] for i in range(n + 1)]
 
     rows = []
+    mats = operator_matrices(m, n)
     for k in range(0, k_max + 1):
-        mats = OperatorMatrices(m, n)
         for (i, j) in generator_pairs(m, n):
             for c in range(len(monomial_basis(m, n, k))):
                 col = mats.generator_image(i, j, {c: 1}, k)

@@ -21,8 +21,8 @@ import numpy as np
 
 Vec = dict[int, Fraction]
 
-# Prime for modular certificates; small enough that int64 dot products of
-# length up to ~900 cannot overflow (900 * p^2 < 2^63).
+# Prime for modular certificates; rref_modp multiplies two residues at a time
+# in int64, so p^2 < 2^63 is all that must hold, at any basis width.
 PRIME = 99_999_989
 
 _ONE = Fraction(1)

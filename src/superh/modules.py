@@ -44,10 +44,9 @@ from .linalg import (
 )
 from .diffops import (
     MultiplyBy,
-    OperatorMatrices,
-    matrix_on_degree,
     nabla2,
     generator_pairs,
+    operator_matrices,
     poly_to_vec,
     r2,
     vec_to_poly,
@@ -118,11 +117,11 @@ class RepSpace:
     subspace of sub's echelon coordinates (None without a quotient).  Module
     coordinates are sub's coordinates off the divisor's pivots.  Generators act
     only through ``image``, which evaluates L_ij on the P_k vector in closed
-    form (``OperatorMatrices.generator_image``, from leaf arrays that the
-    module's own ``mats`` keeps for its lifetime) and checks that every image
-    stays in sub.  A column of a generator matrix is the divisor-reduced image
-    of a basis vector, computed on first use; applying a generator to a module
-    vector is a sparse mat-vec over them.
+    form (``OperatorMatrices.generator_image``, from the words and leaf arrays
+    that ``operator_matrices(m, n)`` keeps for every module of the space) and
+    checks that every image stays in sub.  A column of a generator matrix is
+    the divisor-reduced image of a basis vector, computed on first use;
+    applying a generator to a module vector is a sparse mat-vec over them.
     """
 
     def __init__(self, spec: SpaceSpec, sub: Subspace | None,
@@ -135,7 +134,6 @@ class RepSpace:
         self.dim = len(self._kept)
         self._kept_pos = {c: i for i, c in enumerate(self._kept)}
         self._matrix_columns: dict[tuple[int, int, int], Vec] = {}
-        self.mats = OperatorMatrices(spec.m, spec.n)
 
     def _in_pk(self, v: Vec) -> Vec:
         """A vector of sub's coordinates as a vector of P_k."""
@@ -144,7 +142,7 @@ class RepSpace:
     def image(self, i: int, j: int, v: Vec) -> Vec:
         """L_ij v in sub's coordinates for v in sub's coordinates; RuntimeError
         unless the coordinates read off at the pivots recombine to the image."""
-        image = self.mats.generator_image(i, j, self._in_pk(v), self.k)
+        image = operator_matrices(self.m, self.n).generator_image(i, j, self._in_pk(v), self.k)
         if self.sub is None:
             return image
         coords = _readoff(self.sub, image)
@@ -194,8 +192,8 @@ class RepSpace:
 
 def _divisor_r2p(m: int, n: int, k: int) -> Subspace:
     """R^2 P_{k-2} as a subspace of P_k."""
-    return Subspace.from_vectors(matrix_on_degree(MultiplyBy(r2(m, n)), m, n, k - 2),
-                                 dim_Pk(m, n, k))
+    mats = operator_matrices(m, n)
+    return Subspace.from_vectors(mats.matrix(mats.mul_r2, k - 2), dim_Pk(m, n, k))
 
 
 @lru_cache(maxsize=None)
@@ -652,7 +650,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     # the shifted harmonics have no x1, so nabla^2 acts on them as the
     # Laplacian in x2..xm and the Grassmann pairs
     lap = nabla2(m, n)
-    mats = W.mats
+    mats = operator_matrices(m, n)
     Mp = (m - 1) - 2 * n
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra

@@ -395,11 +395,6 @@ def monomial_basis(m: int, n: int, k: int) -> tuple[SuperMonomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def basis_index(m: int, n: int, k: int) -> dict:
-    return {mono: i for i, mono in enumerate(monomial_basis(m, n, k))}
-
-
 def dim_Pk(m: int, n: int, k: int) -> int:
     """Dimension of the space of degree-k polynomials on (m|2n) variables."""
     if k < 0:

@@ -1,13 +1,23 @@
-"""The cache statistics that a traced benchmark run reads from the package.
+"""The caches of the package: what the benchmark reads, and who owns what.
 
 `bench/run.py --trace 1` reports hit ratios from the `cache_info()` of five
 cached functions, looked up by name in the module that defines them.  These
-tests keep that contract inside the tier-1 suite.
+tests keep that contract inside the tier-1 suite.  The other tests pin the
+per-space owner of the operator matrices, `diffops.operator_matrices(m, n)`:
+one object per (m|2n), whose leaf arrays, generator words and kept matrices
+do not grow when a check runs again, and a fixed list of the package's
+caches, so that a new one is added on purpose.
 """
 
 import importlib
+import pkgutil
 
 import pytest
+
+import superh
+from superh import checks
+from superh.diffops import OperatorMatrices, operator_matrices
+from superh.modules import SpaceSpec, branching_explicit_check, rep_space
 
 CACHED = [("harmonic", "harmonic_basis", (2, 1, 2)),
           ("harmonic", "decompose_Hk", (2, 1, 2)),
@@ -27,3 +37,97 @@ def test_harness_caches_report_hits_misses_and_entries(module, name, args):
     after = fn.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert after.currsize >= 1
+
+
+# Every cache defined in a module of the package.  Per-space state belongs to
+# the owner that operator_matrices returns; a new cache here is a decision.
+PACKAGE_CACHES = {
+    "cli": {"build_parser"},
+    "diffops": {"metric", "r2", "nabla2", "euler_b", "euler_f", "euler", "osp_generator",
+                "laplace_beltrami", "laplace_beltrami_bosonic",
+                "laplace_beltrami_fermionic", "operator_matrices"},
+    "harmonic": {"harmonic_basis", "_r2_power", "decompose_Hk"},
+    "modules": {"hk_window_intersection"},
+    "superalgebra": {"_exponent_pair", "monomial_basis"},
+}
+
+
+def test_the_package_caches_are_the_listed_ones():
+    found = {}
+    for info in pkgutil.iter_modules(superh.__path__):
+        mod = importlib.import_module(f"superh.{info.name}")
+        names = {name for name, obj in vars(mod).items()
+                 if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+        if names:
+            found[info.name] = names
+    assert found == PACKAGE_CACHES
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """(m, n) of every OperatorMatrices built from here on, owners dropped first."""
+    made = []
+    init = OperatorMatrices.__init__
+
+    def spy(self, m, n):
+        made.append((m, n))
+        init(self, m, n)
+
+    monkeypatch.setattr(OperatorMatrices, "__init__", spy)
+    operator_matrices.cache_clear()
+    return made
+
+
+def _sizes(mats):
+    return (len(mats._index), len(mats._leaves), len(mats._words), len(mats._roots))
+
+
+def test_a_second_run_adds_nothing_to_the_owners(constructed):
+    # (2|4) has M = -2, so k = 3, 4 lie in the degenerate band
+    m, n, k = 2, 2, 4
+    cell = [(m, n)]
+
+    def run():
+        for name in ("sl2", "lb", "projections", "integrals", "irreducibility", "windows"):
+            assert checks.run_suite(name, cell, k).status == "pass", name
+        assert branching_explicit_check(m, n, k) == "verified"
+
+    run()
+    owners = [operator_matrices(*space) for space in constructed]
+    assert operator_matrices(m, n) in owners
+    before = [_sizes(mats) for mats in owners]
+    built = len(constructed)
+    run()
+    assert len(constructed) == built
+    assert [_sizes(mats) for mats in owners] == before
+
+
+def test_check_all_builds_each_space_once(constructed):
+    cells = [(m, n) for m in range(1, 4) for n in range(0, 3)]
+    assert checks.run_suite("all", cells, 4).status == "pass"
+    assert set(cells) <= set(constructed)
+    assert len(constructed) == len(set(constructed))
+
+
+def test_band_modules_share_their_generator_words(monkeypatch):
+    built = []
+    words = OperatorMatrices._generator_words
+
+    def spy(self, i, j, k):
+        if (i, j, k) not in self._words:
+            built.append((self.m, self.n, i, j, k))
+        return words(self, i, j, k)
+
+    monkeypatch.setattr(OperatorMatrices, "_generator_words", spy)
+    operator_matrices.cache_clear()
+
+    def generator_matrices(kind):
+        rep = rep_space(SpaceSpec(kind, 2, 2, 4))
+        return [rep.generator_matrix(i, j) for (i, j) in rep.gen_pairs]
+
+    generator_matrices("Hk")
+    assert built and len(built) == len(set(built))
+    first = list(built)
+    # the quotient acts by the same generators on the same P_4
+    generator_matrices("HkModSub")
+    assert built == first

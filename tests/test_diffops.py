@@ -3,10 +3,14 @@ from fractions import Fraction
 import pytest
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, render
+import time
+
+from superh import diffops
 from superh.diffops import (
     COLUMN_CHUNK,
     Compose,
     Differentiate,
+    Metric,
     MultiplyBy,
     OperatorMatrices,
     Scale,
@@ -21,10 +25,10 @@ from superh.diffops import (
     laplace_beltrami,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
-    matrix_on_degree,
     metric,
     nabla2,
     nabla2_from_metric,
+    operator_matrices,
     osp_generator,
     partial_vector_field,
     poly_to_vec,
@@ -45,6 +49,21 @@ def test_metric_shape():
     assert met.entry(1, 1) == 1 and met.entry(2, 2) == 1
     assert met.entry(3, 4) == Fraction(-1, 2) and met.entry(4, 3) == Fraction(1, 2)
     assert met.inv_entry(3, 4) == 2 and met.inv_entry(4, 3) == -2
+
+
+def test_metric_check_reads_only_the_nonzero_entries():
+    start = time.perf_counter()
+    met = metric.__wrapped__(400, 0)  # uncached, so the check runs here
+    assert time.perf_counter() - start < 2 and met.size == 400
+
+
+def test_metric_check_catches_one_wrong_inverse_entry():
+    met = metric(2, 2)
+    for (i, j, x) in [(2, 3, Fraction(3)), (0, 1, Fraction(1)), (5, 4, Fraction(2))]:
+        g_inv = [list(row) for row in met.g_inv]
+        g_inv[i][j] = x
+        with pytest.raises(AssertionError):
+            diffops._check_metric(Metric(2, 2, met.g, tuple(map(tuple, g_inv))))
 
 
 def test_r2_examples():
@@ -183,12 +202,15 @@ def test_generator_commutators_close():
         dim1 = len(monomial_basis(m, n, 1))
         pairs = generator_pairs(m, n)
         span = Subspace.from_vectors(
-            [_flatten(matrix_on_degree(osp_generator(i, j, m, n), m, n, 1), dim1)
+            [_flatten(operator_matrices(m, n).matrix(osp_generator(i, j, m, n), 1), dim1)
              for (i, j) in pairs], dim1 * dim1)
+        # the commutator trees are built per call, so their matrices are not
+        # left in the shared object
+        mats = OperatorMatrices(m, n)
         for (i, j) in pairs:
             for (k, l) in pairs:
                 comm = generator_commutator(i, j, k, l, m, n)
-                vec = _flatten(matrix_on_degree(comm, m, n, 1), dim1)
+                vec = _flatten(mats.matrix(comm, 1), dim1)
                 assert span.contains(vec), (m, n, (i, j), (k, l))
 
 
@@ -255,9 +277,10 @@ def _tree_column(op, mono, m, n, k_out):
 
 def test_matrices_equal_the_tree_on_every_monomial():
     for (m, n) in MATRIX_GRID:
+        mats = OperatorMatrices(m, n)
         for name, op, shift in _named_operators(m, n):
             for k in range(0, 4):
-                cols = matrix_on_degree(op, m, n, k)
+                cols = mats.matrix(op, k)
                 basis = monomial_basis(m, n, k)
                 assert len(cols) == len(basis), (m, n, name, k)
                 for mono, col in zip(basis, cols):
@@ -272,7 +295,7 @@ def test_streamed_columns_equal_the_matrix():
     for name, op, _ in _named_operators(m, n):
         streamed = list(OperatorMatrices(m, n).columns(op, k))
         assert [c for c, _ in streamed] == list(range(len(monomial_basis(m, n, k))))
-        assert [col for _, col in streamed] == matrix_on_degree(op, m, n, k), name
+        assert [col for _, col in streamed] == OperatorMatrices(m, n).matrix(op, k), name
     assert list(OperatorMatrices(m, n).columns(nabla2(m, n), -1)) == []
 
 
@@ -281,10 +304,11 @@ def test_primitive_matrices_match_dx_and_dxg():
         leaves = ([(Differentiate(i), lambda f, i=i: f.dx(i)) for i in range(1, m + 1)]
                   + [(Differentiate(j, fermionic=True), lambda f, j=j: f.dxg(j))
                      for j in range(1, 2 * n + 1)])
+        mats = OperatorMatrices(m, n)
         for k in range(0, 5):
             target = len(monomial_basis(m, n, k - 1)) if k else 0
             for op, deriv in leaves:
-                cols = matrix_on_degree(op, m, n, k)
+                cols = mats.matrix(op, k)
                 for mono, col in zip(monomial_basis(m, n, k), cols):
                     image = deriv(SP.monomial(mono))
                     assert col == (poly_to_vec(image, m, n, k - 1) if image else {})
@@ -294,9 +318,10 @@ def test_primitive_matrices_match_dx_and_dxg():
 
 def test_degree_changing_columns_use_the_target_basis():
     m, n = 2, 1
+    mats = operator_matrices(m, n)
     for k in range(0, 4):
-        for op, k_out in ((nabla2(m, n), k - 2), (MultiplyBy(r2(m, n)), k + 2)):
-            cols = matrix_on_degree(op, m, n, k)
+        for op, k_out in ((nabla2(m, n), k - 2), (mats.mul_r2, k + 2)):
+            cols = mats.matrix(op, k)
             assert len(cols) == len(monomial_basis(m, n, k))
             for mono, col in zip(monomial_basis(m, n, k), cols):
                 image = op.apply(SP.monomial(mono))
@@ -309,12 +334,13 @@ def test_integral_matrices_keep_int_entries():
     form_a, form_b = laplace_beltrami(m, n)
     for op in (nabla2(m, n), form_a, form_b, osp_generator(1, 3, m, n),
                osp_generator(3, 4, m, n)):
-        for col in matrix_on_degree(op, m, n, k):
+        for col in operator_matrices(m, n).matrix(op, k):
             assert all(type(x) is int for x in col.values())
-    third = matrix_on_degree(Compose((Scale(Fraction(1, 3)), euler(m, n))), m, n, k)
+    mats = OperatorMatrices(m, n)  # for the trees built here
+    third = mats.matrix(Compose((Scale(Fraction(1, 3)), euler(m, n))), k)
     assert third[0] == {0: 1} and third[1] == {1: 1}
     # only a Scale by a true fraction leaves Fraction entries
-    lap_third = matrix_on_degree(Compose((Scale(Fraction(1, 3)), nabla2(m, n))), m, n, 2)
+    lap_third = mats.matrix(Compose((Scale(Fraction(1, 3)), nabla2(m, n))), 2)
     assert lap_third[0] == {0: Fraction(2, 3)} and type(lap_third[0][0]) is Fraction
 
 
