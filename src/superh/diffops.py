@@ -11,23 +11,18 @@ With these conventions the key objects come out as:
 
 where [i] = 0 for a bosonic index and 1 for a Grassmann index.  All operators
 are immutable expression trees; composition is right-to-left (the rightmost
-factor acts first).  A tree has two evaluators:
+factor acts first).  A tree is the definition of its operator, and it is
+evaluated in one of two ways:
 
 * ``op.apply(f)`` recurses over the tree on one polynomial.  It serves one-off
-  uses and is the reference that the matrices are tested against.
+  uses and is the reference that the compiled form is tested against.
 * ``operator_matrices(m, n)``, the one ``OperatorMatrices`` of a space,
-  evaluates the tree per degree as a sparse matrix P_k -> P_k', or on many
-  coordinate vectors of P_k at once, from cached integer matrices of d/dxi,
-  d/dxgj and multiplication by a monomial.  The bulk checks (sl2,
-  Laplace-Beltrami, projections, harmonic kernels) run on it.
-
-Beside the two evaluators, ``OperatorMatrices.generator_image`` applies a
-generator L_ij to a coordinate vector of P_k without its tree.  L_ij is first
-order, X_i nabla_j - (-1)^{[i][j]} X_j nabla_i, so it has at most two words,
-each d/dX_l on P_k followed by multiplication by one variable on P_{k-1}; both
-are read from the leaf arrays, with coefficients from inv(g) and the sign.  The
-module, branching and invariance checks act through it; the tree stays the
-definition of L_ij and the reference it is tested against.
+  compiles the tree into words, each an integer coefficient and a chain of
+  leaves (d/dxi, d/dxgj, multiplication by a monomial), and reads the words
+  on P_k through cached integer arrays of the leaves: as a sparse matrix
+  P_k -> P_k', or on many coordinate vectors of P_k at once.  The bulk checks
+  (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
+  ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``.
 """
 
 from __future__ import annotations
@@ -147,32 +142,38 @@ def plain_partial(i: int, m: int, n: int) -> LinearOperator:
     return Differentiate(i - m, fermionic=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Metric:
-    """g = diag(I_m, J) with its inverse; J has 2x2 blocks [[0,-1/2],[1/2,0]]."""
+    """g = diag(I_m, J) with its inverse; J has 2x2 blocks [[0,-1/2],[1/2,0]].
+
+    ``g`` and ``g_inv`` hold one sparse row per variable, {column: entry} with
+    0-based columns in ascending order; each row of this metric has one entry.
+    """
 
     m: int
     n: int
-    g: tuple[tuple[Fraction, ...], ...]
-    g_inv: tuple[tuple[Fraction, ...], ...]
+    g: tuple[dict[int, Fraction], ...]
+    g_inv: tuple[dict[int, Fraction], ...]
 
     @property
     def size(self) -> int:
         return self.m + 2 * self.n
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.g[i - 1][j - 1]
+        return self.g[i - 1].get(j - 1, Fraction(0))
 
     def inv_entry(self, i: int, j: int) -> Fraction:
-        return self.g_inv[i - 1][j - 1]
+        return self.g_inv[i - 1].get(j - 1, Fraction(0))
+
+    def _column(self, j: int) -> list[tuple[int, Fraction]]:
+        """(i, g[i][j]) over the nonzero entries of column j of g."""
+        return [(i, row[j - 1]) for i, row in enumerate(self.g, 1) if j - 1 in row]
 
     def raised_coordinate(self, j: int) -> SuperPolynomial:
         """X^j = sum_i X_i g[i][j]."""
         out = SuperPolynomial.zero()
-        for i in range(1, self.size + 1):
-            c = self.entry(i, j)
-            if c:
-                out = out + variable_poly(i, self.m, self.n).scaled(c)
+        for i, c in self._column(j):
+            out = out + variable_poly(i, self.m, self.n).scaled(c)
         return out
 
     @cached_property
@@ -183,9 +184,9 @@ class Metric:
     @cached_property
     def _nabla_lower(self) -> tuple[LinearOperator, ...]:
         return tuple(
-            operator_sum([Compose((Scale(c), plain_partial(i, self.m, self.n)))
-                          for i in range(1, self.size + 1) if (c := self.inv_entry(j, i))])
-            for j in range(1, self.size + 1))
+            operator_sum([Compose((Scale(c), plain_partial(i + 1, self.m, self.n)))
+                          for i, c in row.items()])
+            for row in self.g_inv)
 
     def nabla_lower(self, j: int) -> LinearOperator:
         """nabla_j = d/dX^j = sum_i inv(g)[j][i] d/dX_i (one shared tree per j)."""
@@ -200,42 +201,28 @@ class Metric:
 
     def nabla_upper_by_raising(self, j: int) -> LinearOperator:
         """nabla^j = sum_i nabla_i g[i][j]; must agree with nabla_upper."""
-        parts = []
-        for i in range(1, self.size + 1):
-            c = self.entry(i, j)
-            if c:
-                parts.append(Compose((Scale(c), self.nabla_lower(i))))
-        return operator_sum(parts)
+        return operator_sum([Compose((Scale(c), self.nabla_lower(i)))
+                             for i, c in self._column(j)])
 
 
 @lru_cache(maxsize=None)
 def metric(m: int, n: int) -> Metric:
     check_variable_count(m, n)
-    size = m + 2 * n
-    g = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(m):
-        g[i][i] = Fraction(1)
-    for j in range(n):
-        a = m + 2 * j
-        g[a][a + 1] = Fraction(-1, 2)
-        g[a + 1][a] = Fraction(1, 2)
-    ginv = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(m):
-        ginv[i][i] = Fraction(1)
-    for j in range(n):
-        a = m + 2 * j
-        ginv[a][a + 1] = Fraction(2)
-        ginv[a + 1][a] = Fraction(-2)
-    met = Metric(m, n, tuple(map(tuple, g)), tuple(map(tuple, ginv)))
+    one = Fraction(1)
+    g = [{i: one} for i in range(m)]
+    g_inv = [{i: one} for i in range(m)]
+    for a in range(m, m + 2 * n, 2):
+        g += [{a + 1: Fraction(-1, 2)}, {a: Fraction(1, 2)}]
+        g_inv += [{a + 1: Fraction(2)}, {a: Fraction(-2)}]
+    met = Metric(m, n, tuple(g), tuple(g_inv))
     _check_metric(met)
     return met
 
 
 def _check_metric(met: Metric) -> None:
     """The bosonic block symmetric, the fermionic block antisymmetric and
-    g * inv(g) = I, read over the nonzero entries only."""
-    g, g_inv = ([{j: x for j, x in enumerate(row) if x} for row in mat]
-                for mat in (met.g, met.g_inv))
+    g * inv(g) = I, over the sparse rows."""
+    g, g_inv = met.g, met.g_inv
     for i, row in enumerate(g):
         for j, x in row.items():
             if i < met.m and j < met.m and g[j].get(i) != x:
@@ -369,24 +356,16 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
     every graded piece is a tested invariant.
     """
     form_a = _radial_laplace_beltrami(r2(m, n), nabla2(m, n), euler(m, n), m - 2 * n)
-    met = metric(m, n)
-    size = m + 2 * n
+    g = metric(m, n).g
     parts = []
-    for i in range(1, size + 1):
-        for l in range(1, size + 1):
-            gil = met.entry(i, l)
-            if not gil:
-                continue
-            for j in range(1, size + 1):
-                for k in range(1, size + 1):
-                    gjk = met.entry(j, k)
-                    if not gjk:
-                        continue
-                    coeff = Fraction(-1, 2) * gil * gjk
+    for i, row_i in enumerate(g):  # 0-based indices over the nonzero entries
+        for l, gil in row_i.items():
+            for j, row_j in enumerate(g):
+                for k, gjk in row_j.items():
                     parts.append(Compose((
-                        Scale(coeff),
-                        osp_generator(i, j, m, n),
-                        osp_generator(k, l, m, n),
+                        Scale(Fraction(-1, 2) * gil * gjk),
+                        osp_generator(i + 1, j + 1, m, n),
+                        osp_generator(k + 1, l + 1, m, n),
                     )))
     return form_a, operator_sum(parts)
 
@@ -430,17 +409,76 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
     return SuperPolynomial({basis[i]: c for i, c in v.items() if c})
 
 
-# Per-degree matrices.  The same trees are evaluated on coordinate vectors of
-# one degree P_k, many vectors at a time.  A leaf is a primitive: d/dxi, d/dxgj
-# or multiplication by one monomial.  Each sends a basis monomial to at most
-# one basis monomial, injectively, so its matrix is two int arrays (target row
-# or -1, and value); multiplication by a polynomial sums its terms.  While a
-# subtree is evaluated its result carries a scalar factor beside its columns,
-# so Scale costs nothing and Add sums columns with integer multipliers over a
-# common denominator: entries stay Python ints until a Scale by a true fraction
-# is applied to them.  Vectors in flight are dicts; a matrix that is kept for
-# reuse is packed in compressed sparse column form.  `cols is None` stands for
-# the identity on the basis of P_k.
+# Per-degree matrices.  A tree is compiled into a sum of words: a word is a
+# coefficient and a chain of leaves in the order they act, a leaf being a
+# primitive (d/dxi, d/dxgj or multiplication by one monomial).  Each leaf sends
+# a basis monomial to at most one basis monomial, injectively, so on P_k it is
+# two int arrays (target row or -1, and value), and a word reads each column
+# through its leaves' arrays.  The coefficients of one sum are brought to
+# integers over a common denominator, which is multiplied in once at the end:
+# entries stay Python ints unless a Scale by a true fraction occurs.  Vectors
+# in flight are dicts; a matrix that is kept for reuse is packed in compressed
+# sparse column form.  `vecs is None` stands for the basis of P_k.
+
+
+def _int_if_whole(c):
+    """c, stored as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _flatten(op: LinearOperator, memo: dict | None = None
+             ) -> tuple[dict[tuple, Fraction], int | None]:
+    """op as a sum of words: ({leaf chain: coefficient}, degree shift).
+
+    A leaf is (i, False) for d/dxi, (j, True) for d/dxgj and (monomial, None)
+    for multiplication by it.  Add joins the sums and Compose multiplies them
+    out; equal chains merge, leaves are never reordered.  The shift is None
+    for the empty sum.  A sum or product that the tree reaches twice (the
+    generators in form B of the Laplace-Beltrami operator) is flattened once
+    per call.
+    """
+    memo = {} if memo is None else memo
+    hit = memo.get(id(op))
+    if hit is not None:
+        return hit
+    if isinstance(op, Scale):
+        words, shift = {(): _int_if_whole(op.factor)}, 0
+    elif isinstance(op, Differentiate):
+        words, shift = {((op.index, op.fermionic),): 1}, -1
+    elif isinstance(op, MultiplyBy):
+        degrees = {mono.degree() for mono in op.poly.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"multiplication by {op.poly} does not preserve a degree")
+        words = {((mono, None),): _int_if_whole(c) for mono, c in op.poly.terms.items()}
+        shift = degrees.pop() if degrees else 0
+    elif isinstance(op, Add):
+        words, shift = {}, None
+        for part in op.parts:
+            part_words, part_shift = _flatten(part, memo)
+            if part_words and shift not in (None, part_shift):
+                raise ValueError("a sum of operators of different degrees has no matrix")
+            shift = part_shift if part_words else shift
+            for chain, c in part_words.items():
+                words[chain] = words.get(chain, 0) + c
+    elif isinstance(op, Compose):
+        words, shift = {(): 1}, 0
+        for part in reversed(op.parts):
+            part_words, part_shift = _flatten(part, memo)
+            if not part_words:
+                words = {}
+                break
+            product: dict[tuple, Fraction] = {}
+            for chain, c in words.items():
+                for later, d in part_words.items():
+                    product[chain + later] = product.get(chain + later, 0) + _int_if_whole(c * d)
+            words, shift = product, shift + part_shift
+    else:
+        raise TypeError(f"no matrix for operator {type(op).__name__}")
+    words = {chain: c for chain, c in words.items() if c}
+    hit = words, shift if words else None
+    if isinstance(op, (Add, Compose)):
+        memo[id(op)] = hit
+    return hit
 
 
 def _pack(cols: list[Vec]) -> tuple:
@@ -465,15 +503,6 @@ def _matvec(mat: tuple, v: Vec) -> Vec:
     return {r: s for r, s in out.items() if s}
 
 
-def _scaled(v: Vec, c) -> Vec:
-    """c * v; an entry that comes out integral is stored as an int."""
-    out: Vec = {}
-    for r, x in v.items():
-        y = c * x
-        out[r] = y.numerator if y.denominator == 1 else y
-    return out
-
-
 def _lincomb(*terms: tuple[int, Vec]) -> Vec:
     """sum c * v over the (c, v) terms, without zero entries."""
     out: Vec = {}
@@ -481,32 +510,6 @@ def _lincomb(*terms: tuple[int, Vec]) -> Vec:
         for r, x in v.items():
             out[r] = out.get(r, 0) + c * x
     return {r: x for r, x in out.items() if x}
-
-
-def _accumulate(acc: list[Vec], mult, cols: list[Vec] | None) -> None:
-    """acc += mult * cols, column by column (None is the identity)."""
-    if cols is None:
-        cols = [{c: 1} for c in range(len(acc))]
-    for a, col in zip(acc, cols):
-        for r, y in col.items():
-            s = a.get(r, 0) + mult * y
-            if s:
-                a[r] = s
-            else:
-                del a[r]
-
-
-def _shared_nodes(op: LinearOperator) -> dict[int, int]:
-    """Reference counts of the Add and Compose nodes that op's tree reaches twice."""
-    refs: dict[int, int] = {}
-    stack = [op]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Add, Compose)):
-            refs[id(node)] = refs.get(id(node), 0) + 1
-            if refs[id(node)] == 1:
-                stack.extend(node.parts)
-    return {i: count for i, count in refs.items() if count > 1}
 
 
 def _dx_image(mono: SuperMonomial, i: int):
@@ -528,6 +531,38 @@ def _dxg_image(mono: SuperMonomial, j: int):
         mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
 
 
+def _add_images(words: list[tuple], targets: list[tuple]) -> None:
+    """For each (out, items), add every word's image of the vector with the
+    (column, entry) pairs items into the dict out.  A word walks a column
+    through its leaf arrays, multiplies the int leaf values, and multiplies
+    the entry in once at the end.  A word of two leaves (every word of a
+    generator L_ij) walks unrolled."""
+    for coef, chain in words:
+        if len(chain) == 2:
+            (rows_a, vals_a), (rows_b, vals_b) = chain
+            for out, items in targets:
+                for c, x in items:
+                    r = rows_a[c]
+                    if r >= 0 and (t := rows_b[r]) >= 0:
+                        y = coef * vals_a[c] * vals_b[r] * x
+                        s = out.get(t)
+                        out[t] = y if s is None else s + y
+            continue
+        for out, items in targets:
+            for c, x in items:
+                r, y = c, coef
+                for rows, vals in chain:
+                    t = rows[r]
+                    if t < 0:
+                        break
+                    y *= vals[r]
+                    r = t
+                else:
+                    y *= x
+                    s = out.get(r)
+                    out[r] = y if s is None else s + y
+
+
 # basis columns that OperatorMatrices.columns applies an operator to at once
 COLUMN_CHUNK = 64
 
@@ -538,15 +573,18 @@ class OperatorMatrices:
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
     runs op on coordinate vectors of P_k without forming op's matrix, and
-    ``columns(op, k)`` streams op's columns without keeping them.  The
-    object keeps the basis index maps, the leaf arrays, the generator words and
-    the matrix of every ``matrix`` call, and later trees that contain such a
-    root reuse it.  A node that one tree reaches twice (the generators of the
-    quadratic Casimir) is evaluated once and dropped after its last use;
-    products are not kept.  ``operator_matrices`` keeps one object per space
-    for the life of the process, so a tree passed to ``matrix`` must live as
-    long (a cached tree, or ``mul_r2``); a tree built per call goes through
-    ``apply`` or ``columns``, which keep nothing.
+    ``columns(op, k)`` streams op's columns without keeping them.  A tree runs
+    as its words (see the comment above); a top-level Compose runs one factor
+    at a time, so a product of k factors is never multiplied out.
+
+    ``operator_matrices`` keeps one object per space for the life of the
+    process, and the object keeps the basis index maps, the leaf arrays, the
+    compiled words of the generators L_ij per degree, and the packed matrix of
+    every tree passed to ``matrix`` (a later sum that has such a tree as a
+    part reads it by mat-vec).  A kept matrix holds its tree, so a tree passed
+    to ``matrix`` lives as long as the object: pass only cached trees (or
+    ``mul_r2``), and send a tree built per call through ``apply`` or
+    ``columns``, which compile it per call and keep none of its words.
     """
 
     def __init__(self, m: int, n: int):
@@ -554,7 +592,7 @@ class OperatorMatrices:
         self._index: dict[int, dict[SuperMonomial, int]] = {}
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
-        self._words: dict[tuple[int, int, int], list[tuple]] = {}
+        self._words: dict[tuple[int, int, int], tuple] = {}  # (i, j, k) -> compiled L_ij
         self.mul_r2 = MultiplyBy(r2(m, n))  # lives as long as the matrices kept of it
 
     def index(self, k: int) -> dict[SuperMonomial, int]:
@@ -571,14 +609,12 @@ class OperatorMatrices:
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[1], None)
-        factor, cols, k_out = self._run(op, None, k, _shared_nodes(op), {})
-        cols = self._finish(factor, cols, self._dim(k))
+        cols, k_out = self._apply(op, None, k)
         self._roots[(id(op), k)] = (op, _pack(cols), k_out)
         return cols
 
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
-        factor, cols, _ = self._run(op, list(vecs), k, _shared_nodes(op), {})
-        return self._finish(factor, cols, len(vecs))
+        return self._apply(op, list(vecs), k)[0]
 
     def columns(self, op: LinearOperator, k: int):
         """(c, column c of op on P_k) for every basis monomial of P_k.
@@ -591,35 +627,17 @@ class OperatorMatrices:
             units = [{c: 1} for c in range(lo, min(lo + COLUMN_CHUNK, dim))]
             yield from enumerate(self.apply(op, units, k), lo)
 
-    @staticmethod
-    def _finish(factor, cols: list[Vec] | None, ncols: int) -> list[Vec]:
-        """The columns with the carried factor multiplied in."""
-        if cols is None:
-            cols = [{c: 1} for c in range(ncols)]
-        if factor == 1:
-            return cols
-        return [_scaled(v, factor) for v in cols] if factor else [{} for _ in cols]
-
-    def _run(self, op, cols, k, shared, memo):
-        """(factor, columns, target degree) of op on cols; see the comment above."""
-        key = (id(op), k)
-        root = self._roots.get(key)
+    def _apply(self, op, vecs, k):
+        """(op applied to vecs, target degree): a kept matrix, one factor of a
+        top-level Compose at a time, or the words of op."""
+        root = self._roots.get((id(op), k))
         if root is not None:
-            return 1, self._product(root[1], cols), root[2]
-        uses = shared.get(id(op))
-        if uses is None:
-            return self._eval(op, cols, k, shared, memo)
-        hit = memo.get(key)
-        if hit is None:
-            factor, mat, k_out = self._eval(op, None, k, shared, memo)
-            if mat is not None:
-                mat = _pack(mat)
-            hit = memo[key] = (op, factor, mat, k_out)
-        shared[id(op)] = uses - 1
-        if uses == 1:
-            del memo[key]
-        _, factor, mat, k_out = hit
-        return factor, cols if mat is None else self._product(mat, cols), k_out
+            return self._product(root[1], vecs), root[2]
+        if isinstance(op, Compose):
+            for part in reversed(op.parts):
+                vecs, k = self._apply(part, vecs, k)
+            return vecs, k
+        return self._eval_words(self._compile(op, k), vecs, k)
 
     @staticmethod
     def _product(mat: tuple, cols: list[Vec] | None) -> list[Vec]:
@@ -629,50 +647,44 @@ class OperatorMatrices:
             return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
         return [_matvec(mat, v) for v in cols]
 
-    def _eval(self, op, cols, k, shared, memo):
-        if isinstance(op, Scale):
-            return op.factor, cols, k
-        if isinstance(op, Compose):
-            factor = 1
-            for part in reversed(op.parts):
-                f, cols, k = self._run(part, cols, k, shared, memo)
-                factor *= f
-            return factor, cols, k
-        if isinstance(op, Add):
-            acc: list[Vec] = [{} for _ in range(self._dim(k) if cols is None else len(cols))]
-            denom, k_out = 1, None
-            for part in op.parts:
-                f, part_cols, k_part = self._run(part, cols, k, shared, memo)
-                if not f:
-                    continue
-                if k_out is None:
-                    k_out = k_part
-                elif k_part != k_out:
-                    raise ValueError("a sum of operators of different degrees has no matrix")
-                if (f * denom).denominator != 1:
-                    wider = math.lcm(denom, f.denominator)
-                    for a in acc:
-                        for r in a:
-                            a[r] *= wider // denom
-                    denom = wider
-                _accumulate(acc, int(f * denom), part_cols)
-            return Fraction(1, denom), acc, k if k_out is None else k_out
-        if isinstance(op, Differentiate):
-            return 1, self._leaf(op.index, op.fermionic, k, cols), k - 1
-        if isinstance(op, MultiplyBy):
-            degrees = {mono.degree() for mono in op.poly.terms}
-            if len(degrees) > 1:
-                raise ValueError(f"multiplication by {op.poly} does not preserve a degree")
-            k_out = k + (degrees.pop() if degrees else 0)
-            terms = [(mono, c.numerator if c.denominator == 1 else c)
-                     for mono, c in op.poly.terms.items()]
-            if len(terms) == 1:
-                return terms[0][1], self._leaf(terms[0][0], None, k, cols), k_out
-            acc = [{} for _ in range(self._dim(k) if cols is None else len(cols))]
-            for mono, c in terms:
-                _accumulate(acc, c, self._leaf(mono, None, k, cols))
-            return 1, acc, k_out
-        raise TypeError(f"no matrix for operator {type(op).__name__}")
+    def _compile(self, op: LinearOperator, k: int) -> tuple:
+        """op on P_k as (factor, target degree, words, kept matrices).
+
+        A word is (int coefficient, leaf arrays in the order they act); op is
+        factor * (sum of the words) + (sum of the kept matrices), where a kept
+        matrix is that of a part of op that ``matrix`` has seen at degree k.
+        """
+        parts = op.parts if isinstance(op, Add) else (op,)
+        kept = [root for p in parts if (root := self._roots.get((id(p), k))) is not None]
+        rest = Add(tuple(p for p in parts if (id(p), k) not in self._roots)) if kept else op
+        words, shift = _flatten(rest)
+        degrees = {root[2] for root in kept} | ({k + shift} if words else set())
+        if len(degrees) > 1:
+            raise ValueError("a sum of operators of different degrees has no matrix")
+        denom = math.lcm(*(c.denominator for c in words.values()))
+        compiled = []
+        for chain, c in words.items():
+            arrays, d = [], k
+            for what, fermionic in chain:
+                arrays.append(self._leaf_arrays(what, fermionic, d))
+                d += -1 if fermionic is not None else what.degree()
+            compiled.append((int(c * denom), tuple(arrays)))
+        factor = Fraction(1, denom) if denom > 1 else 1
+        return factor, degrees.pop() if degrees else k, compiled, tuple(r[1] for r in kept)
+
+    def _eval_words(self, compiled: tuple, vecs: list[Vec] | None, k: int):
+        """(the compiled operator applied to vecs, target degree)."""
+        factor, k_out, words, kept = compiled
+        outs: list[Vec] = [{} for _ in range(self._dim(k) if vecs is None else len(vecs))]
+        _add_images(words, [(w, ((c, 1),)) for c, w in enumerate(outs)] if vecs is None else
+                    [(w, v.items()) for v, w in zip(vecs, outs)])
+        if factor != 1:
+            outs = [{r: _int_if_whole(factor * y) for r, y in w.items()} for w in outs]
+        for mat in kept:
+            for w, v in zip(outs, self._product(mat, vecs)):
+                for r, y in v.items():
+                    w[r] = w.get(r, 0) + y
+        return [{r: y for r, y in w.items() if y} for w in outs], k_out
 
     def _leaf_arrays(self, what, fermionic, k: int) -> tuple[array, array]:
         """(target row or -1, value) per basis monomial of P_k of a primitive:
@@ -697,55 +709,19 @@ class OperatorMatrices:
             self._leaves[key] = rows, vals
         return self._leaves[key]
 
-    def _leaf(self, what, fermionic, k: int, cols: list[Vec] | None) -> list[Vec]:
-        """A primitive on P_k (see ``_leaf_arrays``) applied to cols."""
-        rows, vals = self._leaf_arrays(what, fermionic, k)
-        if cols is None:
-            return [{r: y} if r >= 0 else {} for r, y in zip(rows, vals)]
-        # the map is injective on monomials, so no two entries meet
-        out = []
-        for v in cols:
-            w: Vec = {}
-            for c, x in v.items():
-                if rows[c] >= 0:
-                    w[rows[c]] = x * vals[c]
-            out.append(w)
-        return out
-
-    def _generator_words(self, i: int, j: int, k: int) -> list[tuple]:
-        """The words of L_ij on P_k as (coefficient, d/dX_p arrays on P_k,
-        X_a arrays on P_{k-1}): L_ij = sum_l F^l nabla_l by
-        ``generator_vector_field``, with nabla_l = sum_p inv(g)[l][p] d/dX_p."""
-        key = (i, j, k)
-        words = self._words.get(key)
-        if words is None:
-            m, met = self.m, metric(self.m, self.n)
-            words = []
-            for l, field in generator_vector_field(i, j, m, self.n).items():
-                for x_a, c_a in field.terms.items():
-                    for p, g in enumerate(met.g_inv[l - 1], 1):
-                        if g:
-                            c = c_a * g
-                            c = c.numerator if c.denominator == 1 else c
-                            d = self._leaf_arrays(*((p, False) if p <= m else (p - m, True)), k)
-                            words.append((c, *d, *self._leaf_arrays(x_a, None, k - 1)))
-            self._words[key] = words
-        return words
-
     def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
-        """L_ij v for a coordinate vector v of P_k, without the tree.
-
-        Each word sends a basis monomial to at most one: d/dX_l on P_k, then
-        multiplication by X_a on P_{k-1}, read from the leaf arrays."""
-        out: Vec = {}
-        for coef, d_rows, d_vals, x_rows, x_vals in self._generator_words(i, j, k):
-            for c, x in v.items():
-                r = d_rows[c]
-                if r >= 0 and (t := x_rows[r]) >= 0:
-                    y = coef * d_vals[c] * x_vals[r] * x
-                    s = out.get(t)
-                    out[t] = y if s is None else s + y
-        return {t: y for t, y in out.items() if y}
+        """L_ij v for a coordinate vector v of P_k, from the words of
+        ``osp_generator(i, j)``, which are kept per degree."""
+        compiled = self._words.get((i, j, k))
+        if compiled is None:
+            op = osp_generator(i, j, self.m, self.n)
+            compiled = self._words[(i, j, k)] = self._compile(op, k)
+        factor, _, words, kept = compiled
+        if factor != 1 or kept:
+            return self._eval_words(compiled, [v], k)[0][0]
+        out: Vec = {}  # the usual case: int coefficients and no kept matrix
+        _add_images(words, [(out, v.items())])
+        return {r: y for r, y in out.items() if y}
 
 
 @lru_cache(maxsize=None)

@@ -13,15 +13,16 @@ Gamma-function bookkeeping of the two integral representations:
 Both routes are exact and must agree on polynomials; this equality is part of
 the acceptance suite, so neither side may be expressed through the other.
 
-The Pizzetti sum has two evaluators.  ``pizzetti`` walks the nabla^2 tree on
-one polynomial; it serves one-off integrals (``superh integrate``), the
-comparison of the two routes and the reference in tests, and it refuses a
-walk whose nabla^{2j} f holds more than MAX_BASIS_DIM terms.  ``PizzettiRows``
-holds T on P_k as one int row times one weight, built from the per-degree
-nabla^2 matrices; the bulk invariance checks (``invariance_suite``,
-``invariant_density_solutions``) evaluate T that way on the generator
-columns, which ``OperatorMatrices.generator_image`` gives in closed form, and
-never apply a tree.
+The Pizzetti sum has two evaluators.  ``pizzetti`` applies nabla^2 to one
+polynomial again and again, each term differentiated only by the variables
+it holds (``_laplacian``; the nabla^2 tree is its reference in tests); it
+serves one-off integrals (``superh integrate``) and the comparison of the two
+routes, and it refuses a walk whose nabla^{2j} f holds more than
+MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
+one weight, built from the per-degree nabla^2 matrices; the bulk invariance
+checks (``invariance_suite``, ``invariant_density_solutions``) evaluate T
+that way on the generator columns, which ``OperatorMatrices.generator_image``
+reads from the generators' words, and never apply a tree.
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 ``phi_sharp`` (with ``LaurentSuperFunction``) and ``berezin`` define it on
@@ -39,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .superalgebra import MAX_BASIS_DIM, SuperPolynomial, monomial_basis
+from .superalgebra import (MAX_BASIS_DIM, SuperMonomial, SuperPolynomial, check_variable_count,
+                           monomial_basis)
 from .diffops import (
     MultiplyBy,
     check_variables,
@@ -199,9 +201,9 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     """
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
+    check_variable_count(m, n)
     check_variables(f, m, n)
     M = m - 2 * n
-    lap = nabla2(m, n)
     total = ScaledRational.zero()
     g = f
     j = 0
@@ -212,9 +214,25 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
         c = g.constant_term()
         if c:
             total = total + _pizzetti_weight(M, j) * c
-        g = lap.apply(g)
+        g = _laplacian(g)
         j += 1
     return total
+
+
+def _laplacian(f: SuperPolynomial) -> SuperPolynomial:
+    """nabla^2 f, each term differentiated only by the xi and the Grassmann
+    pairs (xg(2j-1), xg(2j)) it holds, in the order of the nabla^2 tree (which
+    is its reference in tests): d/dxi twice, and -4 d/dxg(2j-1) d/dxg(2j)."""
+    out: dict[SuperMonomial, Fraction] = {}
+    for mono, c in f.terms.items():
+        term = SuperPolynomial({mono: c})
+        images = [term.dx(i).dx(i) for i, e in mono.bosonic if e > 1]
+        images += [term.dxg(a + 1).dxg(a).scaled(-4) for a in mono.fermionic
+                   if a % 2 and a + 1 in mono.fermionic]
+        for image in images:
+            for new, x in image.terms.items():
+                out[new] = out.get(new, 0) + x
+    return SuperPolynomial({new: x for new, x in out.items() if x})
 
 
 def _dot(row: Vec, v: Vec):

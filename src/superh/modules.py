@@ -116,8 +116,8 @@ class RepSpace:
     ``sub`` is a subspace of P_k (None for all of P_k) and ``divisor`` a
     subspace of sub's echelon coordinates (None without a quotient).  Module
     coordinates are sub's coordinates off the divisor's pivots.  Generators act
-    only through ``image``, which evaluates L_ij on the P_k vector in closed
-    form (``OperatorMatrices.generator_image``, from the words and leaf arrays
+    only through ``image``, which evaluates L_ij on the P_k vector by its
+    words (``OperatorMatrices.generator_image``, from the words and leaf arrays
     that ``operator_matrices(m, n)`` keeps for every module of the space) and
     checks that every image stays in sub.  A column of a generator matrix is
     the divisor-reduced image of a basis vector, computed on first use;

@@ -5,18 +5,24 @@ cached functions, looked up by name in the module that defines them.  These
 tests keep that contract inside the tier-1 suite.  The other tests pin the
 per-space owner of the operator matrices, `diffops.operator_matrices(m, n)`:
 one object per (m|2n), whose leaf arrays, generator words and kept matrices
-do not grow when a check runs again, and a fixed list of the package's
-caches, so that a new one is added on purpose.
+do not grow when a check runs again or when a tree built per call is
+applied, and a fixed list of the package's caches, so that a new one is
+added on purpose.
 """
 
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import pytest
 
 import superh
 from superh import checks
-from superh.diffops import OperatorMatrices, operator_matrices
+from superh.diffops import (Compose, MultiplyBy, OperatorMatrices, Scale, euler,
+                            generator_commutator, generator_pairs, laplace_beltrami_bosonic,
+                            laplace_beltrami_fermionic, operator_matrices, osp_generator,
+                            vec_to_poly)
+from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.modules import SpaceSpec, branching_explicit_check, rep_space
 
 CACHED = [("harmonic", "harmonic_basis", (2, 1, 2)),
@@ -102,6 +108,31 @@ def test_a_second_run_adds_nothing_to_the_owners(constructed):
     assert [_sizes(mats) for mats in owners] == before
 
 
+def test_a_per_call_tree_leaves_the_owner_unchanged():
+    m, n, k = 2, 2, 3
+    mats = OperatorMatrices(m, n)
+    mats.matrix(laplace_beltrami_bosonic(m), k)
+    mats.matrix(laplace_beltrami_fermionic(n), k)
+    rows = harmonic_basis(m, n, k).rows
+
+    def per_call_trees():
+        """Trees built anew on every call, as the checks build them."""
+        return ([projection_Q(pc.l, pc.q, k, m, n).op for pc in decompose_Hk(m, n, k)]
+                + [generator_commutator(1, 3, 2, 4, m, n),
+                   MultiplyBy(vec_to_poly(rows[0], m, n, k)),
+                   Compose((Scale(Fraction(1, 3)), euler(m, n)))])
+
+    def run():
+        for op in per_call_trees():
+            mats.apply(op, rows, k)
+            list(mats.columns(op, k))
+
+    run()  # builds the leaf arrays and index maps these trees read
+    before = _sizes(mats)
+    run()
+    assert _sizes(mats) == before
+
+
 def test_check_all_builds_each_space_once(constructed):
     cells = [(m, n) for m in range(1, 4) for n in range(0, 3)]
     assert checks.run_suite("all", cells, 4).status == "pass"
@@ -111,14 +142,15 @@ def test_check_all_builds_each_space_once(constructed):
 
 def test_band_modules_share_their_generator_words(monkeypatch):
     built = []
-    words = OperatorMatrices._generator_words
+    compile_words = OperatorMatrices._compile
+    generators = {id(osp_generator(i, j, 2, 2)) for (i, j) in generator_pairs(2, 2)}
 
-    def spy(self, i, j, k):
-        if (i, j, k) not in self._words:
-            built.append((self.m, self.n, i, j, k))
-        return words(self, i, j, k)
+    def spy(self, op, k):
+        if id(op) in generators:
+            built.append((self.m, self.n, id(op), k))
+        return compile_words(self, op, k)
 
-    monkeypatch.setattr(OperatorMatrices, "_generator_words", spy)
+    monkeypatch.setattr(OperatorMatrices, "_compile", spy)
     operator_matrices.cache_clear()
 
     def generator_matrices(kind):

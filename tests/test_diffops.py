@@ -8,8 +8,11 @@ import time
 from superh import diffops
 from superh.diffops import (
     COLUMN_CHUNK,
+    IDENTITY,
+    Add,
     Compose,
     Differentiate,
+    LinearOperator,
     Metric,
     MultiplyBy,
     OperatorMatrices,
@@ -57,13 +60,31 @@ def test_metric_check_reads_only_the_nonzero_entries():
     assert time.perf_counter() - start < 2 and met.size == 400
 
 
+def test_metric_rows_are_sparse():
+    start = time.perf_counter()
+    met = metric.__wrapped__(1500, 0)
+    assert time.perf_counter() - start < 0.5
+    assert all(len(row) == 1 for row in met.g + met.g_inv)
+    met = metric(2, 3)
+    assert [len(row) for row in met.g] == [1] * 8 and met.entry(3, 3) == 0
+
+
+def test_laplace_beltrami_loops_over_the_nonzero_metric_entries(monkeypatch):
+    # the generators stubbed, so only the loops over the metric are timed
+    monkeypatch.setattr(diffops, "osp_generator", lambda i, j, m, n: diffops.IDENTITY)
+    start = time.perf_counter()
+    _, form_b = laplace_beltrami.__wrapped__(250, 0)
+    assert time.perf_counter() - start < 2
+    assert len(form_b.parts) == 250 ** 2
+
+
 def test_metric_check_catches_one_wrong_inverse_entry():
     met = metric(2, 2)
     for (i, j, x) in [(2, 3, Fraction(3)), (0, 1, Fraction(1)), (5, 4, Fraction(2))]:
-        g_inv = [list(row) for row in met.g_inv]
+        g_inv = [dict(row) for row in met.g_inv]
         g_inv[i][j] = x
         with pytest.raises(AssertionError):
-            diffops._check_metric(Metric(2, 2, met.g, tuple(map(tuple, g_inv))))
+            diffops._check_metric(Metric(2, 2, met.g, tuple(g_inv)))
 
 
 def test_r2_examples():
@@ -362,6 +383,55 @@ def test_closed_form_generators_equal_the_tree_on_every_monomial():
     assert OperatorMatrices(2, 0).generator_image(1, 2, v, 2) == {}
     with pytest.raises(IndexError):
         OperatorMatrices(2, 1).generator_image(0, 1, {0: 1}, 1)
+
+
+def test_generator_words_are_the_flattened_trees():
+    for (m, n), count in [((2, 1), 14), ((4, 2), 60)]:
+        pairs = generator_pairs(m, n)
+        words = [diffops._flatten(osp_generator(i, j, m, n))[0] for (i, j) in pairs]
+        assert sum(map(len, words)) == count
+        mats = OperatorMatrices(m, n)
+        for (i, j) in pairs:
+            mats.generator_image(i, j, {0: 1}, 2)
+        assert sum(len(compiled[2]) for compiled in mats._words.values()) == count
+
+
+def test_the_two_laplace_beltrami_forms_keep_distinct_words():
+    form_a, form_b = laplace_beltrami(4, 2)
+    words_a, words_b = diffops._flatten(form_a)[0], diffops._flatten(form_b)[0]
+    assert (len(words_a), len(words_b)) == (108, 116)
+    assert set(words_a) != set(words_b)
+    assert max(map(len, words_a)) == max(map(len, words_b)) == 4
+
+
+class _Unknown(LinearOperator):
+    pass
+
+
+@pytest.mark.parametrize("op, error", [
+    (Add((nabla2(2, 1), IDENTITY)), ValueError),
+    (Compose((euler(2, 1), Add((Differentiate(1), IDENTITY)))), ValueError),
+    (MultiplyBy(SP.x(1) + SP.one()), ValueError),
+    (_Unknown(), TypeError),
+    (Add((euler(2, 1), _Unknown())), TypeError),
+])
+def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
+    mats = OperatorMatrices(2, 1)
+    with pytest.raises(error):
+        mats.matrix(op, 2)
+    with pytest.raises(error):
+        mats.apply(op, [{0: 1}], 2)
+    assert not mats._roots and not mats._words
+
+
+def test_a_generator_part_kept_by_matrix_is_read_by_matvec():
+    m, n, k = 2, 1, 3
+    mats = OperatorMatrices(m, n)
+    L = osp_generator(1, 3, m, n)
+    mats.matrix(L.parts[0], k)  # a part of L_13 now has a kept matrix at degree k
+    for c, mono in enumerate(monomial_basis(m, n, k)):
+        assert mats.generator_image(1, 3, {c: 1}, k) == _tree_column(L, mono, m, n, k)
+    assert mats._words[(1, 3, k)][3]  # the compiled words carry the kept part
 
 
 def test_apply_on_vectors_matches_the_projector_tree():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,31 @@ def test_pizzetti_classical_reduces_to_sphere_moment():
 def test_pizzetti_requires_bosonic_direction():
     with pytest.raises(ValueError):
         pizzetti(SP.one(), 0, 1)
+
+
+def test_term_local_laplacian_equals_the_tree_on_random_polynomials():
+    rng = random.Random(911)
+    for (m, n) in [(1, 0), (0, 2), (1, 1), (2, 2), (3, 1), (4, 2), (2, 3)]:
+        monos = [mono for k in range(0, 7) for mono in monomial_basis(m, n, k)]
+        lap = diffops.nabla2(m, n)
+        for _ in range(20):
+            f = SP({mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                    for mono in rng.sample(monos, min(8, len(monos)))})
+            for _ in range(4):
+                assert integration._laplacian(f) == lap.apply(f), (m, n, str(f))
+                f = lap.apply(f) + f
+    # images that cancel leave no zero coefficient behind
+    f = SP.x(1, 2) * SP.x(2) - SP.x(2, 3).scaled(Fraction(1, 3))
+    assert integration._laplacian(f).terms == {}
+
+
+def test_pizzetti_step_differentiates_only_the_variables_a_term_holds():
+    m = 400
+    f = parse("+".join(f"x{i}^64" for i in range(1, m + 1)))
+    start = time.perf_counter()
+    value = pizzetti(f, m, 0)
+    assert time.perf_counter() - start < 1.5
+    assert value == pizzetti(SP.x(1, 64), m, 0) * m
 
 
 # -- the radial rescaling morphism ------------------------------------------------------
@@ -358,7 +384,7 @@ def test_bulk_invariance_checks_apply_no_tree(monkeypatch):
     assert invariant_density_solutions(2, 1, k_max=4)
     assert calls == []
     # the patch does count the tree path
-    pizzetti(SP.x(1, 2), 2, 1)
+    assert not is_harmonic(SP.x(1, 2), 2, 1)
     assert calls
 
 
