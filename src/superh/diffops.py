@@ -20,8 +20,9 @@ evaluated in one of two ways:
   compiles the tree into words, each an integer coefficient and a chain of
   leaves (d/dxi, d/dxgj, multiplication by a monomial), and reads the words
   on P_k through cached integer arrays of the leaves: as a sparse matrix
-  P_k -> P_k', or on many coordinate vectors of P_k at once.  The bulk checks
-  (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
+  P_k -> P_k', or on many coordinate vectors of P_k at once; a product whose
+  words would outnumber its factors' runs one factor at a time.  The bulk
+  checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
   ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``.
 """
 
@@ -426,35 +427,34 @@ def _int_if_whole(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _flatten(op: LinearOperator, memo: dict | None = None
-             ) -> tuple[dict[tuple, Fraction], int | None]:
-    """op as a sum of words: ({leaf chain: coefficient}, degree shift).
+def _flatten(op: LinearOperator) -> tuple[dict[tuple, Fraction], int | None] | None:
+    """op as a sum of words, ({leaf chain: coefficient}, degree shift), or None
+    when op is to run by its structure instead.
 
     A leaf is (i, False) for d/dxi, (j, True) for d/dxgj and (monomial, None)
     for multiplication by it.  Add joins the sums and Compose multiplies them
-    out; equal chains merge, leaves are never reordered.  The shift is None
-    for the empty sum.  A sum or product that the tree reaches twice (the
-    generators in form B of the Laplace-Beltrami operator) is flattened once
-    per call.
+    out; equal chains merge, leaves are never reordered.  A product that would
+    have more words than its factors together (R^2 nabla^2 has m^2, its factors
+    m each) is not multiplied out, and a tree that holds one gives None.  The
+    shift is None for the empty sum.
     """
-    memo = {} if memo is None else memo
-    hit = memo.get(id(op))
-    if hit is not None:
-        return hit
+    if isinstance(op, Differentiate):
+        return {((op.index, op.fermionic),): 1}, -1
     if isinstance(op, Scale):
-        words, shift = {(): _int_if_whole(op.factor)}, 0
-    elif isinstance(op, Differentiate):
-        words, shift = {((op.index, op.fermionic),): 1}, -1
-    elif isinstance(op, MultiplyBy):
+        return ({(): _int_if_whole(op.factor)}, 0) if op.factor else ({}, None)
+    if isinstance(op, MultiplyBy):
         degrees = {mono.degree() for mono in op.poly.terms}
         if len(degrees) > 1:
             raise ValueError(f"multiplication by {op.poly} does not preserve a degree")
         words = {((mono, None),): _int_if_whole(c) for mono, c in op.poly.terms.items()}
-        shift = degrees.pop() if degrees else 0
-    elif isinstance(op, Add):
+        return words, degrees.pop() if degrees else None
+    if isinstance(op, Add):
         words, shift = {}, None
         for part in op.parts:
-            part_words, part_shift = _flatten(part, memo)
+            flat = _flatten(part)
+            if flat is None:
+                return None
+            part_words, part_shift = flat
             if part_words and shift not in (None, part_shift):
                 raise ValueError("a sum of operators of different degrees has no matrix")
             shift = part_shift if part_words else shift
@@ -463,10 +463,15 @@ def _flatten(op: LinearOperator, memo: dict | None = None
     elif isinstance(op, Compose):
         words, shift = {(): 1}, 0
         for part in reversed(op.parts):
-            part_words, part_shift = _flatten(part, memo)
+            flat = _flatten(part)
+            if flat is None:
+                return None
+            part_words, part_shift = flat
             if not part_words:
                 words = {}
                 break
+            if len(words) * len(part_words) > len(words) + len(part_words):
+                return None
             product: dict[tuple, Fraction] = {}
             for chain, c in words.items():
                 for later, d in part_words.items():
@@ -475,10 +480,7 @@ def _flatten(op: LinearOperator, memo: dict | None = None
     else:
         raise TypeError(f"no matrix for operator {type(op).__name__}")
     words = {chain: c for chain, c in words.items() if c}
-    hit = words, shift if words else None
-    if isinstance(op, (Add, Compose)):
-        memo[id(op)] = hit
-    return hit
+    return words, shift if words else None
 
 
 def _pack(cols: list[Vec]) -> tuple:
@@ -531,36 +533,25 @@ def _dxg_image(mono: SuperMonomial, j: int):
         mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
 
 
-def _add_images(words: list[tuple], targets: list[tuple]) -> None:
-    """For each (out, items), add every word's image of the vector with the
-    (column, entry) pairs items into the dict out.  A word walks a column
-    through its leaf arrays, multiplies the int leaf values, and multiplies
-    the entry in once at the end.  A word of two leaves (every word of a
-    generator L_ij) walks unrolled."""
+def _image(words: list[tuple], v: Vec) -> Vec:
+    """The sum of the words' images of v, without zero entries.  A word walks
+    each column of v through its leaf arrays, multiplies the int leaf values,
+    and multiplies the entry in once at the end."""
+    out: Vec = {}
     for coef, chain in words:
-        if len(chain) == 2:
-            (rows_a, vals_a), (rows_b, vals_b) = chain
-            for out, items in targets:
-                for c, x in items:
-                    r = rows_a[c]
-                    if r >= 0 and (t := rows_b[r]) >= 0:
-                        y = coef * vals_a[c] * vals_b[r] * x
-                        s = out.get(t)
-                        out[t] = y if s is None else s + y
-            continue
-        for out, items in targets:
-            for c, x in items:
-                r, y = c, coef
-                for rows, vals in chain:
-                    t = rows[r]
-                    if t < 0:
-                        break
-                    y *= vals[r]
-                    r = t
-                else:
-                    y *= x
-                    s = out.get(r)
-                    out[r] = y if s is None else s + y
+        for c, x in v.items():
+            r, y = c, coef
+            for rows, vals in chain:
+                t = rows[r]
+                if t < 0:
+                    break
+                y *= vals[r]
+                r = t
+            else:
+                y *= x
+                s = out.get(r)
+                out[r] = y if s is None else s + y
+    return {r: y for r, y in out.items() if y}
 
 
 # basis columns that OperatorMatrices.columns applies an operator to at once
@@ -574,8 +565,10 @@ class OperatorMatrices:
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
     runs op on coordinate vectors of P_k without forming op's matrix, and
     ``columns(op, k)`` streams op's columns without keeping them.  A tree runs
-    as its words (see the comment above); a top-level Compose runs one factor
-    at a time, so a product of k factors is never multiplied out.
+    as its words (see the comment above) where it flattens, and by its
+    structure where it does not: a Compose one factor at a time (always at
+    the top, so a product of k factors is never multiplied out) and an Add
+    part by part.
 
     ``operator_matrices`` keeps one object per space for the life of the
     process, and the object keeps the basis index maps, the leaf arrays, the
@@ -592,7 +585,7 @@ class OperatorMatrices:
         self._index: dict[int, dict[SuperMonomial, int]] = {}
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
-        self._words: dict[tuple[int, int, int], tuple] = {}  # (i, j, k) -> compiled L_ij
+        self._words: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> words of L_ij
         self.mul_r2 = MultiplyBy(r2(m, n))  # lives as long as the matrices kept of it
 
     def index(self, k: int) -> dict[SuperMonomial, int]:
@@ -628,16 +621,29 @@ class OperatorMatrices:
             yield from enumerate(self.apply(op, units, k), lo)
 
     def _apply(self, op, vecs, k):
-        """(op applied to vecs, target degree): a kept matrix, one factor of a
-        top-level Compose at a time, or the words of op."""
+        """(op applied to vecs, target degree, None for a zero operator): by a
+        kept matrix, by the words of op, or by its structure when op does not
+        flatten or is a sum with a kept part."""
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[1], vecs), root[2]
         if isinstance(op, Compose):
             for part in reversed(op.parts):
                 vecs, k = self._apply(part, vecs, k)
+                if k is None:  # a zero factor
+                    break
             return vecs, k
-        return self._eval_words(self._compile(op, k), vecs, k)
+        parts = op.parts if isinstance(op, Add) else (op,)
+        if not any((id(p), k) in self._roots for p in parts):
+            compiled = self._compile(op, k)
+            if compiled is not None:
+                return self._eval_words(compiled, vecs, k)
+        images = [self._apply(p, vecs, k) for p in parts]
+        degrees = {d for _, d in images if d is not None}
+        if len(degrees) > 1:
+            raise ValueError("a sum of operators of different degrees has no matrix")
+        return [_lincomb(*((1, cols[c]) for cols, _ in images))
+                for c in range(len(images[0][0]))], degrees.pop() if degrees else None
 
     @staticmethod
     def _product(mat: tuple, cols: list[Vec] | None) -> list[Vec]:
@@ -647,20 +653,14 @@ class OperatorMatrices:
             return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
         return [_matvec(mat, v) for v in cols]
 
-    def _compile(self, op: LinearOperator, k: int) -> tuple:
-        """op on P_k as (factor, target degree, words, kept matrices).
-
-        A word is (int coefficient, leaf arrays in the order they act); op is
-        factor * (sum of the words) + (sum of the kept matrices), where a kept
-        matrix is that of a part of op that ``matrix`` has seen at degree k.
-        """
-        parts = op.parts if isinstance(op, Add) else (op,)
-        kept = [root for p in parts if (root := self._roots.get((id(p), k))) is not None]
-        rest = Add(tuple(p for p in parts if (id(p), k) not in self._roots)) if kept else op
-        words, shift = _flatten(rest)
-        degrees = {root[2] for root in kept} | ({k + shift} if words else set())
-        if len(degrees) > 1:
-            raise ValueError("a sum of operators of different degrees has no matrix")
+    def _compile(self, op: LinearOperator, k: int) -> tuple | None:
+        """op on P_k as (factor, target degree or None, words), op being factor
+        times the sum of the words, a word (int coefficient, leaf arrays in the
+        order they act); None when op does not flatten."""
+        flat = _flatten(op)
+        if flat is None:
+            return None
+        words, shift = flat
         denom = math.lcm(*(c.denominator for c in words.values()))
         compiled = []
         for chain, c in words.items():
@@ -670,21 +670,17 @@ class OperatorMatrices:
                 d += -1 if fermionic is not None else what.degree()
             compiled.append((int(c * denom), tuple(arrays)))
         factor = Fraction(1, denom) if denom > 1 else 1
-        return factor, degrees.pop() if degrees else k, compiled, tuple(r[1] for r in kept)
+        return factor, None if shift is None else k + shift, compiled
 
     def _eval_words(self, compiled: tuple, vecs: list[Vec] | None, k: int):
         """(the compiled operator applied to vecs, target degree)."""
-        factor, k_out, words, kept = compiled
-        outs: list[Vec] = [{} for _ in range(self._dim(k) if vecs is None else len(vecs))]
-        _add_images(words, [(w, ((c, 1),)) for c, w in enumerate(outs)] if vecs is None else
-                    [(w, v.items()) for v, w in zip(vecs, outs)])
+        factor, k_out, words = compiled
+        if vecs is None:
+            vecs = [{c: 1} for c in range(self._dim(k))]
+        outs = [_image(words, v) for v in vecs]
         if factor != 1:
             outs = [{r: _int_if_whole(factor * y) for r, y in w.items()} for w in outs]
-        for mat in kept:
-            for w, v in zip(outs, self._product(mat, vecs)):
-                for r, y in v.items():
-                    w[r] = w.get(r, 0) + y
-        return [{r: y for r, y in w.items() if y} for w in outs], k_out
+        return outs, k_out
 
     def _leaf_arrays(self, what, fermionic, k: int) -> tuple[array, array]:
         """(target row or -1, value) per basis monomial of P_k of a primitive:
@@ -712,16 +708,12 @@ class OperatorMatrices:
     def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
         """L_ij v for a coordinate vector v of P_k, from the words of
         ``osp_generator(i, j)``, which are kept per degree."""
-        compiled = self._words.get((i, j, k))
-        if compiled is None:
-            op = osp_generator(i, j, self.m, self.n)
-            compiled = self._words[(i, j, k)] = self._compile(op, k)
-        factor, _, words, kept = compiled
-        if factor != 1 or kept:
-            return self._eval_words(compiled, [v], k)[0][0]
-        out: Vec = {}  # the usual case: int coefficients and no kept matrix
-        _add_images(words, [(out, v.items())])
-        return {r: y for r, y in out.items() if y}
+        words = self._words.get((i, j, k))
+        if words is None:
+            factor, _, words = self._compile(osp_generator(i, j, self.m, self.n), k)
+            assert factor == 1  # the coefficients are entries of inv(g), integers
+            self._words[(i, j, k)] = words
+        return _image(words, v)
 
 
 @lru_cache(maxsize=None)

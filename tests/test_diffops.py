@@ -17,6 +17,7 @@ from superh.diffops import (
     MultiplyBy,
     OperatorMatrices,
     Scale,
+    ZERO_OP,
     check_sl2,
     euler,
     euler_b,
@@ -393,15 +394,52 @@ def test_generator_words_are_the_flattened_trees():
         mats = OperatorMatrices(m, n)
         for (i, j) in pairs:
             mats.generator_image(i, j, {0: 1}, 2)
-        assert sum(len(compiled[2]) for compiled in mats._words.values()) == count
+        assert sum(map(len, mats._words.values())) == count
 
 
 def test_the_two_laplace_beltrami_forms_keep_distinct_words():
-    form_a, form_b = laplace_beltrami(4, 2)
+    # in (2|0) no product of either form has more words than its factors
+    form_a, form_b = laplace_beltrami(2, 0)
     words_a, words_b = diffops._flatten(form_a)[0], diffops._flatten(form_b)[0]
-    assert (len(words_a), len(words_b)) == (108, 116)
-    assert set(words_a) != set(words_b)
-    assert max(map(len, words_a)) == max(map(len, words_b)) == 4
+    assert (len(words_a), len(words_b)) == (8, 4)
+    assert not set(words_a) & set(words_b)
+    # in (4|4) R^2 nabla^2 and E(M-2+E) would multiply out to 36 words each,
+    # so form A runs by its structure; form B is a sum of products of two
+    # generators, two words each
+    form_a, form_b = laplace_beltrami(4, 2)
+    assert diffops._flatten(form_a) is None
+    assert all(diffops._flatten(f) for part in form_a.parts for f in part.parts)
+    words_b = diffops._flatten(form_b)[0]
+    assert len(words_b) == 116 and max(map(len, words_b)) == 4
+
+
+def test_a_product_of_long_sums_is_not_multiplied_out():
+    """Form A at m = 70 would be 2 m^2 words of three and four leaves; form B,
+    m^2 products of two generators, stays within four words a product."""
+    m, k = 70, 2
+    form_a = laplace_beltrami_bosonic(m)
+    assert diffops._flatten(form_a) is None
+    form_b = laplace_beltrami(m, 0)[1]
+    assert len(diffops._flatten(form_b)[0]) <= 4 * len(form_b.parts) == 4 * m * m
+    mats = OperatorMatrices(m, 0)
+    start = time.perf_counter()
+    cols = mats.matrix(form_a, k)
+    assert time.perf_counter() - start < 1.5
+    # on P_2 of (m|0) form A acts by -2m on the harmonics and by 0 on R^2
+    (c,) = poly_to_vec(SP.x(1) * SP.x(2), m, 0, k)
+    assert cols[c] == {c: -2 * m}
+    assert mats.apply(form_a, [poly_to_vec(r2(m, 0), m, 0, k)], k) == [{}]
+
+
+def test_a_sum_run_part_by_part_ignores_its_zero_parts():
+    m, n, k = 2, 1, 2
+    r2e = Compose((MultiplyBy(r2(m, n)), euler(m, n)))  # 3 x 4 words: run by structure
+    for op in (Add((r2e, ZERO_OP)), Add((Compose((nabla2(m, n), ZERO_OP)), r2e))):
+        assert diffops._flatten(op) is None
+        mats = OperatorMatrices(m, n)
+        for col, mono in zip(mats.matrix(op, k), monomial_basis(m, n, k)):
+            assert col == _tree_column(op, mono, m, n, k + 2)
+        assert mats._roots[(id(op), k)][2] == k + 2
 
 
 class _Unknown(LinearOperator):
@@ -414,6 +452,8 @@ class _Unknown(LinearOperator):
     (MultiplyBy(SP.x(1) + SP.one()), ValueError),
     (_Unknown(), TypeError),
     (Add((euler(2, 1), _Unknown())), TypeError),
+    # R^2 E does not flatten (3 x 4 words), so this sum runs part by part
+    (Add((Compose((MultiplyBy(r2(2, 1)), euler(2, 1))), IDENTITY)), ValueError),
 ])
 def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
     mats = OperatorMatrices(2, 1)
@@ -424,14 +464,20 @@ def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
     assert not mats._roots and not mats._words
 
 
-def test_a_generator_part_kept_by_matrix_is_read_by_matvec():
+def test_a_kept_part_of_a_sum_is_read_by_matvec(monkeypatch):
     m, n, k = 2, 1, 3
     mats = OperatorMatrices(m, n)
     L = osp_generator(1, 3, m, n)
     mats.matrix(L.parts[0], k)  # a part of L_13 now has a kept matrix at degree k
-    for c, mono in enumerate(monomial_basis(m, n, k)):
-        assert mats.generator_image(1, 3, {c: 1}, k) == _tree_column(L, mono, m, n, k)
-    assert mats._words[(1, 3, k)][3]  # the compiled words carry the kept part
+    matvecs = []
+    matvec = diffops._matvec
+    monkeypatch.setattr(diffops, "_matvec", lambda mat, v: matvecs.append(v) or matvec(mat, v))
+    basis = monomial_basis(m, n, k)
+    units = [{c: 1} for c in range(len(basis))]
+    for unit, col, mono in zip(units, mats.apply(L, units, k), basis):
+        assert col == _tree_column(L, mono, m, n, k)
+        assert mats.generator_image(1, 3, unit, k) == col
+    assert len(matvecs) == len(basis)  # once per vector, by apply; the words read no matrix
 
 
 def test_apply_on_vectors_matches_the_projector_tree():
