@@ -298,9 +298,12 @@ def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
         raise ValueError("sphere_moment requires m >= 1")
     if any(a % 2 for a in alpha):
         return ScaledRational.zero()
-    num = ScaledRational(Fraction(2), 0)
+    # Gamma(1/2) = pi^(1/2) for each zero exponent, so a term costs only its
+    # nonzero exponents
+    num = ScaledRational(Fraction(2), alpha.count(0))
     for a in alpha:
-        num = num * gamma_half(Fraction(a + 1, 2))
+        if a:
+            num = num * gamma_half(Fraction(a + 1, 2))
     return num / gamma_half(Fraction(sum(alpha) + m, 2))
 
 

@@ -5,11 +5,13 @@ reduced row echelon form with unit pivots, which is a canonical representative:
 two subspaces are equal iff their echelon matrices are equal.
 
 Full-rank facts are (optionally) certified through a single large prime:
-a matrix of full rank mod p has full rank over Q, so the modular check is an
-exact proof whenever it reaches the expected rank.  Rank-deficient outcomes are
-never trusted from the modular pass alone, and vectors with an entry whose
-denominator p divides are refused by it; in both cases callers fall back to
-exact elimination or to an explicit dependency witness.
+each vector is reduced to a sparse row {column index: residue mod p} of Python
+ints and eliminated mod p, and vectors of full rank mod p have full rank over
+Q, so the modular check is an exact proof whenever it reaches the expected
+rank.  Rank-deficient outcomes are never trusted from the modular pass alone,
+and vectors with an entry whose denominator p divides are refused by it; in
+both cases callers fall back to exact elimination or to an explicit dependency
+witness.
 """
 
 from __future__ import annotations
@@ -17,12 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 Vec = dict[int, Fraction]
 
-# Prime for modular certificates; rref_modp multiplies two residues at a time
-# in int64, so p^2 < 2^63 is all that must hold, at any basis width.
+# Prime for modular certificates.  Residues are exact Python ints; a large p
+# makes a rank that drops mod p (and so needs the exact fallback) unlikely.
 PRIME = 99_999_989
 
 _ONE = Fraction(1)
@@ -223,56 +223,36 @@ def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
 # -- modular certificates ------------------------------------------------------
 
 
-def matrix_modp(vectors: Sequence[Vec], width: int) -> np.ndarray:
-    """The vectors reduced mod PRIME as matrix rows.
-
-    Raises ValueError when PRIME divides a denominator: that entry has no image
-    mod PRIME, and mapping it to anything would make the certificate unsound.
-    """
-    mat = np.zeros((len(vectors), width), dtype=np.int64)
-    for r, v in enumerate(vectors):
-        for i, x in v.items():
-            mat[r, i] = x.numerator * pow(x.denominator, -1, PRIME) % PRIME
-    return mat
-
-
-def rref_modp(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod PRIME; returns (nonzero rows, pivot columns)."""
-    p = PRIME
-    a = np.array(a, dtype=np.int64) % p
-    rows, cols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            a[nzr] = (a[nzr] - np.outer(col[nzr], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
 def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
-    """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME."""
-    if not vectors:
-        return 0
-    try:
-        mat = matrix_modp(vectors, width)
-    except ValueError:
-        return None
-    _, pivots = rref_modp(mat)
+    """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME.
+
+    Each vector becomes a dict of its nonzero residues.  While its lowest
+    column holds a kept row, that row's multiple is subtracted, which clears
+    the column and touches only higher ones; a row left nonzero is kept,
+    monic, under its lowest column.
+    """
+    p = PRIME
+    pivots: dict[int, dict[int, int]] = {}  # lowest column -> monic row
+    for v in vectors:
+        try:
+            row = {i: r for i, x in v.items()
+                   if (r := x.numerator * pow(x.denominator, -1, p) % p)}
+        except ValueError:  # PRIME divides a denominator: no image mod PRIME
+            return None
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {i: y * inv % p for i, y in row.items()}
+                break
+            f = row[c]
+            for i, y in prow.items():
+                s = (row.get(i, 0) - f * y) % p
+                if s:
+                    row[i] = s
+                else:
+                    del row[i]
     return len(pivots)
 
 

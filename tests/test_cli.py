@@ -325,3 +325,17 @@ def test_closed_stdout_ends_quietly_with_the_verdict():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_PASS
     assert err == b""
+
+
+def test_importing_the_cli_leaves_numpy_out():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import superh
+    env = {"PYTHONPATH": str(Path(superh.__file__).resolve().parents[1]), "PATH": ""}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import superh.cli, sys; print('numpy' in sys.modules)"],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"

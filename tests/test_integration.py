@@ -69,6 +69,16 @@ def test_sphere_moment_examples():
     assert sphere_moment((2, 0), 2) == ScaledRational.of(1, 2)      # pi
 
 
+def test_phi_route_costs_only_the_nonzero_exponents():
+    # each term holds one nonzero exponent and m - 1 zero ones
+    m = 200
+    f = parse("+".join(f"x{i}^64" for i in range(1, m + 1)))
+    start = time.perf_counter()
+    value = supersphere_integral_phi(f, m, 0)
+    assert time.perf_counter() - start < 0.2
+    assert value == pizzetti(f, m, 0)
+
+
 def test_scaled_rational_arithmetic():
     a = ScaledRational.of(Fraction(1, 2), 2)
     b = ScaledRational.of(3, 2)

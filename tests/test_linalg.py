@@ -48,6 +48,15 @@ def random_vectors(rng, count, width, density=0.5):
     return out
 
 
+def combination(coeffs, vectors, width):
+    out = {}
+    for c in range(width):
+        x = sum(a * v.get(c, 0) for a, v in zip(coeffs, vectors))
+        if x:
+            out[c] = x
+    return out
+
+
 def test_rank_against_dense_oracle():
     rng = random.Random(7)
     for trial in range(25):
@@ -72,6 +81,37 @@ def test_modp_certificate_refuses_denominators_divisible_by_p():
     assert rank_of_vectors(vecs, 2) == 1
     assert certified_full_rank(vecs, 2) is False
     assert rank_modp(vecs, 2) is None
+
+
+def test_a_deficient_modp_rank_is_never_trusted():
+    # independent over Q, but the rows agree mod PRIME
+    for one in (1, Fraction(1)):  # operator columns carry plain ints
+        vecs = [{0: one, 1: one}, {0: one, 1: one + PRIME}]
+        assert rank_modp(vecs, 2) == 1
+        assert rank_of_vectors(vecs, 2) == 2
+        assert certified_full_rank(vecs, 2) is True
+        # a lowest entry that vanishes mod PRIME
+        vecs = [{0: one * PRIME, 1: one}, {0: one}]
+        assert rank_modp(vecs, 2) == 2
+        assert rank_modp(vecs[:1] * 2, 2) == 1
+        assert certified_full_rank(vecs[:1] * 2, 2) is False
+        assert rank_modp([{0: one * PRIME}], 2) == 0
+        assert certified_full_rank([{0: one * PRIME}], 2) is True
+
+
+def test_modp_rank_equals_the_exact_rank_on_wide_sparse_rows():
+    rng = random.Random(19)
+    for trial in range(20):
+        width = rng.randint(30, 50)
+        vecs = random_vectors(rng, rng.randint(1, width + 5), width, density=0.08)
+        if trial % 2:  # low rank: every row a combination of the first few
+            basis = vecs[:rng.randint(1, 6)]
+            vecs = [combination([rng.randint(-3, 3) for _ in basis], basis, width)
+                    for _ in vecs]
+        exact = rank_of_vectors(vecs, width)
+        assert rank_modp(vecs, width) == exact, trial
+        assert rank_modp([{c: int(x) for c, x in v.items()} for v in vecs], width) == exact
+        assert certified_full_rank(vecs, width) == (exact == len(vecs))
 
 
 def test_echelon_is_reduced():
