@@ -24,6 +24,9 @@ evaluated in one of two ways:
   words would outnumber its factors' runs one factor at a time.  The bulk
   checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
   ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``.
+  The words of a tree do not depend on the degree, so the trees the owner
+  keeps (those passed to ``matrix``, the generators and ``mul_r2``) are
+  flattened once per space; a tree built per call keeps nothing.
 """
 
 from __future__ import annotations
@@ -417,9 +420,12 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # two int arrays (target row or -1, and value), and a word reads each column
 # through its leaves' arrays.  The coefficients of one sum are brought to
 # integers over a common denominator, which is multiplied in once at the end:
-# entries stay Python ints unless a Scale by a true fraction occurs.  Vectors
-# in flight are dicts; a matrix that is kept for reuse is packed in compressed
-# sparse column form.  `vecs is None` stands for the basis of P_k.
+# entries stay Python ints unless a Scale by a true fraction occurs.  Only the
+# leaf arrays depend on k, so the words of a tree the owner keeps are flattened
+# once per space and bound to each degree's arrays; a tree built per call is
+# flattened per call.  Vectors in flight are dicts; a matrix that is kept for
+# reuse is packed in compressed sparse column form.  `vecs is None` stands for
+# the basis of P_k.
 
 
 def _int_if_whole(c):
@@ -574,10 +580,13 @@ class OperatorMatrices:
     process, and the object keeps the basis index maps, the leaf arrays, the
     compiled words of the generators L_ij per degree, and the packed matrix of
     every tree passed to ``matrix`` (a later sum that has such a tree as a
-    part reads it by mat-vec).  A kept matrix holds its tree, so a tree passed
-    to ``matrix`` lives as long as the object: pass only cached trees (or
-    ``mul_r2``), and send a tree built per call through ``apply`` or
-    ``columns``, which compile it per call and keep none of its words.
+    part reads it by mat-vec).  It flattens the trees it keeps once, not once
+    per degree: a tree passed to ``matrix`` with the parts it runs by
+    structure (kept only once the tree has a matrix), ``osp_generator(i, j)``
+    and ``mul_r2``.  A kept matrix or flattened tree holds its tree, so a tree
+    passed to ``matrix`` lives as long as the object: pass only cached trees
+    (or ``mul_r2``), and send a tree built per call through ``apply`` or
+    ``columns``, which flatten and compile it per call and keep nothing.
     """
 
     def __init__(self, m: int, n: int):
@@ -586,6 +595,7 @@ class OperatorMatrices:
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
         self._words: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> words of L_ij
+        self._flat: dict[int, tuple] = {}  # id(op) -> (op, _flatten(op)) of the kept trees
         self.mul_r2 = MultiplyBy(r2(m, n))  # lives as long as the matrices kept of it
 
     def index(self, k: int) -> dict[SuperMonomial, int]:
@@ -602,12 +612,15 @@ class OperatorMatrices:
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[1], None)
-        cols, k_out = self._apply(op, None, k)
+        flats: dict[int, tuple] = {}
+        cols, k_out = self._apply(op, None, k, flats)
+        self._flat.update(flats)  # only once op has a matrix
         self._roots[(id(op), k)] = (op, _pack(cols), k_out)
         return cols
 
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
-        return self._apply(op, list(vecs), k)[0]
+        kept = self._flat if op is self.mul_r2 else None
+        return self._apply(op, list(vecs), k, kept)[0]
 
     def columns(self, op: LinearOperator, k: int):
         """(c, column c of op on P_k) for every basis monomial of P_k.
@@ -620,25 +633,26 @@ class OperatorMatrices:
             units = [{c: 1} for c in range(lo, min(lo + COLUMN_CHUNK, dim))]
             yield from enumerate(self.apply(op, units, k), lo)
 
-    def _apply(self, op, vecs, k):
+    def _apply(self, op, vecs, k, kept=None):
         """(op applied to vecs, target degree, None for a zero operator): by a
         kept matrix, by the words of op, or by its structure when op does not
-        flatten or is a sum with a kept part."""
+        flatten or is a sum with a kept part.  The words of op and of the
+        parts it runs are added to `kept` unless it is None."""
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[1], vecs), root[2]
         if isinstance(op, Compose):
             for part in reversed(op.parts):
-                vecs, k = self._apply(part, vecs, k)
+                vecs, k = self._apply(part, vecs, k, kept)
                 if k is None:  # a zero factor
                     break
             return vecs, k
         parts = op.parts if isinstance(op, Add) else (op,)
         if not any((id(p), k) in self._roots for p in parts):
-            compiled = self._compile(op, k)
+            compiled = self._compile(op, k, kept)
             if compiled is not None:
                 return self._eval_words(compiled, vecs, k)
-        images = [self._apply(p, vecs, k) for p in parts]
+        images = [self._apply(p, vecs, k, kept) for p in parts]
         degrees = {d for _, d in images if d is not None}
         if len(degrees) > 1:
             raise ValueError("a sum of operators of different degrees has no matrix")
@@ -653,11 +667,18 @@ class OperatorMatrices:
             return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
         return [_matvec(mat, v) for v in cols]
 
-    def _compile(self, op: LinearOperator, k: int) -> tuple | None:
+    def _compile(self, op: LinearOperator, k: int, kept: dict | None = None) -> tuple | None:
         """op on P_k as (factor, target degree or None, words), op being factor
         times the sum of the words, a word (int coefficient, leaf arrays in the
-        order they act); None when op does not flatten."""
-        flat = _flatten(op)
+        order they act); None when op does not flatten.  The words of a kept
+        tree are read from the owner; a new flatten is added to `kept` unless
+        it is None."""
+        entry = self._flat.get(id(op))
+        if entry is None:
+            entry = op, _flatten(op)  # holds op, so no other tree gets its id
+            if kept is not None:
+                kept[id(op)] = entry
+        flat = entry[1]
         if flat is None:
             return None
         words, shift = flat
@@ -707,10 +728,10 @@ class OperatorMatrices:
 
     def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
         """L_ij v for a coordinate vector v of P_k, from the words of
-        ``osp_generator(i, j)``, which are kept per degree."""
+        ``osp_generator(i, j)``, flattened once and bound per degree."""
         words = self._words.get((i, j, k))
         if words is None:
-            factor, _, words = self._compile(osp_generator(i, j, self.m, self.n), k)
+            factor, _, words = self._compile(osp_generator(i, j, self.m, self.n), k, self._flat)
             assert factor == 1  # the coefficients are entries of inv(g), integers
             self._words[(i, j, k)] = words
         return _image(words, v)

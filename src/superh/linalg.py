@@ -229,7 +229,9 @@ def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
     Each vector becomes a dict of its nonzero residues.  While its lowest
     column holds a kept row, that row's multiple is subtracted, which clears
     the column and touches only higher ones; a row left nonzero is kept,
-    monic, under its lowest column.
+    monic, under its lowest column.  So the lowest column rises at every
+    step, and a vector that takes more steps than there are kept rows plus
+    one raises RuntimeError instead of looping.
     """
     p = PRIME
     pivots: dict[int, dict[int, int]] = {}  # lowest column -> monic row
@@ -239,7 +241,9 @@ def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
                    if (r := x.numerator * pow(x.denominator, -1, p) % p)}
         except ValueError:  # PRIME divides a denominator: no image mod PRIME
             return None
-        while row:
+        for _ in range(len(pivots) + 1):
+            if not row:
+                break
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
@@ -253,6 +257,8 @@ def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
                     row[i] = s
                 else:
                     del row[i]
+        else:
+            raise RuntimeError("rank_modp: the lowest column did not rise at every step")
     return len(pivots)
 
 

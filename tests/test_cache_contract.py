@@ -4,10 +4,10 @@
 cached functions, looked up by name in the module that defines them.  These
 tests keep that contract inside the tier-1 suite.  The other tests pin the
 per-space owner of the operator matrices, `diffops.operator_matrices(m, n)`:
-one object per (m|2n), whose leaf arrays, generator words and kept matrices
-do not grow when a check runs again or when a tree built per call is
-applied, and a fixed list of the package's caches, so that a new one is
-added on purpose.
+one object per (m|2n), whose leaf arrays, generator words, kept matrices and
+flattened kept trees do not grow when a check runs again or when a tree
+built per call is applied, and a fixed list of the package's caches, so
+that a new one is added on purpose.
 """
 
 import importlib
@@ -85,7 +85,8 @@ def constructed(monkeypatch):
 
 
 def _sizes(mats):
-    return (len(mats._index), len(mats._leaves), len(mats._words), len(mats._roots))
+    return (len(mats._index), len(mats._leaves), len(mats._words), len(mats._roots),
+            len(mats._flat))
 
 
 def test_a_second_run_adds_nothing_to_the_owners(constructed):
@@ -145,10 +146,10 @@ def test_band_modules_share_their_generator_words(monkeypatch):
     compile_words = OperatorMatrices._compile
     generators = {id(osp_generator(i, j, 2, 2)) for (i, j) in generator_pairs(2, 2)}
 
-    def spy(self, op, k):
+    def spy(self, op, k, kept=None):
         if id(op) in generators:
             built.append((self.m, self.n, id(op), k))
-        return compile_words(self, op, k)
+        return compile_words(self, op, k, kept)
 
     monkeypatch.setattr(OperatorMatrices, "_compile", spy)
     operator_matrices.cache_clear()

@@ -461,7 +461,47 @@ def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
         mats.matrix(op, 2)
     with pytest.raises(error):
         mats.apply(op, [{0: 1}], 2)
-    assert not mats._roots and not mats._words
+    assert not mats._roots and not mats._words and not mats._flat
+
+
+def _top_level_flattens(monkeypatch, trees):
+    """Calls of diffops._flatten on each of the trees, counted by position."""
+    counts = [0] * len(trees)
+    flatten = diffops._flatten
+
+    def spy(op):
+        for pos, tree in enumerate(trees):
+            counts[pos] += op is tree
+        return flatten(op)
+
+    monkeypatch.setattr(diffops, "_flatten", spy)
+    return counts
+
+
+def test_matrix_trees_and_mul_r2_are_flattened_once_per_space(monkeypatch):
+    m, n = 4, 2
+    form_a, form_b = laplace_beltrami(m, n)
+    mats = OperatorMatrices(m, n)
+    counts = _top_level_flattens(monkeypatch, [form_a, form_b, mats.mul_r2])
+    for k in range(5):
+        assert mats.matrix(form_a, k) == mats.matrix(form_b, k)
+        list(mats.columns(mats.mul_r2, k))  # never passed to matrix here
+    assert counts == [1, 1, 1]  # form A does not flatten, and that is kept too
+    assert mats._flat[id(form_b)][0] is form_b
+
+
+def test_generator_words_are_flattened_once_per_space(monkeypatch):
+    m, n = 2, 1
+    pairs = generator_pairs(m, n)
+    trees = [osp_generator(i, j, m, n) for (i, j) in pairs]
+    counts = _top_level_flattens(monkeypatch, trees)
+    mats = OperatorMatrices(m, n)
+    for k in range(5):
+        for (i, j), tree in zip(pairs, trees):
+            for c, mono in enumerate(monomial_basis(m, n, k)):
+                got = mats.generator_image(i, j, {c: 1}, k)
+                assert got == _tree_column(tree, mono, m, n, k)
+    assert counts == [1] * len(trees)
 
 
 def test_a_kept_part_of_a_sum_is_read_by_matvec(monkeypatch):
