@@ -8,10 +8,10 @@ Full-rank facts are (optionally) certified through a single large prime:
 each vector is reduced to a sparse row {column index: residue mod p} of Python
 ints and eliminated mod p, and vectors of full rank mod p have full rank over
 Q, so the modular check is an exact proof whenever it reaches the expected
-rank.  Rank-deficient outcomes are never trusted from the modular pass alone,
-and vectors with an entry whose denominator p divides are refused by it; in
-both cases callers fall back to exact elimination or to an explicit dependency
-witness.
+rank, and a coordinate whose residue is nonzero mod p is nonzero over Q.
+Deficient ranks and zero residues are never trusted, and entries whose
+denominator p divides are refused; callers then fall back to exact
+elimination, exhaustive closures or an explicit dependency witness.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ class Echelon:
         """Residual of v after elimination against the stored pivots.
 
         Stored rows are inter-reduced (no row meets another row's pivot
-        column), so one pass over the pivot entries of v is complete.
+        column), so one pass over the pivot entries of v is complete.  Zero
+        entries of v are dropped, so no pivot is 0.
         """
-        v = dict(v)
+        v = {c: x for c, x in v.items() if x}
         if not self.rows:
             return v
         for c in [c for c in v if c in self.rows]:
@@ -157,7 +158,7 @@ class Subspace:
         """Zassenhaus intersection: echelonize [A|A; B|0] over width 2w.
 
         Rows whose pivot falls in the right block have zero left block, and
-        their right halves form a basis of the intersection.
+        their right halves are already the intersection's canonical basis.
         """
         if self.width != other.width:
             raise ValueError("ambient widths differ")
@@ -169,11 +170,8 @@ class Subspace:
             ech.add(doubled)
         for r in other.rows:
             ech.add(dict(r))
-        inter = Echelon(w)
-        for p, row in ech.sorted_rows():
-            if p >= w:
-                inter.add({i - w: x for i, x in row.items()})
-        return Subspace(w, inter.sorted_rows())
+        return Subspace(w, [(p - w, {i - w: x for i, x in row.items()})
+                            for p, row in ech.sorted_rows() if p >= w])
 
     def complement_columns(self) -> list[int]:
         """Column indices without a pivot (canonical quotient representatives)."""
@@ -193,24 +191,30 @@ class Subspace:
         return f"Subspace(width={self.width}, dim={self.dim})"
 
 
+def _check_columns(v: Vec, width: int) -> None:
+    if v and (min(v) < 0 or max(v) >= width):
+        raise ValueError(f"a column lies outside range({width})")
+
+
 def kernel_of_equations(rows: Iterable[Vec], width: int) -> Subspace:
-    """Canonical basis of {v : row . v = 0 for every equation row}."""
+    """Canonical basis of {v : row . v = 0 for every equation row}.
+
+    One elimination on reversed columns puts each row r_p's pivot p at its
+    highest column, so for each free column f, e_f - sum_p r_p[f] e_p has its
+    lowest entry 1 at f (f < p wherever r_p[f] != 0) and no other free column:
+    these vectors are already the canonical reduced echelon basis.
+    """
+    top = width - 1
     ech = Echelon(width)
     for r in rows:
-        ech.add(r)
-    pivot_rows = ech.sorted_rows()
-    pivot_set = {p for p, _ in pivot_rows}
-    kernel = Echelon(width)
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v: Vec = {free: Fraction(1)}
-        for p, row in pivot_rows:
-            coeff = row.get(free)
-            if coeff:
-                v[p] = -coeff
-        kernel.add(v)
-    return Subspace(width, kernel.sorted_rows())
+        _check_columns(r, width)
+        ech.add({top - c: x for c, x in r.items()})
+    kernel = {f: {f: _ONE} for f in range(width) if top - f not in ech.rows}
+    for p, row in ech.rows.items():
+        for c, x in row.items():
+            if c != p:
+                kernel[top - c][top - p] = -x
+    return Subspace(width, sorted(kernel.items()))
 
 
 def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
@@ -223,42 +227,53 @@ def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
 # -- modular certificates ------------------------------------------------------
 
 
-def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
-    """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME.
+ModpRows = dict[int, dict[int, int]]  # lowest column -> monic row of residues
 
-    Each vector becomes a dict of its nonzero residues.  While its lowest
-    column holds a kept row, that row's multiple is subtracted, which clears
-    the column and touches only higher ones; a row left nonzero is kept,
-    monic, under its lowest column.  So the lowest column rises at every
-    step, and a vector that takes more steps than there are kept rows plus
-    one raises RuntimeError instead of looping.
+
+def _residues(v: Vec) -> dict[int, int] | None:
+    """The nonzero residues of v mod PRIME; None when PRIME divides a denominator."""
+    try:
+        return {i: r for i, x in v.items()
+                if (r := x.numerator * pow(x.denominator, -1, PRIME) % PRIME)}
+    except ValueError:
+        return None
+
+
+def _eliminate_modp(row: dict[int, int], pivots: ModpRows) -> dict[int, int]:
+    """Subtract kept rows from row, in place, while its lowest column holds one.
+
+    Each step clears the lowest column and touches only higher ones, so more
+    steps than kept rows plus one raise RuntimeError instead of looping.
     """
-    p = PRIME
-    pivots: dict[int, dict[int, int]] = {}  # lowest column -> monic row
+    for _ in range(len(pivots) + 1):
+        if not row or (c := min(row)) not in pivots:
+            return row
+        f = row[c]
+        for i, y in pivots[c].items():
+            s = (row.get(i, 0) - f * y) % PRIME
+            if s:
+                row[i] = s
+            else:
+                del row[i]
+    raise RuntimeError("_eliminate_modp: the lowest column did not rise at every step")
+
+
+def _keep_modp(row: dict[int, int], pivots: ModpRows) -> int:
+    """Store a nonzero reduced row, monic, under its lowest column, and return it."""
+    c = min(row)
+    inv = pow(row[c], -1, PRIME)
+    pivots[c] = {i: y * inv % PRIME for i, y in row.items()}
+    return c
+
+
+def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
+    """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME."""
+    pivots: ModpRows = {}
     for v in vectors:
-        try:
-            row = {i: r for i, x in v.items()
-                   if (r := x.numerator * pow(x.denominator, -1, p) % p)}
-        except ValueError:  # PRIME divides a denominator: no image mod PRIME
+        if (row := _residues(v)) is None:
             return None
-        for _ in range(len(pivots) + 1):
-            if not row:
-                break
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                inv = pow(row[c], -1, p)
-                pivots[c] = {i: y * inv % p for i, y in row.items()}
-                break
-            f = row[c]
-            for i, y in prow.items():
-                s = (row.get(i, 0) - f * y) % p
-                if s:
-                    row[i] = s
-                else:
-                    del row[i]
-        else:
-            raise RuntimeError("rank_modp: the lowest column did not rise at every step")
+        if _eliminate_modp(row, pivots):
+            _keep_modp(row, pivots)
     return len(pivots)
 
 
@@ -268,6 +283,8 @@ def certified_full_rank(vectors: Sequence[Vec], width: int) -> bool:
     The modular pass is a sound certificate when it reaches len(vectors);
     otherwise, or when it refuses the vectors, the exact elimination decides.
     """
+    for v in vectors:
+        _check_columns(v, width)
     n = len(vectors)
     if n == 0:
         return True

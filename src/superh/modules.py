@@ -15,10 +15,10 @@ exact closure; irreducibility of H_k-type modules over Q
 reduces, for m >= 2, to reachability between the joint eigenspace pieces,
 because every invariant subspace is a sum of pieces (the pieces are pairwise
 non-isomorphic irreducible modules for the degree-preserving block of the
-algebra).  Reachability edges are certified exactly by applying a generator to
-a piece vector and reading a nonzero coordinate of the image in the basis of
-piece vectors, through one exact inverse per module; the certificate runs at
-every dimension, and exhaustive closures decide whatever it leaves open.
+algebra).  Reachability edges are certified by applying a generator to a
+piece vector and reading a coordinate of the image in the basis of piece
+vectors that is nonzero mod a prime, through one mod-p elimination per module;
+exhaustive closures decide whatever the certificate leaves open.
 
 The degenerate band: for even M = m - 2n <= 0 and 2 - M/2 <= k <= 2 - M, H_k
 contains the invariant subspace R^(2k+M-2) H_{2-M-k}; the quotient HkModSub is
@@ -37,9 +37,13 @@ from typing import Literal, Sequence
 from .superalgebra import SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
     Echelon,
+    ModpRows,
     Subspace,
     Vec,
+    _eliminate_modp,
     _iadd_scaled,
+    _keep_modp,
+    _residues,
     certified_full_rank,
 )
 from .diffops import (
@@ -304,48 +308,46 @@ def _closure_reaches_all(rep: RepSpace, seeds: Sequence[Vec]) -> bool:
 # -- irreducibility -----------------------------------------------------------------
 
 
-def _piece_inverse(groups: PieceGroups, dim: int) -> tuple[list[Vec], list[int]] | None:
-    """Rows of A^-1 and the group of each row of A, where the rows of A are the
-    group vectors; None unless they are a basis.  One exact elimination of
-    [A | I]: every pivot must land in the left block, and the right halves of
-    the reduced rows are then the rows of A^-1.
+def _piece_inverse(groups: PieceGroups, dim: int) -> tuple[ModpRows, list[int]] | None:
+    """[A | I] forward-eliminated mod PRIME and the group of each row of A, where
+    the rows of A are the group vectors.  None when an entry has no image mod
+    PRIME or a pivot lands in the right block; otherwise A is invertible mod
+    PRIME, so the group vectors are a basis over Q.
     """
     rows = [v for _, vecs in groups for v in vecs]
     if len(rows) != dim:
         return None
-    ech = Echelon(2 * dim)
+    pivots: ModpRows = {}
     for i, v in enumerate(rows):
-        row = dict(v)
-        row[dim + i] = Fraction(1)
-        ech.add(row)
-    if any(p >= dim for p in ech.rows):
-        return None
-    inv = [{c - dim: x for c, x in ech.rows[p].items() if c >= dim} for p in range(dim)]
+        if (row := _residues(v)) is None:
+            return None
+        row[dim + i] = 1
+        if _keep_modp(_eliminate_modp(row, pivots), pivots) >= dim:
+            return None
     owner = [g for g, (_, vecs) in enumerate(groups) for _ in vecs]
-    return inv, owner
+    return pivots, owner
 
 
-def _nonzero_pieces(inv: list[Vec], owner: list[int], w: Vec) -> set[int]:
-    """Groups on which w has a nonzero piece coordinate.
+def _nonzero_pieces(inv: ModpRows, owner: list[int], w: Vec) -> set[int]:
+    """Groups on which w has a piece coordinate that is nonzero mod PRIME.
 
-    The coordinates of w in the basis of group vectors are sum_c w_c inv[c].
+    Reducing [w | 0] by the rows of inv leaves [0 | -y] with w = yA.  A zero
+    residue, or a w with no image mod PRIME, can only lose an edge.
     """
-    y: Vec = {}
-    for c, x in w.items():
-        _iadd_scaled(y, x, inv[c])
-    return {owner[i] for i in y}
+    row = _residues(w) or {}
+    return {owner[c - len(owner)] for c in _eliminate_modp(row, inv)}
 
 
 def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | None:
-    """Exact reachability certificate between the pieces of an H_k-type module.
+    """Reachability certificate between the pieces of an H_k-type module.
 
-    Applies generators to piece vectors; a nonzero exact coordinate of the
-    image, in the basis of piece vectors, in the block of piece dst certifies
-    the edge src -> dst.  A strongly connected edge graph leaves no proper
-    invariant piece sum, hence (for m >= 2) no proper submodule, at any
-    dimension.  Returns True on success, None when the groups are not a basis
-    or the budget runs out (caller falls back to exhaustive closures), and
-    False never: absence of edges is not certified here.
+    Applies generators exactly to piece vectors; a coordinate of the image in
+    the basis of piece vectors, in the block of piece dst, that is nonzero mod
+    PRIME certifies the edge src -> dst.  A strongly connected edge graph
+    leaves no proper invariant piece sum, hence (for m >= 2) no proper
+    submodule, at any dimension.  Returns True on success, None when the
+    groups are not a basis mod PRIME or the budget runs out (the closures
+    decide), and False never: absence of edges is not certified here.
     """
     m = rep.m
     if m < 2 or rep.spec.kind not in ("Hk", "HkModSub"):

@@ -1,14 +1,22 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from superh import linalg
+from superh.diffops import nabla2, operator_matrices
+from superh.harmonic import harmonic_basis
+from superh.modules import _divisor_r2p, hk_window_intersection
 from superh.linalg import (
     PRIME,
+    Echelon,
     Subspace,
     certified_full_rank,
     kernel_of_equations,
     rank_modp,
     rank_of_vectors,
 )
+from superh.superalgebra import dim_Pk
 
 
 # -- independent oracle: dense Gaussian elimination rank -------------------------
@@ -185,3 +193,112 @@ def test_sum_with():
     a = Subspace.from_vectors([{0: Fraction(1)}], 3)
     b = Subspace.from_vectors([{1: Fraction(1)}], 3)
     assert a.sum_with(b).dim == 2
+
+
+# -- references: the kernel and the intersection by a second elimination -----------
+
+
+def two_pass_kernel(rows, width):
+    """Eliminate the equations by lowest pivots, then echelonize the kernel
+    vectors e_f - sum_p r_p[f] e_p in a second pass."""
+    ech = Echelon(width)
+    for r in rows:
+        ech.add(r)
+    kernel = Echelon(width)
+    for free in range(width):
+        if free not in ech.rows:
+            v = {free: Fraction(1)}
+            for p, row in ech.rows.items():
+                if row.get(free):
+                    v[p] = -row[free]
+            kernel.add(v)
+    return Subspace(width, kernel.sorted_rows())
+
+
+def two_pass_intersection(a, b):
+    """Zassenhaus intersection whose right halves are echelonized again."""
+    w = a.width
+    ech = Echelon(2 * w)
+    for r in a.rows:
+        ech.add({**r, **{i + w: x for i, x in r.items()}})
+    for r in b.rows:
+        ech.add(r)
+    return Subspace.from_vectors(
+        [{i - w: x for i, x in row.items()} for p, row in ech.rows.items() if p >= w], w)
+
+
+def rank_deficient_system(rng, width):
+    eqs = random_vectors(rng, rng.randint(0, width + 2), width)
+    if eqs and rng.random() < 0.5:  # every equation a combination of the first few
+        basis = eqs[:rng.randint(1, len(eqs))]
+        eqs = [combination([rng.randint(-3, 3) for _ in basis], basis, width) for _ in eqs]
+    return eqs
+
+
+def test_kernel_equals_the_two_pass_reference_on_random_systems():
+    rng = random.Random(29)
+    assert kernel_of_equations([], 4) == two_pass_kernel([], 4)
+    assert kernel_of_equations([], 4).dim == 4
+    for eqs in ([], [{0: Fraction(2)}], [{0: Fraction(0)}]):
+        assert kernel_of_equations(eqs, 1) == two_pass_kernel(eqs, 1), eqs
+    for trial in range(200):
+        width = rng.randint(1, 9)
+        eqs = rank_deficient_system(rng, width)
+        assert kernel_of_equations(eqs, width) == two_pass_kernel(eqs, width), trial
+
+
+def test_the_harmonic_kernels_equal_the_two_pass_reference():
+    for m in range(1, 5):
+        for n in range(0, 3):
+            mats = operator_matrices(m, n)
+            for k in range(2, 7):
+                rows = [{} for _ in range(dim_Pk(m, n, k - 2))]
+                for c, col in enumerate(mats.matrix(nabla2(m, n), k)):
+                    for t, x in col.items():
+                        rows[t][c] = x
+                assert harmonic_basis(m, n, k) == two_pass_kernel(rows, dim_Pk(m, n, k)), (m, n, k)
+
+
+def test_the_kernel_takes_one_echelon_add_per_equation(monkeypatch):
+    calls = []
+
+    def counted(self, v, _add=Echelon.add):
+        calls.append(len(v))
+        return _add(self, v)
+    monkeypatch.setattr(linalg.Echelon, "add", counted)
+    rng = random.Random(31)
+    eqs = rank_deficient_system(rng, 8) + random_vectors(rng, 3, 8)
+    kernel_of_equations(eqs, 8)
+    assert len(calls) == len(eqs)
+
+
+def test_intersection_equals_the_two_pass_reference():
+    rng = random.Random(37)
+    for trial in range(400):
+        width = rng.randint(1, 8)
+        a = Subspace.from_vectors(rank_deficient_system(rng, width), width)
+        b = Subspace.from_vectors(rank_deficient_system(rng, width), width)
+        assert a.intersect(b) == two_pass_intersection(a, b), trial
+    # H_k intersect R^2 P_{k-2} on band cells
+    for (m, n, k) in [(2, 1, 2), (2, 2, 3), (2, 2, 4), (4, 2, 2), (2, 3, 4)]:
+        expected = two_pass_intersection(harmonic_basis(m, n, k), _divisor_r2p(m, n, k))
+        assert hk_window_intersection(m, n, k) == expected, (m, n, k)
+        assert expected.dim > 0, (m, n, k)
+
+
+def test_explicit_zero_entries_are_dropped():
+    zero_first = {0: Fraction(0), 1: Fraction(1)}
+    assert Subspace.from_vectors([zero_first], 3) == Subspace.from_vectors([{1: Fraction(1)}], 3)
+    assert kernel_of_equations([zero_first], 3) == kernel_of_equations([{1: Fraction(1)}], 3)
+    assert rank_of_vectors([{0: Fraction(0)}], 3) == 0
+    assert certified_full_rank([{0: Fraction(0)}], 3) is False
+
+
+def test_columns_outside_the_width_are_refused():
+    for call in (lambda: kernel_of_equations([{5: Fraction(1)}], 3),
+                 lambda: kernel_of_equations([{-1: Fraction(1)}], 3),
+                 lambda: certified_full_rank([{7: 1}, {8: 1}], 2),
+                 lambda: certified_full_rank([{0: 1}, {-1: 1}], 2),
+                 lambda: certified_full_rank([{0: 1}, {1: 1}, {3: 1}], 2)):
+        with pytest.raises(ValueError):
+            call()

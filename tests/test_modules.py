@@ -20,7 +20,8 @@ from superh.harmonic import (
     projection_Q,
     subspace_polys,
 )
-from superh.linalg import Subspace
+from superh import modules
+from superh.linalg import PRIME, Echelon, Subspace
 from superh.modules import (
     RepSpace,
     SpaceSpec,
@@ -181,6 +182,12 @@ def test_closure_of_invariant_vector():
     assert closure.dim == 1
 
 
+def test_closure_of_a_seed_with_an_explicit_zero_entry():
+    rep = rep_space(SpaceSpec("Hk", 2, 1, 2))
+    closure = submodule_closure(rep, [{0: Fraction(0), 1: Fraction(1)}])
+    assert closure == submodule_closure(rep, [{1: Fraction(1)}])
+
+
 def test_closure_of_full_basis_is_everything():
     rep = rep_space(SpaceSpec("Hk", 2, 1, 2))
     assert submodule_closure(rep, rep.basis_coords()).dim == rep.dim
@@ -265,6 +272,52 @@ def test_piece_coordinates_match_the_projectors():
                 expected = {g for g, Q in enumerate(projectors)
                             if not Q.apply(image).is_zero()}
                 assert blocks == expected, (m, n, k, i, j)
+
+
+def exact_piece_supports(groups, dim, w):
+    """Groups on which w has a nonzero coordinate, from the exact inverse of A
+    (one Fraction elimination of [A | I])."""
+    rows = [v for _, vecs in groups for v in vecs]
+    owner = [g for g, (_, vecs) in enumerate(groups) for _ in vecs]
+    ech = Echelon(2 * dim)
+    for i, v in enumerate(rows):
+        ech.add({**v, dim + i: Fraction(1)})
+    assert sorted(ech.rows) == list(range(dim))
+    y = {}
+    for c, x in w.items():
+        for i, z in ech.rows[c].items():
+            if i >= dim:
+                y[i - dim] = y.get(i - dim, 0) + x * z
+    return {owner[i] for i, x in y.items() if x}
+
+
+def test_piece_supports_mod_p_equal_the_exact_ones():
+    rep = rep_space(SpaceSpec("Hk", 3, 2, 3))
+    groups = _piece_groups(rep)
+    inv, owner = _piece_inverse(groups, rep.dim)
+    images = 0
+    for _, vecs in groups:
+        for v, (i, j) in itertools.product(vecs, rep.gen_pairs):
+            image = rep.apply_generator(i, j, v)
+            assert (_nonzero_pieces(inv, owner, image)
+                    == exact_piece_supports(groups, rep.dim, image)), (i, j)
+            images += 1
+    assert images == rep.dim * len(rep.gen_pairs)
+
+
+def test_piece_inverse_refuses_what_has_no_inverse_mod_p():
+    # invertible over Q, but singular mod PRIME
+    assert _piece_inverse([("a", [{0: Fraction(PRIME)}]), ("b", [{1: Fraction(1)}])], 2) is None
+    # an entry with no image mod PRIME
+    assert _piece_inverse([("a", [{0: Fraction(1, PRIME)}]), ("b", [{1: Fraction(1)}])], 2) is None
+    assert _piece_inverse([("a", [{0: Fraction(3)}]), ("b", [{1: Fraction(1)}])], 2) is not None
+
+
+def test_closures_alone_give_the_certified_verdicts(monkeypatch):
+    cells = [(m, n, k) for m in range(2, 5) for n in range(1, 3) for k in range(0, 5)]
+    verdicts = [is_irreducible(rep_space(SpaceSpec("Hk", *cell))) for cell in cells]
+    monkeypatch.setattr(modules, "_piece_inverse", lambda groups, dim: None)
+    assert [is_irreducible(rep_space(SpaceSpec("Hk", *cell))) for cell in cells] == verdicts
 
 
 def test_pk_reducible_for_degree_two_and_up():
