@@ -48,11 +48,9 @@ from .harmonic import (
     verify_lemma_Lf,
 )
 from .integration import (
-    LaurentSuperFunction,
     ScaledRational,
-    berezin,
     invariance_suite,
-    phi_sharp,
+    invariant_density_solutions,
     pizzetti,
     reciprocal_gamma,
     sphere_moment,

@@ -19,8 +19,6 @@ from .diffops import (
     generator_vector_field,
     killing_check,
     laplace_beltrami,
-    laplace_beltrami_bosonic,
-    laplace_beltrami_fermionic,
     operator_matrices,
     partial_vector_field,
     variable_poly,
@@ -195,9 +193,8 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
     """
     report = Report("check projections", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
-        lb_b = laplace_beltrami_bosonic(m)
-        lb_f = laplace_beltrami_fermionic(n)
         mats = operator_matrices(m, n)
+        lb_b, lb_f = mats.lb_bosonic, mats.lb_fermionic
         for k in range(0, k_max + 1):
             pieces = decompose_Hk(m, n, k)
             # kept by the owner: every projector factor below reuses them

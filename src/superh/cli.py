@@ -3,7 +3,7 @@
 Subcommands: dims, check, integrate, decompose, branch, fischer.  Ranges are
 written `a..b` (or a single integer).  Output formats: a human table (default),
 `--format json` and `--format csv`; JSON reports round-trip bit-exactly through
-`load_report`.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
+`json.loads`.  Exit codes: 0 pass, 1 verification failure, 2 usage or parse
 error.  `integrate`, `decompose` and `branch` answer for one cell and exit 2
 when a range has several values.  `integrate` parses exponents and term
 degrees up to MAX_DEGREE (64) and exits 2 when the polynomial uses a variable
@@ -73,10 +73,6 @@ def report_to_dict(report: Report) -> dict:
 
 def report_to_json(report: Report) -> str:
     return json.dumps(report_to_dict(report), sort_keys=True, default=str)
-
-
-def load_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def _row_keys(report: Report) -> list[str]:

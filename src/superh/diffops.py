@@ -24,9 +24,8 @@ evaluated in one of two ways:
   words would outnumber its factors' runs one factor at a time.  The bulk
   checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
   ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``.
-  The words of a tree do not depend on the degree, so the trees the owner
-  keeps (those passed to ``matrix``, the generators and ``mul_r2``) are
-  flattened once per space; a tree built per call keeps nothing.
+  It owns the space's trees and builds each once.  The owner keeps what it
+  holds, and nothing else: a tree built per call keeps nothing.
 """
 
 from __future__ import annotations
@@ -163,23 +162,6 @@ class Metric:
     def size(self) -> int:
         return self.m + 2 * self.n
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.g[i - 1].get(j - 1, Fraction(0))
-
-    def inv_entry(self, i: int, j: int) -> Fraction:
-        return self.g_inv[i - 1].get(j - 1, Fraction(0))
-
-    def _column(self, j: int) -> list[tuple[int, Fraction]]:
-        """(i, g[i][j]) over the nonzero entries of column j of g."""
-        return [(i, row[j - 1]) for i, row in enumerate(self.g, 1) if j - 1 in row]
-
-    def raised_coordinate(self, j: int) -> SuperPolynomial:
-        """X^j = sum_i X_i g[i][j]."""
-        out = SuperPolynomial.zero()
-        for i, c in self._column(j):
-            out = out + variable_poly(i, self.m, self.n).scaled(c)
-        return out
-
     @cached_property
     def coordinates(self) -> tuple[SuperPolynomial, ...]:
         """X_1..X_{m+2n}, built once per metric and shared by the generators."""
@@ -198,18 +180,7 @@ class Metric:
             raise IndexError(f"variable index {j} out of range for ({self.m}|{2*self.n})")
         return self._nabla_lower[j - 1]
 
-    def nabla_upper(self, j: int) -> LinearOperator:
-        """nabla^j = (-1)^{[j]} d/dX_j."""
-        sign = Fraction(-1 if j > self.m else 1)
-        return Compose((Scale(sign), plain_partial(j, self.m, self.n)))
 
-    def nabla_upper_by_raising(self, j: int) -> LinearOperator:
-        """nabla^j = sum_i nabla_i g[i][j]; must agree with nabla_upper."""
-        return operator_sum([Compose((Scale(c), self.nabla_lower(i)))
-                             for i, c in self._column(j)])
-
-
-@lru_cache(maxsize=None)
 def metric(m: int, n: int) -> Metric:
     check_variable_count(m, n)
     one = Fraction(1)
@@ -240,7 +211,6 @@ def _check_metric(met: Metric) -> None:
 # -- named operators ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def r2(m: int, n: int) -> SuperPolynomial:
     """R^2 = x1^2 + ... + xm^2 - xg1*xg2 - ... - xg(2n-1)*xg(2n)."""
     check_variable_count(m, n)
@@ -252,20 +222,10 @@ def r2(m: int, n: int) -> SuperPolynomial:
     return out
 
 
-def r2_from_metric(m: int, n: int) -> SuperPolynomial:
-    """R^2 = sum_j X^j X_j; must agree with the explicit form."""
-    met = metric(m, n)
-    out = SuperPolynomial.zero()
-    for j in range(1, met.size + 1):
-        out = out + met.raised_coordinate(j) * variable_poly(j, m, n)
-    return out
-
-
 def theta2(n: int) -> SuperPolynomial:
     return r2(0, n)
 
 
-@lru_cache(maxsize=None)
 def nabla2(m: int, n: int) -> LinearOperator:
     """Super Laplace operator: bosonic Laplacian - 4 sum_j d/dxg(2j-1) d/dxg(2j)."""
     check_variable_count(m, n)
@@ -282,29 +242,18 @@ def nabla2(m: int, n: int) -> LinearOperator:
     return operator_sum(parts)
 
 
-def nabla2_from_metric(m: int, n: int) -> LinearOperator:
-    """sum_j nabla^j nabla_j built through the metric; must agree with nabla2."""
-    met = metric(m, n)
-    parts = [Compose((met.nabla_upper(j), met.nabla_lower(j)))
-             for j in range(1, met.size + 1)]
-    return operator_sum(parts)
-
-
-@lru_cache(maxsize=None)
 def euler_b(m: int) -> LinearOperator:
     return operator_sum(tuple(
         Compose((MultiplyBy(SuperPolynomial.x(i)), Differentiate(i)))
         for i in range(1, m + 1)))
 
 
-@lru_cache(maxsize=None)
 def euler_f(n: int) -> LinearOperator:
     return operator_sum(tuple(
         Compose((MultiplyBy(SuperPolynomial.xg(j)), Differentiate(j, fermionic=True)))
         for j in range(1, 2 * n + 1)))
 
 
-@lru_cache(maxsize=None)
 def euler(m: int, n: int) -> LinearOperator:
     return operator_sum((euler_b(m), euler_f(n)))
 
@@ -315,7 +264,7 @@ def osp_generator(i: int, j: int, m: int, n: int) -> LinearOperator:
     size = m + 2 * n
     if not (1 <= i <= size and 1 <= j <= size):
         raise IndexError(f"generator indices ({i},{j}) out of range for ({m}|{2*n})")
-    met = metric(m, n)
+    met = operator_matrices(m, n).metric
     sign = Fraction(-1 if index_parity(i, m) and index_parity(j, m) else 1)
     return operator_sum((
         Compose((MultiplyBy(met.coordinates[i - 1]), met.nabla_lower(j))),
@@ -331,15 +280,6 @@ def generator_pairs(m: int, n: int) -> list[tuple[int, int]]:
     size = m + 2 * n
     return [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)
             if not (i == j and i <= m)]
-
-
-def generator_commutator(i, j, k, l, m, n) -> LinearOperator:
-    """Graded commutator [L_ij, L_kl]."""
-    A = osp_generator(i, j, m, n)
-    B = osp_generator(k, l, m, n)
-    sign = (index_parity(i, m) + index_parity(j, m)) * (index_parity(k, m) + index_parity(l, m))
-    s = Fraction(-1 if sign % 2 else 1)
-    return Add((Compose((A, B)), Compose((Scale(-s), B, A))))
 
 
 def _radial_laplace_beltrami(radius2: SuperPolynomial, lap: LinearOperator,
@@ -359,8 +299,9 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
     -1/2 sum L_ij g[i][l] g[j][k] L_kl in the generators.  Their equality on
     every graded piece is a tested invariant.
     """
-    form_a = _radial_laplace_beltrami(r2(m, n), nabla2(m, n), euler(m, n), m - 2 * n)
-    g = metric(m, n).g
+    mats = operator_matrices(m, n)
+    form_a = _radial_laplace_beltrami(mats.r2_power(1), mats.nabla2, mats.euler, m - 2 * n)
+    g = mats.metric.g
     parts = []
     for i, row_i in enumerate(g):  # 0-based indices over the nonzero entries
         for l, gil in row_i.items():
@@ -371,16 +312,14 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
                         osp_generator(i + 1, j + 1, m, n),
                         osp_generator(k + 1, l + 1, m, n),
                     )))
-    return form_a, operator_sum(parts)
+    return mats._hold(form_a), mats._hold(operator_sum(parts))
 
 
-@lru_cache(maxsize=None)
 def laplace_beltrami_bosonic(m: int) -> LinearOperator:
     """r^2 laplace_b - E_b (m-2+E_b); acts through the bosonic variables only."""
     return _radial_laplace_beltrami(r2(m, 0), nabla2(m, 0), euler_b(m), m)
 
 
-@lru_cache(maxsize=None)
 def laplace_beltrami_fermionic(n: int) -> LinearOperator:
     """theta^2 laplace_f - E_f (-2n-2+E_f); the purely fermionic analogue."""
     return _radial_laplace_beltrami(theta2(n), nabla2(0, n), euler_f(n), -2 * n)
@@ -421,11 +360,10 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # through its leaves' arrays.  The coefficients of one sum are brought to
 # integers over a common denominator, which is multiplied in once at the end:
 # entries stay Python ints unless a Scale by a true fraction occurs.  Only the
-# leaf arrays depend on k, so the words of a tree the owner keeps are flattened
-# once per space and bound to each degree's arrays; a tree built per call is
-# flattened per call.  Vectors in flight are dicts; a matrix that is kept for
-# reuse is packed in compressed sparse column form.  `vecs is None` stands for
-# the basis of P_k.
+# leaf arrays depend on k.  The owner keeps what it holds, and nothing else: a
+# held tree is flattened once per space, any other tree per call.  Vectors in
+# flight are dicts; a kept matrix is packed in compressed sparse column form.
+# `vecs is None` stands for the basis of P_k.
 
 
 def _int_if_whole(c):
@@ -565,7 +503,10 @@ COLUMN_CHUNK = 64
 
 
 class OperatorMatrices:
-    """Operator trees evaluated as sparse matrices on the degrees of (m|2n).
+    """The owner of (m|2n): its operator trees, and their sparse matrices on
+    its degrees.  It builds each tree once (``metric``, ``nabla2``, ``mul_r2``,
+    ``euler``, ``lb_bosonic``, ``lb_fermionic``, ``r2_power(j)``), and
+    ``osp_generator`` and ``laplace_beltrami`` build theirs from these.
 
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
@@ -576,27 +517,49 @@ class OperatorMatrices:
     the top, so a product of k factors is never multiplied out) and an Add
     part by part.
 
-    ``operator_matrices`` keeps one object per space for the life of the
-    process, and the object keeps the basis index maps, the leaf arrays, the
-    compiled words of the generators L_ij per degree, and the packed matrix of
-    every tree passed to ``matrix`` (a later sum that has such a tree as a
-    part reads it by mat-vec).  It flattens the trees it keeps once, not once
-    per degree: a tree passed to ``matrix`` with the parts it runs by
-    structure (kept only once the tree has a matrix), ``osp_generator(i, j)``
-    and ``mul_r2``.  A kept matrix or flattened tree holds its tree, so a tree
-    passed to ``matrix`` lives as long as the object: pass only cached trees
-    (or ``mul_r2``), and send a tree built per call through ``apply`` or
-    ``columns``, which flatten and compile it per call and keep nothing.
+    The owner keeps what it holds, and nothing else: besides the space's
+    basis index maps and leaf arrays, the words of each held tree and of the
+    parts it runs by structure, flattened once, the generator words bound per
+    degree, and the packed matrix of a held tree passed to ``matrix`` (a later
+    sum with that tree as a part reads it by mat-vec).  Any other tree is
+    flattened and compiled per call, whichever entry point it enters by.
     """
 
     def __init__(self, m: int, n: int):
+        check_variable_count(m, n)
         self.m, self.n = m, n
         self._index: dict[int, dict[SuperMonomial, int]] = {}
         self._leaves: dict[tuple, tuple[array, array]] = {}
-        self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (op, packed, k_out)
+        self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (packed, k_out)
         self._words: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> words of L_ij
-        self._flat: dict[int, tuple] = {}  # id(op) -> (op, _flatten(op)) of the kept trees
-        self.mul_r2 = MultiplyBy(r2(m, n))  # lives as long as the matrices kept of it
+        self._flat: dict[int, tuple] = {}  # id(op) -> (op, _flatten(op)): the held trees
+        self._r2_powers = {1: r2(m, n)}
+        self.nabla2 = self._hold(nabla2(m, n))
+        self.mul_r2 = self._hold(MultiplyBy(self._r2_powers[1]))
+
+    # built on first use, as the generators and the sl2, Laplace-Beltrami and
+    # projection checks need them (the names inside are the module's builders)
+    metric = cached_property(lambda self: metric(self.m, self.n))
+    euler = cached_property(lambda self: self._hold(euler(self.m, self.n)))
+    lb_bosonic = cached_property(lambda self: self._hold(laplace_beltrami_bosonic(self.m)))
+    lb_fermionic = cached_property(lambda self: self._hold(laplace_beltrami_fermionic(self.n)))
+
+    def _hold(self, op: LinearOperator) -> LinearOperator:
+        """Hold op for the owner's life, with its words and the parts it runs
+        by structure (factors of a product, parts of a sum that does not flatten)."""
+        if id(op) not in self._flat:
+            flat = _flatten(op)
+            self._flat[id(op)] = op, flat
+            if flat is None or isinstance(op, Compose):
+                for part in op.parts:
+                    self._hold(part)
+        return op
+
+    def r2_power(self, j: int) -> SuperPolynomial:
+        """R^{2j}, built once for each j."""
+        if j not in self._r2_powers:
+            self._r2_powers[j] = self._r2_powers[1] ** j
+        return self._r2_powers[j]
 
     def index(self, k: int) -> dict[SuperMonomial, int]:
         """Position of each basis monomial of P_k (empty below degree 0)."""
@@ -611,16 +574,14 @@ class OperatorMatrices:
     def matrix(self, op: LinearOperator, k: int) -> list[Vec]:
         root = self._roots.get((id(op), k))
         if root is not None:
-            return self._product(root[1], None)
-        flats: dict[int, tuple] = {}
-        cols, k_out = self._apply(op, None, k, flats)
-        self._flat.update(flats)  # only once op has a matrix
-        self._roots[(id(op), k)] = (op, _pack(cols), k_out)
+            return self._product(root[0], None)
+        cols, k_out = self._apply(op, None, k)
+        if id(op) in self._flat:
+            self._roots[(id(op), k)] = _pack(cols), k_out
         return cols
 
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
-        kept = self._flat if op is self.mul_r2 else None
-        return self._apply(op, list(vecs), k, kept)[0]
+        return self._apply(op, list(vecs), k)[0]
 
     def columns(self, op: LinearOperator, k: int):
         """(c, column c of op on P_k) for every basis monomial of P_k.
@@ -633,26 +594,25 @@ class OperatorMatrices:
             units = [{c: 1} for c in range(lo, min(lo + COLUMN_CHUNK, dim))]
             yield from enumerate(self.apply(op, units, k), lo)
 
-    def _apply(self, op, vecs, k, kept=None):
+    def _apply(self, op, vecs, k):
         """(op applied to vecs, target degree, None for a zero operator): by a
         kept matrix, by the words of op, or by its structure when op does not
-        flatten or is a sum with a kept part.  The words of op and of the
-        parts it runs are added to `kept` unless it is None."""
+        flatten or is a sum with a kept part."""
         root = self._roots.get((id(op), k))
         if root is not None:
-            return self._product(root[1], vecs), root[2]
+            return self._product(root[0], vecs), root[1]
         if isinstance(op, Compose):
             for part in reversed(op.parts):
-                vecs, k = self._apply(part, vecs, k, kept)
+                vecs, k = self._apply(part, vecs, k)
                 if k is None:  # a zero factor
                     break
             return vecs, k
         parts = op.parts if isinstance(op, Add) else (op,)
         if not any((id(p), k) in self._roots for p in parts):
-            compiled = self._compile(op, k, kept)
+            compiled = self._compile(op, k)
             if compiled is not None:
                 return self._eval_words(compiled, vecs, k)
-        images = [self._apply(p, vecs, k, kept) for p in parts]
+        images = [self._apply(p, vecs, k) for p in parts]
         degrees = {d for _, d in images if d is not None}
         if len(degrees) > 1:
             raise ValueError("a sum of operators of different degrees has no matrix")
@@ -667,18 +627,13 @@ class OperatorMatrices:
             return [dict(zip(rows[a:b], vals[a:b])) for a, b in zip(starts, starts[1:])]
         return [_matvec(mat, v) for v in cols]
 
-    def _compile(self, op: LinearOperator, k: int, kept: dict | None = None) -> tuple | None:
+    def _compile(self, op: LinearOperator, k: int) -> tuple | None:
         """op on P_k as (factor, target degree or None, words), op being factor
         times the sum of the words, a word (int coefficient, leaf arrays in the
-        order they act); None when op does not flatten.  The words of a kept
-        tree are read from the owner; a new flatten is added to `kept` unless
-        it is None."""
+        order they act); None when op does not flatten.  The words of a held
+        tree are read from the owner, any other tree is flattened here."""
         entry = self._flat.get(id(op))
-        if entry is None:
-            entry = op, _flatten(op)  # holds op, so no other tree gets its id
-            if kept is not None:
-                kept[id(op)] = entry
-        flat = entry[1]
+        flat = _flatten(op) if entry is None else entry[1]
         if flat is None:
             return None
         words, shift = flat
@@ -731,7 +686,7 @@ class OperatorMatrices:
         ``osp_generator(i, j)``, flattened once and bound per degree."""
         words = self._words.get((i, j, k))
         if words is None:
-            factor, _, words = self._compile(osp_generator(i, j, self.m, self.n), k, self._flat)
+            factor, _, words = self._compile(self._hold(osp_generator(i, j, self.m, self.n)), k)
             assert factor == 1  # the coefficients are entries of inv(g), integers
             self._words[(i, j, k)] = words
         return _image(words, v)
@@ -739,7 +694,7 @@ class OperatorMatrices:
 
 @lru_cache(maxsize=None)
 def operator_matrices(m: int, n: int) -> OperatorMatrices:
-    """The one OperatorMatrices of (m|2n), shared by every degree and caller."""
+    """The owner of (m|2n), shared by every degree and caller."""
     return OperatorMatrices(m, n)
 
 
@@ -765,7 +720,7 @@ def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
         raise ValueError("k_max must be at least 2")
     M = m - 2 * n
     mats = operator_matrices(m, n)
-    lap, mulr2, E = nabla2(m, n), mats.mul_r2, euler(m, n)
+    lap, mulr2, E = mats.nabla2, mats.mul_r2, mats.euler
     failures = []
 
     def two_h(vecs: list[Vec], d: int) -> list[Vec]:

@@ -31,9 +31,6 @@ from .diffops import (
     LinearOperator,
     Scale,
     check_variables,
-    laplace_beltrami_bosonic,
-    laplace_beltrami_fermionic,
-    nabla2,
     operator_matrices,
     osp_generator,
     poly_to_vec,
@@ -89,7 +86,8 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
             [{i: Fraction(1)} for i in range(width)], width)
     # the equations are the rows of the nabla^2 matrix P_k -> P_{k-2}
     rows: list[Vec] = [{} for _ in range(dim_Pk(m, n, k - 2))]
-    for c, col in enumerate(operator_matrices(m, n).matrix(nabla2(m, n), k)):
+    mats = operator_matrices(m, n)
+    for c, col in enumerate(mats.matrix(mats.nabla2, k)):
         for t, coeff in col.items():
             rows[t][c] = coeff
     return kernel_of_equations(rows, width)
@@ -109,13 +107,9 @@ def subspace_polys(sub: Subspace, m: int, n: int, k: int) -> list[SuperPolynomia
     return [vec_to_poly(row, m, n, k) for row in sub.rows]
 
 
-def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
-    return subspace_polys(harmonic_basis(m, n, k), m, n, k)
-
-
 def is_harmonic(f: SuperPolynomial, m: int, n: int) -> bool:
     check_variables(f, m, n)
-    return nabla2(m, n).apply(f).is_zero()
+    return operator_matrices(m, n).nabla2.apply(f).is_zero()
 
 
 # -- radial (Fischer-type) decomposition of P_k --------------------------------
@@ -141,11 +135,6 @@ class FischerDecomposition:
     witness: str | None = None  # rendered dependency when the sum is not direct
 
 
-@lru_cache(maxsize=None)
-def _r2_power(m: int, n: int, j: int) -> SuperPolynomial:
-    return r2(m, n) ** j
-
-
 def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
     """An explicit vector lying in two radial blocks, certified exactly.
 
@@ -168,7 +157,7 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
         if h_basis.dim == 0:
             continue
         h = vec_to_poly(h_basis.rows[0], m, n, kpp)
-        u = _r2_power(m, n, t) * h
+        u = operator_matrices(m, n).r2_power(t) * h
         if u.is_zero() or not is_harmonic(u, m, n):
             continue
         j0 = (k - kp) // 2
@@ -195,7 +184,7 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
         hb = harmonic_basis(m, n, deg)
         if hb.dim == 0:
             continue
-        r2j = _r2_power(m, n, j)
+        r2j = operator_matrices(m, n).r2_power(j)
         vecs = []
         for row in hb.rows:
             prod = r2j * vec_to_poly(row, m, n, deg)
@@ -287,7 +276,6 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     width = dim_Pk(m, n, k)
     pieces: list[HarmonicPiece] = []
     all_vecs: list[Vec] = []
-    lap = nabla2(m, n)
     mats = operator_matrices(m, n)
     for q in range(0, min(n, k) + 1):
         hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
@@ -308,7 +296,7 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
                         raise RuntimeError(
                             f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) produced a zero vector")
                     vecs.append(poly_to_vec(prod, m, n, k))
-            if any(mats.apply(lap, vecs, k)):
+            if any(mats.apply(mats.nabla2, vecs, k)):
                 raise RuntimeError(
                     f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) is not harmonic")
             sub = Subspace.from_vectors(vecs, width)
@@ -391,8 +379,7 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
              and dim_H_bosonic(m, p) > 0)
     if not valid:
         raise ValueError(f"piece (r={r}, s={s}) does not exist in H_{k}({m}|{2*n})")
-    lb_b = laplace_beltrami_bosonic(m)
-    lb_f = laplace_beltrami_fermionic(n)
+    mats = operator_matrices(m, n)
     fallback = False
     bos_factors: list[tuple[Fraction, Fraction]] = []
     for i in range(0, k + 1):
@@ -422,9 +409,9 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
         ferm_factors.append((Fraction(j * (-2 * n - 2 + j)), denom))
     factors: list[LinearOperator] = []
     for shift, denom in bos_factors:
-        factors.append(Compose((Scale(1 / denom), Add((lb_b, Scale(shift))))))
+        factors.append(Compose((Scale(1 / denom), Add((mats.lb_bosonic, Scale(shift))))))
     for shift, denom in ferm_factors:
-        factors.append(Compose((Scale(1 / denom), Add((lb_f, Scale(shift))))))
+        factors.append(Compose((Scale(1 / denom), Add((mats.lb_fermionic, Scale(shift))))))
     op = Compose(tuple(factors)) if factors else IDENTITY
     return ProjectionOperator(r, s, k, m, n, op, bos_factors, ferm_factors, fallback)
 

@@ -25,10 +25,11 @@ that way on the generator columns, which ``OperatorMatrices.generator_image``
 reads from the generators' words, and never apply a tree.
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
-``phi_sharp`` (with ``LaurentSuperFunction``) and ``berezin`` define it on
-polynomials; ``_sphere_berezin`` evaluates the whole route term by term in
-closed form, from the density's coefficients in theta^{2i}, in time linear
-in n per term.  ``supersphere_integral_phi`` and
+The definition (phi# on Laurent functions of r^2, the product with the
+density and the Berezin integral) is the tests' reference, in
+``tests/reference.py``; ``_sphere_berezin`` evaluates the whole route term by
+term in closed form, from the density's coefficients in theta^{2i}, in time
+linear in n per term.  ``supersphere_integral_phi`` and
 ``invariant_density_solutions`` use the evaluator; the tests compare it with
 the definition on whole bases.
 """
@@ -46,10 +47,7 @@ from .diffops import (
     MultiplyBy,
     check_variables,
     generator_pairs,
-    nabla2,
     operator_matrices,
-    r2,
-    theta2,
     vec_to_poly,
 )
 from .harmonic import harmonic_basis
@@ -175,18 +173,6 @@ def reciprocal_gamma(a: Fraction) -> ScaledRational:
 # -- Berezin and Pizzetti --------------------------------------------------------
 
 
-def berezin(f: SuperPolynomial, n: int) -> tuple[SuperPolynomial, ScaledRational]:
-    """Coefficient of the top Grassmann monomial, with the pi^{-n} prefactor.
-
-    Computed as the iterated left derivative d/dxg(2n) ... d/dxg(1) applied
-    right-to-left, i.e. d/dxg(1) acts first.
-    """
-    out = f
-    for j in range(1, 2 * n + 1):
-        out = out.dxg(j)
-    return out, ScaledRational(Fraction(1), -2 * n)
-
-
 def _pizzetti_weight(M: int, j: int) -> ScaledRational:
     """2 pi^{M/2} / (4^j j! Gamma(j + M/2)), the weight of (nabla^{2j} f)(0)."""
     w = reciprocal_gamma(Fraction(M, 2) + j) * Fraction(2, 4 ** j * math.factorial(j))
@@ -268,7 +254,8 @@ class PizzettiRows:
         while top < k:
             below = self._rows[top]
             top += 2
-            cols = operator_matrices(self.m, self.n).columns(nabla2(self.m, self.n), top)
+            mats = operator_matrices(self.m, self.n)
+            cols = mats.columns(mats.nabla2, top)
             self._rows[top] = {c: x for c, col in cols if (x := _dot(below, col))}
         return self._rows[k]
 
@@ -310,106 +297,6 @@ def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
 # -- the radial rescaling morphism phi# ------------------------------------------
 
 
-@dataclass
-class LaurentSuperFunction:
-    """Finite sum of numerator * r^(-2j) pieces with polynomial numerators."""
-
-    parts: dict[int, SuperPolynomial]
-
-    def __post_init__(self):
-        self.parts = {j: f for j, f in self.parts.items() if f}
-
-    @staticmethod
-    def from_poly(f: SuperPolynomial) -> "LaurentSuperFunction":
-        return LaurentSuperFunction({0: f})
-
-    def __add__(self, other: "LaurentSuperFunction") -> "LaurentSuperFunction":
-        out = dict(self.parts)
-        for j, f in other.parts.items():
-            out[j] = out.get(j, SuperPolynomial.zero()) + f
-        return LaurentSuperFunction(out)
-
-    def __mul__(self, other) -> "LaurentSuperFunction":
-        if isinstance(other, SuperPolynomial):
-            other = LaurentSuperFunction.from_poly(other)
-        out: dict[int, SuperPolynomial] = {}
-        for j1, f1 in self.parts.items():
-            for j2, f2 in other.parts.items():
-                prod = f1 * f2
-                if prod:
-                    j = j1 + j2
-                    out[j] = out.get(j, SuperPolynomial.zero()) + prod
-        return LaurentSuperFunction(out)
-
-    def scaled(self, c) -> "LaurentSuperFunction":
-        return LaurentSuperFunction({j: f.scaled(c) for j, f in self.parts.items()})
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def equals(self, other: "LaurentSuperFunction", m: int) -> bool:
-        """Equality after clearing denominators by a common r^2 power."""
-        diff_parts = dict(self.parts)
-        for j, f in other.parts.items():
-            diff_parts[j] = diff_parts.get(j, SuperPolynomial.zero()) - f
-        diff = LaurentSuperFunction(diff_parts)
-        if diff.is_zero():
-            return True
-        J = max(diff.parts)
-        rb = r2(m, 0)
-        total = SuperPolynomial.zero()
-        for j, f in diff.parts.items():
-            total = total + (rb ** (J - j)) * f
-        return total.is_zero()
-
-    def d_r2(self, m: int) -> "LaurentSuperFunction":
-        """Radial derivative: acts on a bosonic-degree-d piece as (d/2) r^{-2}."""
-        out: dict[int, SuperPolynomial] = {}
-        for j, f in self.parts.items():
-            buckets: dict[int, dict] = {}
-            for mono, c in f.terms.items():
-                d = mono.bosonic_degree() - 2 * j
-                if d:
-                    buckets.setdefault(d, {})[mono] = c
-            for d, terms in buckets.items():
-                piece = SuperPolynomial(terms).scaled(Fraction(d, 2))
-                out[j + 1] = out.get(j + 1, SuperPolynomial.zero()) + piece
-        return LaurentSuperFunction(out)
-
-
-def phi_sharp(f: SuperPolynomial, m: int, n: int) -> LaurentSuperFunction:
-    """phi#(f) = sum_j (-1)^j theta^{2j} / j! (d/dr^2)^j f."""
-    if m < 1:
-        raise ValueError("phi_sharp requires m >= 1")
-    th = theta2(n)
-    out = LaurentSuperFunction.from_poly(f)
-    current = LaurentSuperFunction.from_poly(f)
-    th_power = SuperPolynomial.one()
-    for j in range(1, n + 1):
-        current = current.d_r2(m)
-        if current.is_zero():
-            break
-        th_power = th_power * th
-        coeff = Fraction((-1) ** j, math.factorial(j))
-        out = out + (current * th_power).scaled(coeff)
-    return out
-
-
-def phi_sharp_inverse(L: LaurentSuperFunction, m: int, n: int) -> LaurentSuperFunction:
-    """sum_j theta^{2j} / j! (d/dr^2)^j, the inverse of phi#."""
-    th = theta2(n)
-    out = L
-    current = L
-    th_power = SuperPolynomial.one()
-    for j in range(1, n + 1):
-        current = current.d_r2(m)
-        if current.is_zero():
-            break
-        th_power = th_power * th
-        out = out + (current * th_power).scaled(Fraction(1, math.factorial(j)))
-    return out
-
-
 def berezin_density_coefficients(m: int, n: int) -> list[Fraction]:
     """delta_i = (-1)^i C(m/2 - 1, i) for i = 0..n: the coefficients of theta^{2i}
     in the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
@@ -420,21 +307,6 @@ def berezin_density_coefficients(m: int, n: int) -> list[Fraction]:
     return out
 
 
-def sqrt_one_minus_theta2_over_r2(m: int, n: int) -> LaurentSuperFunction:
-    """sqrt(1 - theta^2 r^{-2}) as a truncated series of Laurent pieces."""
-    th = theta2(n)
-    parts = {0: SuperPolynomial.one()}
-    power = SuperPolynomial.one()
-    coeff = Fraction(1)
-    for i in range(1, n + 1):
-        power = power * th
-        if power.is_zero():
-            break
-        coeff *= (Fraction(1, 2) - (i - 1)) / i
-        parts[i] = power.scaled(coeff * (-1) ** i)
-    return LaurentSuperFunction(parts)
-
-
 def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
                     m: int, n: int) -> ScaledRational:
     """int_S int_B alpha(theta^2) phi#(f), term by term in closed form.
@@ -442,8 +314,8 @@ def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
     alpha = sum_i density[i] theta^{2i}, i = 0..n.  For one term c x^a theta^b
     of f, with d = |a| and omega_p = xg(2p-1) xg(2p):
       * phi#(x^a) = sum_j (-1)^j C(d/2, j) theta^{2j} r^{-2j} x^a, since
-        (d/dr^2)^j x^a = j! C(d/2, j) r^{-2j} x^a (``LaurentSuperFunction.d_r2``),
-        and r = 1 on the unit sphere;
+        (d/dr^2)^j x^a = j! C(d/2, j) r^{-2j} x^a, and r = 1 on the unit
+        sphere;
       * theta^{2t} = (-1)^t t! e_t(omega), and the Berezin integral of
         theta^b e_t(omega) is 1 when b is the union of s whole pairs
         {2p-1, 2p} and t = n - s, and 0 otherwise;
@@ -451,7 +323,7 @@ def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
     So the term contributes
       c * sphere_moment(a) * pi^(-n) * (-1)^(n-s) (n-s)!
         * sum_j (-1)^j C(d/2, j) density[n-s-j].
-    ``phi_sharp``, the product with the density polynomial and ``berezin``
+    phi#, the product with the density polynomial and the Berezin integral
     remain the definition; the tests compare the two on whole bases.
     """
     prefactor = ScaledRational(Fraction(1), -2 * n)

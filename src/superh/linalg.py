@@ -104,6 +104,7 @@ class Subspace:
     def from_vectors(vectors: Iterable[Vec], width: int) -> "Subspace":
         ech = Echelon(width)
         for v in vectors:
+            _check_columns(v, width)
             ech.add(v)
         return Subspace(width, ech.sorted_rows())
 
@@ -192,6 +193,8 @@ class Subspace:
 
 
 def _check_columns(v: Vec, width: int) -> None:
+    """ValueError for a column of v outside range(width); each entry point
+    that takes vectors checks every vector once, and Echelon.add trusts it."""
     if v and (min(v) < 0 or max(v) >= width):
         raise ValueError(f"a column lies outside range({width})")
 
@@ -220,6 +223,7 @@ def kernel_of_equations(rows: Iterable[Vec], width: int) -> Subspace:
 def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
     ech = Echelon(width)
     for v in vectors:
+        _check_columns(v, width)
         ech.add(v)
     return ech.dim
 
@@ -270,6 +274,7 @@ def rank_modp(vectors: Sequence[Vec], width: int) -> int | None:
     """Rank mod PRIME, or None when an entry cannot be reduced mod PRIME."""
     pivots: ModpRows = {}
     for v in vectors:
+        _check_columns(v, width)
         if (row := _residues(v)) is None:
             return None
         if _eliminate_modp(row, pivots):
@@ -282,14 +287,11 @@ def certified_full_rank(vectors: Sequence[Vec], width: int) -> bool:
 
     The modular pass is a sound certificate when it reaches len(vectors);
     otherwise, or when it refuses the vectors, the exact elimination decides.
+    More vectors than the width go straight to it, which checks their columns.
     """
-    for v in vectors:
-        _check_columns(v, width)
     n = len(vectors)
     if n == 0:
         return True
-    if n > width:
-        return False
-    if rank_modp(vectors, width) == n:
+    if n <= width and rank_modp(vectors, width) == n:
         return True
     return rank_of_vectors(vectors, width) == n

@@ -48,12 +48,10 @@ from .linalg import (
 )
 from .diffops import (
     MultiplyBy,
-    nabla2,
     generator_pairs,
     operator_matrices,
     poly_to_vec,
-    r2,
-    vec_to_poly,
+    theta2,
 )
 from .harmonic import (
     bosonic_harmonics,
@@ -65,7 +63,6 @@ from .harmonic import (
     fermionic_harmonics,
     harmonic_basis,
     subspace_polys,
-    _r2_power,
 )
 
 SpaceKind = Literal["Pk", "Hk", "PkModR2", "HkModSub"]
@@ -153,10 +150,6 @@ class RepSpace:
         if self.sub.linear_combination(coords) != image:
             raise RuntimeError(f"L_{i}{j} maps a vector of {self.spec} out of its subspace")
         return coords
-
-    def lift(self, coords: Vec) -> SuperPolynomial:
-        return vec_to_poly(self._in_pk({self._kept[i]: c for i, c in coords.items()}),
-                           self.m, self.n, self.k)
 
     def _module_coords(self, v: Vec) -> Vec:
         """Module coordinates of a vector in sub's coordinates."""
@@ -250,14 +243,13 @@ def _piece_groups(rep: RepSpace) -> PieceGroups:
     elif rep.spec.kind == "Pk":
         for j in range(0, k // 2 + 1):
             deg = k - 2 * j
-            r2j = _r2_power(m, n, j)
+            r2j = operator_matrices(m, n).r2_power(j)
             for piece in decompose_Hk(m, n, deg):
                 polys = [r2j * f for f in subspace_polys(piece.basis, m, n, deg)]
                 vecs = _project_piece(rep, polys)
                 if vecs:
                     groups.append(((j, piece.l, piece.p, piece.q), vecs))
     else:  # PkModR2: theta^{2j} Hb_p Hf_q images
-        from .diffops import theta2
         for q in range(0, min(n, k) + 1):
             hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
             if not hf:
@@ -529,7 +521,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
     ok = True
     t = k + M // 2 - 1
     kpp = 2 - M - k
-    r2t = _r2_power(m, n, t)
+    r2t = operator_matrices(m, n).r2_power(t)
     sub = Subspace.from_vectors(
         (poly_to_vec(r2t * h, m, n, k)
          for h in subspace_polys(harmonic_basis(m, n, kpp), m, n, kpp)), dim_Pk(m, n, k))
@@ -648,11 +640,11 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     W = rep_space(SpaceSpec("PkModR2", m, n, k))
     sub_pairs = [(i, j) for (i, j) in W.gen_pairs if i >= 2 and j >= 2]
     dimW = W.dim
-    R2p = r2(m, n) - SuperPolynomial.x(1, 2)
+    mats = operator_matrices(m, n)
+    R2p = mats.r2_power(1) - SuperPolynomial.x(1, 2)
     # the shifted harmonics have no x1, so nabla^2 acts on them as the
     # Laplacian in x2..xm and the Grassmann pairs
-    lap = nabla2(m, n)
-    mats = operator_matrices(m, n)
+    lap = mats.nabla2
     Mp = (m - 1) - 2 * n
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra

@@ -274,17 +274,6 @@ class SuperPolynomial:
             return -1
         return max(m.degree() for m in self.terms)
 
-    def homogeneous_component(self, k: int) -> "SuperPolynomial":
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return SuperPolynomial({m: c for m, c in self.terms.items() if m.degree() == k})
-
-    def homogeneous_components(self) -> dict[int, "SuperPolynomial"]:
-        out: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            out.setdefault(m.degree(), {})[m] = c
-        return {k: SuperPolynomial(t) for k, t in sorted(out.items())}
-
     def is_parity_homogeneous(self) -> bool:
         parities = {len(m.fermionic) % 2 for m in self.terms}
         return len(parities) <= 1

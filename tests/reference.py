@@ -1,0 +1,243 @@
+"""Reference definitions that the tests compare the package against.
+
+These are the second, independent constructions of objects the package
+computes another way: R^2 and nabla^2 through the metric, the raised
+derivatives, graded commutators of the generators, the harmonic basis as
+polynomials, homogeneous components, the lift of module coordinates, and the
+phi# route of the supersphere integral by its definition (phi# on Laurent
+functions of r^2, and the Berezin integral).  Nothing in the package calls
+them, so they live with the tests.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from superh.diffops import (Add, Compose, LinearOperator, Metric, Scale, index_parity, metric,
+                            operator_sum, osp_generator, plain_partial, r2, theta2,
+                            variable_poly, vec_to_poly)
+from superh.harmonic import harmonic_basis, subspace_polys
+from superh.integration import ScaledRational
+from superh.linalg import Vec
+from superh.modules import RepSpace
+from superh.superalgebra import SuperPolynomial
+
+
+# -- the metric, entry by entry --------------------------------------------------
+
+
+def entry(met: Metric, i: int, j: int) -> Fraction:
+    return met.g[i - 1].get(j - 1, Fraction(0))
+
+
+def inv_entry(met: Metric, i: int, j: int) -> Fraction:
+    return met.g_inv[i - 1].get(j - 1, Fraction(0))
+
+
+def _column(met: Metric, j: int) -> list[tuple[int, Fraction]]:
+    """(i, g[i][j]) over the nonzero entries of column j of g."""
+    return [(i, row[j - 1]) for i, row in enumerate(met.g, 1) if j - 1 in row]
+
+
+def raised_coordinate(met: Metric, j: int) -> SuperPolynomial:
+    """X^j = sum_i X_i g[i][j]."""
+    out = SuperPolynomial.zero()
+    for i, c in _column(met, j):
+        out = out + variable_poly(i, met.m, met.n).scaled(c)
+    return out
+
+
+def nabla_upper(met: Metric, j: int) -> LinearOperator:
+    """nabla^j = (-1)^{[j]} d/dX_j."""
+    sign = Fraction(-1 if j > met.m else 1)
+    return Compose((Scale(sign), plain_partial(j, met.m, met.n)))
+
+
+def nabla_upper_by_raising(met: Metric, j: int) -> LinearOperator:
+    """nabla^j = sum_i nabla_i g[i][j]; must agree with nabla_upper."""
+    return operator_sum([Compose((Scale(c), met.nabla_lower(i)))
+                         for i, c in _column(met, j)])
+
+
+def r2_from_metric(m: int, n: int) -> SuperPolynomial:
+    """R^2 = sum_j X^j X_j; must agree with the explicit form."""
+    met = metric(m, n)
+    out = SuperPolynomial.zero()
+    for j in range(1, met.size + 1):
+        out = out + raised_coordinate(met, j) * variable_poly(j, m, n)
+    return out
+
+
+def nabla2_from_metric(m: int, n: int) -> LinearOperator:
+    """sum_j nabla^j nabla_j built through the metric; must agree with nabla2."""
+    met = metric(m, n)
+    parts = [Compose((nabla_upper(met, j), met.nabla_lower(j)))
+             for j in range(1, met.size + 1)]
+    return operator_sum(parts)
+
+
+def generator_commutator(i, j, k, l, m, n) -> LinearOperator:
+    """Graded commutator [L_ij, L_kl]."""
+    A = osp_generator(i, j, m, n)
+    B = osp_generator(k, l, m, n)
+    sign = (index_parity(i, m) + index_parity(j, m)) * (index_parity(k, m) + index_parity(l, m))
+    s = Fraction(-1 if sign % 2 else 1)
+    return Add((Compose((A, B)), Compose((Scale(-s), B, A))))
+
+
+# -- polynomials and module vectors -------------------------------------------------
+
+
+def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
+    return subspace_polys(harmonic_basis(m, n, k), m, n, k)
+
+
+def homogeneous_component(f: SuperPolynomial, k: int) -> SuperPolynomial:
+    if k < 0:
+        raise ValueError("degree must be nonnegative")
+    return SuperPolynomial({m: c for m, c in f.terms.items() if m.degree() == k})
+
+
+def homogeneous_components(f: SuperPolynomial) -> dict[int, SuperPolynomial]:
+    out: dict[int, dict] = {}
+    for m, c in f.terms.items():
+        out.setdefault(m.degree(), {})[m] = c
+    return {k: SuperPolynomial(t) for k, t in sorted(out.items())}
+
+
+def lift(rep: RepSpace, coords: Vec) -> SuperPolynomial:
+    """The polynomial of P_k that module coordinates stand for."""
+    return vec_to_poly(rep._in_pk({rep._kept[i]: c for i, c in coords.items()}),
+                       rep.m, rep.n, rep.k)
+
+
+# -- the phi# route by its definition ------------------------------------------------
+
+
+def berezin(f: SuperPolynomial, n: int) -> tuple[SuperPolynomial, ScaledRational]:
+    """Coefficient of the top Grassmann monomial, with the pi^{-n} prefactor.
+
+    Computed as the iterated left derivative d/dxg(2n) ... d/dxg(1) applied
+    right-to-left, i.e. d/dxg(1) acts first.
+    """
+    out = f
+    for j in range(1, 2 * n + 1):
+        out = out.dxg(j)
+    return out, ScaledRational(Fraction(1), -2 * n)
+
+
+@dataclass
+class LaurentSuperFunction:
+    """Finite sum of numerator * r^(-2j) pieces with polynomial numerators."""
+
+    parts: dict[int, SuperPolynomial]
+
+    def __post_init__(self):
+        self.parts = {j: f for j, f in self.parts.items() if f}
+
+    @staticmethod
+    def from_poly(f: SuperPolynomial) -> "LaurentSuperFunction":
+        return LaurentSuperFunction({0: f})
+
+    def __add__(self, other: "LaurentSuperFunction") -> "LaurentSuperFunction":
+        out = dict(self.parts)
+        for j, f in other.parts.items():
+            out[j] = out.get(j, SuperPolynomial.zero()) + f
+        return LaurentSuperFunction(out)
+
+    def __mul__(self, other) -> "LaurentSuperFunction":
+        if isinstance(other, SuperPolynomial):
+            other = LaurentSuperFunction.from_poly(other)
+        out: dict[int, SuperPolynomial] = {}
+        for j1, f1 in self.parts.items():
+            for j2, f2 in other.parts.items():
+                prod = f1 * f2
+                if prod:
+                    j = j1 + j2
+                    out[j] = out.get(j, SuperPolynomial.zero()) + prod
+        return LaurentSuperFunction(out)
+
+    def scaled(self, c) -> "LaurentSuperFunction":
+        return LaurentSuperFunction({j: f.scaled(c) for j, f in self.parts.items()})
+
+    def is_zero(self) -> bool:
+        return not self.parts
+
+    def equals(self, other: "LaurentSuperFunction", m: int) -> bool:
+        """Equality after clearing denominators by a common r^2 power."""
+        diff_parts = dict(self.parts)
+        for j, f in other.parts.items():
+            diff_parts[j] = diff_parts.get(j, SuperPolynomial.zero()) - f
+        diff = LaurentSuperFunction(diff_parts)
+        if diff.is_zero():
+            return True
+        J = max(diff.parts)
+        rb = r2(m, 0)
+        total = SuperPolynomial.zero()
+        for j, f in diff.parts.items():
+            total = total + (rb ** (J - j)) * f
+        return total.is_zero()
+
+    def d_r2(self, m: int) -> "LaurentSuperFunction":
+        """Radial derivative: acts on a bosonic-degree-d piece as (d/2) r^{-2}."""
+        out: dict[int, SuperPolynomial] = {}
+        for j, f in self.parts.items():
+            buckets: dict[int, dict] = {}
+            for mono, c in f.terms.items():
+                d = mono.bosonic_degree() - 2 * j
+                if d:
+                    buckets.setdefault(d, {})[mono] = c
+            for d, terms in buckets.items():
+                piece = SuperPolynomial(terms).scaled(Fraction(d, 2))
+                out[j + 1] = out.get(j + 1, SuperPolynomial.zero()) + piece
+        return LaurentSuperFunction(out)
+
+
+def phi_sharp(f: SuperPolynomial, m: int, n: int) -> LaurentSuperFunction:
+    """phi#(f) = sum_j (-1)^j theta^{2j} / j! (d/dr^2)^j f."""
+    if m < 1:
+        raise ValueError("phi_sharp requires m >= 1")
+    th = theta2(n)
+    out = LaurentSuperFunction.from_poly(f)
+    current = LaurentSuperFunction.from_poly(f)
+    th_power = SuperPolynomial.one()
+    for j in range(1, n + 1):
+        current = current.d_r2(m)
+        if current.is_zero():
+            break
+        th_power = th_power * th
+        coeff = Fraction((-1) ** j, math.factorial(j))
+        out = out + (current * th_power).scaled(coeff)
+    return out
+
+
+def phi_sharp_inverse(L: LaurentSuperFunction, m: int, n: int) -> LaurentSuperFunction:
+    """sum_j theta^{2j} / j! (d/dr^2)^j, the inverse of phi#."""
+    th = theta2(n)
+    out = L
+    current = L
+    th_power = SuperPolynomial.one()
+    for j in range(1, n + 1):
+        current = current.d_r2(m)
+        if current.is_zero():
+            break
+        th_power = th_power * th
+        out = out + (current * th_power).scaled(Fraction(1, math.factorial(j)))
+    return out
+
+
+def sqrt_one_minus_theta2_over_r2(m: int, n: int) -> LaurentSuperFunction:
+    """sqrt(1 - theta^2 r^{-2}) as a truncated series of Laurent pieces."""
+    th = theta2(n)
+    parts = {0: SuperPolynomial.one()}
+    power = SuperPolynomial.one()
+    coeff = Fraction(1)
+    for i in range(1, n + 1):
+        power = power * th
+        if power.is_zero():
+            break
+        coeff *= (Fraction(1, 2) - (i - 1)) / i
+        parts[i] = power.scaled(coeff * (-1) ** i)
+    return LaurentSuperFunction(parts)

@@ -3,11 +3,12 @@
 `bench/run.py --trace 1` reports hit ratios from the `cache_info()` of five
 cached functions, looked up by name in the module that defines them.  These
 tests keep that contract inside the tier-1 suite.  The other tests pin the
-per-space owner of the operator matrices, `diffops.operator_matrices(m, n)`:
-one object per (m|2n), whose leaf arrays, generator words, kept matrices and
-flattened kept trees do not grow when a check runs again or when a tree
-built per call is applied, and a fixed list of the package's caches, so
-that a new one is added on purpose.
+per-space owner, `diffops.operator_matrices(m, n)`: one object per (m|2n),
+which holds the space's operator trees, which the callers read from it, and
+whose leaf arrays, generator words, kept matrices and flattened held trees do
+not grow when a check runs again or when a tree built per call enters it by
+any entry point; and a fixed list of the package's caches, so that a new one
+is added on purpose.
 """
 
 import importlib
@@ -18,12 +19,14 @@ import pytest
 
 import superh
 from superh import checks
-from superh.diffops import (Compose, MultiplyBy, OperatorMatrices, Scale, euler,
-                            generator_commutator, generator_pairs, laplace_beltrami_bosonic,
-                            laplace_beltrami_fermionic, operator_matrices, osp_generator,
-                            vec_to_poly)
+from superh.diffops import (Compose, LinearOperator, MultiplyBy, OperatorMatrices, Scale, euler,
+                            generator_pairs, laplace_beltrami_bosonic, nabla2,
+                            operator_matrices, osp_generator, vec_to_poly)
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
+from superh.integration import PizzettiRows
 from superh.modules import SpaceSpec, branching_explicit_check, rep_space
+
+from reference import generator_commutator
 
 CACHED = [("harmonic", "harmonic_basis", (2, 1, 2)),
           ("harmonic", "decompose_Hk", (2, 1, 2)),
@@ -49,10 +52,8 @@ def test_harness_caches_report_hits_misses_and_entries(module, name, args):
 # the owner that operator_matrices returns; a new cache here is a decision.
 PACKAGE_CACHES = {
     "cli": {"build_parser"},
-    "diffops": {"metric", "r2", "nabla2", "euler_b", "euler_f", "euler", "osp_generator",
-                "laplace_beltrami", "laplace_beltrami_bosonic",
-                "laplace_beltrami_fermionic", "operator_matrices"},
-    "harmonic": {"harmonic_basis", "_r2_power", "decompose_Hk"},
+    "diffops": {"osp_generator", "laplace_beltrami", "operator_matrices"},
+    "harmonic": {"harmonic_basis", "decompose_Hk"},
     "modules": {"hk_window_intersection"},
     "superalgebra": {"_exponent_pair", "monomial_basis"},
 }
@@ -111,27 +112,65 @@ def test_a_second_run_adds_nothing_to_the_owners(constructed):
 
 def test_a_per_call_tree_leaves_the_owner_unchanged():
     m, n, k = 2, 2, 3
-    mats = OperatorMatrices(m, n)
-    mats.matrix(laplace_beltrami_bosonic(m), k)
-    mats.matrix(laplace_beltrami_fermionic(n), k)
+    mats = operator_matrices(m, n)
+    mats.matrix(mats.lb_bosonic, k)  # the projector factors below read these
+    mats.matrix(mats.lb_fermionic, k)
     rows = harmonic_basis(m, n, k).rows
 
     def per_call_trees():
-        """Trees built anew on every call, as the checks build them."""
+        """Trees built anew on every call, as the checks and the builders build them."""
         return ([projection_Q(pc.l, pc.q, k, m, n).op for pc in decompose_Hk(m, n, k)]
                 + [generator_commutator(1, 3, 2, 4, m, n),
                    MultiplyBy(vec_to_poly(rows[0], m, n, k)),
-                   Compose((Scale(Fraction(1, 3)), euler(m, n)))])
+                   Compose((Scale(Fraction(1, 3)), euler(m, n))),
+                   nabla2(m, n), laplace_beltrami_bosonic(m)])
 
     def run():
         for op in per_call_trees():
             mats.apply(op, rows, k)
             list(mats.columns(op, k))
+            mats.matrix(op, k)
 
     run()  # builds the leaf arrays and index maps these trees read
     before = _sizes(mats)
     run()
     assert _sizes(mats) == before
+
+
+def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
+    m, n = 3, 2
+    mats = operator_matrices(m, n)
+    for k in range(0, 5):
+        for pc in decompose_Hk(m, n, k):
+            Q = projection_Q(pc.l, pc.q, k, m, n)
+            factors = Q.op.parts if isinstance(Q.op, Compose) else ()
+            assert len(factors) == len(Q.bosonic_factors) + len(Q.fermionic_factors)
+            held = ([mats.lb_bosonic] * len(Q.bosonic_factors)
+                    + [mats.lb_fermionic] * len(Q.fermionic_factors))
+            for factor, lb in zip(factors, held):
+                assert factor.parts[1].parts[0] is lb
+                assert id(lb) in mats._flat
+
+    seen = []  # (entry point, tree) of every call on the owner of (m|2n)
+    for name in ("matrix", "apply", "columns"):
+        def spy(self, op, *args, _name=name, _entry=getattr(OperatorMatrices, name)):
+            if self is mats:
+                seen.append((_name, op))
+            return _entry(self, op, *args)
+        monkeypatch.setattr(OperatorMatrices, name, spy)
+
+    def trees(call):
+        seen.clear()
+        call()
+        assert seen and all(isinstance(op, LinearOperator) for _, op in seen)
+        return seen
+
+    for k in range(2, 5):  # uncached, so that the bodies run here
+        assert all(op is mats.nabla2 for _, op in trees(
+            lambda: harmonic_basis.__wrapped__(m, n, k)))
+        assert all(op is mats.nabla2 for _, op in trees(
+            lambda: decompose_Hk.__wrapped__(m, n, k)))
+    assert all(op is mats.nabla2 for _, op in trees(lambda: PizzettiRows(m, n).row(4)))
 
 
 def test_check_all_builds_each_space_once(constructed):
@@ -146,10 +185,10 @@ def test_band_modules_share_their_generator_words(monkeypatch):
     compile_words = OperatorMatrices._compile
     generators = {id(osp_generator(i, j, 2, 2)) for (i, j) in generator_pairs(2, 2)}
 
-    def spy(self, op, k, kept=None):
+    def spy(self, op, k):
         if id(op) in generators:
             built.append((self.m, self.n, id(op), k))
-        return compile_words(self, op, k, kept)
+        return compile_words(self, op, k)
 
     monkeypatch.setattr(OperatorMatrices, "_compile", spy)
     operator_matrices.cache_clear()

@@ -22,7 +22,6 @@ from superh.diffops import (
     euler,
     euler_b,
     euler_f,
-    generator_commutator,
     generator_pairs,
     generator_vector_field,
     killing_check,
@@ -31,13 +30,11 @@ from superh.diffops import (
     laplace_beltrami_fermionic,
     metric,
     nabla2,
-    nabla2_from_metric,
     operator_matrices,
     osp_generator,
     partial_vector_field,
     poly_to_vec,
     r2,
-    r2_from_metric,
     variable_poly,
     vec_to_poly,
 )
@@ -45,29 +42,32 @@ from superh.checks import suite_killing
 from superh.harmonic import decompose_Hk, projection_Q
 from superh.linalg import Subspace
 
+from reference import (entry, generator_commutator, inv_entry, nabla2_from_metric, nabla_upper,
+                       nabla_upper_by_raising, r2_from_metric)
+
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
 
 
 def test_metric_shape():
     met = metric(2, 1)
-    assert met.entry(1, 1) == 1 and met.entry(2, 2) == 1
-    assert met.entry(3, 4) == Fraction(-1, 2) and met.entry(4, 3) == Fraction(1, 2)
-    assert met.inv_entry(3, 4) == 2 and met.inv_entry(4, 3) == -2
+    assert entry(met, 1, 1) == 1 and entry(met, 2, 2) == 1
+    assert entry(met, 3, 4) == Fraction(-1, 2) and entry(met, 4, 3) == Fraction(1, 2)
+    assert inv_entry(met, 3, 4) == 2 and inv_entry(met, 4, 3) == -2
 
 
 def test_metric_check_reads_only_the_nonzero_entries():
     start = time.perf_counter()
-    met = metric.__wrapped__(400, 0)  # uncached, so the check runs here
+    met = metric(400, 0)  # built, and so checked, on every call
     assert time.perf_counter() - start < 2 and met.size == 400
 
 
 def test_metric_rows_are_sparse():
     start = time.perf_counter()
-    met = metric.__wrapped__(1500, 0)
+    met = metric(1500, 0)
     assert time.perf_counter() - start < 0.5
     assert all(len(row) == 1 for row in met.g + met.g_inv)
     met = metric(2, 3)
-    assert [len(row) for row in met.g] == [1] * 8 and met.entry(3, 3) == 0
+    assert [len(row) for row in met.g] == [1] * 8 and entry(met, 3, 3) == 0
 
 
 def test_laplace_beltrami_loops_over_the_nonzero_metric_entries(monkeypatch):
@@ -118,7 +118,7 @@ def test_nabla_upper_raising_agrees():
     for (m, n) in [(2, 1), (1, 2), (3, 2)]:
         met = metric(m, n)
         for j in range(1, m + 2 * n + 1):
-            a, b = met.nabla_upper(j), met.nabla_upper_by_raising(j)
+            a, b = nabla_upper(met, j), nabla_upper_by_raising(met, j)
             for mono in monomial_basis(m, n, 2):
                 f = SP.monomial(mono)
                 assert a.apply(f) == b.apply(f)
@@ -437,9 +437,10 @@ def test_a_sum_run_part_by_part_ignores_its_zero_parts():
     for op in (Add((r2e, ZERO_OP)), Add((Compose((nabla2(m, n), ZERO_OP)), r2e))):
         assert diffops._flatten(op) is None
         mats = OperatorMatrices(m, n)
+        mats._hold(op)  # so that its matrix, with the target degree, is kept
         for col, mono in zip(mats.matrix(op, k), monomial_basis(m, n, k)):
             assert col == _tree_column(op, mono, m, n, k + 2)
-        assert mats._roots[(id(op), k)][2] == k + 2
+        assert mats._roots[(id(op), k)][1] == k + 2
 
 
 class _Unknown(LinearOperator):
@@ -457,11 +458,12 @@ class _Unknown(LinearOperator):
 ])
 def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
     mats = OperatorMatrices(2, 1)
+    held = dict(mats._flat)  # the owner's own trees
     with pytest.raises(error):
         mats.matrix(op, 2)
     with pytest.raises(error):
         mats.apply(op, [{0: 1}], 2)
-    assert not mats._roots and not mats._words and not mats._flat
+    assert not mats._roots and not mats._words and mats._flat == held
 
 
 def _top_level_flattens(monkeypatch, trees):
@@ -480,12 +482,16 @@ def _top_level_flattens(monkeypatch, trees):
 
 def test_matrix_trees_and_mul_r2_are_flattened_once_per_space(monkeypatch):
     m, n = 4, 2
-    form_a, form_b = laplace_beltrami(m, n)
+    forms = laplace_beltrami(m, n)  # built, and held by the shared owner, first
+    flattened = []  # every tree flattened from here on, the owner's own ones too
+    flatten = diffops._flatten
+    monkeypatch.setattr(diffops, "_flatten", lambda op: flattened.append(op) or flatten(op))
     mats = OperatorMatrices(m, n)
-    counts = _top_level_flattens(monkeypatch, [form_a, form_b, mats.mul_r2])
+    form_a, form_b = (mats._hold(form) for form in forms)
     for k in range(5):
         assert mats.matrix(form_a, k) == mats.matrix(form_b, k)
         list(mats.columns(mats.mul_r2, k))  # never passed to matrix here
+    counts = [sum(op is tree for op in flattened) for tree in (form_a, form_b, mats.mul_r2)]
     assert counts == [1, 1, 1]  # form A does not flatten, and that is kept too
     assert mats._flat[id(form_b)][0] is form_b
 
@@ -508,6 +514,7 @@ def test_a_kept_part_of_a_sum_is_read_by_matvec(monkeypatch):
     m, n, k = 2, 1, 3
     mats = OperatorMatrices(m, n)
     L = osp_generator(1, 3, m, n)
+    mats._hold(L.parts[0])  # held, so its matrix is kept
     mats.matrix(L.parts[0], k)  # a part of L_13 now has a kept matrix at degree k
     matvecs = []
     matvec = diffops._matvec
@@ -524,10 +531,12 @@ def test_apply_on_vectors_matches_the_projector_tree():
     """Q as a chain of factor mat-vecs, with and without kept Laplace-Beltrami matrices."""
     for (m, n, k, keep) in [(2, 1, 3, False), (2, 1, 3, True), (3, 1, 2, True),
                             (1, 1, 3, False), (1, 1, 3, True)]:
-        mats = OperatorMatrices(m, n)
+        # the projector factors hold the shared owner's Laplace-Beltrami trees,
+        # which a new OperatorMatrices does not hold
+        mats = operator_matrices(m, n) if keep else OperatorMatrices(m, n)
         if keep:
-            mats.matrix(laplace_beltrami_bosonic(m), k)
-            mats.matrix(laplace_beltrami_fermionic(n), k)
+            mats.matrix(mats.lb_bosonic, k)
+            mats.matrix(mats.lb_fermionic, k)
         for pc in decompose_Hk(m, n, k):
             Q = projection_Q(pc.l, pc.q, k, m, n)
             for piece in decompose_Hk(m, n, k):

@@ -8,25 +8,24 @@ import sympy
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
 from superh import diffops, integration
 from superh.diffops import poly_to_vec, r2, theta2, osp_generator, generator_pairs
-from superh.harmonic import harmonic_basis, harmonic_polys, is_harmonic
+from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
-    LaurentSuperFunction,
     PizzettiRows,
     ScaledRational,
     _sphere_berezin,
-    berezin,
     berezin_density_coefficients,
     invariance_suite,
     invariant_density_solutions,
     orthogonality_failures,
-    phi_sharp,
-    phi_sharp_inverse,
     pizzetti,
     reciprocal_gamma,
     sphere_moment,
-    sqrt_one_minus_theta2_over_r2,
     supersphere_integral_phi,
 )
+
+import reference
+from reference import (LaurentSuperFunction, berezin, harmonic_polys, phi_sharp,
+                       phi_sharp_inverse, sqrt_one_minus_theta2_over_r2)
 
 
 # -- independent oracle: sympy Gamma ------------------------------------------------
@@ -281,7 +280,7 @@ def test_closed_form_phi_route_matches_its_definition_on_random_polynomials():
 def test_phi_route_builds_no_polynomial_product(monkeypatch):
     calls = []
 
-    def counted_phi(f, m, n, _phi=integration.phi_sharp):
+    def counted_phi(f, m, n, _phi=reference.phi_sharp):
         calls.append("phi_sharp")
         return _phi(f, m, n)
 
@@ -291,7 +290,7 @@ def test_phi_route_builds_no_polynomial_product(monkeypatch):
 
     polys = [(parse("x1^2*xg1*xg2 - 3*x2^4 + 1/2*xg1*xg2*xg3*xg4 + x1*xg1"), 2, 2),
              (parse("x1^2*x2^2*x3^2 + xg1*xg2"), 3, 1)]
-    monkeypatch.setattr(integration, "phi_sharp", counted_phi)
+    monkeypatch.setattr(reference, "phi_sharp", counted_phi)
     monkeypatch.setattr(SP, "__mul__", counted_mul)
     for f, m, n in polys:
         supersphere_integral_phi(f, m, n)
@@ -299,7 +298,7 @@ def test_phi_route_builds_no_polynomial_product(monkeypatch):
     assert calls == []
     # the patches do count the polynomial definition
     f, m, n = polys[0]
-    sphere_berezin_by_definition(integration.phi_sharp(f, m, n), berezin_density(m, n), m, n)
+    sphere_berezin_by_definition(reference.phi_sharp(f, m, n), berezin_density(m, n), m, n)
     assert {"phi_sharp", "__mul__"} <= set(calls)
 
 

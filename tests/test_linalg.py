@@ -299,6 +299,9 @@ def test_columns_outside_the_width_are_refused():
                  lambda: kernel_of_equations([{-1: Fraction(1)}], 3),
                  lambda: certified_full_rank([{7: 1}, {8: 1}], 2),
                  lambda: certified_full_rank([{0: 1}, {-1: 1}], 2),
-                 lambda: certified_full_rank([{0: 1}, {1: 1}, {3: 1}], 2)):
+                 lambda: certified_full_rank([{0: 1}, {1: 1}, {3: 1}], 2),
+                 lambda: Subspace.from_vectors([{5: Fraction(1)}], 3),
+                 lambda: rank_of_vectors([{7: 1}, {8: 1}], 2),
+                 lambda: rank_modp([{7: Fraction(1)}, {8: Fraction(1)}], 2)):
         with pytest.raises(ValueError):
             call()
