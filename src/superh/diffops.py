@@ -694,8 +694,19 @@ class OperatorMatrices:
 
 @lru_cache(maxsize=None)
 def operator_matrices(m: int, n: int) -> OperatorMatrices:
-    """The owner of (m|2n), shared by every degree and caller."""
+    """The owner of (m|2n), shared by every degree and caller.  Its
+    ``cache_clear()`` also drops the trees that ``osp_generator`` and
+    ``laplace_beltrami`` built from the owners, which no new owner holds."""
     return OperatorMatrices(m, n)
+
+
+def _drop_owners() -> None:
+    _clear_owners()
+    osp_generator.cache_clear()
+    laplace_beltrami.cache_clear()
+
+
+_clear_owners, operator_matrices.cache_clear = operator_matrices.cache_clear, _drop_owners
 
 
 # -- structural checks ---------------------------------------------------------

@@ -22,7 +22,9 @@ MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
 one weight, built from the per-degree nabla^2 matrices; the bulk invariance
 checks (``invariance_suite``, ``invariant_density_solutions``) evaluate T
 that way on the generator columns, which ``OperatorMatrices.generator_image``
-reads from the generators' words, and never apply a tree.
+reads from the generators' words, and never apply a tree.  Their check that
+harmonics of two degrees are orthogonal pairs them, scaled to int vectors,
+by an int pairing read off one row (``orthogonality_failures``).
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 The definition (phi# on Laurent functions of r^2, the product with the
@@ -36,20 +38,15 @@ the definition on whole bases.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .superalgebra import (MAX_BASIS_DIM, SuperMonomial, SuperPolynomial, check_variable_count,
-                           monomial_basis)
-from .diffops import (
-    MultiplyBy,
-    check_variables,
-    generator_pairs,
-    operator_matrices,
-    vec_to_poly,
-)
+from .superalgebra import (MAX_BASIS_DIM, SuperMonomial, SuperPolynomial, _mul_monomials,
+                           check_variable_count, monomial_basis)
+from .diffops import check_variables, generator_pairs, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
 from .linalg import Vec, kernel_of_equations
 
@@ -72,10 +69,6 @@ class ScaledRational:
     @staticmethod
     def zero() -> "ScaledRational":
         return ScaledRational(Fraction(0), 0)
-
-    @staticmethod
-    def of(q, h: int = 0) -> "ScaledRational":
-        return ScaledRational(Fraction(q), h)
 
     def is_zero(self) -> bool:
         return not self.q
@@ -120,13 +113,6 @@ class ScaledRational:
         if self.h % 2 == 0:
             return f"{self.q} * pi^{self.h // 2}"
         return f"{self.q} * pi^({self.h}/2)"
-
-    def to_json(self) -> dict:
-        return {"q": str(self.q), "h": self.h}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ScaledRational":
-        return ScaledRational(Fraction(obj["q"]), int(obj["h"]))
 
 
 def gamma_half(a: Fraction) -> ScaledRational:
@@ -379,7 +365,8 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         i.e. row(k) . column == 0 for every column of every generator on P_k;
     (b) T(R^2 f) = T(f) on the same monomials;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
-        k < l <= k_max (see ``orthogonality_failures``).
+        k < l <= k_max, by the int pairing of ``orthogonality_failures``:
+        one pairing per (k, l) and one int vector per harmonic, no tree.
     """
     T = PizzettiRows(m, n)
     mats = operator_matrices(m, n)
@@ -407,24 +394,70 @@ def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
                            l: int, b_rows: list[Vec]) -> list:
     """Failures of T(a b) = 0 over all a in a_rows (of P_k) and b in b_rows (of P_l).
 
-    For each a, u_a[s] = row(k + l) . (a x^s) is read off the columns of
-    multiplication by a on P_l, and u_a . b must vanish for every b.  When
-    k + l is odd the row is structurally zero and nothing is checked.
+    T(a b) = weight(k + l) * a^T G b for the int pairing G of ``_pairing``,
+    and only whether a^T G b vanishes is asked.  Nonzero scales ca, cb give
+    (ca a)^T G (cb b) = ca cb a^T G b, so the rows are scaled to primitive int
+    vectors (by positive scales) and every verdict is decided exactly over
+    ints.  u_a = a^T G is formed once per a, and u_a . b must vanish for every
+    b.  When k + l is odd the row is structurally zero and nothing is checked.
+    A failure names the product of the rows as given.
     """
     if (k + l) % 2:
         return []
     m, n = T.m, T.n
-    row = T.row(k + l)
-    mats = operator_matrices(m, n)
+    pairing = _pairing(T.row(k + l), m, n, k, l)
+    b_ints = [_primitive(b) for b in b_rows]
     failures = []
     for a in a_rows:
-        pa = vec_to_poly(a, m, n, k)
-        u = {s: x for s, col in mats.columns(MultiplyBy(pa), l) if (x := _dot(row, col))}
-        for b in b_rows:
-            if _dot(u, b):
+        u = _pair(pairing, _primitive(a))
+        for b, b_int in zip(b_rows, b_ints):
+            if _dot(u, b_int):
                 failures.append(("T(H_k H_l) != 0", (k, l), None,
-                                 str(pa * vec_to_poly(b, m, n, l))))
+                                 str(vec_to_poly(a, m, n, k) * vec_to_poly(b, m, n, l))))
     return failures
+
+
+def _pairing(row: Vec, m: int, n: int, k: int, l: int) -> dict[int, dict[int, int]]:
+    """G[c][s] = sign * row[mu] on P_k x P_l, where x^c x^s = sign * mu.
+
+    Each monomial mu where the row (of degree k + l) is nonzero is split into
+    its divisors x^c of degree k, a bosonic exponent vector <= mu's and a
+    subset of its Grassmann factors, and their cofactors x^s; the sign is the
+    one ``_mul_monomials`` gives.  Each nonzero G[c][s] is reached once.
+    """
+    mats = operator_matrices(m, n)
+    index_k, index_l = mats.index(k), mats.index(l)
+    basis = monomial_basis(m, n, k + l)
+    pairing: dict[int, dict[int, int]] = {}
+    for mu, x in row.items():
+        bosonic, fermionic = basis[mu]
+        for exps in itertools.product(*(range(e + 1) for _, e in bosonic)):
+            nf = k - sum(exps)
+            lo = tuple((i, b) for (i, _), b in zip(bosonic, exps) if b)
+            hi = tuple((i, e - b) for (i, e), b in zip(bosonic, exps) if b < e)
+            for sub in itertools.combinations(fermionic, nf) if nf >= 0 else ():
+                left = SuperMonomial(lo, sub)
+                right = SuperMonomial(hi, tuple(g for g in fermionic if g not in sub))
+                pairing.setdefault(index_k[left], {})[index_l[right]] = (
+                    _mul_monomials(left, right)[0] * x)
+    return pairing
+
+
+def _pair(pairing: dict[int, dict[int, int]], a: Vec) -> Vec:
+    """u = a^T G, without zero entries."""
+    u: Vec = {}
+    for c, x in a.items():
+        for s, g in pairing.get(c, {}).items():
+            u[s] = u.get(s, 0) + x * g
+    return {s: y for s, y in u.items() if y}
+
+
+def _primitive(v: Vec) -> Vec:
+    """The int multiple of v by a positive scale whose entries have gcd 1."""
+    den = math.lcm(*(x.denominator for x in v.values()))
+    ints = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    g = math.gcd(*ints.values()) or 1
+    return {c: x // g for c, x in ints.items()}
 
 
 def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fraction]]:

@@ -43,9 +43,6 @@ class SuperMonomial(NamedTuple):
     def degree(self) -> int:
         return sum(e for _, e in self.bosonic) + len(self.fermionic)
 
-    def bosonic_degree(self) -> int:
-        return sum(e for _, e in self.bosonic)
-
 
 ONE_MONOMIAL = SuperMonomial((), ())
 

@@ -3,10 +3,13 @@
 These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
-polynomials, homogeneous components, the lift of module coordinates, and the
+polynomials, homogeneous components, the lift of module coordinates, the
 phi# route of the supersphere integral by its definition (phi# on Laurent
-functions of r^2, and the Berezin integral).  Nothing in the package calls
-them, so they live with the tests.
+functions of r^2, and the Berezin integral), and the orthogonality check of
+the invariance suite by the columns of multiplication operators.  Also here
+are the helpers that only the tests use: the bosonic degree of a monomial
+and a JSON form of ScaledRational.  Nothing in the package calls them, so
+they live with the tests.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from superh.diffops import (Add, Compose, LinearOperator, Metric, Scale, index_parity, metric,
-                            operator_sum, osp_generator, plain_partial, r2, theta2,
-                            variable_poly, vec_to_poly)
+from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Scale,
+                            index_parity, metric, operator_matrices, operator_sum,
+                            osp_generator, plain_partial, r2, theta2, variable_poly,
+                            vec_to_poly)
 from superh.harmonic import harmonic_basis, subspace_polys
-from superh.integration import ScaledRational
+from superh.integration import PizzettiRows, ScaledRational, _dot
 from superh.linalg import Vec
 from superh.modules import RepSpace
-from superh.superalgebra import SuperPolynomial
+from superh.superalgebra import SuperMonomial, SuperPolynomial
 
 
 # -- the metric, entry by entry --------------------------------------------------
@@ -107,10 +111,52 @@ def homogeneous_components(f: SuperPolynomial) -> dict[int, SuperPolynomial]:
     return {k: SuperPolynomial(t) for k, t in sorted(out.items())}
 
 
+def bosonic_degree(mono: SuperMonomial) -> int:
+    return sum(e for _, e in mono.bosonic)
+
+
 def lift(rep: RepSpace, coords: Vec) -> SuperPolynomial:
     """The polynomial of P_k that module coordinates stand for."""
     return vec_to_poly(rep._in_pk({rep._kept[i]: c for i, c in coords.items()}),
                        rep.m, rep.n, rep.k)
+
+
+# -- the supersphere functional T -----------------------------------------------------
+
+
+def scaled_rational_to_json(value: ScaledRational) -> dict:
+    return {"q": str(value.q), "h": value.h}
+
+
+def scaled_rational_from_json(obj: dict) -> ScaledRational:
+    return ScaledRational(Fraction(obj["q"]), int(obj["h"]))
+
+
+def orthogonality_columns(T: PizzettiRows, k: int, a: Vec, l: int) -> Vec:
+    """u[s] = row(k + l) . (a x^s), read off the columns of multiplication by
+    the polynomial of a on P_l, without zero entries."""
+    m, n = T.m, T.n
+    row = T.row(k + l)
+    mats = operator_matrices(m, n)
+    pa = vec_to_poly(a, m, n, k)
+    return {s: x for s, col in mats.columns(MultiplyBy(pa), l) if (x := _dot(row, col))}
+
+
+def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
+                           l: int, b_rows: list[Vec]) -> list:
+    """Failures of T(a b) = 0 by the Fraction columns of MultiplyBy(a): the
+    package reads the same u from an int pairing of the row instead."""
+    if (k + l) % 2:
+        return []
+    m, n = T.m, T.n
+    failures = []
+    for a in a_rows:
+        u = orthogonality_columns(T, k, a, l)
+        for b in b_rows:
+            if _dot(u, b):
+                failures.append(("T(H_k H_l) != 0", (k, l), None,
+                                 str(vec_to_poly(a, m, n, k) * vec_to_poly(b, m, n, l))))
+    return failures
 
 
 # -- the phi# route by its definition ------------------------------------------------
@@ -186,7 +232,7 @@ class LaurentSuperFunction:
         for j, f in self.parts.items():
             buckets: dict[int, dict] = {}
             for mono, c in f.terms.items():
-                d = mono.bosonic_degree() - 2 * j
+                d = bosonic_degree(mono) - 2 * j
                 if d:
                     buckets.setdefault(d, {})[mono] = c
             for d, terms in buckets.items():

@@ -7,8 +7,9 @@ per-space owner, `diffops.operator_matrices(m, n)`: one object per (m|2n),
 which holds the space's operator trees, which the callers read from it, and
 whose leaf arrays, generator words, kept matrices and flattened held trees do
 not grow when a check runs again or when a tree built per call enters it by
-any entry point; and a fixed list of the package's caches, so that a new one
-is added on purpose.
+any entry point; that clearing the owners clears the trees built from them;
+and a fixed list of the package's caches, so that a new one is added on
+purpose.
 """
 
 import importlib
@@ -20,8 +21,8 @@ import pytest
 import superh
 from superh import checks
 from superh.diffops import (Compose, LinearOperator, MultiplyBy, OperatorMatrices, Scale, euler,
-                            generator_pairs, laplace_beltrami_bosonic, nabla2,
-                            operator_matrices, osp_generator, vec_to_poly)
+                            generator_pairs, laplace_beltrami, laplace_beltrami_bosonic,
+                            nabla2, operator_matrices, osp_generator, vec_to_poly)
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.integration import PizzettiRows
 from superh.modules import SpaceSpec, branching_explicit_check, rep_space
@@ -183,6 +184,7 @@ def test_check_all_builds_each_space_once(constructed):
 def test_band_modules_share_their_generator_words(monkeypatch):
     built = []
     compile_words = OperatorMatrices._compile
+    operator_matrices.cache_clear()  # and the generator trees built from the dropped owners
     generators = {id(osp_generator(i, j, 2, 2)) for (i, j) in generator_pairs(2, 2)}
 
     def spy(self, op, k):
@@ -191,7 +193,6 @@ def test_band_modules_share_their_generator_words(monkeypatch):
         return compile_words(self, op, k)
 
     monkeypatch.setattr(OperatorMatrices, "_compile", spy)
-    operator_matrices.cache_clear()
 
     def generator_matrices(kind):
         rep = rep_space(SpaceSpec(kind, 2, 2, 4))
@@ -203,3 +204,19 @@ def test_band_modules_share_their_generator_words(monkeypatch):
     # the quotient acts by the same generators on the same P_4
     generator_matrices("HkModSub")
     assert built == first
+
+
+def test_clearing_the_owners_drops_the_trees_built_from_them():
+    form_a, form_b = laplace_beltrami(2, 2)
+    generator = osp_generator(1, 3, 2, 2)
+    operator_matrices.cache_clear()
+    mats = operator_matrices(2, 2)
+    fresh = laplace_beltrami(2, 2)
+    assert fresh[0] is not form_a and fresh[1] is not form_b
+    assert all(mats._flat[id(form)][0] is form for form in fresh)
+    assert osp_generator(1, 3, 2, 2) is not generator
+    # the new owner keeps the matrix of the form it holds
+    mats.matrix(fresh[0], 3)
+    assert (id(fresh[0]), 3) in mats._roots
+    for fn in (osp_generator, laplace_beltrami):
+        assert fn.cache_info().currsize >= 1

@@ -8,9 +8,12 @@ helper that only calls itself, or that only tests call, fails here.
 A public top-level function or class counts as used when it is referenced
 the same way, when `superh/__init__.py` exports it, when it is a `cmd_*`
 that `cli.main` dispatches by the name of a subcommand, or when it is one of
-the named acceptance runners in ACCEPTANCE_RUNNERS.  Code that only the tests
-call (a second construction to compare against, say) belongs in
-`tests/reference.py`, not in the package.
+the named acceptance runners in ACCEPTANCE_RUNNERS.  A public method of a
+class of the package counts as used when its name occurs the same way outside
+its own body; the check is by name, so a method that shares its name with a
+used one passes.  Code that only the tests call (a second construction to
+compare against, or a helper such as a JSON form) belongs in
+`tests/reference.py`, as a function, not in the package.
 """
 
 import argparse
@@ -26,13 +29,17 @@ DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
 ACCEPTANCE_RUNNERS = {"suite_dims", "suite_lemma_lf"}
 
 
-def _private_definitions(tree: ast.Module):
+def _methods(tree: ast.Module):
     for node in tree.body:
-        members = node.body if isinstance(node, ast.ClassDef) else []
-        for item in [node, *members]:
-            if (isinstance(item, DEFINITIONS) and item.name.startswith("_")
-                    and not item.name.endswith("__")):
-                yield item
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body if isinstance(item, DEFINITIONS))
+
+
+def _private_definitions(tree: ast.Module):
+    for item in [*tree.body, *_methods(tree)]:
+        if (isinstance(item, DEFINITIONS) and item.name.startswith("_")
+                and not item.name.endswith("__")):
+            yield item
 
 
 def _trees_and_uses():
@@ -83,3 +90,10 @@ def test_every_public_definition_is_used_or_exported():
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, unused
 
+
+def test_every_public_method_is_used():
+    trees, uses = _trees_and_uses()
+    unused = [f"{name}:{node.lineno} {node.name}"
+              for name, tree in trees.items() for node in _methods(tree)
+              if not node.name.startswith("_") and not _used_elsewhere(node, name, uses)]
+    assert not unused, unused

@@ -12,6 +12,8 @@ from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
     PizzettiRows,
     ScaledRational,
+    _pair,
+    _pairing,
     _sphere_berezin,
     berezin_density_coefficients,
     invariance_suite,
@@ -44,10 +46,10 @@ def test_reciprocal_gamma_against_sympy():
 
 
 def test_reciprocal_gamma_examples():
-    assert reciprocal_gamma(Fraction(1, 2)) == ScaledRational.of(1, -1)
+    assert reciprocal_gamma(Fraction(1, 2)) == ScaledRational(1, -1)
     assert reciprocal_gamma(Fraction(0)) == ScaledRational.zero()
     assert reciprocal_gamma(Fraction(-2)) == ScaledRational.zero()
-    assert reciprocal_gamma(Fraction(5, 2)) == ScaledRational.of(Fraction(4, 3), -1)
+    assert reciprocal_gamma(Fraction(5, 2)) == ScaledRational(Fraction(4, 3), -1)
 
 
 def test_sphere_moment_against_sympy():
@@ -63,9 +65,9 @@ def test_sphere_moment_against_sympy():
 
 
 def test_sphere_moment_examples():
-    assert sphere_moment((0, 0), 2) == ScaledRational.of(2, 2)      # 2 pi
+    assert sphere_moment((0, 0), 2) == ScaledRational(2, 2)      # 2 pi
     assert sphere_moment((1, 0), 2) == ScaledRational.zero()
-    assert sphere_moment((2, 0), 2) == ScaledRational.of(1, 2)      # pi
+    assert sphere_moment((2, 0), 2) == ScaledRational(1, 2)      # pi
 
 
 def test_phi_route_costs_only_the_nonzero_exponents():
@@ -79,16 +81,16 @@ def test_phi_route_costs_only_the_nonzero_exponents():
 
 
 def test_scaled_rational_arithmetic():
-    a = ScaledRational.of(Fraction(1, 2), 2)
-    b = ScaledRational.of(3, 2)
-    assert a + b == ScaledRational.of(Fraction(7, 2), 2)
-    assert (a * b) == ScaledRational.of(Fraction(3, 2), 4)
+    a = ScaledRational(Fraction(1, 2), 2)
+    b = ScaledRational(3, 2)
+    assert a + b == ScaledRational(Fraction(7, 2), 2)
+    assert (a * b) == ScaledRational(Fraction(3, 2), 4)
     assert a + ScaledRational.zero() == a
     with pytest.raises(ArithmeticError):
-        _ = a + ScaledRational.of(1, 1)
-    assert str(ScaledRational.of(2, 0)) == "2 * pi^0"
-    assert str(ScaledRational.of(1, -1)) == "1 * pi^(-1/2)"
-    rt = ScaledRational.from_json(a.to_json())
+        _ = a + ScaledRational(1, 1)
+    assert str(ScaledRational(2, 0)) == "2 * pi^0"
+    assert str(ScaledRational(1, -1)) == "1 * pi^(-1/2)"
+    rt = reference.scaled_rational_from_json(reference.scaled_rational_to_json(a))
     assert rt == a
 
 
@@ -97,7 +99,7 @@ def test_scaled_rational_arithmetic():
 
 def test_berezin_examples():
     top, pref = berezin(SP.one(), 1)
-    assert top.is_zero() and pref == ScaledRational.of(1, -2)
+    assert top.is_zero() and pref == ScaledRational(1, -2)
     top, _ = berezin(SP.xg(1) * SP.xg(2), 1)
     assert top == SP.one()
     top, _ = berezin(theta2(1), 1)
@@ -111,10 +113,10 @@ def test_berezin_examples():
 
 
 def test_pizzetti_examples():
-    assert pizzetti(SP.one(), 3, 1) == ScaledRational.of(2, 0)
+    assert pizzetti(SP.one(), 3, 1) == ScaledRational(2, 0)
     assert pizzetti(SP.one(), 2, 1) == ScaledRational.zero()
     # only the k=1 term of the Laplacian series survives on x1^2
-    assert pizzetti(SP.x(1, 2), 3, 1) == ScaledRational.of(2, 0)
+    assert pizzetti(SP.x(1, 2), 3, 1) == ScaledRational(2, 0)
     assert pizzetti(SP.xg(1), 2, 1) == ScaledRational.zero()
 
 
@@ -290,6 +292,7 @@ def test_phi_route_builds_no_polynomial_product(monkeypatch):
 
     polys = [(parse("x1^2*xg1*xg2 - 3*x2^4 + 1/2*xg1*xg2*xg3*xg4 + x1*xg1"), 2, 2),
              (parse("x1^2*x2^2*x3^2 + xg1*xg2"), 3, 1)]
+    diffops.operator_matrices(2, 1)  # its construction builds R^2 by products
     monkeypatch.setattr(reference, "phi_sharp", counted_phi)
     monkeypatch.setattr(SP, "__mul__", counted_mul)
     for f, m, n in polys:
@@ -306,7 +309,7 @@ def test_phi_route_builds_no_polynomial_product(monkeypatch):
 
 
 def test_supersphere_examples():
-    assert supersphere_integral_phi(SP.one(), 3, 1) == ScaledRational.of(2, 0)
+    assert supersphere_integral_phi(SP.one(), 3, 1) == ScaledRational(2, 0)
     assert supersphere_integral_phi(SP.xg(1), 2, 1) == ScaledRational.zero()
 
 
@@ -363,21 +366,60 @@ def test_pizzetti_rows_on_a_polynomial():
         T.row(-2)
 
 
-def test_orthogonality_check_reports_a_non_harmonic_vector():
+def _non_harmonic_cases():
+    """T of (3|2) and (k, a_rows, l, b_rows) of the orthogonality check; x1^2 is
+    not harmonic (nabla^2 x1^2 = 2)."""
     m, n = 3, 1
-    T = PizzettiRows(m, n)
     h2 = list(harmonic_basis(m, n, 2).rows)
-    assert orthogonality_failures(T, 0, [{0: 1}], 2, h2) == []
-    # x1^2 is not harmonic: nabla^2 x1^2 = 2, and T(1 * x1^2) != 0
     x1sq = poly_to_vec(SP.x(1, 2), m, n, 2)
-    failures = orthogonality_failures(T, 0, [{0: 1}], 2, h2 + [x1sq])
+    return PizzettiRows(m, n), [
+        (0, [{0: 1}], 2, h2),
+        (0, [{0: 1}], 2, h2 + [x1sq]),
+        (2, [x1sq], 4, [poly_to_vec(SP.x(2, 4), m, n, 4)]),
+        (2, [x1sq], 1, [{0: 1}]),
+        (2, [poly_to_vec(parse("x1^2 - x2^2"), m, n, 2)], 4,
+         [poly_to_vec(parse("x1^4 + x2^4"), m, n, 4)]),
+    ]
+
+
+def test_orthogonality_check_reports_a_non_harmonic_vector():
+    T, cases = _non_harmonic_cases()
+    assert orthogonality_failures(T, *cases[0]) == []
+    # x1^2 is not harmonic: nabla^2 x1^2 = 2, and T(1 * x1^2) != 0
+    failures = orthogonality_failures(T, *cases[1])
     assert failures == [("T(H_k H_l) != 0", (0, 2), None, str(SP.x(1, 2)))]
     # a non-harmonic left factor is reported too
-    x2_4 = poly_to_vec(SP.x(2, 4), m, n, 4)
-    failures = orthogonality_failures(T, 2, [x1sq], 4, [x2_4])
+    failures = orthogonality_failures(T, *cases[2])
     assert failures == [("T(H_k H_l) != 0", (2, 4), None, str(SP.x(1, 2) * SP.x(2, 4)))]
     # T vanishes on odd degrees, so a pair with an odd degree sum is not checked
-    assert orthogonality_failures(T, 2, [x1sq], 1, [{0: 1}]) == []
+    assert orthogonality_failures(T, *cases[3]) == []
+    # no factor is harmonic, but T of the product vanishes by the symmetry x1 <-> x2
+    assert orthogonality_failures(T, *cases[4]) == []
+
+
+def test_the_pairing_equals_the_column_reference_on_whole_bases():
+    # (1|2), (2|2), (3|4), (4|0) and (4|4)
+    for (m, n) in [(1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]:
+        T = PizzettiRows(m, n)
+        for k in range(0, 5):
+            for l in range(k + 1, 5):
+                pairing = _pairing(T.row(k + l), m, n, k, l)
+                for a in harmonic_basis(m, n, k).rows:
+                    assert _pair(pairing, a) == reference.orthogonality_columns(T, k, a, l), \
+                        (m, n, k, l, a)
+
+
+def test_the_pairing_fails_where_the_column_reference_fails():
+    T, cases = _non_harmonic_cases()
+    for case in cases:
+        assert orthogonality_failures(T, *case) == reference.orthogonality_failures(T, *case)
+    # rows scaled and negated give the same verdicts, and the failures name the rows as given
+    k, a_rows, l, b_rows = cases[2]
+    scaled = [{c: Fraction(-3, 7) * x for c, x in a.items()} for a in a_rows]
+    assert (orthogonality_failures(T, k, scaled, l, b_rows)
+            == reference.orthogonality_failures(T, k, scaled, l, b_rows)
+            == [("T(H_k H_l) != 0", (2, 4), None,
+                 str(SP.x(1, 2).scaled(Fraction(-3, 7)) * SP.x(2, 4)))])
 
 
 def test_bulk_invariance_checks_apply_no_tree(monkeypatch):
