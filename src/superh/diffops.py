@@ -681,15 +681,40 @@ class OperatorMatrices:
             self._leaves[key] = rows, vals
         return self._leaves[key]
 
-    def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
-        """L_ij v for a coordinate vector v of P_k, from the words of
-        ``osp_generator(i, j)``, flattened once and bound per degree."""
+    def _generator_words(self, i: int, j: int, k: int) -> list:
+        """The words of ``osp_generator(i, j)``, flattened once and bound per degree."""
         words = self._words.get((i, j, k))
         if words is None:
             factor, _, words = self._compile(self._hold(osp_generator(i, j, self.m, self.n)), k)
             assert factor == 1  # the coefficients are entries of inv(g), integers
             self._words[(i, j, k)] = words
-        return _image(words, v)
+        return words
+
+    def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
+        """L_ij v for a coordinate vector v of P_k."""
+        return _image(self._generator_words(i, j, k), v)
+
+    def generator_transposes(self, row: Vec, k: int):
+        """((i, j), u = row^T L_ij on P_k) for every generator, without zero
+        entries: each word is walked backwards from the row's support through
+        the inverses of its leaf maps (a leaf is injective), built per call."""
+        inverses: dict[int, dict[int, int]] = {}  # id of a leaf's rows, which the owner holds
+        for (i, j) in generator_pairs(self.m, self.n):
+            u: Vec = {}
+            for coef, chain in self._generator_words(i, j, k):
+                for rows, _ in chain:
+                    if id(rows) not in inverses:
+                        inverses[id(rows)] = {t: r for r, t in enumerate(rows) if t >= 0}
+                for mu, x in row.items():
+                    r, y = mu, coef * x
+                    for rows, vals in reversed(chain):
+                        r = inverses[id(rows)].get(r)
+                        if r is None:
+                            break
+                        y *= vals[r]
+                    else:
+                        u[r] = u.get(r, 0) + y
+            yield (i, j), {c: y for c, y in u.items() if y}
 
 
 @lru_cache(maxsize=None)

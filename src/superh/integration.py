@@ -14,26 +14,28 @@ Both routes are exact and must agree on polynomials; this equality is part of
 the acceptance suite, so neither side may be expressed through the other.
 
 The Pizzetti sum has two evaluators.  ``pizzetti`` applies nabla^2 to one
-polynomial again and again, each term differentiated only by the variables
-it holds (``_laplacian``; the nabla^2 tree is its reference in tests); it
-serves one-off integrals (``superh integrate``) and the comparison of the two
+polynomial again and again, over int terms (f scaled once by the lcm of its
+denominators), each term differentiated only by the variables it holds
+(``_nabla2_ints``; the nabla^2 tree is its reference in tests); it serves
+one-off integrals (``superh integrate``) and the comparison of the two
 routes, and it refuses a walk whose nabla^{2j} f holds more than
 MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
 one weight, built from the per-degree nabla^2 matrices; the bulk invariance
 checks (``invariance_suite``, ``invariant_density_solutions``) evaluate T
-that way on the generator columns, which ``OperatorMatrices.generator_image``
-reads from the generators' words, and never apply a tree.  Their check that
-harmonics of two degrees are orthogonal pairs them, scaled to int vectors,
-by an int pairing read off one row (``orthogonality_failures``).
+that way and never apply a tree.  Check (a) reads row^T L_ij transposed,
+from the row's support through the generators' inverse leaf maps
+(``OperatorMatrices.generator_transposes``), and the check that harmonics
+of two degrees are orthogonal pairs them, scaled to int vectors, by an int
+pairing read off one row (``orthogonality_failures``).
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 The definition (phi# on Laurent functions of r^2, the product with the
 density and the Berezin integral) is the tests' reference, in
 ``tests/reference.py``; ``_sphere_berezin`` evaluates the whole route term by
-term in closed form, from the density's coefficients in theta^{2i}, in time
-linear in n per term.  ``supersphere_integral_phi`` and
-``invariant_density_solutions`` use the evaluator; the tests compare it with
-the definition on whole bases.
+term in closed form, from the density's coefficients in theta^{2i} (closed
+form too, ``berezin_density_coefficients``), in time linear in n per term.
+``supersphere_integral_phi`` and ``invariant_density_solutions`` use the
+evaluator; the tests compare it with the definition on whole bases.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .superalgebra import (MAX_BASIS_DIM, SuperMonomial, SuperPolynomial, _mul_monomials,
-                           check_variable_count, monomial_basis)
+from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPolynomial,
+                           _mul_monomials, check_variable_count, monomial_basis)
 from .diffops import check_variables, generator_pairs, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
 from .linalg import Vec, kernel_of_equations
@@ -168,43 +170,47 @@ def _pizzetti_weight(M: int, j: int) -> ScaledRational:
 def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum.
 
-    Raises ValueError once some nabla^{2j} f holds more than MAX_BASIS_DIM
-    terms: the walk can grow like 2^m, e.g. on x1^2 * ... * xm^2.
+    nabla^2 walks f's terms scaled to ints by one lcm, divided out at the
+    constant terms.  Raises ValueError once some nabla^{2j} f holds more than
+    MAX_BASIS_DIM terms: the walk can grow like 2^m, e.g. on x1^2 * ... * xm^2.
     """
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
     check_variable_count(m, n)
     check_variables(f, m, n)
     M = m - 2 * n
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    g = {mono: c.numerator * (den // c.denominator) for mono, c in f.terms.items()}
     total = ScaledRational.zero()
-    g = f
     j = 0
     while g:
-        if len(g.terms) > MAX_BASIS_DIM:
-            raise ValueError(f"nabla^{2 * j} f has {len(g.terms)} terms, above the "
+        if len(g) > MAX_BASIS_DIM:
+            raise ValueError(f"nabla^{2 * j} f has {len(g)} terms, above the "
                              f"Pizzetti term budget MAX_BASIS_DIM = {MAX_BASIS_DIM}")
-        c = g.constant_term()
+        c = g.get(ONE_MONOMIAL)
         if c:
-            total = total + _pizzetti_weight(M, j) * c
-        g = _laplacian(g)
+            total = total + _pizzetti_weight(M, j) * Fraction(c, den)
+        g = _nabla2_ints(g)
         j += 1
     return total
 
 
-def _laplacian(f: SuperPolynomial) -> SuperPolynomial:
-    """nabla^2 f, each term differentiated only by the xi and the Grassmann
-    pairs (xg(2j-1), xg(2j)) it holds, in the order of the nabla^2 tree (which
-    is its reference in tests): d/dxi twice, and -4 d/dxg(2j-1) d/dxg(2j)."""
-    out: dict[SuperMonomial, Fraction] = {}
-    for mono, c in f.terms.items():
-        term = SuperPolynomial({mono: c})
-        images = [term.dx(i).dx(i) for i, e in mono.bosonic if e > 1]
-        images += [term.dxg(a + 1).dxg(a).scaled(-4) for a in mono.fermionic
-                   if a % 2 and a + 1 in mono.fermionic]
-        for image in images:
-            for new, x in image.terms.items():
-                out[new] = out.get(new, 0) + x
-    return SuperPolynomial({new: x for new, x in out.items() if x})
+def _nabla2_ints(terms: dict[SuperMonomial, int]) -> dict[SuperMonomial, int]:
+    """nabla^2 on int terms, differentiating only the variables a term holds (the
+    tree is its reference in tests): d^2/dxi^2 x_i^e = e(e-1) x_i^{e-2}, and the
+    -4 d/dxg(2p-1) d/dxg(2p) of an adjacent pair is +4, its left derivatives -1."""
+    out: dict[SuperMonomial, int] = {}
+    for (bosonic, fermionic), c in terms.items():
+        for pos, (i, e) in enumerate(bosonic):
+            if e > 1:
+                rest = ((i, e - 2),) if e > 2 else ()
+                new = SuperMonomial(bosonic[:pos] + rest + bosonic[pos + 1:], fermionic)
+                out[new] = out.get(new, 0) + e * (e - 1) * c
+        for pos in range(len(fermionic) - 1):
+            if fermionic[pos] % 2 and fermionic[pos + 1] == fermionic[pos] + 1:
+                new = SuperMonomial(bosonic, fermionic[:pos] + fermionic[pos + 2:])
+                out[new] = out.get(new, 0) + 4 * c
+    return {mono: c for mono, c in out.items() if c}
 
 
 def _dot(row: Vec, v: Vec):
@@ -284,12 +290,12 @@ def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
 
 
 def berezin_density_coefficients(m: int, n: int) -> list[Fraction]:
-    """delta_i = (-1)^i C(m/2 - 1, i) for i = 0..n: the coefficients of theta^{2i}
-    in the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
-    e = Fraction(m, 2) - 1
-    out = [Fraction(1)]
-    for i in range(1, n + 1):
-        out.append(out[-1] * (i - 1 - e) / i)
+    """delta_i = (-1)^i C(m/2 - 1, i) = prod_{r<=i} (2r - m)/2r for i = 0..n: the theta^{2i}
+    coefficients of the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
+    out, num, den = [Fraction(1)], 1, 1
+    for r in range(1, n + 1):
+        num, den = num * (2 * r - m), den * 2 * r
+        out.append(Fraction(num, den))
     return out
 
 
@@ -362,7 +368,8 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
     matrices, over whole bases:
 
     (a) T(L_ij f) = 0 for every generator and monomial f of degree <= k_max,
-        i.e. row(k) . column == 0 for every column of every generator on P_k;
+        i.e. row(k)^T L_ij = 0 on P_k, read transposed from the support of
+        row(k) by ``generator_failures``;
     (b) T(R^2 f) = T(f) on the same monomials;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
         k < l <= k_max, by the int pairing of ``orthogonality_failures``:
@@ -373,12 +380,7 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
     failures = []
     for k in range(0, k_max + 1):
         basis = monomial_basis(m, n, k)
-        row = T.row(k)
-        for (i, j) in generator_pairs(m, n):
-            for c in range(len(basis)):
-                if _dot(row, mats.generator_image(i, j, {c: 1}, k)):
-                    failures.append(("T(L f) != 0", k, (i, j),
-                                     str(SuperPolynomial.monomial(basis[c]))))
+        failures += generator_failures(m, n, T.row(k), k)
         for c, col in mats.columns(mats.mul_r2, k):
             if T.value(col, k + 2) != T.value({c: 1}, k):
                 failures.append(("T(R^2 f) != T(f)", k, None,
@@ -388,6 +390,15 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         for l in range(k + 1, k_max + 1):
             failures += orthogonality_failures(T, k, hk, l, harmonic_basis(m, n, l).rows)
     return InvarianceReport(m, n, k_max, not failures, failures, T)
+
+
+def generator_failures(m: int, n: int, row: Vec, k: int) -> list:
+    """Failures of row . (L_ij x^c) = 0 over the generators and basis monomials
+    x^c of P_k, read off u = row^T L_ij, in ascending c per generator."""
+    basis = monomial_basis(m, n, k)
+    return [("T(L f) != 0", k, ij, str(SuperPolynomial.monomial(basis[c])))
+            for ij, u in operator_matrices(m, n).generator_transposes(row, k)
+            for c in sorted(u)]
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],

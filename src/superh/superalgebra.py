@@ -282,9 +282,6 @@ class SuperPolynomial:
             raise ValueError("polynomial is not parity-homogeneous")
         return Parity(parities.pop()) if parities else Parity.EVEN
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get(ONE_MONOMIAL, Fraction(0))
-
     def __repr__(self) -> str:
         return f"SuperPolynomial({render(self)!r})"
 

@@ -5,8 +5,10 @@ computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
 polynomials, homogeneous components, the lift of module coordinates, the
 phi# route of the supersphere integral by its definition (phi# on Laurent
-functions of r^2, and the Berezin integral), and the orthogonality check of
-the invariance suite by the columns of multiplication operators.  Also here
+functions of r^2, and the Berezin integral), the density's coefficients by
+their recurrence, and two checks of the invariance suite by operator
+columns: (a) by applying each generator to every unit column, and the
+orthogonality check by the columns of multiplication operators.  Also here
 are the helpers that only the tests use: the bosonic degree of a monomial
 and a JSON form of ScaledRational.  Nothing in the package calls them, so
 they live with the tests.
@@ -19,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Scale,
-                            index_parity, metric, operator_matrices, operator_sum,
-                            osp_generator, plain_partial, r2, theta2, variable_poly,
-                            vec_to_poly)
+                            generator_pairs, index_parity, metric, operator_matrices,
+                            operator_sum, osp_generator, plain_partial, r2, theta2,
+                            variable_poly, vec_to_poly)
 from superh.harmonic import harmonic_basis, subspace_polys
 from superh.integration import PizzettiRows, ScaledRational, _dot
 from superh.linalg import Vec
 from superh.modules import RepSpace
-from superh.superalgebra import SuperMonomial, SuperPolynomial
+from superh.superalgebra import SuperMonomial, SuperPolynomial, monomial_basis
 
 
 # -- the metric, entry by entry --------------------------------------------------
@@ -159,7 +161,35 @@ def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
     return failures
 
 
+def generator_row_products(row: Vec, m: int, n: int, k: int) -> dict:
+    """{(i, j): u} with u[c] = row . (L_ij e_c), without zero entries, by
+    applying every generator to every unit column of P_k: the package reads
+    the same u transposed, from the support of the row."""
+    mats = operator_matrices(m, n)
+    dim = len(monomial_basis(m, n, k))
+    return {(i, j): {c: x for c in range(dim)
+                     if (x := _dot(row, mats.generator_image(i, j, {c: 1}, k)))}
+            for (i, j) in generator_pairs(m, n)}
+
+
+def generator_failures(m: int, n: int, row: Vec, k: int) -> list:
+    """Failures of check (a) by the forward loop over unit columns."""
+    basis = monomial_basis(m, n, k)
+    return [("T(L f) != 0", k, ij, str(SuperPolynomial.monomial(basis[c])))
+            for ij, u in generator_row_products(row, m, n, k).items() for c in u]
+
+
 # -- the phi# route by its definition ------------------------------------------------
+
+
+def berezin_density_recurrence(m: int, n: int) -> list[Fraction]:
+    """delta_i = (-1)^i C(m/2 - 1, i) by the recurrence
+    delta_i = delta_{i-1} (i - 1 - (m/2 - 1)) / i."""
+    e = Fraction(m, 2) - 1
+    out = [Fraction(1)]
+    for i in range(1, n + 1):
+        out.append(out[-1] * (i - 1 - e) / i)
+    return out
 
 
 def berezin(f: SuperPolynomial, n: int) -> tuple[SuperPolynomial, ScaledRational]:

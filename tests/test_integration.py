@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -135,6 +136,15 @@ def test_pizzetti_requires_bosonic_direction():
         pizzetti(SP.one(), 0, 1)
 
 
+def _nabla2_by_ints(f):
+    """nabla^2 f by the int step of the Pizzetti walk, f scaled by the lcm of its
+    denominators and the scale divided out again."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    image = integration._nabla2_ints({mono: int(c * den) for mono, c in f.terms.items()})
+    assert all(type(c) is int and c for c in image.values())
+    return SP({mono: Fraction(c, den) for mono, c in image.items()})
+
+
 def test_term_local_laplacian_equals_the_tree_on_random_polynomials():
     rng = random.Random(911)
     for (m, n) in [(1, 0), (0, 2), (1, 1), (2, 2), (3, 1), (4, 2), (2, 3)]:
@@ -144,11 +154,27 @@ def test_term_local_laplacian_equals_the_tree_on_random_polynomials():
             f = SP({mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
                     for mono in rng.sample(monos, min(8, len(monos)))})
             for _ in range(4):
-                assert integration._laplacian(f) == lap.apply(f), (m, n, str(f))
+                assert _nabla2_by_ints(f) == lap.apply(f), (m, n, str(f))
                 f = lap.apply(f) + f
     # images that cancel leave no zero coefficient behind
     f = SP.x(1, 2) * SP.x(2) - SP.x(2, 3).scaled(Fraction(1, 3))
-    assert integration._laplacian(f).terms == {}
+    assert _nabla2_by_ints(f).terms == {}
+
+
+def test_pizzetti_walk_builds_no_polynomial(monkeypatch):
+    calls = []
+    for name in ("dx", "dxg", "__mul__"):
+        def counted(self, other, _method=getattr(SP, name), _name=name):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(SP, name, counted)
+    f = SP({mono: Fraction(3, 4) for mono in monomial_basis(2, 2, 4)})
+    assert pizzetti(f, 2, 2) == supersphere_integral_phi(f, 2, 2)
+    assert pizzetti(SP.x(1, 2), 3, 1) == ScaledRational(2, 0)
+    assert calls == []
+    # the patches do count the tree path
+    diffops.nabla2(2, 2).apply(f)
+    assert {"dx", "dxg"} <= set(calls)
 
 
 def test_pizzetti_step_differentiates_only_the_variables_a_term_holds():
@@ -248,6 +274,16 @@ def test_berezin_density_truncates():
         for n in range(0, 4):
             coeffs = berezin_density_coefficients(m, n)
             assert density_poly(coeffs, n) == berezin_density(m, n), (m, n)
+
+
+def test_the_closed_form_density_equals_its_recurrence():
+    for m in range(1, 31):
+        for n in range(0, 8):
+            assert berezin_density_coefficients(m, n) == reference.berezin_density_recurrence(m, n)
+    # for even m the factor 2r - m vanishes at r = m/2, and so does every later delta
+    assert berezin_density_coefficients(4, 3) == [1, -1, 0, 0]
+    assert berezin_density_coefficients(2, 2) == [1, 0, 0]
+    assert berezin_density_coefficients(3, 2) == [1, Fraction(-1, 2), Fraction(-1, 8)]
 
 
 def test_closed_form_phi_route_matches_its_definition_on_every_monomial():
@@ -420,6 +456,50 @@ def test_the_pairing_fails_where_the_column_reference_fails():
             == reference.orthogonality_failures(T, k, scaled, l, b_rows)
             == [("T(H_k H_l) != 0", (2, 4), None,
                  str(SP.x(1, 2).scaled(Fraction(-3, 7)) * SP.x(2, 4)))])
+
+
+def test_transposed_generator_rows_equal_the_forward_reference():
+    # (1|2), (2|2), (3|4), (4|0) and (4|4); the Pizzetti rows are invariant, so
+    # a random int row over the whole of P_k is checked too
+    rng = random.Random(1717)
+    for (m, n) in [(1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]:
+        mats = diffops.operator_matrices(m, n)
+        T = PizzettiRows(m, n)
+        for k in range(0, 5):
+            dim = len(monomial_basis(m, n, k))
+            dense = {c: rng.randint(-5, 5) for c in range(dim)}
+            for row in (T.row(k), {c: x for c, x in dense.items() if x}):
+                got = dict(mats.generator_transposes(row, k))
+                assert got == reference.generator_row_products(row, m, n, k), (m, n, k)
+            assert any(dict(mats.generator_transposes(dense, k)).values()) or k == 0
+
+
+def test_check_a_fails_where_the_forward_reference_fails():
+    for (m, n, k) in [(2, 1, 2), (3, 2, 4), (4, 0, 4), (1, 1, 2)]:
+        row = dict(PizzettiRows(m, n).row(k))
+        assert integration.generator_failures(m, n, row, k) == []
+        changed = next(iter(row))
+        extra = next(c for c in range(len(monomial_basis(m, n, k))) if c not in row)
+        for tampered in ({**row, changed: row[changed] + 1}, {**row, extra: 3}):
+            failures = integration.generator_failures(m, n, tampered, k)
+            assert failures, (m, n, k)
+            assert failures == reference.generator_failures(m, n, tampered, k), (m, n, k)
+
+
+def test_check_a_applies_no_generator_to_a_unit_column(monkeypatch):
+    calls = []
+
+    def counted(self, i, j, v, k, _image=diffops.OperatorMatrices.generator_image):
+        calls.append((i, j, k))
+        return _image(self, i, j, v, k)
+
+    monkeypatch.setattr(diffops.OperatorMatrices, "generator_image", counted)
+    for (m, n) in [(2, 1), (3, 2)]:
+        assert invariance_suite(m, n, 4).passed, (m, n)
+    assert calls == []
+    # the patch does count the forward reference
+    reference.generator_failures(2, 1, PizzettiRows(2, 1).row(2), 2)
+    assert calls
 
 
 def test_bulk_invariance_checks_apply_no_tree(monkeypatch):
