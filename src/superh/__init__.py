@@ -44,6 +44,7 @@ from .harmonic import (
     fermionic_harmonics,
     fischer,
     harmonic_basis,
+    is_harmonic,
     projection_Q,
     verify_lemma_Lf,
 )

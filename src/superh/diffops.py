@@ -23,9 +23,10 @@ evaluated in one of two ways:
   P_k -> P_k', or on many coordinate vectors of P_k at once; a product whose
   words would outnumber its factors' runs one factor at a time.  The bulk
   checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
-  ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``.
-  It owns the space's trees and builds each once.  The owner keeps what it
-  holds, and nothing else: a tree built per call keeps nothing.
+  ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``
+  and ``r2_times`` multiplies by R^{2j} through the held ``mul_r2``.  It owns
+  the space's trees and builds each once.  The owner keeps what it holds, and
+  nothing else: a tree built per call keeps nothing.
 """
 
 from __future__ import annotations
@@ -282,11 +283,12 @@ def generator_pairs(m: int, n: int) -> list[tuple[int, int]]:
             if not (i == j and i <= m)]
 
 
-def _radial_laplace_beltrami(radius2: SuperPolynomial, lap: LinearOperator,
+def _radial_laplace_beltrami(mul_radius2: MultiplyBy, lap: LinearOperator,
                              E: LinearOperator, M: int) -> LinearOperator:
-    """Form A of a Laplace-Beltrami operator: R^2 nabla^2 - E(M-2+E)."""
+    """Form A of a Laplace-Beltrami operator: R^2 nabla^2 - E(M-2+E), R^2
+    acting by the multiplier tree mul_radius2."""
     return Add((
-        Compose((MultiplyBy(radius2), lap)),
+        Compose((mul_radius2, lap)),
         Compose((Scale(Fraction(-1)), E, Add((Scale(Fraction(M - 2)), E)))),
     ))
 
@@ -300,7 +302,7 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
     every graded piece is a tested invariant.
     """
     mats = operator_matrices(m, n)
-    form_a = _radial_laplace_beltrami(mats.r2_power(1), mats.nabla2, mats.euler, m - 2 * n)
+    form_a = _radial_laplace_beltrami(mats.mul_r2, mats.nabla2, mats.euler, m - 2 * n)
     g = mats.metric.g
     parts = []
     for i, row_i in enumerate(g):  # 0-based indices over the nonzero entries
@@ -317,12 +319,12 @@ def laplace_beltrami(m: int, n: int) -> tuple[LinearOperator, LinearOperator]:
 
 def laplace_beltrami_bosonic(m: int) -> LinearOperator:
     """r^2 laplace_b - E_b (m-2+E_b); acts through the bosonic variables only."""
-    return _radial_laplace_beltrami(r2(m, 0), nabla2(m, 0), euler_b(m), m)
+    return _radial_laplace_beltrami(MultiplyBy(r2(m, 0)), nabla2(m, 0), euler_b(m), m)
 
 
 def laplace_beltrami_fermionic(n: int) -> LinearOperator:
     """theta^2 laplace_f - E_f (-2n-2+E_f); the purely fermionic analogue."""
-    return _radial_laplace_beltrami(theta2(n), nabla2(0, n), euler_f(n), -2 * n)
+    return _radial_laplace_beltrami(MultiplyBy(theta2(n)), nabla2(0, n), euler_f(n), -2 * n)
 
 
 # -- matrices of operators -----------------------------------------------------
@@ -498,24 +500,20 @@ def _image(words: list[tuple], v: Vec) -> Vec:
     return {r: y for r, y in out.items() if y}
 
 
-# basis columns that OperatorMatrices.columns applies an operator to at once
-COLUMN_CHUNK = 64
-
-
 class OperatorMatrices:
     """The owner of (m|2n): its operator trees, and their sparse matrices on
     its degrees.  It builds each tree once (``metric``, ``nabla2``, ``mul_r2``,
-    ``euler``, ``lb_bosonic``, ``lb_fermionic``, ``r2_power(j)``), and
-    ``osp_generator`` and ``laplace_beltrami`` build theirs from these.
+    ``euler``, ``lb_bosonic``, ``lb_fermionic``), and ``osp_generator`` and
+    ``laplace_beltrami`` build theirs from these.
 
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
     runs op on coordinate vectors of P_k without forming op's matrix, and
-    ``columns(op, k)`` streams op's columns without keeping them.  A tree runs
-    as its words (see the comment above) where it flattens, and by its
-    structure where it does not: a Compose one factor at a time (always at
-    the top, so a product of k factors is never multiplied out) and an Add
-    part by part.
+    ``r2_times(vecs, k, j)`` multiplies them by R^{2j}, applying ``mul_r2`` j
+    times.  A tree runs as its words (see the comment above) where it
+    flattens, and by its structure where it does not: a Compose one factor at
+    a time (always at the top, so a product of k factors is never multiplied
+    out) and an Add part by part.
 
     The owner keeps what it holds, and nothing else: besides the space's
     basis index maps and leaf arrays, the words of each held tree and of the
@@ -533,9 +531,8 @@ class OperatorMatrices:
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (packed, k_out)
         self._words: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> words of L_ij
         self._flat: dict[int, tuple] = {}  # id(op) -> (op, _flatten(op)): the held trees
-        self._r2_powers = {1: r2(m, n)}
         self.nabla2 = self._hold(nabla2(m, n))
-        self.mul_r2 = self._hold(MultiplyBy(self._r2_powers[1]))
+        self.mul_r2 = self._hold(MultiplyBy(r2(m, n)))
 
     # built on first use, as the generators and the sl2, Laplace-Beltrami and
     # projection checks need them (the names inside are the module's builders)
@@ -554,12 +551,6 @@ class OperatorMatrices:
                 for part in op.parts:
                     self._hold(part)
         return op
-
-    def r2_power(self, j: int) -> SuperPolynomial:
-        """R^{2j}, built once for each j."""
-        if j not in self._r2_powers:
-            self._r2_powers[j] = self._r2_powers[1] ** j
-        return self._r2_powers[j]
 
     def index(self, k: int) -> dict[SuperMonomial, int]:
         """Position of each basis monomial of P_k (empty below degree 0)."""
@@ -583,16 +574,12 @@ class OperatorMatrices:
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
         return self._apply(op, list(vecs), k)[0]
 
-    def columns(self, op: LinearOperator, k: int):
-        """(c, column c of op on P_k) for every basis monomial of P_k.
-
-        The columns are applied a chunk at a time and not kept, so no whole
-        matrix of op is alive at once.
-        """
-        dim = self._dim(k)
-        for lo in range(0, dim, COLUMN_CHUNK):
-            units = [{c: 1} for c in range(lo, min(lo + COLUMN_CHUNK, dim))]
-            yield from enumerate(self.apply(op, units, k), lo)
+    def r2_times(self, vecs: Sequence[Vec], k: int, j: int) -> list[Vec]:
+        """R^{2j} times coordinate vectors of P_k, in P_{k+2j}: mul_r2 j times."""
+        vecs = list(vecs)
+        for i in range(j):
+            vecs = self.apply(self.mul_r2, vecs, k + 2 * i)
+        return vecs
 
     def _apply(self, op, vecs, k):
         """(op applied to vecs, target degree, None for a zero operator): by a

@@ -146,6 +146,7 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
     M = m - 2 * n
     if m < 1 or M > 0 or M % 2 != 0:
         return None
+    mats = operator_matrices(m, n)
     for kp in range(k, 1, -2):
         if not (2 - M // 2 <= kp <= 2 - M):
             continue
@@ -156,11 +157,11 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
         h_basis = harmonic_basis(m, n, kpp)
         if h_basis.dim == 0:
             continue
-        h = vec_to_poly(h_basis.rows[0], m, n, kpp)
-        u = operator_matrices(m, n).r2_power(t) * h
-        if u.is_zero() or not is_harmonic(u, m, n):
+        (u,) = mats.r2_times([h_basis.rows[0]], kpp, t)
+        if not u or any(mats.apply(mats.nabla2, [u], kp)):
             continue
         j0 = (k - kp) // 2
+        h = vec_to_poly(h_basis.rows[0], m, n, kpp)
         return (f"R^{2*t} * ({h}) is harmonic of degree {kp}, so block j={j0} "
                 f"meets block j={j0 + t}")
     return None
@@ -184,12 +185,7 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
         hb = harmonic_basis(m, n, deg)
         if hb.dim == 0:
             continue
-        r2j = operator_matrices(m, n).r2_power(j)
-        vecs = []
-        for row in hb.rows:
-            prod = r2j * vec_to_poly(row, m, n, deg)
-            if prod:
-                vecs.append(poly_to_vec(prod, m, n, k))
+        vecs = [v for v in operator_matrices(m, n).r2_times(hb.rows, deg, j) if v]
         if not vecs:
             continue
         sub = Subspace.from_vectors(vecs, width)

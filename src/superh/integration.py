@@ -20,10 +20,11 @@ denominators), each term differentiated only by the variables it holds
 one-off integrals (``superh integrate``) and the comparison of the two
 routes, and it refuses a walk whose nabla^{2j} f holds more than
 MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
-one weight, built from the per-degree nabla^2 matrices; the bulk invariance
-checks (``invariance_suite``, ``invariant_density_solutions``) evaluate T
-that way and never apply a tree.  Check (a) reads row^T L_ij transposed,
-from the row's support through the generators' inverse leaf maps
+one weight, built from the owner's kept nabla^2 matrices; the checks of
+``invariance_suite`` evaluate T that way and never apply a tree
+(``invariant_density_solutions`` uses the phi# evaluator below, not the
+rows).  Check (a) reads row^T L_ij transposed, from the row's support
+through the generators' inverse leaf maps
 (``OperatorMatrices.generator_transposes``), and the check that harmonics
 of two degrees are orthogonal pairs them, scaled to int vectors, by an int
 pairing read off one row (``orthogonality_failures``).
@@ -64,13 +65,14 @@ class ScaledRational:
     h: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        if not isinstance(self.q, Fraction):
+            object.__setattr__(self, "q", Fraction(self.q))
         if not self.q:
             object.__setattr__(self, "h", 0)
 
     @staticmethod
     def zero() -> "ScaledRational":
-        return ScaledRational(Fraction(0), 0)
+        return _ZERO
 
     def is_zero(self) -> bool:
         return not self.q
@@ -115,6 +117,9 @@ class ScaledRational:
         if self.h % 2 == 0:
             return f"{self.q} * pi^{self.h // 2}"
         return f"{self.q} * pi^({self.h}/2)"
+
+
+_ZERO = ScaledRational(Fraction(0), 0)  # shared: the value is frozen
 
 
 def gamma_half(a: Fraction) -> ScaledRational:
@@ -224,9 +229,9 @@ class PizzettiRows:
     On P_k, T(f) = weight(k) * (row(k) . f).  For even k the row holds
     (nabla^k x^c)(0) for every basis monomial x^c, and it comes from the
     transposed chain of the nabla^2 matrices P_k -> P_{k-2} -> ... -> P_0:
-    row(k)[c] = row(k-2) . (column c of nabla^2 on P_k).  The nabla^2 columns
-    are evaluated a chunk at a time and dropped; only the int rows and the
-    weights are kept.  For odd k the row is empty and T vanishes.
+    row(k)[c] = row(k-2) . (column c of nabla^2 on P_k), read off the nabla^2
+    matrices that the owner keeps for its held tree.  The rows are ints, and
+    they and the weights are kept.  For odd k the row is empty and T vanishes.
     """
 
     def __init__(self, m: int, n: int):
@@ -247,7 +252,7 @@ class PizzettiRows:
             below = self._rows[top]
             top += 2
             mats = operator_matrices(self.m, self.n)
-            cols = mats.columns(mats.nabla2, top)
+            cols = enumerate(mats.matrix(mats.nabla2, top))
             self._rows[top] = {c: x for c, col in cols if (x := _dot(below, col))}
         return self._rows[k]
 
@@ -381,7 +386,7 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
     for k in range(0, k_max + 1):
         basis = monomial_basis(m, n, k)
         failures += generator_failures(m, n, T.row(k), k)
-        for c, col in mats.columns(mats.mul_r2, k):
+        for c, col in enumerate(mats.matrix(mats.mul_r2, k)):
             if T.value(col, k + 2) != T.value({c: 1}, k):
                 failures.append(("T(R^2 f) != T(f)", k, None,
                                  str(SuperPolynomial.monomial(basis[c]))))

@@ -227,10 +227,6 @@ def _validate_rep(rep: RepSpace) -> None:
 # -- piece seed groups ------------------------------------------------------------
 
 
-def _project_piece(rep: RepSpace, polys: Sequence[SuperPolynomial]) -> list[Vec]:
-    return [v for v in map(rep.coords_of_poly, polys) if v]
-
-
 def _piece_groups(rep: RepSpace) -> PieceGroups:
     """Labeled joint-eigenspace seed groups spanning the module."""
     m, n, k = rep.m, rep.n, rep.k
@@ -241,12 +237,11 @@ def _piece_groups(rep: RepSpace) -> PieceGroups:
             if vecs:
                 groups.append(((piece.l, piece.p, piece.q), vecs))
     elif rep.spec.kind == "Pk":
+        mats = operator_matrices(m, n)
         for j in range(0, k // 2 + 1):
             deg = k - 2 * j
-            r2j = operator_matrices(m, n).r2_power(j)
             for piece in decompose_Hk(m, n, deg):
-                polys = [r2j * f for f in subspace_polys(piece.basis, m, n, deg)]
-                vecs = _project_piece(rep, polys)
+                vecs = [v for v in map(rep.coords, mats.r2_times(piece.basis.rows, deg, j)) if v]
                 if vecs:
                     groups.append(((j, piece.l, piece.p, piece.q), vecs))
     else:  # PkModR2: theta^{2j} Hb_p Hf_q images
@@ -262,8 +257,7 @@ def _piece_groups(rep: RepSpace) -> PieceGroups:
                 if not hb:
                     continue
                 tj = theta2(n) ** j
-                polys = [tj * b * g for b in hb for g in hf]
-                vecs = _project_piece(rep, polys)
+                vecs = [v for b in hb for g in hf if (v := rep.coords_of_poly(tj * b * g))]
                 if vecs:
                     groups.append(((j, p, q), vecs))
     return groups
@@ -521,10 +515,9 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
     ok = True
     t = k + M // 2 - 1
     kpp = 2 - M - k
-    r2t = operator_matrices(m, n).r2_power(t)
-    sub = Subspace.from_vectors(
-        (poly_to_vec(r2t * h, m, n, k)
-         for h in subspace_polys(harmonic_basis(m, n, kpp), m, n, kpp)), dim_Pk(m, n, k))
+    mats = operator_matrices(m, n)
+    sub = Subspace.from_vectors(mats.r2_times(harmonic_basis(m, n, kpp).rows, kpp, t),
+                                dim_Pk(m, n, k))
     inter = hk_window_intersection(m, n, k)
     if sub == inter:
         details.append(f"R^{2*t} H_{kpp} equals H_{k} intersect R^2 P_{k-2} "
@@ -545,8 +538,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
         # irreducibility of the submodule: closures from its pieces
         sub_irred = True
         for piece in decompose_Hk(m, n, kpp):
-            polys = [r2t * f for f in subspace_polys(piece.basis, m, n, kpp)]
-            vecs = _project_piece(sub_rep, polys)
+            vecs = [v for v in map(sub_rep.coords, mats.r2_times(piece.basis.rows, kpp, t)) if v]
             if vecs and not _closure_reaches_all(sub_rep, vecs):
                 sub_irred = False
         if sub_irred:
@@ -641,7 +633,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     sub_pairs = [(i, j) for (i, j) in W.gen_pairs if i >= 2 and j >= 2]
     dimW = W.dim
     mats = operator_matrices(m, n)
-    R2p = mats.r2_power(1) - SuperPolynomial.x(1, 2)
+    R2p = mats.mul_r2.poly - SuperPolynomial.x(1, 2)
     # the shifted harmonics have no x1, so nabla^2 acts on them as the
     # Laplacian in x2..xm and the Grassmann pairs
     lap = mats.nabla2

@@ -3,7 +3,8 @@
 These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
-polynomials, homogeneous components, the lift of module coordinates, the
+polynomials, R^{2j} times coordinate vectors through polynomials,
+homogeneous components, the lift of module coordinates, the
 phi# route of the supersphere integral by its definition (phi# on Laurent
 functions of r^2, and the Berezin integral), the density's coefficients by
 their recurrence, and two checks of the invariance suite by operator
@@ -22,8 +23,8 @@ from fractions import Fraction
 
 from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Scale,
                             generator_pairs, index_parity, metric, operator_matrices,
-                            operator_sum, osp_generator, plain_partial, r2, theta2,
-                            variable_poly, vec_to_poly)
+                            operator_sum, osp_generator, plain_partial, poly_to_vec, r2,
+                            theta2, variable_poly, vec_to_poly)
 from superh.harmonic import harmonic_basis, subspace_polys
 from superh.integration import PizzettiRows, ScaledRational, _dot
 from superh.linalg import Vec
@@ -100,6 +101,14 @@ def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
     return subspace_polys(harmonic_basis(m, n, k), m, n, k)
 
 
+def r2_times_by_polynomials(vecs: list[Vec], m: int, n: int, k: int, j: int) -> list[Vec]:
+    """R^{2j} times coordinate vectors of P_k, multiplied out as polynomials
+    (r2_power * vec_to_poly -> poly_to_vec): the package applies the held
+    mul_r2 matrix j times instead."""
+    r2_power = r2(m, n) ** j
+    return [poly_to_vec(r2_power * vec_to_poly(v, m, n, k), m, n, k + 2 * j) for v in vecs]
+
+
 def homogeneous_component(f: SuperPolynomial, k: int) -> SuperPolynomial:
     if k < 0:
         raise ValueError("degree must be nonnegative")
@@ -141,7 +150,8 @@ def orthogonality_columns(T: PizzettiRows, k: int, a: Vec, l: int) -> Vec:
     row = T.row(k + l)
     mats = operator_matrices(m, n)
     pa = vec_to_poly(a, m, n, k)
-    return {s: x for s, col in mats.columns(MultiplyBy(pa), l) if (x := _dot(row, col))}
+    cols = mats.matrix(MultiplyBy(pa), l)
+    return {s: x for s, col in enumerate(cols) if (x := _dot(row, col))}
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],

@@ -129,7 +129,6 @@ def test_a_per_call_tree_leaves_the_owner_unchanged():
     def run():
         for op in per_call_trees():
             mats.apply(op, rows, k)
-            list(mats.columns(op, k))
             mats.matrix(op, k)
 
     run()  # builds the leaf arrays and index maps these trees read
@@ -153,7 +152,7 @@ def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
                 assert id(lb) in mats._flat
 
     seen = []  # (entry point, tree) of every call on the owner of (m|2n)
-    for name in ("matrix", "apply", "columns"):
+    for name in ("matrix", "apply"):
         def spy(self, op, *args, _name=name, _entry=getattr(OperatorMatrices, name)):
             if self is mats:
                 seen.append((_name, op))

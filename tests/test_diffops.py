@@ -7,7 +7,6 @@ import time
 
 from superh import diffops
 from superh.diffops import (
-    COLUMN_CHUNK,
     IDENTITY,
     Add,
     Compose,
@@ -39,11 +38,11 @@ from superh.diffops import (
     vec_to_poly,
 )
 from superh.checks import suite_killing
-from superh.harmonic import decompose_Hk, projection_Q
+from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.linalg import Subspace
 
 from reference import (entry, generator_commutator, inv_entry, nabla2_from_metric, nabla_upper,
-                       nabla_upper_by_raising, r2_from_metric)
+                       nabla_upper_by_raising, r2_from_metric, r2_times_by_polynomials)
 
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
 
@@ -310,17 +309,6 @@ def test_matrices_equal_the_tree_on_every_monomial():
                         (m, n, name, k, render(SP.monomial(mono)))
 
 
-def test_streamed_columns_equal_the_matrix():
-    # (3|4) at k = 4 has 110 monomials, so the columns cross a chunk boundary
-    m, n, k = 3, 2, 4
-    assert len(monomial_basis(m, n, k)) > COLUMN_CHUNK
-    for name, op, _ in _named_operators(m, n):
-        streamed = list(OperatorMatrices(m, n).columns(op, k))
-        assert [c for c, _ in streamed] == list(range(len(monomial_basis(m, n, k))))
-        assert [col for _, col in streamed] == OperatorMatrices(m, n).matrix(op, k), name
-    assert list(OperatorMatrices(m, n).columns(nabla2(m, n), -1)) == []
-
-
 def test_primitive_matrices_match_dx_and_dxg():
     for (m, n) in MATRIX_GRID:
         leaves = ([(Differentiate(i), lambda f, i=i: f.dx(i)) for i in range(1, m + 1)]
@@ -336,6 +324,24 @@ def test_primitive_matrices_match_dx_and_dxg():
                     assert col == (poly_to_vec(image, m, n, k - 1) if image else {})
                     # columns live in the basis of P_{k-1}
                     assert all(0 <= r < target for r in col)
+
+
+# (0|4), (1|2), (2|2), (3|4), (4|0) and (4|4)
+R2_CELLS = [(0, 2), (1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]
+
+
+def test_r2_times_equals_the_polynomial_route_on_harmonic_bases():
+    vanished = 0
+    for (m, n) in R2_CELLS:
+        mats = operator_matrices(m, n)
+        for k in range(0, 4):
+            rows = harmonic_basis(m, n, k).rows
+            for j in range(0, 4):
+                got = mats.r2_times(rows, k, j)
+                assert got == r2_times_by_polynomials(rows, m, n, k, j), (m, n, k, j)
+                if m == 0:
+                    vanished += sum(not v for v in got)
+    assert vanished  # theta^{2j} h = 0 by nilpotency at m = 0, e.g. theta^2 Hf_2 in (0|4)
 
 
 def test_degree_changing_columns_use_the_target_basis():
@@ -490,7 +496,8 @@ def test_matrix_trees_and_mul_r2_are_flattened_once_per_space(monkeypatch):
     form_a, form_b = (mats._hold(form) for form in forms)
     for k in range(5):
         assert mats.matrix(form_a, k) == mats.matrix(form_b, k)
-        list(mats.columns(mats.mul_r2, k))  # never passed to matrix here
+        units = [{c: 1} for c in range(len(monomial_basis(m, n, k)))]
+        mats.apply(mats.mul_r2, units, k)  # never passed to matrix here
     counts = [sum(op is tree for op in flattened) for tree in (form_a, form_b, mats.mul_r2)]
     assert counts == [1, 1, 1]  # form A does not flatten, and that is kept too
     assert mats._flat[id(form_b)][0] is form_b

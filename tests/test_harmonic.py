@@ -12,7 +12,9 @@ from superh.diffops import (
     vec_to_poly,
     poly_to_vec,
 )
+from superh import harmonic
 from superh.harmonic import (
+    _fischer_dependency_witness,
     bosonic_harmonics,
     decompose_Hk,
     dim_Hk,
@@ -28,6 +30,7 @@ from superh.harmonic import (
     verify_lemma_Lf,
 )
 from superh.checks import fischer_flag_expected
+from superh.linalg import Subspace
 
 
 # -- independent oracle: kernel rank by dense elimination --------------------------
@@ -132,6 +135,22 @@ def test_fischer_purely_fermionic():
             fd = fischer(0, n, d)
             assert fd.direct_sum, (n, d)
             assert sum(p.dim for p in fd.pieces) == dim_Pk(0, n, d)
+            # blocks that multiply to zero are dropped, not kept empty
+            assert all(p.dim for p in fd.pieces), (n, d)
+    # theta^2 Hf_2 = 0 in (0|4), so P_4 is the one block theta^4 Hf_0
+    assert [(p.j, p.dim) for p in fischer(0, 2, 4).pieces] == [(2, 1)]
+
+
+def test_fischer_witness_certifies_harmonicity(monkeypatch):
+    # (2|6) has M = -4, so at k' = 4 the witness is R^2 h for h of degree 2
+    m, n, k = 2, 3, 4
+    assert _fischer_dependency_witness(m, n, k) is not None
+    basis = harmonic.harmonic_basis
+    not_harmonic = Subspace.from_vectors([poly_to_vec(SP.x(1, 2), m, n, 2)], dim_Pk(m, n, 2))
+    monkeypatch.setattr(harmonic, "harmonic_basis",
+                        lambda *cell: not_harmonic if cell == (m, n, 2) else basis(*cell))
+    # R^2 x1^2 is not harmonic, so it witnesses nothing
+    assert _fischer_dependency_witness(m, n, k) is None
 
 
 # -- the radial polynomials ----------------------------------------------------------

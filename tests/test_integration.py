@@ -53,6 +53,15 @@ def test_reciprocal_gamma_examples():
     assert reciprocal_gamma(Fraction(5, 2)) == ScaledRational(Fraction(4, 3), -1)
 
 
+def test_scaled_rational_normalises_input_and_shares_its_zero():
+    assert ScaledRational.zero() is ScaledRational.zero()
+    assert ScaledRational.zero() == ScaledRational(0, 5) and ScaledRational(0, 5).h == 0
+    value = ScaledRational(2, 0)
+    assert type(value.q) is Fraction and value == ScaledRational(Fraction(2), 0)
+    q = Fraction(3, 4)
+    assert ScaledRational(q, 1).q is q  # a Fraction is kept as given
+
+
 def test_sphere_moment_against_sympy():
     # 2 prod Gamma((a_i+1)/2) / Gamma((|a|+m)/2) for even exponents
     for m in (1, 2, 3):

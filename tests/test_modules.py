@@ -16,6 +16,7 @@ from superh.diffops import (
 from superh.harmonic import (
     decompose_Hk,
     dim_Hk,
+    fischer,
     harmonic_basis,
     projection_Q,
     subspace_polys,
@@ -357,6 +358,28 @@ def test_window_checks():
         assert res.passed, (m, n, k, res.details)
     res = window_submodule_check(2, 1, 2)
     assert res.submodule_dim == 1 and res.quotient_dim == 6
+
+
+def test_fischer_and_the_window_check_multiply_no_polynomials(monkeypatch):
+    """R^{2j} acts by the owner's held mul_r2 matrix, never by a polynomial
+    product, once the harmonic bases and pieces are built."""
+    cells = [(0, 2, 4), (2, 1, 2), (2, 2, 3), (2, 2, 4), (3, 2, 4), (4, 2, 2)]
+    for m, n, k in cells:
+        for d in range(k + 1):
+            harmonic_basis(m, n, d)
+            if m:
+                decompose_Hk(m, n, d)
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        def spy(self, other, _name=name, _method=getattr(SP, name)):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(SP, name, spy)
+    for m, n, k in cells:
+        fischer(m, n, k)
+        if m and in_window(m, n, k):
+            assert window_submodule_check(m, n, k).passed, (m, n, k)
+    assert calls == []
 
 
 def test_window_precondition():
