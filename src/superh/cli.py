@@ -167,7 +167,7 @@ def cmd_decompose(args) -> int:
     report = Report("decompose", {"m": m, "n": n, "k": k})
     try:
         pieces = decompose_Hk(m, n, k)
-    except (ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     for pc in pieces:
@@ -180,11 +180,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_branch(args) -> int:
     m, n, k = _single_values(args, "m", "n", "k")
-    try:
-        b = branching(m, n, k, explicit=args.explicit)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    b = branching(m, n, k, explicit=args.explicit)
     report = Report("branch", {"m": m, "n": n, "k": k})
     if b.case == "not_completely_reducible":
         report.status = "degenerate"

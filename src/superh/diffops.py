@@ -681,27 +681,29 @@ class OperatorMatrices:
         """L_ij v for a coordinate vector v of P_k."""
         return _image(self._generator_words(i, j, k), v)
 
-    def generator_transposes(self, row: Vec, k: int):
-        """((i, j), u = row^T L_ij on P_k) for every generator, without zero
-        entries: each word is walked backwards from the row's support through
-        the inverses of its leaf maps (a leaf is injective), built per call."""
+    def generator_transposes(self, rows: Sequence[Vec], k: int):
+        """((i, j), [u = row^T L_ij on P_k for each row]) for every generator,
+        without zero entries: each word is walked backwards from each row's
+        support through the inverses of its leaf maps (a leaf is injective),
+        built once per call."""
         inverses: dict[int, dict[int, int]] = {}  # id of a leaf's rows, which the owner holds
         for (i, j) in generator_pairs(self.m, self.n):
-            u: Vec = {}
+            us: list[Vec] = [{} for _ in rows]
             for coef, chain in self._generator_words(i, j, k):
-                for rows, _ in chain:
-                    if id(rows) not in inverses:
-                        inverses[id(rows)] = {t: r for r, t in enumerate(rows) if t >= 0}
-                for mu, x in row.items():
-                    r, y = mu, coef * x
-                    for rows, vals in reversed(chain):
-                        r = inverses[id(rows)].get(r)
-                        if r is None:
-                            break
-                        y *= vals[r]
-                    else:
-                        u[r] = u.get(r, 0) + y
-            yield (i, j), {c: y for c, y in u.items() if y}
+                for leaf, _ in chain:
+                    if id(leaf) not in inverses:
+                        inverses[id(leaf)] = {t: r for r, t in enumerate(leaf) if t >= 0}
+                for row, u in zip(rows, us):
+                    for mu, x in row.items():
+                        r, y = mu, coef * x
+                        for leaf, vals in reversed(chain):
+                            r = inverses[id(leaf)].get(r)
+                            if r is None:
+                                break
+                            y *= vals[r]
+                        else:
+                            u[r] = u.get(r, 0) + y
+            yield (i, j), [{c: y for c, y in u.items() if y} for u in us]
 
 
 @lru_cache(maxsize=None)

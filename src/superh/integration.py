@@ -21,13 +21,11 @@ one-off integrals (``superh integrate``) and the comparison of the two
 routes, and it refuses a walk whose nabla^{2j} f holds more than
 MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
 one weight, built from the owner's kept nabla^2 matrices; the checks of
-``invariance_suite`` evaluate T that way and never apply a tree
-(``invariant_density_solutions`` uses the phi# evaluator below, not the
-rows).  Check (a) reads row^T L_ij transposed, from the row's support
-through the generators' inverse leaf maps
-(``OperatorMatrices.generator_transposes``), and the check that harmonics
-of two degrees are orthogonal pairs them, scaled to int vectors, by an int
-pairing read off one row (``orthogonality_failures``).
+``invariance_suite`` evaluate T that way and never apply a tree.  Check (a)
+reads row^T L_ij transposed, from the row's support through the generators'
+inverse leaf maps (``OperatorMatrices.generator_transposes``), and the check
+that harmonics of two degrees are orthogonal pairs them, scaled to int
+vectors, by an int pairing read off one row (``orthogonality_failures``).
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 The definition (phi# on Laurent functions of r^2, the product with the
@@ -35,8 +33,11 @@ density and the Berezin integral) is the tests' reference, in
 ``tests/reference.py``; ``_sphere_berezin`` evaluates the whole route term by
 term in closed form, from the density's coefficients in theta^{2i} (closed
 form too, ``berezin_density_coefficients``), in time linear in n per term.
-``supersphere_integral_phi`` and ``invariant_density_solutions`` use the
-evaluator; the tests compare it with the definition on whole bases.
+``supersphere_integral_phi`` uses the evaluator; the tests compare it with
+the definition on whole bases.  The uniqueness solver
+``invariant_density_solutions`` evaluates it on each basis monomial, one
+phi# row per density theta^{2i} and degree, and reads the rows transposed
+through the generators, as check (a) reads the Pizzetti row.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Iterable
 
 from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPolynomial,
                            _mul_monomials, check_variable_count, monomial_basis)
-from .diffops import check_variables, generator_pairs, operator_matrices, vec_to_poly
+from .diffops import check_variables, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
 from .linalg import Vec, kernel_of_equations
 
@@ -402,7 +403,7 @@ def generator_failures(m: int, n: int, row: Vec, k: int) -> list:
     x^c of P_k, read off u = row^T L_ij, in ascending c per generator."""
     basis = monomial_basis(m, n, k)
     return [("T(L f) != 0", k, ij, str(SuperPolynomial.monomial(basis[c])))
-            for ij, u in operator_matrices(m, n).generator_transposes(row, k)
+            for ij, (u,) in operator_matrices(m, n).generator_transposes([row], k)
             for c in sorted(u)]
 
 
@@ -482,30 +483,31 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
     Solves, exactly, for coefficient vectors (a_0..a_n) of
     alpha = sum_i a_i theta^{2i} such that
     int_S int_B alpha(theta^2) phi#(L f) = 0 for all generators L and all
-    monomials f of degree <= k_max, with L f read off the columns of the
-    generator matrices.  A one-dimensional solution space is the uniqueness
-    statement; the known solution is (1-theta^2)^{m/2-1}.
+    monomials f of degree <= k_max.  Per degree, the functional of each
+    density theta^{2i} is one row over the monomial basis, and
+    u_i = row_i^T L_ij is read transposed (``generator_transposes``); each
+    generator and column c gives the equation sum_i a_i u_i[c] = 0.  A
+    one-dimensional solution space is the uniqueness statement; the known
+    solution is (1-theta^2)^{m/2-1}.
     """
     if m < 1 or n < 1:
         raise ValueError("needs m >= 1 and n >= 1")
+    if k_max < 0:
+        raise ValueError(f"no degree range up to k_max = {k_max}")
     # the densities theta^{2i}, as coefficient vectors
     densities = [[int(t == i) for t in range(n + 1)] for i in range(n + 1)]
 
-    rows = []
+    equations = []
     mats = operator_matrices(m, n)
     for k in range(0, k_max + 1):
-        for (i, j) in generator_pairs(m, n):
-            for c in range(len(monomial_basis(m, n, k))):
-                col = mats.generator_image(i, j, {c: 1}, k)
-                if not col:
-                    continue
-                Lf = vec_to_poly(col, m, n, k)
-                vals = [_sphere_berezin(Lf, d, m, n) for d in densities]
-                hs = {v.h for v in vals if not v.is_zero()}
-                if not hs:
-                    continue
-                if len(hs) > 1:
-                    raise AssertionError("mixed pi powers in one linear constraint")
-                rows.append({t: v.q for t, v in enumerate(vals) if not v.is_zero()})
-    kernel = kernel_of_equations(rows, n + 1)
+        monos = [SuperPolynomial.monomial(mono) for mono in monomial_basis(m, n, k)]
+        values = [{c: v for c, f in enumerate(monos)
+                   if not (v := _sphere_berezin(f, d, m, n)).is_zero()} for d in densities]
+        if len({v.h for vals in values for v in vals.values()}) > 1:
+            raise AssertionError("mixed pi powers in one degree")
+        rows = [{c: v.q for c, v in vals.items()} for vals in values]
+        for _, us in mats.generator_transposes(rows, k):
+            for c in set().union(*us):
+                equations.append({i: u[c] for i, u in enumerate(us) if c in u})
+    kernel = kernel_of_equations(equations, n + 1)
     return [[row.get(i, Fraction(0)) for i in range(n + 1)] for row in kernel.rows]

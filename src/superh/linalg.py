@@ -44,6 +44,21 @@ def _iadd_scaled(out: Vec, c: Fraction, w: Vec) -> None:
                 del out[i]
 
 
+def _reduce(v: Vec, pivot_rows: dict[int, Vec]) -> Vec:
+    """Residual of v after elimination against rows kept by pivot column.
+
+    The rows are inter-reduced (no row meets another row's pivot column), so
+    one pass over the pivot entries of v is complete.  Zero entries of v are
+    dropped, so no pivot is 0 and the residual holds no zero.
+    """
+    v = {c: x for c, x in v.items() if x}
+    for c in [c for c in v if c in pivot_rows]:
+        coeff = v.get(c)
+        if coeff:
+            _iadd_scaled(v, -coeff, pivot_rows[c])
+    return v
+
+
 class Echelon:
     """Mutable reduced-row-echelon accumulator for sparse rational rows."""
 
@@ -56,20 +71,8 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, v: Vec) -> Vec:
-        """Residual of v after elimination against the stored pivots.
-
-        Stored rows are inter-reduced (no row meets another row's pivot
-        column), so one pass over the pivot entries of v is complete.  Zero
-        entries of v are dropped, so no pivot is 0.
-        """
-        v = {c: x for c, x in v.items() if x}
-        if not self.rows:
-            return v
-        for c in [c for c in v if c in self.rows]:
-            coeff = v.get(c)
-            if coeff:
-                _iadd_scaled(v, -coeff, self.rows[c])
-        return v
+        """Residual of v after elimination against the stored pivots."""
+        return _reduce(v, self.rows)
 
     def add(self, v: Vec) -> bool:
         """Insert v; returns True when it enlarged the span."""
@@ -93,12 +96,13 @@ class Echelon:
 class Subspace:
     """Immutable subspace of Q^width in canonical reduced echelon form."""
 
-    __slots__ = ("width", "pivots", "rows")
+    __slots__ = ("width", "pivots", "rows", "_by_pivot")
 
     def __init__(self, width: int, rows: Sequence[tuple[int, Vec]]):
         self.width = width
         self.pivots = tuple(p for p, _ in rows)
         self.rows = tuple(dict(r) for _, r in rows)
+        self._by_pivot = dict(zip(self.pivots, self.rows))
 
     @staticmethod
     def from_vectors(vectors: Iterable[Vec], width: int) -> "Subspace":
@@ -117,25 +121,10 @@ class Subspace:
 
     def reduce(self, v: Vec) -> Vec:
         """Fully reduced residual of v modulo the subspace (rows are rref)."""
-        v = dict(v)
-        if not self.rows:
-            return v
-        piv_index = {p: i for i, p in enumerate(self.pivots)}
-        for c in [c for c in v if c in piv_index]:
-            coeff = v.get(c)
-            if coeff:
-                _iadd_scaled(v, -coeff, self.rows[piv_index[c]])
-        return v
+        return _reduce(v, self._by_pivot)
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
-
-    def coordinates(self, v: Vec) -> list[Fraction] | None:
-        """Coefficients of v in the echelon basis (pivot-column readoff), or
-        None when v is not in the subspace."""
-        if self.reduce(v):
-            return None
-        return [v.get(p, Fraction(0)) for p in self.pivots]
 
     def linear_combination(self, coords: Vec) -> Vec:
         """sum_i coords[i] * (basis row i), for sparse coordinates."""

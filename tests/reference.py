@@ -9,10 +9,11 @@ phi# route of the supersphere integral by its definition (phi# on Laurent
 functions of r^2, and the Berezin integral), the density's coefficients by
 their recurrence, and two checks of the invariance suite by operator
 columns: (a) by applying each generator to every unit column, and the
-orthogonality check by the columns of multiplication operators.  Also here
-are the helpers that only the tests use: the bosonic degree of a monomial
-and a JSON form of ScaledRational.  Nothing in the package calls them, so
-they live with the tests.
+orthogonality check by the columns of multiplication operators; and the
+invariant densities by the same forward loop.  Also here are the helpers
+that only the tests use: the bosonic degree of a monomial, a JSON form of
+ScaledRational, and coordinates in a subspace's echelon basis.  Nothing in
+the package calls them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Sc
                             operator_sum, osp_generator, plain_partial, poly_to_vec, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.harmonic import harmonic_basis, subspace_polys
-from superh.integration import PizzettiRows, ScaledRational, _dot
-from superh.linalg import Vec
+from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
+from superh.linalg import Subspace, Vec, kernel_of_equations
 from superh.modules import RepSpace
 from superh.superalgebra import SuperMonomial, SuperPolynomial, monomial_basis
 
@@ -126,6 +127,14 @@ def bosonic_degree(mono: SuperMonomial) -> int:
     return sum(e for _, e in mono.bosonic)
 
 
+def subspace_coordinates(sub: Subspace, v: Vec) -> list[Fraction] | None:
+    """Coefficients of v in sub's echelon basis (pivot-column readoff), or
+    None when v is not in sub."""
+    if sub.reduce(v):
+        return None
+    return [v.get(p, Fraction(0)) for p in sub.pivots]
+
+
 def lift(rep: RepSpace, coords: Vec) -> SuperPolynomial:
     """The polynomial of P_k that module coordinates stand for."""
     return vec_to_poly(rep._in_pk({rep._kept[i]: c for i, c in coords.items()}),
@@ -187,6 +196,32 @@ def generator_failures(m: int, n: int, row: Vec, k: int) -> list:
     basis = monomial_basis(m, n, k)
     return [("T(L f) != 0", k, ij, str(SuperPolynomial.monomial(basis[c])))
             for ij, u in generator_row_products(row, m, n, k).items() for c in u]
+
+
+def invariant_density_solutions(m: int, n: int, k_max: int) -> list[list[Fraction]]:
+    """The invariant densities by the forward loop: every generator applied to
+    every unit column, each image made a polynomial and integrated once per
+    density theta^{2i}.  The package reads the same equations transposed,
+    from one phi# row per density and degree."""
+    densities = [[int(t == i) for t in range(n + 1)] for i in range(n + 1)]
+    rows = []
+    mats = operator_matrices(m, n)
+    for k in range(0, k_max + 1):
+        for (i, j) in generator_pairs(m, n):
+            for c in range(len(monomial_basis(m, n, k))):
+                col = mats.generator_image(i, j, {c: 1}, k)
+                if not col:
+                    continue
+                Lf = vec_to_poly(col, m, n, k)
+                vals = [_sphere_berezin(Lf, d, m, n) for d in densities]
+                hs = {v.h for v in vals if not v.is_zero()}
+                if not hs:
+                    continue
+                if len(hs) > 1:
+                    raise AssertionError("mixed pi powers in one linear constraint")
+                rows.append({t: v.q for t, v in enumerate(vals) if not v.is_zero()})
+    kernel = kernel_of_equations(rows, n + 1)
+    return [[row.get(i, Fraction(0)) for i in range(n + 1)] for row in kernel.rows]
 
 
 # -- the phi# route by its definition ------------------------------------------------

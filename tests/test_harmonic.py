@@ -32,6 +32,8 @@ from superh.harmonic import (
 from superh.checks import fischer_flag_expected
 from superh.linalg import Subspace
 
+from reference import subspace_coordinates
+
 
 # -- independent oracle: kernel rank by dense elimination --------------------------
 
@@ -298,7 +300,7 @@ def test_projection_idempotent_and_orthogonal_as_matrices():
         # columns of A o B where columns are vectors in P_k coordinates
         out = []
         for bcol in b_cols:
-            coords = hb.coordinates(bcol)
+            coords = subspace_coordinates(hb, bcol)
             acc = {}
             for idx, c in enumerate(coords):
                 if c:

@@ -477,10 +477,14 @@ def test_transposed_generator_rows_equal_the_forward_reference():
         for k in range(0, 5):
             dim = len(monomial_basis(m, n, k))
             dense = {c: rng.randint(-5, 5) for c in range(dim)}
-            for row in (T.row(k), {c: x for c, x in dense.items() if x}):
-                got = dict(mats.generator_transposes(row, k))
+            rows = [T.row(k), {c: x for c, x in dense.items() if x}]
+            # the rows walked at once give what each gives alone
+            together = dict(mats.generator_transposes(rows, k))
+            for t, row in enumerate(rows):
+                got = {ij: us[t] for ij, us in together.items()}
                 assert got == reference.generator_row_products(row, m, n, k), (m, n, k)
-            assert any(dict(mats.generator_transposes(dense, k)).values()) or k == 0
+                assert got == {ij: u for ij, (u,) in mats.generator_transposes([row], k)}
+            assert any(u for u, in dict(mats.generator_transposes([dense], k)).values()) or k == 0
 
 
 def test_check_a_fails_where_the_forward_reference_fails():
@@ -545,13 +549,54 @@ def test_harmonic_orthogonality_small():
                     assert pizzetti(a * b, m, n).is_zero()
 
 
+# the cells of the uniqueness theorem that the tests solve, at k_max = 2n + 2
+DENSITY_GRID = [(m, n) for m in range(1, 5) for n in range(1, 3)]
+
+
+def test_invariant_densities_equal_the_forward_reference():
+    for (m, n) in DENSITY_GRID:
+        got = invariant_density_solutions(m, n, k_max=2 * n + 2)
+        assert got == reference.invariant_density_solutions(m, n, 2 * n + 2), (m, n)
+    assert (invariant_density_solutions(4, 2, k_max=6)
+            == reference.invariant_density_solutions(4, 2, 6))
+
+
+def test_invariant_densities_apply_no_generator_forward(monkeypatch):
+    calls = []
+
+    def counted_image(self, i, j, v, k, _image=diffops.OperatorMatrices.generator_image):
+        calls.append("generator_image")
+        return _image(self, i, j, v, k)
+
+    def counted_poly(v, m, n, k, _poly=diffops.vec_to_poly):
+        calls.append("vec_to_poly")
+        return _poly(v, m, n, k)
+
+    monkeypatch.setattr(diffops.OperatorMatrices, "generator_image", counted_image)
+    monkeypatch.setattr(diffops, "vec_to_poly", counted_poly)
+    monkeypatch.setattr(integration, "vec_to_poly", counted_poly)
+    assert len(invariant_density_solutions(3, 2, k_max=6)) == 1
+    assert calls == []
+    # the patches do count the forward reference
+    monkeypatch.setattr(reference, "vec_to_poly", counted_poly)
+    reference.invariant_density_solutions(2, 1, 2)
+    assert {"generator_image", "vec_to_poly"} <= set(calls)
+
+
+def test_invariant_densities_refuse_a_negative_k_max():
+    with pytest.raises(ValueError, match="k_max = -1"):
+        invariant_density_solutions(2, 1, k_max=-1)
+    # at k_max = 0 the generators kill the constants, so no equation binds
+    assert len(invariant_density_solutions(2, 1, k_max=0)) == 2
+
+
 def test_invariant_density_is_unique():
     """No second independent invariant functional exists in the density family.
 
     The constraint depth must grow with the number of Grassmann pairs: test
     polynomials of degree up to 2n+2 are needed to pin every coefficient.
     """
-    for (m, n) in [(2, 1), (3, 1), (2, 2)]:
+    for (m, n) in DENSITY_GRID:
         sols = invariant_density_solutions(m, n, k_max=2 * n + 2)
         assert len(sols) == 1, (m, n)
         sol = sols[0]

@@ -6,7 +6,7 @@ import pytest
 from superh import linalg
 from superh.diffops import nabla2, operator_matrices
 from superh.harmonic import harmonic_basis
-from superh.modules import _divisor_r2p, hk_window_intersection
+from superh.modules import SpaceSpec, _divisor_r2p, hk_window_intersection, rep_space
 from superh.linalg import (
     PRIME,
     Echelon,
@@ -17,6 +17,8 @@ from superh.linalg import (
     rank_of_vectors,
 )
 from superh.superalgebra import dim_Pk
+
+from reference import subspace_coordinates
 
 
 # -- independent oracle: dense Gaussian elimination rank -------------------------
@@ -146,10 +148,22 @@ def test_membership_and_coordinates():
     rows = [{0: Fraction(1), 2: Fraction(2)}, {1: Fraction(1), 2: Fraction(-1)}]
     sub = Subspace.from_vectors(rows, 3)
     v = {0: Fraction(2), 1: Fraction(3), 2: Fraction(1)}
-    coords = sub.coordinates(v)
+    coords = subspace_coordinates(sub, v)
     assert coords is not None
     assert sub.linear_combination(dict(enumerate(coords))) == v
-    assert sub.coordinates({2: Fraction(1)}) is None
+    assert subspace_coordinates(sub, {2: Fraction(1)}) is None
+
+
+def test_explicit_zero_entries_are_dropped_by_the_reduction():
+    # Subspace and Echelon read one reduction, which drops zero entries
+    assert Subspace.from_vectors([{0: 1}], 2).contains({0: 1, 1: 0})
+    ech = Echelon(2)
+    ech.add({0: 1})
+    assert ech.reduce({0: 1, 1: 0}) == {}
+    # column 0 of P_2 in (2|2) is the pivot of the divisor R^2 P_0
+    rep = rep_space(SpaceSpec("PkModR2", 2, 1, 2))
+    assert rep.divisor.pivots == (0,)
+    assert rep.coords({0: 0, 1: 1}) == rep.coords({1: 1}) == {0: 1}
 
 
 def test_kernel_of_equations():
