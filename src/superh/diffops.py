@@ -44,7 +44,6 @@ from .superalgebra import (
     _mul_monomials,
     check_variable_count,
     monomial_basis,
-    partial,
 )
 from .linalg import Vec
 
@@ -559,9 +558,6 @@ class OperatorMatrices:
             self._index[k] = {mono: i for i, mono in enumerate(basis)}
         return self._index[k]
 
-    def _dim(self, k: int) -> int:
-        return len(monomial_basis(self.m, self.n, k)) if k >= 0 else 0
-
     def matrix(self, op: LinearOperator, k: int) -> list[Vec]:
         root = self._roots.get((id(op), k))
         if root is not None:
@@ -639,7 +635,7 @@ class OperatorMatrices:
         """(the compiled operator applied to vecs, target degree)."""
         factor, k_out, words = compiled
         if vecs is None:
-            vecs = [{c: 1} for c in range(self._dim(k))]
+            vecs = [{c: 1} for c in range(len(self.index(k)))]
         outs = [_image(words, v) for v in vecs]
         if factor != 1:
             outs = [{r: _int_if_whole(factor * y) for r, y in w.items()} for w in outs]
@@ -800,8 +796,11 @@ def killing_check(coeffs: dict[int, SuperPolynomial], m: int, n: int) -> bool:
     """Reduced Killing condition for F = sum_l F^l nabla_l on flat superspace.
 
     Checks nabla^j(F^k) + (-1)^{([j]+[k])|F|} (-1)^{[j][k]} nabla^k(F^j) = 0
-    for every index pair.  Raises ValueError when the coefficients do not have
-    a consistent total parity |F| = |F^l| + [l].
+    for every index pair.  nabla^j F^k vanishes unless F^k holds the variable
+    j (xi is i, xgg is m+g), so only the pairs {l, j} with j held by F^l are
+    tested; variables outside (m|2n) are not differentiated.  Raises
+    ValueError when the coefficients do not have a consistent total parity
+    |F| = |F^l| + [l].
     """
     size = m + 2 * n
     total_parity = None
@@ -819,22 +818,26 @@ def killing_check(coeffs: dict[int, SuperPolynomial], m: int, n: int) -> bool:
             raise ValueError("components do not share a total parity")
     if total_parity is None:
         return True
+    pairs = set()
+    for l, f in coeffs.items():
+        for bosonic, fermionic in f.terms:
+            held = [i for i, _ in bosonic if i <= m] + [m + g for g in fermionic if g <= 2 * n]
+            pairs.update((min(l, v), max(l, v)) for v in held)
     zero = SuperPolynomial.zero()
 
     def nabla_up(jj: int, f: SuperPolynomial) -> SuperPolynomial:
-        d = partial(f, jj, m, n)
+        d = plain_partial(jj, m, n).apply(f)
         return -d if jj > m else d
 
-    for j in range(1, size + 1):
+    for j, k in pairs:
         fj = coeffs.get(j, zero)
-        for k in range(j, size + 1):
-            fk = coeffs.get(k, zero)
-            sgn = 1
-            if ((index_parity(j, m) + index_parity(k, m)) * total_parity) % 2:
-                sgn = -sgn
-            if (index_parity(j, m) * index_parity(k, m)) % 2:
-                sgn = -sgn
-            lhs = nabla_up(j, fk) + nabla_up(k, fj).scaled(sgn)
-            if lhs:
-                return False
+        fk = coeffs.get(k, zero)
+        sgn = 1
+        if ((index_parity(j, m) + index_parity(k, m)) * total_parity) % 2:
+            sgn = -sgn
+        if (index_parity(j, m) * index_parity(k, m)) % 2:
+            sgn = -sgn
+        lhs = nabla_up(j, fk) + nabla_up(k, fj).scaled(sgn)
+        if lhs:
+            return False
     return True

@@ -6,6 +6,8 @@ decomposition of P_k into R^{2j} H_{k-2j} blocks, the refinement of H_k into
 joint eigenspaces of the bosonic and fermionic Laplace-Beltrami operators
 (the f_{l,p,q} * Hb_p * Hf_q pieces), and the projection operators selecting a
 single piece.
+The (l, p, q, dim) piece labels (`piece_labels`) and the degenerate band
+(`window_interval`, `in_window`) are stated here once; `modules` reads them.
 """
 
 from __future__ import annotations
@@ -112,6 +114,22 @@ def is_harmonic(f: SuperPolynomial, m: int, n: int) -> bool:
     return operator_matrices(m, n).nabla2.apply(f).is_zero()
 
 
+# -- the degenerate band -------------------------------------------------------
+
+
+def window_interval(m: int, n: int) -> tuple[int, int] | None:
+    """Degree band [2-M/2, 2-M] where H_k is reducible, for even M <= 0."""
+    M = m - 2 * n
+    if M > 0 or M % 2 != 0:
+        return None
+    return (2 - M // 2, 2 - M)
+
+
+def in_window(m: int, n: int, k: int) -> bool:
+    w = window_interval(m, n)
+    return w is not None and w[0] <= k <= w[1]
+
+
 # -- radial (Fischer-type) decomposition of P_k --------------------------------
 
 
@@ -143,17 +161,15 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
     degree 2-M-k' is itself harmonic, which places R^(k-k') * that vector in two
     distinct blocks at once.
     """
-    M = m - 2 * n
-    if m < 1 or M > 0 or M % 2 != 0:
+    if m < 1:
         return None
+    M = m - 2 * n
     mats = operator_matrices(m, n)
     for kp in range(k, 1, -2):
-        if not (2 - M // 2 <= kp <= 2 - M):
+        if not in_window(m, n, kp):
             continue
-        t = kp + M // 2 - 1
+        t = kp + M // 2 - 1  # t >= 1 and kpp >= 0 throughout the band
         kpp = 2 - M - kp
-        if t < 1 or kpp < 0:
-            continue
         h_basis = harmonic_basis(m, n, kpp)
         if h_basis.dim == 0:
             continue
@@ -264,43 +280,39 @@ def piece_labels(m: int, n: int, k: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _piece_products(radial: SuperPolynomial, m: int, n: int, p: int,
+                    q: int) -> list[SuperPolynomial]:
+    """radial * b * g for b in Hb_p (outer) and g in Hf_q; radial * b is
+    formed once per b."""
+    hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
+    out = []
+    for b in subspace_polys(bosonic_harmonics(m, p), m, 0, p):
+        rb = radial * b
+        out.extend(rb * g for g in hf)
+    return out
+
+
 @lru_cache(maxsize=None)
 def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
-    """Pieces f_{l,p,q} Hb_p Hf_q of H_k; verified independent and spanning."""
+    """Pieces f_{l,p,q} Hb_p Hf_q of H_k, picked by `piece_labels`; each is
+    checked harmonic and of full rank, and together they must span H_k."""
     if m < 1:
         raise ValueError("decompose_Hk requires m >= 1")
     width = dim_Pk(m, n, k)
     pieces: list[HarmonicPiece] = []
     all_vecs: list[Vec] = []
     mats = operator_matrices(m, n)
-    for q in range(0, min(n, k) + 1):
-        hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
-        if not hf:
-            continue
-        for l in range(0, min(n - q, (k - q) // 2) + 1):
-            p = k - 2 * l - q
-            hb = subspace_polys(bosonic_harmonics(m, p), m, 0, p)
-            if not hb:
-                continue
-            f = f_poly(l, p, q, m, n)
-            vecs = []
-            for b in hb:
-                fb = f * b
-                for g in hf:
-                    prod = fb * g
-                    if prod.is_zero():
-                        raise RuntimeError(
-                            f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) produced a zero vector")
-                    vecs.append(poly_to_vec(prod, m, n, k))
-            if any(mats.apply(mats.nabla2, vecs, k)):
-                raise RuntimeError(
-                    f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) is not harmonic")
-            sub = Subspace.from_vectors(vecs, width)
-            if sub.dim != len(hb) * len(hf):
-                raise RuntimeError(
-                    f"piece ({l},{p},{q}) of H_{k}({m}|{2*n}) has deficient rank")
-            pieces.append(HarmonicPiece(l, p, q, sub))
-            all_vecs.extend(vecs)
+    for l, p, q, _ in piece_labels(m, n, k):
+        name = f"piece ({l},{p},{q}) of H_{k}({m}|{2*n})"
+        vecs = [poly_to_vec(prod, m, n, k)
+                for prod in _piece_products(f_poly(l, p, q, m, n), m, n, p, q)]
+        if any(mats.apply(mats.nabla2, vecs, k)):
+            raise RuntimeError(f"{name} is not harmonic")
+        sub = Subspace.from_vectors(vecs, width)
+        if sub.dim != len(vecs):  # also when a product vanishes
+            raise RuntimeError(f"{name} has deficient rank")
+        pieces.append(HarmonicPiece(l, p, q, sub))
+        all_vecs.extend(vecs)
     total = sum(piece.dim for piece in pieces)
     expected = harmonic_basis(m, n, k).dim
     if total != expected or not certified_full_rank(all_vecs, width):

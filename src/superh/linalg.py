@@ -137,12 +137,7 @@ class Subspace:
     def sum_with(self, other: "Subspace") -> "Subspace":
         if self.width != other.width:
             raise ValueError("ambient widths differ")
-        ech = Echelon(self.width)
-        for r in self.rows:
-            ech.add(r)
-        for r in other.rows:
-            ech.add(r)
-        return Subspace(self.width, ech.sorted_rows())
+        return Subspace.from_vectors(self.rows + other.rows, self.width)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus intersection: echelonize [A|A; B|0] over width 2w.
@@ -210,11 +205,7 @@ def kernel_of_equations(rows: Iterable[Vec], width: int) -> Subspace:
 
 
 def rank_of_vectors(vectors: Iterable[Vec], width: int) -> int:
-    ech = Echelon(width)
-    for v in vectors:
-        _check_columns(v, width)
-        ech.add(v)
-    return ech.dim
+    return Subspace.from_vectors(vectors, width).dim
 
 
 # -- modular certificates ------------------------------------------------------

@@ -22,7 +22,9 @@ exhaustive closures decide whatever the certificate leaves open.
 
 The degenerate band: for even M = m - 2n <= 0 and 2 - M/2 <= k <= 2 - M, H_k
 contains the invariant subspace R^(2k+M-2) H_{2-M-k}; the quotient HkModSub is
-the simple module whose dimension `simple_dim` reports.
+the simple module whose dimension `simple_dim` reports.  The band
+(`in_window`, `window_interval`) and the (l, p, q) labels of the pieces
+(`piece_labels`) are stated once, in `superh.harmonic`, and read from there.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .superalgebra import SuperPolynomial, dim_Pk, monomial_basis
+from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
     Echelon,
     ModpRows,
@@ -54,15 +56,14 @@ from .diffops import (
     theta2,
 )
 from .harmonic import (
-    bosonic_harmonics,
+    _piece_products,
     decompose_Hk,
-    dim_H_bosonic,
-    dim_H_fermionic,
     dim_Hk,
     comb0,
-    fermionic_harmonics,
     harmonic_basis,
-    subspace_polys,
+    in_window,
+    piece_labels,
+    window_interval,
 )
 
 SpaceKind = Literal["Pk", "Hk", "PkModR2", "HkModSub"]
@@ -88,19 +89,6 @@ class SpaceSpec:
             raise ValueError(f"unknown space kind {self.kind!r}")
         if self.m < 1 or self.n < 0 or self.k < 0:
             raise ValueError("need m >= 1, n >= 0, k >= 0")
-
-
-def window_interval(m: int, n: int) -> tuple[int, int] | None:
-    """Degree band [2-M/2, 2-M] where H_k is reducible, for even M <= 0."""
-    M = m - 2 * n
-    if M > 0 or M % 2 != 0:
-        return None
-    return (2 - M // 2, 2 - M)
-
-
-def in_window(m: int, n: int, k: int) -> bool:
-    w = window_interval(m, n)
-    return w is not None and w[0] <= k <= w[1]
 
 
 # -- module spaces --------------------------------------------------------------
@@ -227,39 +215,32 @@ def _validate_rep(rep: RepSpace) -> None:
 # -- piece seed groups ------------------------------------------------------------
 
 
+def _radial_pieces(rep: RepSpace, deg: int, j: int) -> PieceGroups:
+    """R^{2j} times each piece of H_deg, in rep's module coordinates, labeled
+    (l, p, q); a piece whose vectors all vanish there is left out."""
+    mats = operator_matrices(rep.m, rep.n)
+    groups: PieceGroups = []
+    for piece in decompose_Hk(rep.m, rep.n, deg):
+        vecs = [v for v in map(rep.coords, mats.r2_times(piece.basis.rows, deg, j)) if v]
+        if vecs:
+            groups.append(((piece.l, piece.p, piece.q), vecs))
+    return groups
+
+
 def _piece_groups(rep: RepSpace) -> PieceGroups:
     """Labeled joint-eigenspace seed groups spanning the module."""
     m, n, k = rep.m, rep.n, rep.k
-    groups: PieceGroups = []
     if rep.spec.kind in ("Hk", "HkModSub"):
-        for piece in decompose_Hk(m, n, k):
-            vecs = [v for v in map(rep.coords, piece.basis.rows) if v]
-            if vecs:
-                groups.append(((piece.l, piece.p, piece.q), vecs))
-    elif rep.spec.kind == "Pk":
-        mats = operator_matrices(m, n)
-        for j in range(0, k // 2 + 1):
-            deg = k - 2 * j
-            for piece in decompose_Hk(m, n, deg):
-                vecs = [v for v in map(rep.coords, mats.r2_times(piece.basis.rows, deg, j)) if v]
-                if vecs:
-                    groups.append(((j, piece.l, piece.p, piece.q), vecs))
-    else:  # PkModR2: theta^{2j} Hb_p Hf_q images
-        for q in range(0, min(n, k) + 1):
-            hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
-            if not hf:
-                continue
-            for j in range(0, n - q + 1):
-                p = k - 2 * j - q
-                if p < 0:
-                    continue
-                hb = subspace_polys(bosonic_harmonics(m, p), m, 0, p)
-                if not hb:
-                    continue
-                tj = theta2(n) ** j
-                vecs = [v for b in hb for g in hf if (v := rep.coords_of_poly(tj * b * g))]
-                if vecs:
-                    groups.append(((j, p, q), vecs))
+        return _radial_pieces(rep, k, 0)
+    if rep.spec.kind == "Pk":
+        return [((j, *label), vecs) for j in range(0, k // 2 + 1)
+                for label, vecs in _radial_pieces(rep, k - 2 * j, j)]
+    groups: PieceGroups = []  # PkModR2: theta^{2j} Hb_p Hf_q images
+    for j, p, q, _ in piece_labels(m, n, k):
+        prods = _piece_products(theta2(n) ** j, m, n, p, q)
+        vecs = [v for v in map(rep.coords_of_poly, prods) if v]
+        if vecs:
+            groups.append(((j, p, q), vecs))
     return groups
 
 
@@ -471,19 +452,9 @@ def decompose_simple(m: int, n: int, k: int) -> list[SimplePiece]:
     """
     if m < 2:
         raise ValueError("decompose_simple requires m >= 2")
-    M = m - 2 * n
-    cap = k + M // 2 - 2 if in_window(m, n, k) else None
-    out = []
-    for j in range(0, min(n, k) + 1):
-        lmax = min(n - j, (k - j) // 2)
-        if cap is not None:
-            lmax = min(lmax, cap)
-        for l in range(0, lmax + 1):
-            p = k - 2 * l - j
-            d = dim_H_bosonic(m, p) * dim_H_fermionic(n, j)
-            if d:
-                out.append(SimplePiece(j, l, p, d))
-    return out
+    # l <= k holds for every piece, so k caps nothing outside the band
+    cap = k + (m - 2 * n) // 2 - 2 if in_window(m, n, k) else k
+    return [SimplePiece(q, l, p, d) for l, p, q, d in piece_labels(m, n, k) if l <= cap]
 
 
 # -- degenerate band structure -------------------------------------------------------
@@ -536,12 +507,8 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
     else:
         details.append("submodule is generator-invariant")
         # irreducibility of the submodule: closures from its pieces
-        sub_irred = True
-        for piece in decompose_Hk(m, n, kpp):
-            vecs = [v for v in map(sub_rep.coords, mats.r2_times(piece.basis.rows, kpp, t)) if v]
-            if vecs and not _closure_reaches_all(sub_rep, vecs):
-                sub_irred = False
-        if sub_irred:
+        if all(_closure_reaches_all(sub_rep, vecs)
+               for _, vecs in _radial_pieces(sub_rep, kpp, t)):
             details.append("submodule is irreducible")
         else:
             ok = False
@@ -624,8 +591,6 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     together with the block bookkeeping this certifies the direct sum.
     Returns 'verified' or an 'inconclusive: ...' diagnosis; never overclaims.
     """
-    from .superalgebra import shift_bosonic_indices
-
     case, ls = branching_case(m, n, k)
     if case == "not_completely_reducible":
         return "inconclusive: restriction is flagged not completely reducible"
@@ -649,8 +614,11 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
         eps = (k - l) % 2
         j = (k - l - eps) // 2
         radial = MultiplyBy(SuperPolynomial.x(1) ** eps * R2p ** j)
-        hs = [poly_to_vec(shift_bosonic_indices(h, 1), m, n, l)
-              for h in subspace_polys(harmonic_basis(m - 1, n, l), m - 1, n, l)]
+        # H_l(m-1|2n) into P_l(m|2n), renaming x_i to x_(i+1) on the monomial basis
+        index = mats.index(l)
+        shift = [index[SuperMonomial(tuple((i + 1, e) for i, e in mono.bosonic), mono.fermionic)]
+                 for mono in monomial_basis(m - 1, n, l)]
+        hs = [{shift[c]: x for c, x in row.items()} for row in harmonic_basis(m - 1, n, l).rows]
         if any(mats.apply(lap, hs, l)):
             return "inconclusive: shifted harmonic basis is not harmonic"
         polys = mats.apply(radial, hs, l)

@@ -289,32 +289,6 @@ class SuperPolynomial:
         return render(self)
 
 
-def shift_bosonic_indices(f: SuperPolynomial, offset: int) -> SuperPolynomial:
-    """Rename every bosonic xi to x(i+offset); Grassmann generators unchanged."""
-    if offset == 0:
-        return f
-    out = {}
-    for mono, c in f.terms.items():
-        bos = tuple((i + offset, e) for i, e in mono.bosonic)
-        if any(i < 1 for i, _ in bos):
-            raise IndexError("shift would produce a nonpositive variable index")
-        out[SuperMonomial(bos, mono.fermionic)] = c
-    return SuperPolynomial(out)
-
-
-def partial(f: SuperPolynomial, index: int, m: int, n: int) -> SuperPolynomial:
-    """Partial derivative in the unified variable numbering 1..m+2n.
-
-    Index 1..m selects the bosonic derivative d/dxi, index m+1..m+2n the left
-    Grassmann derivative d/dxg(index-m).
-    """
-    if not 1 <= index <= m + 2 * n:
-        raise IndexError(f"variable index {index} out of range for ({m}|{2*n})")
-    if index <= m:
-        return f.dx(index)
-    return f.dxg(index - m)
-
-
 # -- degree bases -----------------------------------------------------------
 
 

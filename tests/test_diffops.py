@@ -32,6 +32,7 @@ from superh.diffops import (
     operator_matrices,
     osp_generator,
     partial_vector_field,
+    plain_partial,
     poly_to_vec,
     r2,
     variable_poly,
@@ -253,6 +254,30 @@ def test_killing_rejects_the_quadratic_control():
         control = {1: variable_poly(1, m, n) * variable_poly(size, m, n)}
         assert not killing_check(control, m, n), (m, n)
     assert suite_killing(cells + [(0, 0)]).status == "pass"
+
+
+def test_unified_partial_indexing():
+    f = SP.x(1) * SP.xg(1)
+    assert plain_partial(1, 2, 1).apply(f) == SP.xg(1)
+    assert plain_partial(3, 2, 1).apply(f) == SP.x(1)
+    with pytest.raises(IndexError):
+        plain_partial(5, 2, 1)
+
+
+def test_killing_check_differentiates_only_the_held_variables(monkeypatch):
+    """An L_ij field has two components, each one variable: O(1) pairs of
+    indices can fail, not all (m+2n)^2 of them."""
+    calls = []
+    for name in ("dx", "dxg"):
+        def counted(self, i, _d=getattr(SP, name)):
+            calls.append(i)
+            return _d(self, i)
+        monkeypatch.setattr(SP, name, counted)
+    assert killing_check(generator_vector_field(1, 2, 40, 0), 40, 0)
+    assert 0 < len(calls) <= 4
+    calls.clear()
+    # x1 d/dx1 fails at the pair (1, 1), the only one tested
+    assert not killing_check({1: SP.x(1)}, 40, 0) and len(calls) == 2
 
 
 def test_killing_rejects_mixed_parity():

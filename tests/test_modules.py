@@ -329,6 +329,21 @@ def test_pk_reducible_for_degree_two_and_up():
     assert not is_irreducible(rep_space(SpaceSpec("Pk", 3, 1, 3)))
 
 
+def test_pk_seed_groups_are_the_radial_blocks():
+    """Each P_k group (j, l, p, q) lies in the radial block R^{2j} H_{k-2j},
+    and the groups span the sum of the blocks: all of P_k where it is direct."""
+    for (m, n) in [(2, 2), (3, 2)]:
+        groups = _piece_groups(rep_space(SpaceSpec("Pk", m, n, 4)))
+        fd = fischer(m, n, 4)
+        blocks = {piece.j: piece.subspace for piece in fd.pieces}
+        for label, vecs in groups:
+            assert all(blocks[label[0]].contains(v) for v in vecs), (m, n, label)
+        span = Subspace.from_vectors([v for _, vecs in groups for v in vecs], dim_Pk(m, n, 4))
+        blocks_sum = Subspace.from_vectors(
+            [v for piece in fd.pieces for v in piece.subspace.rows], dim_Pk(m, n, 4))
+        assert span == blocks_sum and (span.dim == dim_Pk(m, n, 4)) == fd.direct_sum
+
+
 def test_quotient_isomorphism_outside_window():
     # away from the degenerate band PkModR2 and Hk have the same dimension
     for (m, n, k) in [(3, 1, 2), (2, 1, 3)]:

@@ -10,9 +10,7 @@ from superh.superalgebra import (
     dim_Pk,
     monomial_basis,
     parse,
-    partial,
     render,
-    shift_bosonic_indices,
 )
 
 from reference import homogeneous_component, homogeneous_components
@@ -164,14 +162,6 @@ def test_left_derivative_examples():
     assert SP.x(1, 2).dx(1) == SP.x(1).scaled(2)
 
 
-def test_unified_partial_indexing():
-    f = SP.x(1) * SP.xg(1)
-    assert partial(f, 1, 2, 1) == SP.xg(1)
-    assert partial(f, 3, 2, 1) == SP.x(1)
-    with pytest.raises(IndexError):
-        partial(f, 5, 2, 1)
-
-
 # -- degree bases --------------------------------------------------------------
 
 
@@ -204,12 +194,6 @@ def test_parity():
     assert int(SP.xg(1).parity()) == 1
     with pytest.raises(ValueError):
         (SP.x(1) + SP.xg(1)).parity()
-
-
-def test_shift_bosonic_indices():
-    f = SP.x(1, 2) * SP.xg(1) + SP.x(2)
-    g = shift_bosonic_indices(f, 1)
-    assert g == SP.x(2, 2) * SP.xg(1) + SP.x(3)
 
 
 # -- rendering and parsing -------------------------------------------------------
