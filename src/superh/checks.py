@@ -31,7 +31,6 @@ from .harmonic import (
     fischer,
     harmonic_basis,
     projection_Q,
-    verify_lemma_Lf,
 )
 from .integration import invariance_suite, pizzetti, supersphere_integral_phi
 from .modules import (
@@ -234,22 +233,6 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
             report.rows.append({"m": m, "n": n, "k": k, "pieces": len(pieces),
                                 "spectral_fallback": fallback_used,
                                 "result": "pass" if ok else "fail"})
-    return report
-
-
-def suite_lemma_lf(cells: list[tuple[int, int]]) -> Report:
-    report = Report("check lemma-lf", {"cells": cells})
-    for (m, n) in cells:
-        if n < 1:
-            continue
-        ok = True
-        for q in range(0, n + 1):
-            for k in range(0, n - q + 1):
-                for p in range(0, 4):
-                    if not verify_lemma_Lf(k, p, q, m, n):
-                        ok = False
-                        report.fail(f"radial identity failed at k={k},p={p},q={q} ({m}|{2*n})")
-        report.rows.append({"m": m, "n": n, "result": "pass" if ok else "fail"})
     return report
 
 

@@ -45,7 +45,7 @@ from .superalgebra import (
     check_variable_count,
     monomial_basis,
 )
-from .linalg import Vec
+from .linalg import Vec, _int_if_whole
 
 
 # -- operator expression trees ---------------------------------------------
@@ -344,7 +344,7 @@ def poly_to_vec(f: SuperPolynomial, m: int, n: int, k: int) -> Vec:
         idx = index.get(mono)
         if idx is None:
             raise ValueError(f"monomial {mono} is not of degree {k} in ({m}|{2*n})")
-        out[idx] = c
+        out[idx] = _int_if_whole(c)
     return out
 
 
@@ -359,17 +359,13 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # a basis monomial to at most one basis monomial, injectively, so on P_k it is
 # two int arrays (target row or -1, and value), and a word reads each column
 # through its leaves' arrays.  The coefficients of one sum are brought to
-# integers over a common denominator, which is multiplied in once at the end:
-# entries stay Python ints unless a Scale by a true fraction occurs.  Only the
+# integers over a common denominator, which is multiplied in once at the end.
+# An entry is an int when it is whole and a Fraction otherwise: each function
+# that returns a vector narrows its entries by `_int_if_whole`.  Only the
 # leaf arrays depend on k.  The owner keeps what it holds, and nothing else: a
 # held tree is flattened once per space, any other tree per call.  Vectors in
 # flight are dicts; a kept matrix is packed in compressed sparse column form.
 # `vecs is None` stands for the basis of P_k.
-
-
-def _int_if_whole(c):
-    """c, stored as an int when it is integral."""
-    return c.numerator if c.denominator == 1 else c
 
 
 def _flatten(op: LinearOperator) -> tuple[dict[tuple, Fraction], int | None] | None:
@@ -447,7 +443,7 @@ def _matvec(mat: tuple, v: Vec) -> Vec:
             r = rows[t]
             s = out.get(r)
             out[r] = x * vals[t] if s is None else s + x * vals[t]
-    return {r: s for r, s in out.items() if s}
+    return {r: _int_if_whole(s) for r, s in out.items() if s}
 
 
 def _lincomb(*terms: tuple[int, Vec]) -> Vec:
@@ -456,7 +452,7 @@ def _lincomb(*terms: tuple[int, Vec]) -> Vec:
     for c, v in terms:
         for r, x in v.items():
             out[r] = out.get(r, 0) + c * x
-    return {r: x for r, x in out.items() if x}
+    return {r: _int_if_whole(x) for r, x in out.items() if x}
 
 
 def _dx_image(mono: SuperMonomial, i: int):
@@ -496,7 +492,7 @@ def _image(words: list[tuple], v: Vec) -> Vec:
                 y *= x
                 s = out.get(r)
                 out[r] = y if s is None else s + y
-    return {r: y for r, y in out.items() if y}
+    return {r: _int_if_whole(y) for r, y in out.items() if y}
 
 
 class OperatorMatrices:

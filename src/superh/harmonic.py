@@ -84,8 +84,7 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
     width = len(monomial_basis(m, n, k))  # refuses a basis above MAX_BASIS_DIM
     if k < 2:
         # nabla^2 lowers degree by 2, so every polynomial of degree < 2 is harmonic
-        return Subspace.from_vectors(
-            [{i: Fraction(1)} for i in range(width)], width)
+        return Subspace.from_vectors([{i: 1} for i in range(width)], width)
     # the equations are the rows of the nabla^2 matrix P_k -> P_{k-2}
     rows: list[Vec] = [{} for _ in range(dim_Pk(m, n, k - 2))]
     mats = operator_matrices(m, n)

@@ -477,7 +477,7 @@ def _primitive(v: Vec) -> Vec:
     return {c: x // g for c, x in ints.items()}
 
 
-def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fraction]]:
+def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[int | Fraction]]:
     """All densities alpha(theta^2) making the phi#-functional invariant.
 
     Solves, exactly, for coefficient vectors (a_0..a_n) of
@@ -510,4 +510,4 @@ def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[Fra
             for c in set().union(*us):
                 equations.append({i: u[c] for i, u in enumerate(us) if c in u})
     kernel = kernel_of_equations(equations, n + 1)
-    return [[row.get(i, Fraction(0)) for i in range(n + 1)] for row in kernel.rows]
+    return [[row.get(i, 0) for i in range(n + 1)] for row in kernel.rows]

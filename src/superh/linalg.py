@@ -1,8 +1,12 @@
 """Exact sparse linear algebra over the rationals, with mod-p certificates.
 
-Vectors are sparse dicts {column index: Fraction}.  Subspaces are kept in
-reduced row echelon form with unit pivots, which is a canonical representative:
-two subspaces are equal iff their echelon matrices are equal.
+Vectors are sparse dicts {column index: entry}.  An entry is an int when it is
+whole and a Fraction otherwise: each function that computes an entry narrows
+it by `_int_if_whole`, so arithmetic on whole entries stays int arithmetic,
+and a function given vectors that keep this rule returns vectors that keep it.
+Subspaces are kept in reduced row echelon form with unit pivots, which is a
+canonical representative: two subspaces are equal iff their echelon matrices
+are equal.
 
 Full-rank facts are (optionally) certified through a single large prime:
 each vector is reduced to a sparse row {column index: residue mod p} of Python
@@ -19,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]  # an entry is an int when whole, else a Fraction
 
 # Prime for modular certificates.  Residues are exact Python ints; a large p
 # makes a rank that drops mod p (and so needs the exact fallback) unlikely.
@@ -31,15 +35,20 @@ _ONE = Fraction(1)
 # -- sparse vector helpers ----------------------------------------------------
 
 
-def _iadd_scaled(out: Vec, c: Fraction, w: Vec) -> None:
+def _int_if_whole(c: int | Fraction) -> int | Fraction:
+    """c, stored as an int when it is whole (the one narrowing rule)."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _iadd_scaled(out: Vec, c: int | Fraction, w: Vec) -> None:
     for i, x in w.items():
         s = out.get(i)
         if s is None:
-            out[i] = c * x
+            out[i] = _int_if_whole(c * x)
         else:
             s = s + c * x
             if s:
-                out[i] = s
+                out[i] = _int_if_whole(s)
             else:
                 del out[i]
 
@@ -80,8 +89,12 @@ class Echelon:
         if not v:
             return False
         c = min(v)
-        inv = _ONE / v[c]  # a Fraction also for an int entry
-        v = {i: inv * x for i, x in v.items()}
+        pivot = v[c]  # a pivot of 1 or -1 is an int and needs no division
+        if pivot == -1:
+            v = {i: -x for i, x in v.items()}
+        elif pivot != 1:
+            inv = _ONE / pivot  # a Fraction also for an int entry
+            v = {i: _int_if_whole(inv * x) for i, x in v.items()}
         for row in self.rows.values():
             coeff = row.get(c)
             if coeff is not None:
@@ -196,7 +209,7 @@ def kernel_of_equations(rows: Iterable[Vec], width: int) -> Subspace:
     for r in rows:
         _check_columns(r, width)
         ech.add({top - c: x for c, x in r.items()})
-    kernel = {f: {f: _ONE} for f in range(width) if top - f not in ech.rows}
+    kernel = {f: {f: 1} for f in range(width) if top - f not in ech.rows}
     for p, row in ech.rows.items():
         for c, x in row.items():
             if c != p:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Literal, Sequence
 
@@ -172,7 +171,7 @@ class RepSpace:
         return out
 
     def basis_coords(self) -> list[Vec]:
-        return [{c: Fraction(1)} for c in range(self.dim)]
+        return [{c: 1} for c in range(self.dim)]
 
 
 def _divisor_r2p(m: int, n: int, k: int) -> Subspace:
@@ -401,7 +400,7 @@ def indecomposability_witness(rep: RepSpace) -> str:
     for _ in range(WITNESS_TRIES):
         combo: Vec = {}
         for i in range(rep.dim):
-            c = Fraction(rng.randint(-3, 3))
+            c = rng.randint(-3, 3)
             if c:
                 combo[i] = c
         if combo:

@@ -292,28 +292,32 @@ class SuperPolynomial:
 # -- degree bases -----------------------------------------------------------
 
 
-def _bosonic_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of `total` into `parts` slots, descending-lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _bosonic_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def _exponent_pair(i: int, e: int) -> tuple[int, int]:
     """One shared (index, exponent) tuple for all cached bases."""
     return (i, e)
 
 
-def _dense_to_sparse(exps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    return tuple(_exponent_pair(i + 1, e) for i, e in enumerate(exps) if e)
+def _bosonic_compositions(total: int, parts: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Compositions of `total` into `parts` slots in descending-lex order, each
+    as the (slot, value) pairs of its nonzero slots, slots counted from 1.
+
+    The successor lowers the last nonzero slot before the final one by 1 and
+    moves the final slot's value, plus 1, into the slot after it; only the
+    nonzero slots are touched, so no step recurses or walks all the slots.
+    """
+    if total and not parts:
+        return
+    comp = [_exponent_pair(1, total)] if total else []
+    while True:
+        yield tuple(comp)
+        tail = comp.pop()[1] if comp and comp[-1][0] == parts else 0
+        if not comp:
+            return
+        i, e = comp.pop()
+        if e > 1:
+            comp.append(_exponent_pair(i, e - 1))
+        comp.append(_exponent_pair(i + 1, tail + 1))
 
 
 # The largest dim P_k whose monomial basis is built: the work on a basis grows
@@ -343,11 +347,8 @@ def monomial_basis(m: int, n: int, k: int) -> tuple[SuperMonomial, ...]:
     out = []
     for nf in range(0, min(k, 2 * n) + 1):
         kb = k - nf
-        if m == 0 and kb > 0:
-            continue
         masks = list(itertools.combinations(range(1, 2 * n + 1), nf))
-        for exps in _bosonic_compositions(kb, m):
-            bos = _dense_to_sparse(exps)
+        for bos in _bosonic_compositions(kb, m):
             out.extend(SuperMonomial(bos, mask) for mask in masks)
     return tuple(out)
 

@@ -4,16 +4,18 @@ These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
 polynomials, R^{2j} times coordinate vectors through polynomials,
-homogeneous components, the lift of module coordinates, the
-phi# route of the supersphere integral by its definition (phi# on Laurent
-functions of r^2, and the Berezin integral), the density's coefficients by
-their recurrence, and two checks of the invariance suite by operator
-columns: (a) by applying each generator to every unit column, and the
-orthogonality check by the columns of multiplication operators; and the
-invariant densities by the same forward loop.  Also here are the helpers
-that only the tests use: the bosonic degree of a monomial, a JSON form of
-ScaledRational, and coordinates in a subspace's echelon basis.  Nothing in
-the package calls them, so they live with the tests.
+homogeneous components, the bosonic compositions by recursion, the reduced
+echelon form, kernel and intersection by dense all-Fraction elimination, the
+lift of module coordinates, the phi# route of the supersphere integral by its
+definition (phi# on Laurent functions of r^2, and the Berezin integral), the
+density's coefficients by their recurrence, and two checks of the invariance
+suite by operator columns: (a) by applying each generator to every unit
+column, and the orthogonality check by the columns of multiplication
+operators; and the invariant densities by the same forward loop.  Also here
+are the helpers that only the tests use: the runner of acceptance criterion
+06, the bosonic degree of a monomial, a JSON form of ScaledRational, and
+coordinates in a subspace's echelon basis.  Nothing in the package calls
+them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Sc
                             generator_pairs, index_parity, metric, operator_matrices,
                             operator_sum, osp_generator, plain_partial, poly_to_vec, r2,
                             theta2, variable_poly, vec_to_poly)
-from superh.harmonic import harmonic_basis, subspace_polys
+from superh.checks import Report
+from superh.harmonic import harmonic_basis, subspace_polys, verify_lemma_Lf
 from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
 from superh.linalg import Subspace, Vec, kernel_of_equations
 from superh.modules import RepSpace
@@ -121,6 +124,80 @@ def homogeneous_components(f: SuperPolynomial) -> dict[int, SuperPolynomial]:
     for m, c in f.terms.items():
         out.setdefault(m.degree(), {})[m] = c
     return {k: SuperPolynomial(t) for k, t in sorted(out.items())}
+
+
+def bosonic_compositions_recursive(total: int, parts: int, slot: int = 1) -> list[tuple]:
+    """Compositions of `total` into slots slot..parts, descending-lex order, as
+    the (slot, value) pairs of their nonzero slots, by one recursion per slot
+    (the depth is the slot count): the package steps from each composition to
+    the next without recursing."""
+    if total == 0 or slot > parts:
+        return [()] if total == 0 else []
+    out = []
+    for first in range(total, -1, -1):
+        rests = bosonic_compositions_recursive(total - first, parts, slot + 1)
+        out += [((slot, first),) + rest for rest in rests] if first else rests
+    return out
+
+
+def fraction_rref(vectors: list[Vec], width: int) -> list[tuple[int, dict]]:
+    """(pivot, row) of the reduced row echelon form of the vectors, in pivot
+    order, by dense Gauss-Jordan elimination with every entry a Fraction: the
+    package stores whole entries as ints and eliminates sparsely."""
+    done: list[tuple[int, list[Fraction]]] = []
+    for v in vectors:
+        r = [Fraction(v.get(c, 0)) for c in range(width)]
+        for p, row in done:
+            if r[p]:
+                r = [a - r[p] * b for a, b in zip(r, row)]
+        lead = next((c for c in range(width) if r[c]), None)
+        if lead is None:
+            continue
+        r = [a / r[lead] for a in r]
+        done = [(p, [a - row[lead] * b for a, b in zip(row, r)] if row[lead] else row)
+                for p, row in done]
+        done.append((lead, r))
+    return sorted((p, {c: x for c, x in enumerate(row) if x}) for p, row in done)
+
+
+def fraction_kernel(equations: list[Vec], width: int) -> list[tuple[int, dict]]:
+    """The canonical basis of the common kernel of the equations, as
+    fraction_rref of e_f - sum_p r_p[f] e_p over the free columns f."""
+    rows = fraction_rref(equations, width)
+    pivots = {p for p, _ in rows}
+    kernel = [{f: Fraction(1), **{p: -row[f] for p, row in rows if f in row}}
+              for f in range(width) if f not in pivots]
+    return fraction_rref(kernel, width)
+
+
+def fraction_intersection(a: list[Vec], b: list[Vec], width: int) -> list[tuple[int, dict]]:
+    """The canonical basis of span(a) intersect span(b): the vectors
+    sum_i alpha_i a_i over the kernel of [a^T | -b^T] in (alpha, beta)."""
+    columns = [{i: v[c] for i, v in enumerate(a) if c in v}
+               | {len(a) + j: -v[c] for j, v in enumerate(b) if c in v} for c in range(width)]
+    meets = []
+    for _, coeffs in fraction_kernel(columns, len(a) + len(b)):
+        meets.append({c: x for c in range(width)
+                      if (x := sum(coeffs.get(i, 0) * v.get(c, 0) for i, v in enumerate(a)))})
+    return fraction_rref(meets, width)
+
+
+def suite_lemma_lf(cells: list[tuple[int, int]]) -> Report:
+    """The radial identity of verify_lemma_Lf at every valid (k, p <= 3, q) of
+    each cell with n >= 1: acceptance criterion 06, which `check` does not list."""
+    report = Report("check lemma-lf", {"cells": cells})
+    for (m, n) in cells:
+        if n < 1:
+            continue
+        ok = True
+        for q in range(0, n + 1):
+            for k in range(0, n - q + 1):
+                for p in range(0, 4):
+                    if not verify_lemma_Lf(k, p, q, m, n):
+                        ok = False
+                        report.fail(f"radial identity failed at k={k},p={p},q={q} ({m}|{2*n})")
+        report.rows.append({"m": m, "n": n, "result": "pass" if ok else "fail"})
+    return report
 
 
 def bosonic_degree(mono: SuperMonomial) -> int:

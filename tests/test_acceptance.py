@@ -14,13 +14,14 @@ from superh.checks import (
     suite_irreducibility,
     suite_killing,
     suite_lb,
-    suite_lemma_lf,
     suite_projections,
     suite_sl2,
     suite_windows,
 )
 from superh.harmonic import dim_Hk, fischer
 from superh.modules import SpaceSpec, rep_space, simple_dim
+
+from reference import suite_lemma_lf
 
 FULL_GRID = [(m, n) for m in (1, 2, 3, 4) for n in (0, 1, 2)]
 MODULE_GRID = [(m, n) for m in (2, 3, 4) for n in (1, 2)]

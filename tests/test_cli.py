@@ -259,6 +259,13 @@ def test_a_variable_count_above_the_limit_is_refused_before_any_tree(capsys, arg
     assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err and "variables" in err
 
 
+def test_a_cell_with_more_variables_than_the_recursion_limit_answers(capsys):
+    # the bosonic compositions once recursed per variable, past 1000 frames
+    code, out, err = run(capsys, "decompose", "-m", "1000", "-n", "0", "-k", "0")
+    assert code == EXIT_PASS and err == ""
+    assert out.split()[-2:] == ["1", "1"]  # total and dim H_0
+
+
 def _squares_product(m):
     return "*".join(f"x{i}^2" for i in range(1, m + 1))
 

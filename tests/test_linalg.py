@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superh import linalg
-from superh.diffops import nabla2, operator_matrices
-from superh.harmonic import harmonic_basis
+from superh.diffops import generator_pairs, nabla2, operator_matrices
+from superh.harmonic import decompose_Hk, harmonic_basis
 from superh.modules import SpaceSpec, _divisor_r2p, hk_window_intersection, rep_space
 from superh.linalg import (
     PRIME,
@@ -18,7 +19,12 @@ from superh.linalg import (
 )
 from superh.superalgebra import dim_Pk
 
-from reference import subspace_coordinates
+from reference import (
+    fraction_intersection,
+    fraction_kernel,
+    fraction_rref,
+    subspace_coordinates,
+)
 
 
 # -- independent oracle: dense Gaussian elimination rank -------------------------
@@ -319,3 +325,55 @@ def test_columns_outside_the_width_are_refused():
                  lambda: rank_modp([{7: Fraction(1)}, {8: Fraction(1)}], 2)):
         with pytest.raises(ValueError):
             call()
+
+
+# -- the narrowing rule: an entry is an int when it is whole ------------------------
+
+
+def whole_fractions(vectors):
+    """The entries of the vectors that break the rule: a Fraction with
+    denominator 1, or a value that is neither an int nor a Fraction."""
+    return [x for v in vectors for x in v.values()
+            if type(x) is not int and (type(x) is not Fraction or x.denominator == 1)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 2), (4, 2)])
+def test_no_stored_entry_is_a_whole_fraction(m, n):
+    mats = operator_matrices(m, n)
+    for k in range(0, 5):
+        rows = harmonic_basis(m, n, k).rows
+        assert not whole_fractions(rows), ("harmonic_basis", k)
+        for piece in decompose_Hk(m, n, k):
+            assert not whole_fractions(piece.basis.rows), ("piece", piece.l, piece.p, piece.q, k)
+        ech = Echelon(len(mats.index(k)))
+        for (i, j) in generator_pairs(m, n):
+            images = [mats.generator_image(i, j, v, k) for v in rows]
+            assert not whole_fractions(images), ("generator_image", i, j, k)
+            for w in images:
+                ech.add(w)
+        assert not whole_fractions(ech.rows.values()), ("Echelon", k)
+        for kind in ("Hk", "PkModR2") + (("HkModSub",) if k >= 2 else ()):
+            rep = rep_space(SpaceSpec(kind, m, n, k))
+            for (i, j) in rep.gen_pairs:
+                assert not whole_fractions(rep.generator_matrix(i, j)), (kind, i, j, k)
+
+
+# entries that keep the rule: whole rationals as ints, the others as Fractions
+entries = st.fractions(min_value=-3, max_value=3, max_denominator=4).map(
+    lambda x: x.numerator if x.denominator == 1 else x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_eliminations_equal_the_all_fraction_reference(data):
+    width = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.dictionaries(st.integers(0, width - 1), entries), max_size=6)
+    a, b, equations = data.draw(vectors), data.draw(vectors), data.draw(vectors)
+    span_a, span_b = Subspace.from_vectors(a, width), Subspace.from_vectors(b, width)
+    assert span_a == Subspace(width, fraction_rref(a, width))
+    meet = span_a.intersect(span_b)
+    assert meet == Subspace(width, fraction_intersection(a, b, width))
+    kernel = kernel_of_equations(equations, width)
+    assert kernel == Subspace(width, fraction_kernel(equations, width))
+    for sub in (span_a, meet, kernel):
+        assert not whole_fractions(sub.rows)

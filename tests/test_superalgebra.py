@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,13 +8,18 @@ from superh.superalgebra import (
     ParseError,
     SuperMonomial,
     SuperPolynomial,
+    _bosonic_compositions,
     dim_Pk,
     monomial_basis,
     parse,
     render,
 )
 
-from reference import homogeneous_component, homogeneous_components
+from reference import (
+    bosonic_compositions_recursive,
+    homogeneous_component,
+    homogeneous_components,
+)
 
 SP = SuperPolynomial
 
@@ -181,6 +187,22 @@ def test_monomial_basis_count_formula():
                 assert len(monomial_basis(m, n, k)) == expected, (m, n, k)
                 # distinctness
                 assert len(set(monomial_basis(m, n, k))) == expected
+
+
+def test_compositions_follow_the_recursive_order():
+    for parts in range(0, 7):
+        for total in range(0, 7):
+            expected = bosonic_compositions_recursive(total, parts)
+            assert list(_bosonic_compositions(total, parts)) == expected, (total, parts)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000 + limit)  # the reference recurses once per slot
+    try:
+        for parts in (1000, 3000):
+            for total in (0, 1):
+                expected = bosonic_compositions_recursive(total, parts)
+                assert list(_bosonic_compositions(total, parts)) == expected, (total, parts)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_homogeneous_component_examples():
