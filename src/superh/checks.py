@@ -13,6 +13,7 @@ from typing import Iterable
 
 from .superalgebra import SuperPolynomial, monomial_basis
 from .diffops import (
+    OperatorMatrices,
     _lincomb,
     check_sl2,
     generator_pairs,
@@ -24,6 +25,7 @@ from .diffops import (
     variable_poly,
 )
 from .harmonic import (
+    ProjectionOperator,
     bosonic_eigenvalue,
     decompose_Hk,
     dim_Hk,
@@ -33,6 +35,7 @@ from .harmonic import (
     projection_Q,
 )
 from .integration import invariance_suite, pizzetti, supersphere_integral_phi
+from .linalg import Vec, _int_if_whole, _primitive
 from .modules import (
     SpaceSpec,
     branching,
@@ -63,7 +66,8 @@ class Report:
         return 0 if self.status in ("pass", "degenerate") else 1
 
 
-# projector products applied literally to this many vectors of every piece
+# projector products applied literally to this many vectors of every piece, as
+# primitive int vectors and by int factors (see suite_projections)
 LITERAL_VECTORS = 2
 # degree cap of the invariance checks inside suite_integrals
 INVARIANCE_K = 4
@@ -89,7 +93,8 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
 
     The two forms are evaluated from their own trees as matrices on P_k and
     compared column by column; the eigenvalue is checked on every row of the
-    harmonic basis by a mat-vec with the form A matrix.
+    harmonic basis, scaled to a primitive int vector, by a mat-vec with the
+    form A matrix.
     """
     report = Report("check lb", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
@@ -107,7 +112,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
                     report.fail(f"LB forms differ on {f} at ({m}|{2*n})")
                     break
             eig = -k * (M - 2 + k)
-            rows = harmonic_basis(m, n, k).rows
+            rows = [_primitive(v) for v in harmonic_basis(m, n, k).rows]
             for row, image in zip(rows, mats.apply(form_a, rows, k)):
                 if image != _lincomb((eig, row)):
                     eigen_ok = False
@@ -182,13 +187,29 @@ def suite_fischer(cells: list[tuple[int, int]], k_max: int) -> Report:
     return report
 
 
+def _projector_images(mats: OperatorMatrices, Q: ProjectionOperator, vecs: list[Vec],
+                      k: int) -> tuple[list[Vec], int | Fraction]:
+    """(D Q v for each int vector v of P_k, D): a factor (Delta + a/b)/d of Q
+    acts as the int map b Delta + a, and D, the product of the d b, is not 0."""
+    scale = 1
+    for lb, shift, denom in reversed(Q.factors):
+        b = shift.denominator
+        vecs = [_lincomb((b, w), (shift.numerator, v))
+                for v, w in zip(vecs, mats.apply(lb, vecs, k))]
+        scale *= denom * b
+    return vecs, _int_if_whole(scale)
+
+
 def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
     """Piece decomposition of H_k plus the delta action of the projectors.
 
     Every piece vector is checked to be a joint eigenvector of the two
     Laplace-Beltrami blocks (exact), the projector factor products then act by
     the exact scalar delta; on top, the operator products are applied
-    literally to a few vectors of every piece.
+    literally to a few vectors of every piece.  The vectors are scaled to
+    primitive int vectors, and each target's product runs once on all of them
+    by int factors (``_projector_images``): D Q v = delta D v holds exactly
+    when Q v = delta v does, since the scales are positive and D is not 0.
     """
     report = Report("check projections", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
@@ -201,33 +222,31 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
             mats.matrix(lb_f, k)
             fallback_used = False
             ok = True
+            literal = []  # the literal vectors of each piece
             for pc in pieces:
                 lam_b = bosonic_eigenvalue(m, pc.p)
                 lam_f = fermionic_eigenvalue(n, pc.q)
-                rows = pc.basis.rows
+                rows = [_primitive(v) for v in pc.basis.rows]
+                literal.append(rows[:LITERAL_VECTORS])
                 for v, wb, wf in zip(rows, mats.apply(lb_b, rows, k),
                                      mats.apply(lb_f, rows, k)):
                     if wb != _lincomb((lam_b, v)) or wf != _lincomb((lam_f, v)):
                         ok = False
                         report.fail(f"piece ({pc.l},{pc.p},{pc.q}) of H_{k}({m}|{2*n}) "
                                     "is not a joint eigenspace")
-            projectors = {}
-            for pc in pieces:
-                Q = projection_Q(pc.l, pc.q, k, m, n)
-                projectors[(pc.l, pc.q)] = Q
-                fallback_used = fallback_used or Q.spectral_fallback
             for tgt in pieces:
-                Q = projectors[(tgt.l, tgt.q)]
-                for src in pieces:
-                    want = Fraction(1 if (src.l, src.q) == (tgt.l, tgt.q) else 0)
+                Q = projection_Q(tgt.l, tgt.q, k, m, n)
+                fallback_used = fallback_used or Q.spectral_fallback
+                images, scale = _projector_images(mats, Q, [v for rows in literal for v in rows], k)
+                images = iter(images)  # each source's rows take the next len(rows)
+                for src, rows in zip(pieces, literal):
+                    want = 1 if (src.l, src.q) == (tgt.l, tgt.q) else 0
                     if Q.scalar_on_piece(src.p, src.q) != want:
                         ok = False
                         report.fail(f"projector scalar failed at ({m},{n},{k}) "
                                     f"target ({tgt.l},{tgt.q}) source ({src.l},{src.q})")
-                    # Q.op is a chain of factors; each acts on the vectors by mat-vec
-                    rows = src.basis.rows[:LITERAL_VECTORS]
-                    for v, got in zip(rows, mats.apply(Q.op, rows, k)):
-                        if got != _lincomb((want, v)):
+                    for v, got in zip(rows, images):
+                        if got != _lincomb((want * scale, v)):
                             ok = False
                             report.fail(f"projector application failed at ({m},{n},{k})")
             report.rows.append({"m": m, "n": n, "k": k, "pieces": len(pieces),

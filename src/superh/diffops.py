@@ -41,7 +41,6 @@ from typing import Sequence
 from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
-    _mul_monomials,
     check_variable_count,
     monomial_basis,
 )
@@ -358,7 +357,9 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # primitive (d/dxi, d/dxgj or multiplication by one monomial).  Each leaf sends
 # a basis monomial to at most one basis monomial, injectively, so on P_k it is
 # two int arrays (target row or -1, and value), and a word reads each column
-# through its leaves' arrays.  The coefficients of one sum are brought to
+# through its leaves' arrays.  Only the derivative leaves are built from the
+# monomials: multiplication by a variable inverts its derivative one degree
+# up, and multiplication by a monomial chains its variables.  The coefficients of one sum are brought to
 # integers over a common denominator, which is multiplied in once at the end.
 # An entry is an int when it is whole and a Fraction otherwise: each function
 # that returns a vector narrows its entries by `_int_if_whole`.  Only the
@@ -639,26 +640,43 @@ class OperatorMatrices:
 
     def _leaf_arrays(self, what, fermionic, k: int) -> tuple[array, array]:
         """(target row or -1, value) per basis monomial of P_k of a primitive:
-        d/dxi or d/dxgj for an int `what` (fermionic False or True),
-        multiplication by the monomial `what` for fermionic None."""
+        d/dxi or d/dxgj for an int `what` (fermionic False or True), or
+        multiplication by the monomial `what` for fermionic None, read from the
+        derivative leaves: xi on P_d inverts d/dxi on P_{d+1}, with value 1, and
+        xgj inverts d/dxgj, with its value, since d/dxgj (xgj nu) = nu.  The
+        Grassmann factors of `what` act right to left, then the bosonic ones."""
         key = (what, fermionic, k)
-        if key not in self._leaves:
-            rows, vals = array("i"), array("i")
-            out_deg = k - 1 if fermionic is not None else k + what.degree()
-            target = self.index(out_deg)
-            for mono in monomial_basis(self.m, self.n, k) if k >= 0 else ():
-                if fermionic is None:
-                    sign, prod = _mul_monomials(what, mono)
-                    image = (sign, prod) if sign else None
-                else:
-                    image = _dxg_image(mono, what) if fermionic else _dx_image(mono, what)
-                row = -1 if image is None else target.get(image[1])
-                if row is None:
-                    raise ValueError(f"{what} times {mono} lies outside ({self.m}|{2 * self.n})")
-                rows.append(row)
-                vals.append(0 if image is None else image[0])
-            self._leaves[key] = rows, vals
-        return self._leaves[key]
+        if key in self._leaves:
+            return self._leaves[key]
+        basis = monomial_basis(self.m, self.n, k) if k >= 0 else ()
+        if fermionic is not None:
+            target = self.index(k - 1)
+            images = [_dxg_image(mono, what) if fermionic else _dx_image(mono, what)
+                      for mono in basis]
+            rows = array("i", [-1 if im is None else target[im[1]] for im in images])
+            vals = array("i", [0 if im is None else im[0] for im in images])
+        else:
+            if ((what.bosonic and what.bosonic[-1][0] > self.m)
+                    or (what.fermionic and what.fermionic[-1] > 2 * self.n)):
+                # the inverted leaf of such a variable would read as a zero map
+                for mono in basis:
+                    if set(what.fermionic).isdisjoint(mono.fermionic):
+                        raise ValueError(
+                            f"{what} times {mono} lies outside ({self.m}|{2 * self.n})")
+            rows, vals = array("i", range(len(basis))), array("i", [1]) * len(basis)
+            for d, (var, odd) in enumerate(
+                    [(j, True) for j in reversed(what.fermionic)]
+                    + [(i, False) for i, e in what.bosonic for _ in range(e)], k + 1):
+                d_rows, d_vals = self._leaf_arrays(var, odd, d)
+                inverse = {t: mu for mu, t in enumerate(d_rows) if t >= 0}
+                for c, r in enumerate(rows):
+                    rows[c] = mu = inverse.get(r, -1)
+                    if mu < 0:
+                        vals[c] = 0
+                    elif odd:
+                        vals[c] *= d_vals[mu]
+        self._leaves[key] = rows, vals
+        return rows, vals
 
     def _generator_words(self, i: int, j: int, k: int) -> list:
         """The words of ``osp_generator(i, j)``, flattened once and bound per degree."""

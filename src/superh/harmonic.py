@@ -27,11 +27,7 @@ from .linalg import (
     rank_of_vectors,
 )
 from .diffops import (
-    IDENTITY,
-    Add,
-    Compose,
     LinearOperator,
-    Scale,
     check_variables,
     operator_matrices,
     osp_generator,
@@ -339,9 +335,10 @@ class ProjectionOperator:
 
     ``bosonic_factors`` and ``fermionic_factors`` hold (shift, denominator)
     pairs; the operator is the product of (Delta + shift)/denominator over both
-    lists.  ``spectral_fallback`` marks that a vanishing denominator forced the
-    bosonic product to be rebuilt by interpolation over the eigenvalues that
-    actually occur.
+    lists, Delta being the held bosonic or fermionic Laplace-Beltrami tree of
+    the space's owner (``factors``).  ``spectral_fallback`` marks that a
+    vanishing denominator forced the bosonic product to be rebuilt by
+    interpolation over the eigenvalues that actually occur.
     """
 
     r: int
@@ -349,13 +346,22 @@ class ProjectionOperator:
     k: int
     m: int
     n: int
-    op: LinearOperator
     bosonic_factors: list[tuple[Fraction, Fraction]]
     fermionic_factors: list[tuple[Fraction, Fraction]]
     spectral_fallback: bool
 
+    @property
+    def factors(self) -> list[tuple[LinearOperator, Fraction, Fraction]]:
+        """(Delta, shift, denominator) of each factor, bosonic ones first."""
+        mats = operator_matrices(self.m, self.n)
+        return ([(mats.lb_bosonic, *f) for f in self.bosonic_factors]
+                + [(mats.lb_fermionic, *f) for f in self.fermionic_factors])
+
     def apply(self, f: SuperPolynomial) -> SuperPolynomial:
-        return self.op.apply(f)
+        """The product on one polynomial, the last factor acting first."""
+        for lb, shift, denom in reversed(self.factors):
+            f = (lb.apply(f) + f.scaled(shift)).scaled(1 / denom)
+        return f
 
     def scalar_on_piece(self, p: int, q: int) -> Fraction:
         """Exact scalar by which the product acts on a (p, q) joint eigenvector."""
@@ -386,7 +392,6 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
              and dim_H_bosonic(m, p) > 0)
     if not valid:
         raise ValueError(f"piece (r={r}, s={s}) does not exist in H_{k}({m}|{2*n})")
-    mats = operator_matrices(m, n)
     fallback = False
     bos_factors: list[tuple[Fraction, Fraction]] = []
     for i in range(0, k + 1):
@@ -414,13 +419,7 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
         if denom == 0:
             raise ZeroDenominator("fermionic factor cannot degenerate")
         ferm_factors.append((Fraction(j * (-2 * n - 2 + j)), denom))
-    factors: list[LinearOperator] = []
-    for shift, denom in bos_factors:
-        factors.append(Compose((Scale(1 / denom), Add((mats.lb_bosonic, Scale(shift))))))
-    for shift, denom in ferm_factors:
-        factors.append(Compose((Scale(1 / denom), Add((mats.lb_fermionic, Scale(shift))))))
-    op = Compose(tuple(factors)) if factors else IDENTITY
-    return ProjectionOperator(r, s, k, m, n, op, bos_factors, ferm_factors, fallback)
+    return ProjectionOperator(r, s, k, m, n, bos_factors, ferm_factors, fallback)
 
 
 # -- the structural identity for the radial polynomials ---------------------------

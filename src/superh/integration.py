@@ -52,7 +52,7 @@ from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPoly
                            _mul_monomials, check_variable_count, monomial_basis)
 from .diffops import check_variables, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
-from .linalg import Vec, kernel_of_equations
+from .linalg import Vec, _primitive, kernel_of_equations
 
 
 # -- scalars q * pi^(h/2) ------------------------------------------------------
@@ -467,14 +467,6 @@ def _pair(pairing: dict[int, dict[int, int]], a: Vec) -> Vec:
         for s, g in pairing.get(c, {}).items():
             u[s] = u.get(s, 0) + x * g
     return {s: y for s, y in u.items() if y}
-
-
-def _primitive(v: Vec) -> Vec:
-    """The int multiple of v by a positive scale whose entries have gcd 1."""
-    den = math.lcm(*(x.denominator for x in v.values()))
-    ints = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
-    g = math.gcd(*ints.values()) or 1
-    return {c: x // g for c, x in ints.items()}
 
 
 def invariant_density_solutions(m: int, n: int, k_max: int = 4) -> list[list[int | Fraction]]:

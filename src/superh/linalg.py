@@ -20,6 +20,7 @@ elimination, exhaustive closures or an explicit dependency witness.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,6 +39,14 @@ _ONE = Fraction(1)
 def _int_if_whole(c: int | Fraction) -> int | Fraction:
     """c, stored as an int when it is whole (the one narrowing rule)."""
     return c.numerator if c.denominator == 1 else c
+
+
+def _primitive(v: Vec) -> Vec:
+    """The int multiple of v by a positive scale whose entries have gcd 1."""
+    den = math.lcm(*(x.denominator for x in v.values()))
+    ints = {c: x.numerator * (den // x.denominator) for c, x in v.items()}
+    g = math.gcd(*ints.values()) or 1
+    return {c: x // g for c, x in ints.items()}
 
 
 def _iadd_scaled(out: Vec, c: int | Fraction, w: Vec) -> None:

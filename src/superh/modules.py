@@ -93,9 +93,10 @@ class SpaceSpec:
 # -- module spaces --------------------------------------------------------------
 
 
-def _readoff(sub: Subspace, v: Vec) -> Vec:
-    """Echelon coordinates in sub of a vector v of sub, read off at the pivots."""
-    return {i: v[p] for i, p in enumerate(sub.pivots) if p in v}
+def _readoff(positions: dict[int, int], v: Vec) -> Vec:
+    """Echelon coordinates of a vector v of a subspace, read off at its pivots
+    through the position of each pivot in its basis; the work is v's entries."""
+    return {positions[p]: x for p, x in v.items() if p in positions}
 
 
 class RepSpace:
@@ -121,6 +122,7 @@ class RepSpace:
         self._kept = list(range(width)) if divisor is None else divisor.complement_columns()
         self.dim = len(self._kept)
         self._kept_pos = {c: i for i, c in enumerate(self._kept)}
+        self._sub_pos = None if sub is None else {p: i for i, p in enumerate(sub.pivots)}
         self._matrix_columns: dict[tuple[int, int, int], Vec] = {}
 
     def _in_pk(self, v: Vec) -> Vec:
@@ -133,7 +135,7 @@ class RepSpace:
         image = operator_matrices(self.m, self.n).generator_image(i, j, self._in_pk(v), self.k)
         if self.sub is None:
             return image
-        coords = _readoff(self.sub, image)
+        coords = _readoff(self._sub_pos, image)
         if self.sub.linear_combination(coords) != image:
             raise RuntimeError(f"L_{i}{j} maps a vector of {self.spec} out of its subspace")
         return coords
@@ -146,7 +148,7 @@ class RepSpace:
 
     def coords(self, v: Vec) -> Vec:
         """Module coordinates of a vector v of P_k that lies in sub."""
-        return self._module_coords(v if self.sub is None else _readoff(self.sub, v))
+        return self._module_coords(v if self.sub is None else _readoff(self._sub_pos, v))
 
     def coords_of_poly(self, f: SuperPolynomial) -> Vec:
         return self.coords(poly_to_vec(f, self.m, self.n, self.k))
@@ -193,7 +195,8 @@ def rep_space(spec: SpaceSpec) -> RepSpace:
     if spec.kind == "PkModR2":
         divisor = _divisor_r2p(m, n, k)
     elif spec.kind == "HkModSub":
-        rows = [_readoff(sub, row) for row in hk_window_intersection(m, n, k).rows]
+        positions = {p: i for i, p in enumerate(sub.pivots)}
+        rows = [_readoff(positions, row) for row in hk_window_intersection(m, n, k).rows]
         divisor = Subspace.from_vectors(rows, sub.dim)
     rep = RepSpace(spec, sub, divisor, generator_pairs(m, n))
     _validate_rep(rep)

@@ -3,8 +3,9 @@
 These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
-polynomials, R^{2j} times coordinate vectors through polynomials,
-homogeneous components, the bosonic compositions by recursion, the reduced
+polynomials, R^{2j} times coordinate vectors through polynomials, the leaf
+arrays of multiplication by a monomial, monomial by monomial, homogeneous
+components, the bosonic compositions by recursion, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
 lift of module coordinates, the phi# route of the supersphere integral by its
 definition (phi# on Laurent functions of r^2, and the Berezin integral), the
@@ -14,13 +15,14 @@ column, and the orthogonality check by the columns of multiplication
 operators; and the invariant densities by the same forward loop.  Also here
 are the helpers that only the tests use: the runner of acceptance criterion
 06, the bosonic degree of a monomial, a JSON form of ScaledRational, and
-coordinates in a subspace's echelon basis.  Nothing in the package calls
+coordinates in a subspace's echelon basis, also read off in pivot order.  Nothing in the package calls
 them, so they live with the tests.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +35,7 @@ from superh.harmonic import harmonic_basis, subspace_polys, verify_lemma_Lf
 from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
 from superh.linalg import Subspace, Vec, kernel_of_equations
 from superh.modules import RepSpace
-from superh.superalgebra import SuperMonomial, SuperPolynomial, monomial_basis
+from superh.superalgebra import SuperMonomial, SuperPolynomial, _mul_monomials, monomial_basis
 
 
 # -- the metric, entry by entry --------------------------------------------------
@@ -111,6 +113,22 @@ def r2_times_by_polynomials(vecs: list[Vec], m: int, n: int, k: int, j: int) -> 
     mul_r2 matrix j times instead."""
     r2_power = r2(m, n) ** j
     return [poly_to_vec(r2_power * vec_to_poly(v, m, n, k), m, n, k + 2 * j) for v in vecs]
+
+
+def product_leaf_arrays(what: SuperMonomial, m: int, n: int, k: int) -> tuple[array, array]:
+    """(target row or -1, value) per basis monomial of P_k of multiplication
+    by the monomial `what`, from each product what * mono; ValueError at the
+    first nonzero product outside (m|2n)."""
+    target = {mono: i for i, mono in enumerate(monomial_basis(m, n, k + what.degree()))}
+    rows, vals = array("i"), array("i")
+    for mono in monomial_basis(m, n, k) if k >= 0 else ():
+        sign, prod = _mul_monomials(what, mono)
+        row = target.get(prod) if sign else -1
+        if row is None:
+            raise ValueError(f"{what} times {mono} lies outside ({m}|{2 * n})")
+        rows.append(row)
+        vals.append(sign)
+    return rows, vals
 
 
 def homogeneous_component(f: SuperPolynomial, k: int) -> SuperPolynomial:
@@ -210,6 +228,11 @@ def subspace_coordinates(sub: Subspace, v: Vec) -> list[Fraction] | None:
     if sub.reduce(v):
         return None
     return [v.get(p, Fraction(0)) for p in sub.pivots]
+
+
+def readoff_in_pivot_order(sub: Subspace, v: Vec) -> Vec:
+    """Echelon coordinates in sub of a vector v of sub, one pivot at a time."""
+    return {i: v[p] for i, p in enumerate(sub.pivots) if p in v}
 
 
 def lift(rep: RepSpace, coords: Vec) -> SuperPolynomial:

@@ -20,7 +20,7 @@ import pytest
 
 import superh
 from superh import checks
-from superh.diffops import (Compose, LinearOperator, MultiplyBy, OperatorMatrices, Scale, euler,
+from superh.diffops import (Add, Compose, LinearOperator, MultiplyBy, OperatorMatrices, Scale, euler,
                             generator_pairs, laplace_beltrami, laplace_beltrami_bosonic,
                             nabla2, operator_matrices, osp_generator, vec_to_poly)
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
@@ -120,7 +120,9 @@ def test_a_per_call_tree_leaves_the_owner_unchanged():
 
     def per_call_trees():
         """Trees built anew on every call, as the checks and the builders build them."""
-        return ([projection_Q(pc.l, pc.q, k, m, n).op for pc in decompose_Hk(m, n, k)]
+        return ([Compose((Scale(1 / denom), Add((lb, Scale(shift)))))
+                 for pc in decompose_Hk(m, n, k)
+                 for lb, shift, denom in projection_Q(pc.l, pc.q, k, m, n).factors]
                 + [generator_commutator(1, 3, 2, 4, m, n),
                    MultiplyBy(vec_to_poly(rows[0], m, n, k)),
                    Compose((Scale(Fraction(1, 3)), euler(m, n))),
@@ -143,12 +145,12 @@ def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
     for k in range(0, 5):
         for pc in decompose_Hk(m, n, k):
             Q = projection_Q(pc.l, pc.q, k, m, n)
-            factors = Q.op.parts if isinstance(Q.op, Compose) else ()
+            factors = Q.factors
             assert len(factors) == len(Q.bosonic_factors) + len(Q.fermionic_factors)
             held = ([mats.lb_bosonic] * len(Q.bosonic_factors)
                     + [mats.lb_fermionic] * len(Q.fermionic_factors))
-            for factor, lb in zip(factors, held):
-                assert factor.parts[1].parts[0] is lb
+            for (tree, _, _), lb in zip(factors, held):
+                assert tree is lb
                 assert id(lb) in mats._flat
 
     seen = []  # (entry point, tree) of every call on the owner of (m|2n)

@@ -17,6 +17,7 @@ from superh.diffops import (
     OperatorMatrices,
     Scale,
     ZERO_OP,
+    _lincomb,
     check_sl2,
     euler,
     euler_b,
@@ -43,7 +44,8 @@ from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.linalg import Subspace
 
 from reference import (entry, generator_commutator, inv_entry, nabla2_from_metric, nabla_upper,
-                       nabla_upper_by_raising, r2_from_metric, r2_times_by_polynomials)
+                       nabla_upper_by_raising, product_leaf_arrays, r2_from_metric,
+                       r2_times_by_polynomials)
 
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
 
@@ -351,6 +353,44 @@ def test_primitive_matrices_match_dx_and_dxg():
                     assert all(0 <= r < target for r in col)
 
 
+def test_product_leaves_match_the_monomial_products():
+    """Multiplication leaves, read from the derivative leaves, equal the
+    products monomial by monomial, for every monomial of degree <= 3."""
+    for m in range(0, 5):
+        for n in range(0, 3):
+            mats = OperatorMatrices(m, n)
+            for what in (mono for d in range(0, 4) for mono in monomial_basis(m, n, d)):
+                for k in range(0, 5):
+                    assert mats._leaf_arrays(what, None, k) == \
+                        product_leaf_arrays(what, m, n, k), (m, n, what, k)
+
+
+def _leaf_or_error(build):
+    try:
+        return build()
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (2, 1), (3, 2)])
+def test_a_product_by_an_outside_variable_is_refused_as_by_the_products(m, n):
+    """x(m+1) and xg(2n+1) lie outside (m|2n), and so does x1 xg(2n+1) or
+    xg1 xg(2n+1), whose products vanish on the monomials that hold xg1: the
+    leaf raises the products' ValueError, or is their zero map."""
+    inside = SP.x(1) if m else SP.xg(1)
+    for poly, single in [(SP.x(m + 1), True), (SP.xg(2 * n + 1), True),
+                         (inside * SP.xg(2 * n + 1), False)]:
+        (what,) = poly.terms
+        for k in range(0, 4):
+            want = _leaf_or_error(lambda: product_leaf_arrays(what, m, n, k))
+            got = _leaf_or_error(lambda: OperatorMatrices(m, n)._leaf_arrays(what, None, k))
+            assert got == want, (m, n, what, k)
+            # a single outside variable is refused wherever P_k has a monomial
+            assert isinstance(got, str) or not single or not monomial_basis(m, n, k)
+        with pytest.raises(ValueError, match="lies outside"):
+            OperatorMatrices(m, n).matrix(MultiplyBy(poly), 1)
+
+
 # (0|4), (1|2), (2|2), (3|4), (4|0) and (4|4)
 R2_CELLS = [(0, 2), (1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]
 
@@ -573,6 +613,10 @@ def test_apply_on_vectors_matches_the_projector_tree():
             Q = projection_Q(pc.l, pc.q, k, m, n)
             for piece in decompose_Hk(m, n, k):
                 rows = piece.basis.rows
-                for row, got in zip(rows, mats.apply(Q.op, rows, k)):
+                vecs = rows
+                for lb, shift, denom in reversed(Q.factors):
+                    vecs = [_lincomb((1 / denom, w), (shift / denom, v))
+                            for v, w in zip(vecs, mats.apply(lb, vecs, k))]
+                for row, got in zip(rows, vecs):
                     image = Q.apply(vec_to_poly(row, m, n, k))
                     assert got == (poly_to_vec(image, m, n, k) if image else {})

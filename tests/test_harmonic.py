@@ -4,9 +4,11 @@ import pytest
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, dim_Pk
 from superh.diffops import (
+    _lincomb,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
     nabla2,
+    operator_matrices,
     r2,
     theta2,
     vec_to_poly,
@@ -29,8 +31,8 @@ from superh.harmonic import (
     subspace_polys,
     verify_lemma_Lf,
 )
-from superh.checks import fischer_flag_expected
-from superh.linalg import Subspace
+from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expected
+from superh.linalg import Subspace, _primitive
 
 from reference import subspace_coordinates
 
@@ -281,6 +283,27 @@ def test_projection_fallback_on_one_bosonic_variable():
         v = vec_to_poly(dict(pc.basis.rows[0]), 1, 1, 2)
         img = Q.apply(v)
         assert img == (v if (pc.l, pc.q) == (1, 0) else SP.zero())
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)])
+def test_the_int_projector_chain_is_the_projector_times_its_scale(m, n):
+    """_projector_images gives D Q v on the literal int vectors of every piece,
+    Q v being Q.apply on the polynomial; (1|1) takes the spectral fallback and
+    (2|2) has the degenerate band."""
+    mats = operator_matrices(m, n)
+    fallback = False
+    for k in range(0, 5):
+        pieces = decompose_Hk(m, n, k)
+        vecs = [_primitive(v) for pc in pieces for v in pc.basis.rows[:LITERAL_VECTORS]]
+        for tgt in pieces:
+            Q = projection_Q(tgt.l, tgt.q, k, m, n)
+            fallback = fallback or Q.spectral_fallback
+            images, scale = _projector_images(mats, Q, vecs, k)
+            assert scale
+            for v, got in zip(vecs, images, strict=True):
+                image = Q.apply(vec_to_poly(v, m, n, k))
+                assert got == _lincomb((scale, poly_to_vec(image, m, n, k))), (m, n, k)
+    assert fallback == (m == 1)
 
 
 def test_projection_idempotent_and_orthogonal_as_matrices():

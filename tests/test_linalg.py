@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from superh.linalg import (
     PRIME,
     Echelon,
     Subspace,
+    _primitive,
     certified_full_rank,
     kernel_of_equations,
     rank_modp,
@@ -128,6 +130,24 @@ def test_modp_rank_equals_the_exact_rank_on_wide_sparse_rows():
         assert rank_modp(vecs, width) == exact, trial
         assert rank_modp([{c: int(x) for c, x in v.items()} for v in vecs], width) == exact
         assert certified_full_rank(vecs, width) == (exact == len(vecs))
+
+
+def test_primitive_is_the_coprime_int_multiple_by_a_positive_scale():
+    assert _primitive({0: Fraction(2, 3), 3: Fraction(-4, 9)}) == {0: 3, 3: -2}
+    assert _primitive({1: 6, 2: -10}) == {1: 3, 2: -5}
+    assert _primitive({2: Fraction(-1, 2)}) == {2: -1}
+    assert _primitive({}) == {}
+    rng = random.Random(4)
+    for _ in range(50):
+        v = {c: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for c in range(rng.randint(1, 5))}
+        v = {c: x for c, x in v.items() if x}
+        p = _primitive(v)
+        assert all(type(x) is int for x in p.values())
+        assert math.gcd(*p.values()) == (1 if v else 0)
+        if v:
+            c = next(iter(v))
+            scale = Fraction(p[c]) / v[c]
+            assert scale > 0 and p == {i: scale * x for i, x in v.items()}
 
 
 def test_echelon_is_reduced():

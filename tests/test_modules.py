@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from superh.modules import (
     _nonzero_pieces,
     _piece_groups,
     _piece_inverse,
+    _readoff,
     branching,
     branching_case,
     branching_explicit_check,
@@ -44,7 +46,7 @@ from superh.modules import (
     window_submodule_check,
 )
 
-from reference import lift
+from reference import lift, readoff_in_pivot_order
 
 
 def test_space_spec_validation():
@@ -74,6 +76,19 @@ def test_generator_matrices_represent_action():
             # a vector that is not a basis vector goes through the mat-vec
             expected = rep.coords_of_poly(op.apply(lift(rep, combo)))
             assert rep.apply_generator(i, j, combo) == expected, (kind, i, j)
+
+
+def test_readoff_equals_the_reading_in_pivot_order():
+    rng = random.Random(9)
+    for (m, n, k) in [(2, 1, 3), (3, 1, 2), (2, 2, 4), (3, 2, 3)]:
+        rep = rep_space(SpaceSpec("Hk", m, n, k))
+        for _ in range(25):
+            support = rng.sample(range(rep.dim), min(rep.dim, rng.randint(1, 4)))
+            coords = {i: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for i in support}
+            v = rep.sub.linear_combination(coords)
+            got = _readoff(rep._sub_pos, v)
+            assert got == readoff_in_pivot_order(rep.sub, v), (m, n, k)
+            assert got == {i: x for i, x in coords.items() if x}
 
 
 def test_images_that_leave_the_subspace_are_refused():
