@@ -336,17 +336,6 @@ def check_variables(f: SuperPolynomial, m: int, n: int) -> None:
             raise ValueError(f"{f} uses a variable outside ({m}|{2 * n})")
 
 
-def poly_to_vec(f: SuperPolynomial, m: int, n: int, k: int) -> Vec:
-    index = operator_matrices(m, n).index(k)
-    out: Vec = {}
-    for mono, c in f.terms.items():
-        idx = index.get(mono)
-        if idx is None:
-            raise ValueError(f"monomial {mono} is not of degree {k} in ({m}|{2*n})")
-        out[idx] = _int_if_whole(c)
-    return out
-
-
 def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
     basis = monomial_basis(m, n, k)
     return SuperPolynomial({basis[i]: c for i, c in v.items() if c})
@@ -499,8 +488,8 @@ def _image(words: list[tuple], v: Vec) -> Vec:
 class OperatorMatrices:
     """The owner of (m|2n): its operator trees, and their sparse matrices on
     its degrees.  It builds each tree once (``metric``, ``nabla2``, ``mul_r2``,
-    ``euler``, ``lb_bosonic``, ``lb_fermionic``), and ``osp_generator`` and
-    ``laplace_beltrami`` build theirs from these.
+    ``mul_rb2``, ``mul_theta2``, ``euler``, ``lb_bosonic``, ``lb_fermionic``),
+    and ``osp_generator`` and ``laplace_beltrami`` build theirs from these.
 
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
@@ -515,8 +504,8 @@ class OperatorMatrices:
     basis index maps and leaf arrays, the words of each held tree and of the
     parts it runs by structure, flattened once, the generator words bound per
     degree, and the packed matrix of a held tree passed to ``matrix`` (a later
-    sum with that tree as a part reads it by mat-vec).  Any other tree is
-    flattened and compiled per call, whichever entry point it enters by.
+    ``apply`` of that tree reads it by mat-vec).  Any other tree is flattened
+    and compiled per call, whichever entry point it enters by.
     """
 
     def __init__(self, m: int, n: int):
@@ -530,10 +519,13 @@ class OperatorMatrices:
         self.nabla2 = self._hold(nabla2(m, n))
         self.mul_r2 = self._hold(MultiplyBy(r2(m, n)))
 
-    # built on first use, as the generators and the sl2, Laplace-Beltrami and
-    # projection checks need them (the names inside are the module's builders)
+    # built on first use, as the generators, the H_k pieces (r_b^2 and theta^2,
+    # the two parts of R^2) and the sl2, Laplace-Beltrami and projection checks
+    # need them (the names inside are the module's builders)
     metric = cached_property(lambda self: metric(self.m, self.n))
     euler = cached_property(lambda self: self._hold(euler(self.m, self.n)))
+    mul_rb2 = cached_property(lambda self: self._hold(MultiplyBy(r2(self.m, 0))))
+    mul_theta2 = cached_property(lambda self: self._hold(MultiplyBy(theta2(self.n))))
     lb_bosonic = cached_property(lambda self: self._hold(laplace_beltrami_bosonic(self.m)))
     lb_fermionic = cached_property(lambda self: self._hold(laplace_beltrami_fermionic(self.n)))
 
@@ -577,7 +569,7 @@ class OperatorMatrices:
     def _apply(self, op, vecs, k):
         """(op applied to vecs, target degree, None for a zero operator): by a
         kept matrix, by the words of op, or by its structure when op does not
-        flatten or is a sum with a kept part."""
+        flatten."""
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[0], vecs), root[1]
@@ -587,12 +579,10 @@ class OperatorMatrices:
                 if k is None:  # a zero factor
                     break
             return vecs, k
-        parts = op.parts if isinstance(op, Add) else (op,)
-        if not any((id(p), k) in self._roots for p in parts):
-            compiled = self._compile(op, k)
-            if compiled is not None:
-                return self._eval_words(compiled, vecs, k)
-        images = [self._apply(p, vecs, k) for p in parts]
+        compiled = self._compile(op, k)
+        if compiled is not None:
+            return self._eval_words(compiled, vecs, k)
+        images = [self._apply(p, vecs, k) for p in op.parts]  # only a sum gives None
         degrees = {d for _, d in images if d is not None}
         if len(degrees) > 1:
             raise ValueError("a sum of operators of different degrees has no matrix")

@@ -4,8 +4,8 @@ H_k is the degree-k polynomial kernel of the super Laplacian.  This module
 computes exact kernel bases, the closed-form dimension count, the radial
 decomposition of P_k into R^{2j} H_{k-2j} blocks, the refinement of H_k into
 joint eigenspaces of the bosonic and fermionic Laplace-Beltrami operators
-(the f_{l,p,q} * Hb_p * Hf_q pieces), and the projection operators selecting a
-single piece.
+(the f_{l,p,q} * Hb_p * Hf_q pieces, built from int products), and the
+projection operators selecting a single piece.
 The (l, p, q, dim) piece labels (`piece_labels`) and the degenerate band
 (`window_interval`, `in_window`) are stated here once; `modules` reads them.
 """
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .superalgebra import SuperPolynomial, dim_Pk, monomial_basis
+from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
     Subspace,
     Vec,
+    _primitive,
     certified_full_rank,
     kernel_of_equations,
     rank_modp,
@@ -28,10 +29,10 @@ from .linalg import (
 )
 from .diffops import (
     LinearOperator,
+    _lincomb,
     check_variables,
     operator_matrices,
     osp_generator,
-    poly_to_vec,
     r2,
     theta2,
     vec_to_poly,
@@ -98,10 +99,6 @@ def bosonic_harmonics(m: int, p: int) -> Subspace:
 def fermionic_harmonics(n: int, q: int) -> Subspace:
     """Kernel of the fermionic Laplacian on Grassmann degree q."""
     return harmonic_basis(0, n, q)
-
-
-def subspace_polys(sub: Subspace, m: int, n: int, k: int) -> list[SuperPolynomial]:
-    return [vec_to_poly(row, m, n, k) for row in sub.rows]
 
 
 def is_harmonic(f: SuperPolynomial, m: int, n: int) -> bool:
@@ -220,31 +217,28 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
 # -- joint eigenspace pieces of H_k ---------------------------------------------
 
 
-def f_poly(k: int, p: int, q: int, m: int, n: int) -> SuperPolynomial:
-    """The radial polynomial sum_s a_s r^(2k-2s) theta^(2s) making
-    f * Hb_p * Hf_q harmonic.
-
+def _f_coefficients(k: int, p: int, q: int, m: int, n: int) -> list[Fraction]:
+    """a_0..a_k of f_{k,p,q} = sum_s a_s r^(2k-2s) theta^(2s), r^2 and theta^2
+    the bosonic and fermionic parts of R^2, where
     a_s = C(k,s) * [(n-q-s)! / (n-q-k)!] * [Gamma(m/2+p+k) / Gamma(m/2+p+k-s)],
     both quotients expanded as exact falling products (the Gamma quotient is a
     product of s half-integers, never a Gamma evaluation).
     """
+    return [math.comb(k, s) * math.prod(range(n - q - k + 1, n - q - s + 1))
+            * math.prod((Fraction(m, 2) + p + k - u for u in range(1, s + 1)), start=Fraction(1))
+            for s in range(0, k + 1)]
+
+
+def f_poly(k: int, p: int, q: int, m: int, n: int) -> SuperPolynomial:
+    """The radial polynomial sum_s a_s r^(2k-2s) theta^(2s) making
+    f * Hb_p * Hf_q harmonic, a_s by `_f_coefficients`."""
     if m < 1:
         raise ValueError("f_poly requires m >= 1")
     if not (0 <= q <= n and 0 <= k <= n - q and p >= 0):
         raise ValueError(f"invalid f_poly parameters (k={k}, p={p}, q={q}) for ({m}|{2*n})")
-    rb = r2(m, 0)
-    tf = theta2(n)
-    out = SuperPolynomial.zero()
-    for s in range(0, k + 1):
-        a = Fraction(math.comb(k, s))
-        for t in range(n - q - k + 1, n - q - s + 1):  # (n-q-s)!/(n-q-k)!
-            a *= t
-        for u in range(1, s + 1):  # Gamma(m/2+p+k)/Gamma(m/2+p+k-s)
-            a *= Fraction(m, 2) + p + k - u
-        if not a:
-            continue
-        out = out + ((rb ** (k - s)) * (tf ** s)).scaled(a)
-    return out
+    rb, tf = r2(m, 0), theta2(n)
+    return sum((((rb ** (k - s)) * (tf ** s)).scaled(a)
+                for s, a in enumerate(_f_coefficients(k, p, q, m, n))), SuperPolynomial.zero())
 
 
 @dataclass
@@ -275,22 +269,23 @@ def piece_labels(m: int, n: int, k: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _piece_products(radial: SuperPolynomial, m: int, n: int, p: int,
-                    q: int) -> list[SuperPolynomial]:
-    """radial * b * g for b in Hb_p (outer) and g in Hf_q; radial * b is
-    formed once per b."""
-    hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
-    out = []
-    for b in subspace_polys(bosonic_harmonics(m, p), m, 0, p):
-        rb = radial * b
-        out.extend(rb * g for g in hf)
-    return out
+def _product_rows(m: int, n: int, p: int, q: int) -> list[Vec]:
+    """b * g in P_{p+q} of (m|2n) for the primitive int rows b of Hb_p (outer)
+    and g of Hf_q; a bosonic monomial times a Grassmann one carries no sign."""
+    index = operator_matrices(m, n).index(p + q)
+    at = [[index[SuperMonomial(b.bosonic, g.fermionic)] for g in monomial_basis(0, n, q)]
+          for b in monomial_basis(m, 0, p)]
+    hf = [_primitive(g) for g in fermionic_harmonics(n, q).rows]
+    return [{at[c][d]: x * y for c, x in b.items() for d, y in g.items()}
+            for b in map(_primitive, bosonic_harmonics(m, p).rows) for g in hf]
 
 
 @lru_cache(maxsize=None)
 def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     """Pieces f_{l,p,q} Hb_p Hf_q of H_k, picked by `piece_labels`; each is
-    checked harmonic and of full rank, and together they must span H_k."""
+    checked harmonic and of full rank, and together they must span H_k.  f
+    acts on the `_product_rows` by Horner in r_b^2 (held ``mul_rb2`` and
+    ``mul_theta2``), its a_s ints over one positive common denominator."""
     if m < 1:
         raise ValueError("decompose_Hk requires m >= 1")
     width = dim_Pk(m, n, k)
@@ -299,8 +294,16 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     mats = operator_matrices(m, n)
     for l, p, q, _ in piece_labels(m, n, k):
         name = f"piece ({l},{p},{q}) of H_{k}({m}|{2*n})"
-        vecs = [poly_to_vec(prod, m, n, k)
-                for prod in _piece_products(f_poly(l, p, q, m, n), m, n, p, q)]
+        coeffs = _f_coefficients(l, p, q, m, n)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        a = [int(c * den) for c in coeffs]
+        theta = _product_rows(m, n, p, q)  # theta^{2s} b g at step s
+        vecs = [_lincomb((a[0], v)) for v in theta] if l else theta  # a_0 = 1 at l = 0
+        for s in range(1, l + 1):  # vecs <- r_b^2 vecs + a_s theta^{2s} b g
+            d = p + q + 2 * s - 2
+            theta = mats.apply(mats.mul_theta2, theta, d)
+            vecs = [_lincomb((1, v), (a[s], t))
+                    for v, t in zip(mats.apply(mats.mul_rb2, vecs, d), theta)]
         if any(mats.apply(mats.nabla2, vecs, k)):
             raise RuntimeError(f"{name} is not harmonic")
         sub = Subspace.from_vectors(vecs, width)

@@ -8,17 +8,18 @@ Four kinds of module are supported on parameters (m, n, k):
   * HkModSub  - the quotient H_k / (H_k  intersect  R^2 P_{k-2}).
 
 Each is a subquotient S / D of P_k, held by one class, RepSpace, that acts
-through the exact matrices of the generators L_ij.  Every generator action
-goes through RepSpace.image, which checks that each generator image stays in
-the module's subspace S and raises otherwise.  Submodules are certified by
-exact closure; irreducibility of H_k-type modules over Q
-reduces, for m >= 2, to reachability between the joint eigenspace pieces,
-because every invariant subspace is a sum of pieces (the pieces are pairwise
-non-isomorphic irreducible modules for the degree-preserving block of the
-algebra).  Reachability edges are certified by applying a generator to a
-piece vector and reading a coordinate of the image in the basis of piece
-vectors that is nonzero mod a prime, through one mod-p elimination per module;
-exhaustive closures decide whatever the certificate leaves open.
+through the exact matrices of the generators L_ij.  Every generator image is
+read back by RepSpace._read_back (for RepSpace.image and the certificate),
+which checks that it stays in the module's subspace S and raises otherwise.
+Submodules are certified by exact closure; irreducibility of H_k-type modules
+over Q reduces, for m >= 2, to reachability between the joint eigenspace
+pieces, because every invariant subspace is a sum of pieces (the pieces are
+pairwise non-isomorphic irreducible modules for the degree-preserving block of
+the algebra).  Reachability edges are certified by applying a generator once
+to each try, a piece vector as a primitive int vector of P_k, and reading a
+coordinate of the checked image in the basis of piece vectors that is nonzero
+mod a prime, through one mod-p elimination per module; no module column is
+built.  Exhaustive closures decide whatever the certificate leaves open.
 
 The degenerate band: for even M = m - 2n <= 0 and 2 - M/2 <= k <= 2 - M, H_k
 contains the invariant subspace R^(2k+M-2) H_{2-M-k}; the quotient HkModSub is
@@ -44,6 +45,7 @@ from .linalg import (
     _eliminate_modp,
     _iadd_scaled,
     _keep_modp,
+    _primitive,
     _residues,
     certified_full_rank,
 )
@@ -51,11 +53,9 @@ from .diffops import (
     MultiplyBy,
     generator_pairs,
     operator_matrices,
-    poly_to_vec,
-    theta2,
 )
 from .harmonic import (
-    _piece_products,
+    _product_rows,
     decompose_Hk,
     dim_Hk,
     comb0,
@@ -71,6 +71,8 @@ PieceGroups = list[tuple[tuple, list[Vec]]]
 
 # rounds of generator applications the reachability shortcut may spend
 CONNECTIVITY_ROUNDS = 6
+# subalgebra generator pairs x dim P_k that branching_explicit_check may spend
+MAX_EXPLICIT_WORK = 20_000
 # random small-integer combinations tried by indecomposability_witness, and their seed
 WITNESS_TRIES = 8
 WITNESS_SEED = 20240
@@ -105,10 +107,10 @@ class RepSpace:
     ``sub`` is a subspace of P_k (None for all of P_k) and ``divisor`` a
     subspace of sub's echelon coordinates (None without a quotient).  Module
     coordinates are sub's coordinates off the divisor's pivots.  Generators act
-    only through ``image``, which evaluates L_ij on the P_k vector by its
-    words (``OperatorMatrices.generator_image``, from the words and leaf arrays
-    that ``operator_matrices(m, n)`` keeps for every module of the space) and
-    checks that every image stays in sub.  A column of a generator matrix is
+    through ``image``, which evaluates L_ij on the P_k vector by its words
+    (``OperatorMatrices.generator_image``, from the words and leaf arrays that
+    ``operator_matrices(m, n)`` keeps for every module of the space) and checks
+    by ``_read_back`` that every image stays in sub.  A column of a generator matrix is
     the divisor-reduced image of a basis vector, computed on first use;
     applying a generator to a module vector is a sparse mat-vec over them.
     """
@@ -130,9 +132,14 @@ class RepSpace:
         return v if self.sub is None else self.sub.linear_combination(v)
 
     def image(self, i: int, j: int, v: Vec) -> Vec:
-        """L_ij v in sub's coordinates for v in sub's coordinates; RuntimeError
-        unless the coordinates read off at the pivots recombine to the image."""
-        image = operator_matrices(self.m, self.n).generator_image(i, j, self._in_pk(v), self.k)
+        """L_ij v in sub's coordinates for v in sub's coordinates."""
+        mats = operator_matrices(self.m, self.n)
+        return self._read_back(i, j, mats.generator_image(i, j, self._in_pk(v), self.k))
+
+    def _read_back(self, i: int, j: int, image: Vec) -> Vec:
+        """sub's coordinates of the P_k vector image = L_ij v, v in sub;
+        RuntimeError unless the coordinates read off at the pivots recombine
+        to the image."""
         if self.sub is None:
             return image
         coords = _readoff(self._sub_pos, image)
@@ -149,9 +156,6 @@ class RepSpace:
     def coords(self, v: Vec) -> Vec:
         """Module coordinates of a vector v of P_k that lies in sub."""
         return self._module_coords(v if self.sub is None else _readoff(self._sub_pos, v))
-
-    def coords_of_poly(self, f: SuperPolynomial) -> Vec:
-        return self.coords(poly_to_vec(f, self.m, self.n, self.k))
 
     def _column(self, i: int, j: int, c: int) -> Vec:
         key = (i, j, c)
@@ -217,33 +221,42 @@ def _validate_rep(rep: RepSpace) -> None:
 # -- piece seed groups ------------------------------------------------------------
 
 
-def _radial_pieces(rep: RepSpace, deg: int, j: int) -> PieceGroups:
-    """R^{2j} times each piece of H_deg, in rep's module coordinates, labeled
-    (l, p, q); a piece whose vectors all vanish there is left out."""
-    mats = operator_matrices(rep.m, rep.n)
-    groups: PieceGroups = []
-    for piece in decompose_Hk(rep.m, rep.n, deg):
-        vecs = [v for v in map(rep.coords, mats.r2_times(piece.basis.rows, deg, j)) if v]
-        if vecs:
-            groups.append(((piece.l, piece.p, piece.q), vecs))
-    return groups
+def _radial_blocks(m: int, n: int, deg: int, j: int) -> list[tuple[tuple, list[Vec]]]:
+    """R^{2j} times each piece of H_deg, as vectors of P_{deg+2j}, labeled (l, p, q)."""
+    mats = operator_matrices(m, n)
+    return [((pc.l, pc.p, pc.q), mats.r2_times(pc.basis.rows, deg, j))
+            for pc in decompose_Hk(m, n, deg)]
 
 
-def _piece_groups(rep: RepSpace) -> PieceGroups:
-    """Labeled joint-eigenspace seed groups spanning the module."""
+def _groups(rep: RepSpace, blocks) -> tuple[PieceGroups, list[list[Vec]]]:
+    """The labeled blocks of P_k vectors in rep's module coordinates, a block
+    whose vectors all vanish there left out, and the tries of each group: its
+    first four vectors as primitive int vectors of P_k."""
+    groups, tries = [], []
+    for label, vecs in blocks:
+        kept = [(u, v) for u in vecs if (v := rep.coords(u))]
+        if kept:
+            groups.append((label, [v for _, v in kept]))
+            tries.append([_primitive(u) for u, _ in kept[:4]])
+    return groups, tries
+
+
+def _piece_groups(rep: RepSpace) -> tuple[PieceGroups, list[list[Vec]]]:
+    """Labeled joint-eigenspace seed groups spanning the module, by `_groups`."""
     m, n, k = rep.m, rep.n, rep.k
     if rep.spec.kind in ("Hk", "HkModSub"):
-        return _radial_pieces(rep, k, 0)
+        return _groups(rep, _radial_blocks(m, n, k, 0))
     if rep.spec.kind == "Pk":
-        return [((j, *label), vecs) for j in range(0, k // 2 + 1)
-                for label, vecs in _radial_pieces(rep, k - 2 * j, j)]
-    groups: PieceGroups = []  # PkModR2: theta^{2j} Hb_p Hf_q images
+        return _groups(rep, [((j, *label), vecs) for j in range(0, k // 2 + 1)
+                             for label, vecs in _radial_blocks(m, n, k - 2 * j, j)])
+    mats = operator_matrices(m, n)
+    blocks = []  # PkModR2: theta^{2j} Hb_p Hf_q
     for j, p, q, _ in piece_labels(m, n, k):
-        prods = _piece_products(theta2(n) ** j, m, n, p, q)
-        vecs = [v for v in map(rep.coords_of_poly, prods) if v]
-        if vecs:
-            groups.append(((j, p, q), vecs))
-    return groups
+        vecs = _product_rows(m, n, p, q)
+        for d in range(p + q, k, 2):
+            vecs = mats.apply(mats.mul_theta2, vecs, d)
+        blocks.append(((j, p, q), vecs))
+    return _groups(rep, blocks)
 
 
 # -- closures ----------------------------------------------------------------------
@@ -307,15 +320,19 @@ def _nonzero_pieces(inv: ModpRows, owner: list[int], w: Vec) -> set[int]:
     return {owner[c - len(owner)] for c in _eliminate_modp(row, inv)}
 
 
-def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | None:
+def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups,
+                                  tries: list[list[Vec]]) -> bool | None:
     """Reachability certificate between the pieces of an H_k-type module.
 
-    Applies generators exactly to piece vectors; a coordinate of the image in
-    the basis of piece vectors, in the block of piece dst, that is nonzero mod
-    PRIME certifies the edge src -> dst.  A strongly connected edge graph
-    leaves no proper invariant piece sum, hence (for m >= 2) no proper
-    submodule, at any dimension.  Returns True on success, None when the
-    groups are not a basis mod PRIME or the budget runs out (the closures
+    Applies generators exactly to the tries of each group (P_k vectors, each a
+    positive multiple of a group vector) and reads the image back as
+    ``RepSpace.image`` does; a coordinate of the image in the basis of piece
+    vectors, in the block of piece dst, that is nonzero mod PRIME certifies
+    the edge src -> dst.  The scale multiplies the coordinates, so a residue
+    that it zeroes or refuses can only lose an edge.  A strongly connected
+    edge graph leaves no proper invariant piece sum, hence (for m >= 2) no
+    proper submodule, at any dimension.  Returns True on success, None when
+    the groups are not a basis mod PRIME or the budget runs out (the closures
     decide), and False never: absence of edges is not certified here.
     """
     m = rep.m
@@ -327,12 +344,13 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | N
     if len(groups) <= 1:
         return True
     inv, owner = basis
+    mats = operator_matrices(m, rep.n)
     # mixed generators first: they move between pieces
     ordered_pairs = sorted(rep.gen_pairs,
                            key=lambda ij: 0 if (ij[0] <= m < ij[1]) else 1)
     edges: dict[int, set[int]] = {g: set() for g in range(len(groups))}
-    iterators = [iter([(op_pair, v) for v in vecs[:4] for op_pair in ordered_pairs])
-                 for _, vecs in groups]
+    iterators = [iter([(op_pair, v) for v in vecs for op_pair in ordered_pairs])
+                 for vecs in tries]
 
     def strongly_connected() -> bool:
         for start in edges:
@@ -353,7 +371,8 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups) -> bool | N
         for src, it in enumerate(iterators):
             for (i, j), v in itertools.islice(it, 8):
                 progressed = True
-                edges[src] |= _nonzero_pieces(inv, owner, rep.apply_generator(i, j, v))
+                w = rep._read_back(i, j, mats.generator_image(i, j, v, rep.k))
+                edges[src] |= _nonzero_pieces(inv, owner, rep._module_coords(w))
             if strongly_connected():
                 return True
         if not progressed:
@@ -373,8 +392,8 @@ def is_irreducible(rep: RepSpace) -> bool:
         raise ValueError("module must have dimension >= 1")
     if rep.dim == 1:
         return True
-    groups = _piece_groups(rep)
-    if _certify_strong_connectivity(rep, groups):
+    groups, tries = _piece_groups(rep)
+    if _certify_strong_connectivity(rep, groups, tries):
         return True
     for _, vecs in groups:
         if not _closure_reaches_all(rep, vecs):
@@ -396,7 +415,7 @@ def indecomposability_witness(rep: RepSpace) -> str:
     """
     cand: list[Vec] = []
     # labels end in (..., p, q); the purely bosonic piece has p = k, q = 0
-    for label, vecs in _piece_groups(rep):
+    for label, vecs in _piece_groups(rep)[0]:
         if label[-1] == 0 and label[-2] == rep.k:
             cand.extend(vecs)
     rng = random.Random(WITNESS_SEED)
@@ -510,7 +529,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
         details.append("submodule is generator-invariant")
         # irreducibility of the submodule: closures from its pieces
         if all(_closure_reaches_all(sub_rep, vecs)
-               for _, vecs in _radial_pieces(sub_rep, kpp, t)):
+               for _, vecs in _groups(sub_rep, _radial_blocks(m, n, kpp, t))[0]):
             details.append("submodule is irreducible")
         else:
             ok = False
@@ -592,10 +611,18 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     eigenvalue), must be invariant and carry exactly the predicted dimensions;
     together with the block bookkeeping this certifies the direct sum.
     Returns 'verified' or an 'inconclusive: ...' diagnosis; never overclaims.
+    A ValueError refuses a cell whose subalgebra pairs x dim P_k exceed
+    MAX_EXPLICIT_WORK, at once: cells near it, (200|0) and (2|198) at k = 0,
+    take about 1 s and 60 MB (Python 3.11), and m <= 4, n <= 2, k <= 6 reach 15,200.
     """
     case, ls = branching_case(m, n, k)
     if case == "not_completely_reducible":
         return "inconclusive: restriction is flagged not completely reducible"
+    size = m - 1 + 2 * n  # the subalgebra's variables; its L_ii with i <= m are 0
+    if (work := (size * (size + 1) // 2 - (m - 1)) * dim_Pk(m, n, k)) > MAX_EXPLICIT_WORK:
+        raise ValueError(f"the explicit branching check of ({m}|{2 * n}) at k = {k} needs "
+                         f"{work} subalgebra pairs x dim P_k, above the limit "
+                         f"MAX_EXPLICIT_WORK = {MAX_EXPLICIT_WORK}")
     W = rep_space(SpaceSpec("PkModR2", m, n, k))
     sub_pairs = [(i, j) for (i, j) in W.gen_pairs if i >= 2 and j >= 2]
     dimW = W.dim

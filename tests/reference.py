@@ -3,7 +3,8 @@
 These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
-polynomials, R^{2j} times coordinate vectors through polynomials, the leaf
+polynomials, R^{2j} times coordinate vectors through polynomials, the
+pieces of H_k from polynomial products f * b * g, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
 components, the bosonic compositions by recursion, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
@@ -14,9 +15,11 @@ suite by operator columns: (a) by applying each generator to every unit
 column, and the orthogonality check by the columns of multiplication
 operators; and the invariant densities by the same forward loop.  Also here
 are the helpers that only the tests use: the runner of acceptance criterion
-06, the bosonic degree of a monomial, a JSON form of ScaledRational, and
-coordinates in a subspace's echelon basis, also read off in pivot order.  Nothing in the package calls
-them, so they live with the tests.
+06, the bosonic degree of a monomial, a JSON form of ScaledRational,
+coordinates in a subspace's echelon basis (also read off in pivot order),
+and the conversions between polynomials and coordinate vectors
+(`poly_to_vec`, `subspace_polys`, `coords_of_poly`).  Nothing in the package
+calls them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -28,14 +31,16 @@ from fractions import Fraction
 
 from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Scale,
                             generator_pairs, index_parity, metric, operator_matrices,
-                            operator_sum, osp_generator, plain_partial, poly_to_vec, r2,
+                            operator_sum, osp_generator, plain_partial, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.checks import Report
-from superh.harmonic import harmonic_basis, subspace_polys, verify_lemma_Lf
+from superh.harmonic import (bosonic_harmonics, f_poly, fermionic_harmonics, harmonic_basis,
+                             piece_labels, verify_lemma_Lf)
 from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
-from superh.linalg import Subspace, Vec, kernel_of_equations
+from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
 from superh.modules import RepSpace
-from superh.superalgebra import SuperMonomial, SuperPolynomial, _mul_monomials, monomial_basis
+from superh.superalgebra import (SuperMonomial, SuperPolynomial, _mul_monomials, dim_Pk,
+                                 monomial_basis)
 
 
 # -- the metric, entry by entry --------------------------------------------------
@@ -103,6 +108,27 @@ def generator_commutator(i, j, k, l, m, n) -> LinearOperator:
 # -- polynomials and module vectors -------------------------------------------------
 
 
+def poly_to_vec(f: SuperPolynomial, m: int, n: int, k: int) -> Vec:
+    """Coordinates of a degree-k polynomial in the monomial basis of P_k."""
+    index = operator_matrices(m, n).index(k)
+    out: Vec = {}
+    for mono, c in f.terms.items():
+        idx = index.get(mono)
+        if idx is None:
+            raise ValueError(f"monomial {mono} is not of degree {k} in ({m}|{2*n})")
+        out[idx] = _int_if_whole(c)
+    return out
+
+
+def subspace_polys(sub: Subspace, m: int, n: int, k: int) -> list[SuperPolynomial]:
+    return [vec_to_poly(row, m, n, k) for row in sub.rows]
+
+
+def coords_of_poly(rep: RepSpace, f: SuperPolynomial) -> Vec:
+    """Module coordinates of a polynomial of P_k that lies in rep's subspace."""
+    return rep.coords(poly_to_vec(f, rep.m, rep.n, rep.k))
+
+
 def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
     return subspace_polys(harmonic_basis(m, n, k), m, n, k)
 
@@ -113,6 +139,28 @@ def r2_times_by_polynomials(vecs: list[Vec], m: int, n: int, k: int, j: int) -> 
     mul_r2 matrix j times instead."""
     r2_power = r2(m, n) ** j
     return [poly_to_vec(r2_power * vec_to_poly(v, m, n, k), m, n, k + 2 * j) for v in vecs]
+
+
+def piece_products(radial: SuperPolynomial, m: int, n: int, p: int,
+                   q: int) -> list[SuperPolynomial]:
+    """radial * b * g for b in Hb_p (outer) and g in Hf_q, the echelon rows
+    as polynomials; radial * b is formed once per b."""
+    hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
+    out = []
+    for b in subspace_polys(bosonic_harmonics(m, p), m, 0, p):
+        rb = radial * b
+        out.extend(rb * g for g in hf)
+    return out
+
+
+def pieces_by_polynomials(m: int, n: int, k: int) -> list[tuple[int, int, int, Subspace]]:
+    """(l, p, q, basis) of each piece of H_k, spanned by the polynomial
+    products f_poly(l, p, q) * b * g: the package multiplies int vectors."""
+    width = dim_Pk(m, n, k)
+    return [(l, p, q, Subspace.from_vectors(
+                [poly_to_vec(f, m, n, k) for f in piece_products(f_poly(l, p, q, m, n), m, n, p, q)],
+                width))
+            for l, p, q, _ in piece_labels(m, n, k)]
 
 
 def product_leaf_arrays(what: SuperMonomial, m: int, n: int, k: int) -> tuple[array, array]:

@@ -14,6 +14,7 @@ from superh.cli import (
     parse_range,
 )
 from superh.checks import SUITES, Report, run_suite
+from superh.modules import MAX_EXPLICIT_WORK
 from superh.superalgebra import MAX_BASIS_DIM, dim_Pk, monomial_basis
 
 
@@ -257,6 +258,16 @@ def test_a_variable_count_above_the_limit_is_refused_before_any_tree(capsys, arg
     assert time.perf_counter() - start < 1
     assert code == EXIT_USAGE and out == ""
     assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err and "variables" in err
+
+
+@pytest.mark.parametrize("m, n, k", [(1000, 0, 1), (2, 400, 0)])
+def test_an_explicit_branching_above_its_work_limit_is_refused(capsys, m, n, k):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "branch", "-m", str(m), "-n", str(n), "-k", str(k),
+                         "--explicit")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_USAGE and out == ""
+    assert f"MAX_EXPLICIT_WORK = {MAX_EXPLICIT_WORK}" in err and "Traceback" not in err
 
 
 def test_a_cell_with_more_variables_than_the_recursion_limit_answers(capsys):

@@ -12,7 +12,6 @@ from superh.diffops import (
     r2,
     theta2,
     vec_to_poly,
-    poly_to_vec,
 )
 from superh import harmonic
 from superh.harmonic import (
@@ -28,13 +27,12 @@ from superh.harmonic import (
     is_harmonic,
     piece_labels,
     projection_Q,
-    subspace_polys,
     verify_lemma_Lf,
 )
 from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expected
 from superh.linalg import Subspace, _primitive
 
-from reference import subspace_coordinates
+from reference import pieces_by_polynomials, poly_to_vec, subspace_coordinates, subspace_polys
 
 
 # -- independent oracle: kernel rank by dense elimination --------------------------
@@ -227,6 +225,16 @@ def test_decompose_matches_dimension():
             pieces = decompose_Hk(m, n, k)
             assert sum(p.dim for p in pieces) == dim_Hk(m, n, k), (m, n, k)
             assert piece_labels(m, n, k) == [(p.l, p.p, p.q, p.dim) for p in pieces]
+
+
+def test_pieces_equal_the_polynomial_route():
+    """The pieces from int products through the held multiplications have the
+    labels and echelon bases of the polynomial products f_poly * b * g."""
+    for m in range(1, 5):
+        for n in range(0, 3):
+            for k in range(0, 7):
+                got = [(pc.l, pc.p, pc.q, pc.basis) for pc in decompose_Hk.__wrapped__(m, n, k)]
+                assert got == pieces_by_polynomials(m, n, k), (m, n, k)
 
 
 def test_pieces_are_joint_eigenspaces():

@@ -8,7 +8,7 @@ import sympy
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
 from superh import diffops, integration
-from superh.diffops import poly_to_vec, r2, theta2, osp_generator, generator_pairs
+from superh.diffops import r2, theta2, osp_generator, generator_pairs
 from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
     PizzettiRows,
@@ -28,7 +28,7 @@ from superh.integration import (
 
 import reference
 from reference import (LaurentSuperFunction, berezin, harmonic_polys, phi_sharp,
-                       phi_sharp_inverse, sqrt_one_minus_theta2_over_r2)
+                       phi_sharp_inverse, poly_to_vec, sqrt_one_minus_theta2_over_r2)
 
 
 # -- independent oracle: sympy Gamma ------------------------------------------------

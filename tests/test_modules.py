@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,16 +12,16 @@ from superh.diffops import (
     laplace_beltrami,
     nabla2,
     osp_generator,
-    poly_to_vec,
     r2,
+    theta2,
 )
 from superh.harmonic import (
     decompose_Hk,
     dim_Hk,
     fischer,
     harmonic_basis,
+    piece_labels,
     projection_Q,
-    subspace_polys,
 )
 from superh import modules
 from superh.linalg import PRIME, Echelon, Subspace
@@ -46,7 +47,8 @@ from superh.modules import (
     window_submodule_check,
 )
 
-from reference import lift, readoff_in_pivot_order
+from reference import (coords_of_poly, lift, piece_products, poly_to_vec, readoff_in_pivot_order,
+                       subspace_polys)
 
 
 def test_space_spec_validation():
@@ -72,9 +74,9 @@ def test_generator_matrices_represent_action():
             op = osp_generator(i, j, 2, 1)
             for c in range(rep.dim):
                 basis_poly = lift(rep, {c: Fraction(1)})
-                assert rep.coords_of_poly(op.apply(basis_poly)) == mat[c], (kind, i, j, c)
+                assert coords_of_poly(rep, op.apply(basis_poly)) == mat[c], (kind, i, j, c)
             # a vector that is not a basis vector goes through the mat-vec
-            expected = rep.coords_of_poly(op.apply(lift(rep, combo)))
+            expected = coords_of_poly(rep, op.apply(lift(rep, combo)))
             assert rep.apply_generator(i, j, combo) == expected, (kind, i, j)
 
 
@@ -137,7 +139,7 @@ def test_generator_matrices_commute_with_casimir():
                  SpaceSpec("PkModR2", 2, 1, 2), SpaceSpec("HkModSub", 2, 1, 2)]:
         rep = rep_space(spec)
         form_a, _ = laplace_beltrami(rep.m, rep.n)
-        cas = [rep.coords_of_poly(form_a.apply(lift(rep, e))) for e in rep.basis_coords()]
+        cas = [coords_of_poly(rep, form_a.apply(lift(rep, e))) for e in rep.basis_coords()]
         for (i, j) in rep.gen_pairs:
             gen = rep.generator_matrix(i, j)
             for c in range(rep.dim):
@@ -195,7 +197,7 @@ def _flatten_cols(cols, d):
 
 def test_closure_of_invariant_vector():
     rep = rep_space(SpaceSpec("Hk", 2, 1, 2))
-    seed = rep.coords_of_poly(r2(2, 1))
+    seed = coords_of_poly(rep, r2(2, 1))
     closure = submodule_closure(rep, [seed])
     assert closure.dim == 1
 
@@ -241,8 +243,8 @@ def test_certificate_verdicts_hold_under_closures():
         for n in range(1, 3):
             for k in range(0, 5):
                 rep = rep_space(SpaceSpec("Hk", m, n, k))
-                groups = _piece_groups(rep)
-                verdict = _certify_strong_connectivity(rep, groups)
+                groups, tries = _piece_groups(rep)
+                verdict = _certify_strong_connectivity(rep, groups, tries)
                 assert verdict in (True, None), (m, n, k)
                 if verdict:
                     assert not in_window(m, n, k), (m, n, k)
@@ -253,26 +255,83 @@ def test_certificate_verdicts_hold_under_closures():
 def test_certificate_leaves_the_band_to_closures():
     for (m, n, k) in [(2, 1, 2), (2, 2, 3), (2, 2, 4), (4, 2, 2)]:
         rep = rep_space(SpaceSpec("Hk", m, n, k))
-        assert _certify_strong_connectivity(rep, _piece_groups(rep)) is None, (m, n, k)
+        assert _certify_strong_connectivity(rep, *_piece_groups(rep)) is None, (m, n, k)
         assert not is_irreducible(rep)
 
 
 def test_certificate_fires_on_a_large_module():
     rep = rep_space(SpaceSpec("Hk", 3, 2, 4))
     assert rep.dim == 80
-    assert _certify_strong_connectivity(rep, _piece_groups(rep)) is True
+    assert _certify_strong_connectivity(rep, *_piece_groups(rep)) is True
 
 
 def test_certificate_refuses_groups_that_are_not_a_basis():
     rep = rep_space(SpaceSpec("Hk", 3, 1, 3))
-    groups = _piece_groups(rep)
-    assert _certify_strong_connectivity(rep, groups) is True
+    groups, tries = _piece_groups(rep)
+    assert _certify_strong_connectivity(rep, groups, tries) is True
     (label, vecs), *rest = groups
     short = [(label, vecs[1:])] + rest
-    assert _certify_strong_connectivity(rep, short) is None
+    assert _certify_strong_connectivity(rep, short, tries) is None
     # as many vectors as the dimension, but dependent
     doubled = [(label, [vecs[1]] + vecs[1:])] + rest
-    assert _certify_strong_connectivity(rep, doubled) is None
+    assert _certify_strong_connectivity(rep, doubled, tries) is None
+
+
+def test_the_certificate_refuses_an_image_out_of_the_subspace():
+    """The q = 0 pieces of H_2(2|2) are a basis of their sum, so the
+    certificate applies generators to them, and an odd generator maps them
+    out of it; so does one of them alone, where the closures find it."""
+    m, n, k = 2, 1, 2
+    pieces = [pc for pc in decompose_Hk(m, n, k) if pc.q == 0]
+    for chosen in (pieces, pieces[:1]):
+        sub = Subspace.from_vectors([v for pc in chosen for v in pc.basis.rows], dim_Pk(m, n, k))
+        rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+        if chosen is pieces:
+            groups, tries = _piece_groups(rep)
+            assert [label for label, _ in groups] == [(pc.l, pc.p, pc.q) for pc in pieces]
+            with pytest.raises(RuntimeError, match="out of its subspace"):
+                _certify_strong_connectivity(rep, groups, tries)
+        with pytest.raises(RuntimeError, match="out of its subspace"):
+            is_irreducible(rep)
+
+
+def _positive_multiple(u, v) -> bool:
+    """u = c v for some c > 0."""
+    if u.keys() != v.keys() or not u:
+        return u == v
+    c = Fraction(u[min(u)]) / v[min(u)]
+    return c > 0 and all(u[i] == c * v[i] for i in u)
+
+
+def test_the_tries_are_the_first_group_vectors_as_primitive_ints():
+    for kind, (m, n, k) in [("Hk", (3, 1, 3)), ("HkModSub", (2, 2, 4)), ("Pk", (2, 1, 4)),
+                            ("PkModR2", (2, 2, 3))]:
+        rep = rep_space(SpaceSpec(kind, m, n, k))
+        groups, tries = _piece_groups(rep)
+        assert len(tries) == len(groups)
+        for (label, vecs), lifts in zip(groups, tries):
+            assert len(lifts) == min(4, len(vecs)), (kind, label)
+            for t, v in zip(lifts, vecs):
+                assert all(type(x) is int for x in t.values()) and math.gcd(*t.values()) == 1
+                assert _positive_multiple(rep.coords(t), v), (kind, label)
+
+
+def test_pkmodr2_seed_groups_are_the_reference_products():
+    """theta^{2j} b g from int products through the held mul_theta2 is a
+    positive multiple of the polynomial product, vector by vector."""
+    for (m, n, k) in [(2, 1, 2), (2, 2, 4), (3, 2, 3), (4, 2, 4)]:
+        rep = rep_space(SpaceSpec("PkModR2", m, n, k))
+        groups, _ = _piece_groups(rep)
+        expected = []
+        for j, p, q, _ in piece_labels(m, n, k):
+            prods = piece_products(theta2(n) ** j, m, n, p, q)
+            vecs = [v for v in (coords_of_poly(rep, f) for f in prods) if v]
+            if vecs:
+                expected.append(((j, p, q), vecs))
+        assert [label for label, _ in groups] == [label for label, _ in expected]
+        for (label, vecs), (_, want) in zip(groups, expected):
+            assert len(vecs) == len(want), (m, n, k, label)
+            assert all(map(_positive_multiple, vecs, want)), (m, n, k, label)
 
 
 def test_piece_coordinates_match_the_projectors():
@@ -280,13 +339,13 @@ def test_piece_coordinates_match_the_projectors():
     # projector leaves the image nonzero
     for (m, n, k) in [(3, 1, 3), (4, 2, 2)]:
         rep = rep_space(SpaceSpec("Hk", m, n, k))
-        groups = _piece_groups(rep)
+        groups, _ = _piece_groups(rep)
         inv, owner = _piece_inverse(groups, rep.dim)
         projectors = [projection_Q(l, q, k, m, n) for (l, _, q), _ in groups]
         for _, vecs in groups:
             for v, (i, j) in itertools.product(vecs[:4], rep.gen_pairs):
                 image = osp_generator(i, j, m, n).apply(lift(rep, v))
-                blocks = _nonzero_pieces(inv, owner, rep.coords_of_poly(image))
+                blocks = _nonzero_pieces(inv, owner, coords_of_poly(rep, image))
                 expected = {g for g, Q in enumerate(projectors)
                             if not Q.apply(image).is_zero()}
                 assert blocks == expected, (m, n, k, i, j)
@@ -311,7 +370,7 @@ def exact_piece_supports(groups, dim, w):
 
 def test_piece_supports_mod_p_equal_the_exact_ones():
     rep = rep_space(SpaceSpec("Hk", 3, 2, 3))
-    groups = _piece_groups(rep)
+    groups, _ = _piece_groups(rep)
     inv, owner = _piece_inverse(groups, rep.dim)
     images = 0
     for _, vecs in groups:
@@ -348,7 +407,7 @@ def test_pk_seed_groups_are_the_radial_blocks():
     """Each P_k group (j, l, p, q) lies in the radial block R^{2j} H_{k-2j},
     and the groups span the sum of the blocks: all of P_k where it is direct."""
     for (m, n) in [(2, 2), (3, 2)]:
-        groups = _piece_groups(rep_space(SpaceSpec("Pk", m, n, 4)))
+        groups, _ = _piece_groups(rep_space(SpaceSpec("Pk", m, n, 4)))
         fd = fischer(m, n, 4)
         blocks = {piece.j: piece.subspace for piece in fd.pieces}
         for label, vecs in groups:
@@ -521,6 +580,21 @@ def test_branching_explicit_small():
     assert branching_explicit_check(2, 1, 3) == "verified"
     assert branching_explicit_check(4, 1, 2) == "verified"
     assert branching_explicit_check(4, 2, 2) == "verified"
+
+
+def test_the_explicit_work_model_counts_the_subalgebra_pairs(monkeypatch):
+    """A cell is refused exactly when its subalgebra pairs x dim P_k exceed
+    the limit; (4|4) at k = 6, the largest on m <= 4, n <= 2, k <= 6, answers."""
+    for (m, n, k) in [(2, 0, 3), (3, 1, 1), (4, 2, 1)]:
+        pairs = [(i, j) for (i, j) in generator_pairs(m, n) if i >= 2 and j >= 2]
+        work = len(pairs) * dim_Pk(m, n, k)
+        monkeypatch.setattr(modules, "MAX_EXPLICIT_WORK", work)
+        assert branching_explicit_check(m, n, k) == "verified"
+        monkeypatch.setattr(modules, "MAX_EXPLICIT_WORK", work - 1)
+        with pytest.raises(ValueError, match=f"needs {work} subalgebra pairs"):
+            branching_explicit_check(m, n, k)
+    monkeypatch.undo()
+    assert branching_explicit_check(4, 2, 6) == "verified"
 
 
 def test_quotient_charts_are_well_defined():
