@@ -22,9 +22,9 @@ evaluated in one of two ways:
   on P_k through cached integer arrays of the leaves: as a sparse matrix
   P_k -> P_k', or on many coordinate vectors of P_k at once; a product whose
   words would outnumber its factors' runs one factor at a time.  The bulk
-  checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it, and
-  ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``
-  and ``r2_times`` multiplies by R^{2j} through the held ``mul_r2``.  It owns
+  checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it,
+  ``generator_image`` applies L_ij by the words of ``osp_generator(i, j)``,
+  and ``power`` applies a held multiplier (R^2, theta^2, x1) j times.  It owns
   the space's trees and builds each once.  The owner keeps what it holds, and
   nothing else: a tree built per call keeps nothing.
 """
@@ -488,17 +488,18 @@ def _image(words: list[tuple], v: Vec) -> Vec:
 class OperatorMatrices:
     """The owner of (m|2n): its operator trees, and their sparse matrices on
     its degrees.  It builds each tree once (``metric``, ``nabla2``, ``mul_r2``,
-    ``mul_rb2``, ``mul_theta2``, ``euler``, ``lb_bosonic``, ``lb_fermionic``),
-    and ``osp_generator`` and ``laplace_beltrami`` build theirs from these.
+    ``mul_rb2``, ``mul_theta2``, ``mul_x1``, ``euler``, ``lb_bosonic``,
+    ``lb_fermionic``), and ``osp_generator`` and ``laplace_beltrami`` build
+    theirs from these.
 
     ``matrix(op, k)`` gives the columns of op on the monomial basis of P_k,
     each in the basis of the degree that op maps P_k to; ``apply(op, vecs, k)``
     runs op on coordinate vectors of P_k without forming op's matrix, and
-    ``r2_times(vecs, k, j)`` multiplies them by R^{2j}, applying ``mul_r2`` j
-    times.  A tree runs as its words (see the comment above) where it
-    flattens, and by its structure where it does not: a Compose one factor at
-    a time (always at the top, so a product of k factors is never multiplied
-    out) and an Add part by part.
+    ``power(op, vecs, k, j)`` applies a held multiplier to them j times.  A
+    tree runs as its words (see the comment above) where it flattens, and by
+    its structure where it does not: a Compose one factor at a time (always
+    at the top, so a product of k factors is never multiplied out) and an Add
+    part by part.
 
     The owner keeps what it holds, and nothing else: besides the space's
     basis index maps and leaf arrays, the words of each held tree and of the
@@ -520,12 +521,13 @@ class OperatorMatrices:
         self.mul_r2 = self._hold(MultiplyBy(r2(m, n)))
 
     # built on first use, as the generators, the H_k pieces (r_b^2 and theta^2,
-    # the two parts of R^2) and the sl2, Laplace-Beltrami and projection checks
-    # need them (the names inside are the module's builders)
+    # the two parts of R^2), the branching blocks (x1) and the sl2, Laplace-
+    # Beltrami and projection checks need them (the names inside are the builders)
     metric = cached_property(lambda self: metric(self.m, self.n))
     euler = cached_property(lambda self: self._hold(euler(self.m, self.n)))
     mul_rb2 = cached_property(lambda self: self._hold(MultiplyBy(r2(self.m, 0))))
     mul_theta2 = cached_property(lambda self: self._hold(MultiplyBy(theta2(self.n))))
+    mul_x1 = cached_property(lambda self: self._hold(MultiplyBy(SuperPolynomial.x(1))))
     lb_bosonic = cached_property(lambda self: self._hold(laplace_beltrami_bosonic(self.m)))
     lb_fermionic = cached_property(lambda self: self._hold(laplace_beltrami_fermionic(self.n)))
 
@@ -559,11 +561,11 @@ class OperatorMatrices:
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
         return self._apply(op, list(vecs), k)[0]
 
-    def r2_times(self, vecs: Sequence[Vec], k: int, j: int) -> list[Vec]:
-        """R^{2j} times coordinate vectors of P_k, in P_{k+2j}: mul_r2 j times."""
+    def power(self, op: LinearOperator, vecs: Sequence[Vec], k: int, j: int) -> list[Vec]:
+        """op^j on coordinate vectors of P_k, for a held multiplier op."""
         vecs = list(vecs)
-        for i in range(j):
-            vecs = self.apply(self.mul_r2, vecs, k + 2 * i)
+        for _ in range(j):
+            vecs, k = self._apply(op, vecs, k)
         return vecs
 
     def _apply(self, op, vecs, k):

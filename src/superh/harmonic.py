@@ -165,7 +165,7 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
         h_basis = harmonic_basis(m, n, kpp)
         if h_basis.dim == 0:
             continue
-        (u,) = mats.r2_times([h_basis.rows[0]], kpp, t)
+        (u,) = mats.power(mats.mul_r2, [h_basis.rows[0]], kpp, t)
         if not u or any(mats.apply(mats.nabla2, [u], kp)):
             continue
         j0 = (k - kp) // 2
@@ -193,7 +193,8 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
         hb = harmonic_basis(m, n, deg)
         if hb.dim == 0:
             continue
-        vecs = [v for v in operator_matrices(m, n).r2_times(hb.rows, deg, j) if v]
+        mats = operator_matrices(m, n)
+        vecs = [v for v in mats.power(mats.mul_r2, hb.rows, deg, j) if v]
         if not vecs:
             continue
         sub = Subspace.from_vectors(vecs, width)

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, Sequence
 
-from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis
+# SuperPolynomial is not used here; bench/test_bench.py reads modules.SuperPolynomial
+from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis  # noqa: F401
 from .linalg import (
     Echelon,
     ModpRows,
@@ -49,11 +50,7 @@ from .linalg import (
     _residues,
     certified_full_rank,
 )
-from .diffops import (
-    MultiplyBy,
-    generator_pairs,
-    operator_matrices,
-)
+from .diffops import generator_pairs, operator_matrices
 from .harmonic import (
     _product_rows,
     decompose_Hk,
@@ -71,7 +68,7 @@ PieceGroups = list[tuple[tuple, list[Vec]]]
 
 # rounds of generator applications the reachability shortcut may spend
 CONNECTIVITY_ROUNDS = 6
-# subalgebra generator pairs x dim P_k that branching_explicit_check may spend
+# (subalgebra generator pairs + blocks) x dim P_k that branching_explicit_check may spend
 MAX_EXPLICIT_WORK = 20_000
 # random small-integer combinations tried by indecomposability_witness, and their seed
 WITNESS_TRIES = 8
@@ -224,7 +221,7 @@ def _validate_rep(rep: RepSpace) -> None:
 def _radial_blocks(m: int, n: int, deg: int, j: int) -> list[tuple[tuple, list[Vec]]]:
     """R^{2j} times each piece of H_deg, as vectors of P_{deg+2j}, labeled (l, p, q)."""
     mats = operator_matrices(m, n)
-    return [((pc.l, pc.p, pc.q), mats.r2_times(pc.basis.rows, deg, j))
+    return [((pc.l, pc.p, pc.q), mats.power(mats.mul_r2, pc.basis.rows, deg, j))
             for pc in decompose_Hk(m, n, deg)]
 
 
@@ -249,14 +246,10 @@ def _piece_groups(rep: RepSpace) -> tuple[PieceGroups, list[list[Vec]]]:
     if rep.spec.kind == "Pk":
         return _groups(rep, [((j, *label), vecs) for j in range(0, k // 2 + 1)
                              for label, vecs in _radial_blocks(m, n, k - 2 * j, j)])
-    mats = operator_matrices(m, n)
-    blocks = []  # PkModR2: theta^{2j} Hb_p Hf_q
-    for j, p, q, _ in piece_labels(m, n, k):
-        vecs = _product_rows(m, n, p, q)
-        for d in range(p + q, k, 2):
-            vecs = mats.apply(mats.mul_theta2, vecs, d)
-        blocks.append(((j, p, q), vecs))
-    return _groups(rep, blocks)
+    mats = operator_matrices(m, n)  # PkModR2: theta^{2j} Hb_p Hf_q
+    return _groups(rep, [((j, p, q), mats.power(mats.mul_theta2, _product_rows(m, n, p, q),
+                                                   p + q, j))
+                         for j, p, q, _ in piece_labels(m, n, k)])
 
 
 # -- closures ----------------------------------------------------------------------
@@ -508,7 +501,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
     t = k + M // 2 - 1
     kpp = 2 - M - k
     mats = operator_matrices(m, n)
-    sub = Subspace.from_vectors(mats.r2_times(harmonic_basis(m, n, kpp).rows, kpp, t),
+    sub = Subspace.from_vectors(mats.power(mats.mul_r2, harmonic_basis(m, n, kpp).rows, kpp, t),
                                 dim_Pk(m, n, k))
     inter = hk_window_intersection(m, n, k)
     if sub == inter:
@@ -600,63 +593,66 @@ def branching(m: int, n: int, k: int, explicit: bool = False) -> BranchingReport
     return report
 
 
+def _branching_blocks(m: int, n: int, k: int):
+    """(l, H'_l, x1^{k-l} H'_l) for l = k, ..., 0: H'_l is H_l(m-1|2n) in P_l(m|2n),
+    x_i renamed x_(i+1) on the monomial basis, and the block is in P_k."""
+    mats = operator_matrices(m, n)
+    for l in range(k, -1, -1):
+        index = mats.index(l)
+        shift = [index[SuperMonomial(tuple((i + 1, e) for i, e in mono.bosonic), mono.fermionic)]
+                 for mono in monomial_basis(m - 1, n, l)]
+        hs = [{shift[c]: x for c, x in row.items()} for row in harmonic_basis(m - 1, n, l).rows]
+        yield l, hs, mats.power(mats.mul_x1, hs, l, k - l)
+
+
 def branching_explicit_check(m: int, n: int, k: int) -> str:
     """Explicit decomposition certificate for the restricted simple module.
 
-    The ambient quotient P_k / R^2 P_{k-2} splits under the subalgebra into
-    explicit invariant blocks x1^eps R'^{2j} H'_l (one per l, with R'^2 the
-    norm square on x2..xm and the Grassmann pairs, eps = (k-l) mod 2).  The
-    simple module embeds as the image of H_k.  Its intersections with the
-    class spans of the blocks, grouped conservatively by (dimension, Casimir
-    eigenvalue), must be invariant and carry exactly the predicted dimensions;
-    together with the block bookkeeping this certifies the direct sum.
-    Returns 'verified' or an 'inconclusive: ...' diagnosis; never overclaims.
-    A ValueError refuses a cell whose subalgebra pairs x dim P_k exceed
-    MAX_EXPLICIT_WORK, at once: cells near it, (200|0) and (2|198) at k = 0,
-    take about 1 s and 60 MB (Python 3.11), and m <= 4, n <= 2, k <= 6 reach 15,200.
+    The ambient quotient W = P_k / R^2 P_{k-2} splits under the subalgebra
+    into explicit invariant blocks x1^{k-l} H'_l, one per l (`_branching_blocks`).
+    In W, x1^2 = -R'^2, R'^2 being the norm square on x2..xm and the Grassmann
+    pairs, so each is the block x1^eps R'^{2j} H'_l (k - l = eps + 2j, eps
+    = 0 or 1) up to the sign (-1)^j.  The simple module embeds as the image of
+    H_k.  Its intersections with the class spans of the blocks, grouped
+    conservatively by (dimension, Casimir eigenvalue), must be invariant and
+    carry exactly the predicted dimensions; together with the block
+    bookkeeping this certifies the direct sum.  Returns 'verified' or an
+    'inconclusive: ...' diagnosis; never overclaims.  A ValueError refuses a
+    cell whose (subalgebra pairs + k + 1 blocks) x dim P_k exceed
+    MAX_EXPLICIT_WORK, at once: cells near it, such as (200|0) at k = 0 and
+    (5|0) at k = 10, take about 1.3 s and 60 MB (Python 3.11), and m <= 4,
+    n <= 2, k <= 6 reach 19,456, at (4|4), k = 6.
     """
     case, ls = branching_case(m, n, k)
     if case == "not_completely_reducible":
         return "inconclusive: restriction is flagged not completely reducible"
     size = m - 1 + 2 * n  # the subalgebra's variables; its L_ii with i <= m are 0
-    if (work := (size * (size + 1) // 2 - (m - 1)) * dim_Pk(m, n, k)) > MAX_EXPLICIT_WORK:
+    if (work := (size * (size + 1) // 2 - (m - 1) + k + 1) * dim_Pk(m, n, k)) > MAX_EXPLICIT_WORK:
         raise ValueError(f"the explicit branching check of ({m}|{2 * n}) at k = {k} needs "
-                         f"{work} subalgebra pairs x dim P_k, above the limit "
+                         f"{work} (subalgebra pairs + blocks) x dim P_k, above the limit "
                          f"MAX_EXPLICIT_WORK = {MAX_EXPLICIT_WORK}")
     W = rep_space(SpaceSpec("PkModR2", m, n, k))
     sub_pairs = [(i, j) for (i, j) in W.gen_pairs if i >= 2 and j >= 2]
     dimW = W.dim
     mats = operator_matrices(m, n)
-    R2p = mats.mul_r2.poly - SuperPolynomial.x(1, 2)
-    # the shifted harmonics have no x1, so nabla^2 acts on them as the
-    # Laplacian in x2..xm and the Grassmann pairs
-    lap = mats.nabla2
     Mp = (m - 1) - 2 * n
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra
     blocks: list[tuple[int, Subspace]] = []
     all_vecs: list[Vec] = []
-    for l in range(k, -1, -1):
-        dl = dim_Hk(m - 1, n, l)
-        if dl == 0:
+    for l, hs, polys in _branching_blocks(m, n, k):
+        if not (dl := dim_Hk(m - 1, n, l)):
             continue
-        eps = (k - l) % 2
-        j = (k - l - eps) // 2
-        radial = MultiplyBy(SuperPolynomial.x(1) ** eps * R2p ** j)
-        # H_l(m-1|2n) into P_l(m|2n), renaming x_i to x_(i+1) on the monomial basis
-        index = mats.index(l)
-        shift = [index[SuperMonomial(tuple((i + 1, e) for i, e in mono.bosonic), mono.fermionic)]
-                 for mono in monomial_basis(m - 1, n, l)]
-        hs = [{shift[c]: x for c, x in row.items()} for row in harmonic_basis(m - 1, n, l).rows]
-        if any(mats.apply(lap, hs, l)):
+        # the shifted harmonics have no x1, so nabla^2 acts on them as the
+        # Laplacian in x2..xm and the Grassmann pairs
+        if any(mats.apply(mats.nabla2, hs, l)):
             return "inconclusive: shifted harmonic basis is not harmonic"
-        polys = mats.apply(radial, hs, l)
-        # the block carries the plain action: generators commute with the
-        # radial factor (checked exactly on the block basis)
+        # the block carries the plain action: the subalgebra's generators
+        # commute with x1 (checked exactly on the block basis)
         for (a, b) in sub_pairs:
             moved = [mats.generator_image(a, b, h, l) for h in hs]
             if ([mats.generator_image(a, b, p, k) for p in polys]
-                    != mats.apply(radial, moved, l)):
+                    != mats.power(mats.mul_x1, moved, l, k - l)):
                 return "inconclusive: block intertwiner identity failed"
         block_vecs = [v for v in map(W.coords, polys) if v]
         sub = Subspace.from_vectors(block_vecs, dimW)

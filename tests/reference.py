@@ -3,8 +3,9 @@
 These are the second, independent constructions of objects the package
 computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
-polynomials, R^{2j} times coordinate vectors through polynomials, the
-pieces of H_k from polynomial products f * b * g, the leaf
+polynomials, f^j times coordinate vectors through polynomials, the
+blocks of the explicit branching check as x1^eps R'^{2j} H'_l by polynomial
+powers, the pieces of H_k from polynomial products f * b * g, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
 components, the bosonic compositions by recursion, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
@@ -133,12 +134,32 @@ def harmonic_polys(m: int, n: int, k: int) -> list[SuperPolynomial]:
     return subspace_polys(harmonic_basis(m, n, k), m, n, k)
 
 
-def r2_times_by_polynomials(vecs: list[Vec], m: int, n: int, k: int, j: int) -> list[Vec]:
-    """R^{2j} times coordinate vectors of P_k, multiplied out as polynomials
-    (r2_power * vec_to_poly -> poly_to_vec): the package applies the held
-    mul_r2 matrix j times instead."""
-    r2_power = r2(m, n) ** j
-    return [poly_to_vec(r2_power * vec_to_poly(v, m, n, k), m, n, k + 2 * j) for v in vecs]
+def power_by_polynomials(f: SuperPolynomial, vecs: list[Vec], m: int, n: int, k: int,
+                         j: int) -> list[Vec]:
+    """f^j times coordinate vectors of P_k for a homogeneous f, multiplied out
+    as polynomials (f^j * vec_to_poly -> poly_to_vec): the package applies a
+    held multiplier j times instead."""
+    degree = max((mono.degree() for mono in f.terms), default=0)
+    f_power = f ** j
+    return [poly_to_vec(f_power * vec_to_poly(v, m, n, k), m, n, k + degree * j) for v in vecs]
+
+
+def branching_blocks_by_polynomials(m: int, n: int, k: int) -> dict[int, list[Vec]]:
+    """{l: x1^eps R'^{2j} H'_l as vectors of P_k} for l = 0..k, with k - l =
+    eps + 2j (eps = 0 or 1), R'^2 = R^2 - x1^2 and H'_l the harmonic basis of
+    (m-1|2n) with x_i renamed x_(i+1), all formed as polynomials: the package
+    multiplies the shifted basis vectors by x1 k - l times instead."""
+    r2_rest = r2(m, n) - SuperPolynomial.x(1, 2)
+    out = {}
+    for l in range(0, k + 1):
+        eps, j = (k - l) % 2, (k - l) // 2
+        radial = SuperPolynomial.x(1) ** eps * r2_rest ** j
+        shifted = [SuperPolynomial({SuperMonomial(tuple((i + 1, e) for i, e in mono.bosonic),
+                                                  mono.fermionic): c
+                                    for mono, c in h.terms.items()})
+                   for h in harmonic_polys(m - 1, n, l)]
+        out[l] = [poly_to_vec(radial * h, m, n, k) for h in shifted]
+    return out
 
 
 def piece_products(radial: SuperPolynomial, m: int, n: int, p: int,

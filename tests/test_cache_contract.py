@@ -25,7 +25,7 @@ from superh.diffops import (Add, Compose, LinearOperator, MultiplyBy, OperatorMa
                             nabla2, operator_matrices, osp_generator, vec_to_poly)
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.integration import PizzettiRows
-from superh.modules import SpaceSpec, branching_explicit_check, rep_space
+from superh.modules import SpaceSpec, _piece_groups, branching_explicit_check, rep_space
 
 from reference import generator_commutator
 
@@ -174,6 +174,23 @@ def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
         assert all(id(op) in pieces_trees for _, op in trees(
             lambda: decompose_Hk.__wrapped__(m, n, k)))
     assert all(op is mats.nabla2 for _, op in trees(lambda: PizzettiRows(m, n).row(4)))
+
+    compiled = []  # (held, tree) of every tree that any owner compiles
+    compile_words = OperatorMatrices._compile
+
+    def compile_spy(self, op, k):
+        compiled.append((id(op) in self._flat, op))
+        return compile_words(self, op, k)
+
+    monkeypatch.setattr(OperatorMatrices, "_compile", compile_spy)
+    for cell in [(2, 1, 3), (4, 2, 3)]:  # (2|2) and (4|4)
+        assert branching_explicit_check(*cell) == "verified"
+    assert compiled and all(held for held, _ in compiled)
+    compiled.clear()
+    for k in range(0, 5):
+        _piece_groups(rep_space(SpaceSpec("PkModR2", m, n, k)))
+    assert any(op is mats.mul_theta2 for _, op in compiled)
+    assert all(held for held, _ in compiled)
 
 
 def test_check_all_builds_each_space_once(constructed):

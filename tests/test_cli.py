@@ -260,7 +260,9 @@ def test_a_variable_count_above_the_limit_is_refused_before_any_tree(capsys, arg
     assert f"MAX_BASIS_DIM = {MAX_BASIS_DIM}" in err and "variables" in err
 
 
-@pytest.mark.parametrize("m, n, k", [(1000, 0, 1), (2, 400, 0)])
+# (3|0) at k = 75 and (2|0) at k = 2999 have few subalgebra pairs (none at (2|0))
+# but k + 1 blocks
+@pytest.mark.parametrize("m, n, k", [(1000, 0, 1), (2, 400, 0), (3, 0, 75), (2, 0, 2999)])
 def test_an_explicit_branching_above_its_work_limit_is_refused(capsys, m, n, k):
     start = time.perf_counter()
     code, out, err = run(capsys, "branch", "-m", str(m), "-n", str(n), "-k", str(k),

@@ -35,6 +35,7 @@ from superh.diffops import (
     partial_vector_field,
     plain_partial,
     r2,
+    theta2,
     variable_poly,
     vec_to_poly,
 )
@@ -44,7 +45,7 @@ from superh.linalg import Subspace
 
 from reference import (entry, generator_commutator, inv_entry, nabla2_from_metric, nabla_upper,
                        nabla_upper_by_raising, poly_to_vec, product_leaf_arrays,
-                       r2_from_metric, r2_times_by_polynomials)
+                       power_by_polynomials, r2_from_metric)
 
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
 
@@ -394,17 +395,21 @@ def test_a_product_by_an_outside_variable_is_refused_as_by_the_products(m, n):
 R2_CELLS = [(0, 2), (1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]
 
 
-def test_r2_times_equals_the_polynomial_route_on_harmonic_bases():
+def test_power_equals_the_polynomial_route_on_harmonic_bases():
     vanished = 0
     for (m, n) in R2_CELLS:
         mats = operator_matrices(m, n)
-        for k in range(0, 4):
-            rows = harmonic_basis(m, n, k).rows
-            for j in range(0, 4):
-                got = mats.r2_times(rows, k, j)
-                assert got == r2_times_by_polynomials(rows, m, n, k, j), (m, n, k, j)
-                if m == 0:
-                    vanished += sum(not v for v in got)
+        # (held multiplier, its polynomial); x1 is no variable of (0|2n)
+        multipliers = [(mats.mul_r2, r2(m, n)), (mats.mul_theta2, theta2(n))]
+        multipliers += [(mats.mul_x1, SP.x(1))] if m else []
+        for op, f in multipliers:
+            for k in range(0, 4):
+                rows = harmonic_basis(m, n, k).rows
+                for j in range(0, 4):
+                    got = mats.power(op, rows, k, j)
+                    assert got == power_by_polynomials(f, rows, m, n, k, j), (m, n, f, k, j)
+                    if m == 0:
+                        vanished += sum(not v for v in got)
     assert vanished  # theta^{2j} h = 0 by nilpotency at m = 0, e.g. theta^2 Hf_2 in (0|4)
 
 

@@ -28,6 +28,7 @@ from superh.linalg import PRIME, Echelon, Subspace
 from superh.modules import (
     RepSpace,
     SpaceSpec,
+    _branching_blocks,
     _certify_strong_connectivity,
     _nonzero_pieces,
     _piece_groups,
@@ -47,8 +48,8 @@ from superh.modules import (
     window_submodule_check,
 )
 
-from reference import (coords_of_poly, lift, piece_products, poly_to_vec, readoff_in_pivot_order,
-                       subspace_polys)
+from reference import (branching_blocks_by_polynomials, coords_of_poly, lift, piece_products,
+                       poly_to_vec, readoff_in_pivot_order, subspace_polys)
 
 
 def test_space_spec_validation():
@@ -583,18 +584,39 @@ def test_branching_explicit_small():
 
 
 def test_the_explicit_work_model_counts_the_subalgebra_pairs(monkeypatch):
-    """A cell is refused exactly when its subalgebra pairs x dim P_k exceed
-    the limit; (4|4) at k = 6, the largest on m <= 4, n <= 2, k <= 6, answers."""
+    """A cell is refused exactly when its (subalgebra pairs + k + 1 blocks) x
+    dim P_k exceed the limit; (4|4) at k = 6, the largest on m <= 4, n <= 2,
+    k <= 6, answers."""
     for (m, n, k) in [(2, 0, 3), (3, 1, 1), (4, 2, 1)]:
         pairs = [(i, j) for (i, j) in generator_pairs(m, n) if i >= 2 and j >= 2]
-        work = len(pairs) * dim_Pk(m, n, k)
+        work = (len(pairs) + k + 1) * dim_Pk(m, n, k)
         monkeypatch.setattr(modules, "MAX_EXPLICIT_WORK", work)
         assert branching_explicit_check(m, n, k) == "verified"
         monkeypatch.setattr(modules, "MAX_EXPLICIT_WORK", work - 1)
-        with pytest.raises(ValueError, match=f"needs {work} subalgebra pairs"):
+        with pytest.raises(ValueError, match=rf"needs {work} \(subalgebra pairs \+ blocks\)"):
             branching_explicit_check(m, n, k)
     monkeypatch.undo()
     assert branching_explicit_check(4, 2, 6) == "verified"
+
+
+def test_the_branching_blocks_are_the_blocks_by_polynomial_powers():
+    """x1^{k-l} H'_l and x1^eps R'^{2j} H'_l (k - l = eps + 2j) span the same
+    subspace of W = P_k / R^2 P_{k-2}, where x1^2 = -R'^2, for every l; in P_k
+    itself some of them differ."""
+    band = differ = 0
+    for m in range(2, 5):
+        for n in range(0, 3):
+            for k in range(0, 7):
+                W, width = rep_space(SpaceSpec("PkModR2", m, n, k)), dim_Pk(m, n, k)
+                reference = branching_blocks_by_polynomials(m, n, k)
+                for l, _, block in _branching_blocks(m, n, k):
+                    assert (Subspace.from_vectors(map(W.coords, block), W.dim)
+                            == Subspace.from_vectors(map(W.coords, reference[l]), W.dim)), \
+                        (m, n, k, l)
+                    differ += (Subspace.from_vectors(block, width)
+                               != Subspace.from_vectors(reference[l], width))
+                band += in_window(m, n, k)
+    assert band and differ
 
 
 def test_quotient_charts_are_well_defined():
