@@ -503,10 +503,13 @@ class OperatorMatrices:
 
     The owner keeps what it holds, and nothing else: besides the space's
     basis index maps and leaf arrays, the words of each held tree and of the
-    parts it runs by structure, flattened once, the generator words bound per
-    degree, and the packed matrix of a held tree passed to ``matrix`` (a later
-    ``apply`` of that tree reads it by mat-vec).  Any other tree is flattened
-    and compiled per call, whichever entry point it enters by.
+    parts it runs by structure, flattened once and bound to the leaf arrays
+    once per degree (the generators' among them), the packed matrix of a held
+    tree passed to ``matrix`` (a later ``apply`` of that tree reads it by
+    mat-vec; the words bound to build it are dropped), and the harmonic basis
+    of each degree as primitive int rows, which ``harmonic`` builds once
+    (``primitive_rows``).  Any other tree is flattened and compiled per call,
+    whichever entry point it enters by.
     """
 
     def __init__(self, m: int, n: int):
@@ -515,8 +518,10 @@ class OperatorMatrices:
         self._index: dict[int, dict[SuperMonomial, int]] = {}
         self._leaves: dict[tuple, tuple[array, array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (packed, k_out)
-        self._words: dict[tuple[int, int, int], list] = {}  # (i, j, k) -> words of L_ij
+        # (id of a held tree, k), or (i, j, k) for L_ij, -> _compile(op, k)
+        self._compiled: dict[tuple, tuple] = {}
         self._flat: dict[int, tuple] = {}  # id(op) -> (op, _flatten(op)): the held trees
+        self.primitive_rows: dict[int, list[Vec]] = {}  # k -> harmonic._primitive_rows
         self.nabla2 = self._hold(nabla2(m, n))
         self.mul_r2 = self._hold(MultiplyBy(r2(m, n)))
 
@@ -553,9 +558,14 @@ class OperatorMatrices:
         root = self._roots.get((id(op), k))
         if root is not None:
             return self._product(root[0], None)
+        bound = len(self._compiled)
         cols, k_out = self._apply(op, None, k)
         if id(op) in self._flat:
             self._roots[(id(op), k)] = _pack(cols), k_out
+            # the kept matrix is read instead of the words bound to build it,
+            # which the store holds last, in insertion order
+            for key in list(self._compiled)[bound:]:
+                del self._compiled[key]
         return cols
 
     def apply(self, op: LinearOperator, vecs: Sequence[Vec], k: int) -> list[Vec]:
@@ -581,7 +591,7 @@ class OperatorMatrices:
                 if k is None:  # a zero factor
                     break
             return vecs, k
-        compiled = self._compile(op, k)
+        compiled = self._words_on(op, k)
         if compiled is not None:
             return self._eval_words(compiled, vecs, k)
         images = [self._apply(p, vecs, k) for p in op.parts]  # only a sum gives None
@@ -619,6 +629,17 @@ class OperatorMatrices:
             compiled.append((int(c * denom), tuple(arrays)))
         factor = Fraction(1, denom) if denom > 1 else 1
         return factor, None if shift is None else k + shift, compiled
+
+    def _words_on(self, op: LinearOperator, k: int) -> tuple | None:
+        """``_compile(op, k)``, kept per degree for a held tree that flattens
+        (a held tree never shares its id with another live tree)."""
+        key = (id(op), k)
+        compiled = self._compiled.get(key)
+        if compiled is None:
+            compiled = self._compile(op, k)
+            if compiled is not None and id(op) in self._flat:
+                self._compiled[key] = compiled
+        return compiled
 
     def _eval_words(self, compiled: tuple, vecs: list[Vec] | None, k: int):
         """(the compiled operator applied to vecs, target degree)."""
@@ -672,12 +693,12 @@ class OperatorMatrices:
 
     def _generator_words(self, i: int, j: int, k: int) -> list:
         """The words of ``osp_generator(i, j)``, flattened once and bound per degree."""
-        words = self._words.get((i, j, k))
-        if words is None:
-            factor, _, words = self._compile(self._hold(osp_generator(i, j, self.m, self.n)), k)
-            assert factor == 1  # the coefficients are entries of inv(g), integers
-            self._words[(i, j, k)] = words
-        return words
+        compiled = self._compiled.get((i, j, k))  # read once per generator image
+        if compiled is None:
+            op = self._hold(osp_generator(i, j, self.m, self.n))
+            compiled = self._compiled[(i, j, k)] = self._compile(op, k)
+            assert compiled[0] == 1  # the coefficients are entries of inv(g), integers
+        return compiled[2]
 
     def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
         """L_ij v for a coordinate vector v of P_k."""

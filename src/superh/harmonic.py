@@ -270,15 +270,25 @@ def piece_labels(m: int, n: int, k: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
+def _primitive_rows(m: int, n: int, k: int) -> list[Vec]:
+    """The rows of harmonic_basis(m, n, k) as primitive int vectors, built once
+    and kept by the owner of (m|2n); callers do not modify them."""
+    mats = operator_matrices(m, n)
+    rows = mats.primitive_rows.get(k)
+    if rows is None:
+        rows = mats.primitive_rows[k] = [_primitive(v) for v in harmonic_basis(m, n, k).rows]
+    return rows
+
+
 def _product_rows(m: int, n: int, p: int, q: int) -> list[Vec]:
     """b * g in P_{p+q} of (m|2n) for the primitive int rows b of Hb_p (outer)
     and g of Hf_q; a bosonic monomial times a Grassmann one carries no sign."""
     index = operator_matrices(m, n).index(p + q)
     at = [[index[SuperMonomial(b.bosonic, g.fermionic)] for g in monomial_basis(0, n, q)]
           for b in monomial_basis(m, 0, p)]
-    hf = [_primitive(g) for g in fermionic_harmonics(n, q).rows]
+    hf = _primitive_rows(0, n, q)
     return [{at[c][d]: x * y for c, x in b.items() for d, y in g.items()}
-            for b in map(_primitive, bosonic_harmonics(m, p).rows) for g in hf]
+            for b in _primitive_rows(m, 0, p) for g in hf]
 
 
 @lru_cache(maxsize=None)

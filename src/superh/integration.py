@@ -20,12 +20,19 @@ denominators), each term differentiated only by the variables it holds
 one-off integrals (``superh integrate``) and the comparison of the two
 routes, and it refuses a walk whose nabla^{2j} f holds more than
 MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
-one weight, built from the owner's kept nabla^2 matrices; the checks of
-``invariance_suite`` evaluate T that way and never apply a tree.  Check (a)
-reads row^T L_ij transposed, from the row's support through the generators'
-inverse leaf maps (``OperatorMatrices.generator_transposes``), and the check
-that harmonics of two degrees are orthogonal pairs them, scaled to int
-vectors, by an int pairing read off one row (``orthogonality_failures``).
+one weight, both in closed form from factorials; the transposed chain of
+nabla^2 matrices that gives the same rows is the tests' reference
+(``tests/reference.py``), and the walk certifies each row value on every
+monomial of the integrals check.  The checks of ``invariance_suite``
+evaluate T by its rows, never apply a tree and build no operator above
+their top degree.  Check (a) reads row^T L_ij transposed, from the row's
+support through the generators' inverse leaf maps
+(``OperatorMatrices.generator_transposes``); check (b) reads
+row(k+2)^T R^2 transposed, from the support of row(k+2) and the terms of
+R^2 (``radial_failures``); and the check that harmonics of two degrees are
+orthogonal pairs them, scaled to int vectors, by an int pairing read off
+one row (``orthogonality_failures``).  The Gamma values are closed forms in
+factorials, Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi).
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 The definition (phi# on Laurent functions of r^2, the product with the
@@ -45,14 +52,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPolynomial,
                            _mul_monomials, check_variable_count, monomial_basis)
 from .diffops import check_variables, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
-from .linalg import Vec, _primitive, kernel_of_equations
+from .linalg import Vec, _int_if_whole, _primitive, kernel_of_equations
 
 
 # -- scalars q * pi^(h/2) ------------------------------------------------------
@@ -123,54 +131,42 @@ class ScaledRational:
 _ZERO = ScaledRational(Fraction(0), 0)  # shared: the value is frozen
 
 
-def gamma_half(a: Fraction) -> ScaledRational:
-    """Gamma(a) for a positive half-integer argument, as q * pi^(h/2)."""
-    a = Fraction(a)
-    if a <= 0 or a.denominator not in (1, 2):
-        raise ValueError(f"gamma_half needs a positive half-integer, got {a}")
-    if a.denominator == 1:
-        return ScaledRational(Fraction(math.factorial(int(a) - 1)), 0)
-    val = Fraction(1)
-    t = Fraction(1, 2)
-    while t < a:
-        val *= t
-        t += 1
-    return ScaledRational(val, 1)
+def _reciprocal_gamma_parts(t: int) -> tuple[int, int, int]:
+    """1/Gamma(t/2) = num/den * pi^(h/2) as ints (num, den, h), from factorials:
+    1/(t/2 - 1)! for even t > 0, 0 at the poles t <= 0 even, and for odd t
+    Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi) (t = 2j + 1), or
+    Gamma(1/2 - j) = (-4)^j j!/(2j)! sqrt(pi) (t = 1 - 2j)."""
+    if t % 2 == 0:
+        return (1, math.factorial(t // 2 - 1), 0) if t > 0 else (0, 1, 0)
+    if t > 0:
+        j = (t - 1) // 2
+        return 4 ** j * math.factorial(j), math.factorial(2 * j), -1
+    j = (1 - t) // 2
+    return math.factorial(2 * j), (-4) ** j * math.factorial(j), -1
 
 
 def reciprocal_gamma(a: Fraction) -> ScaledRational:
     """1/Gamma(a) for half-integer a, with the poles mapped to zero.
 
-    Integer a <= 0 gives 0.  Negative half-odd arguments are reached by the
-    downward recursion Gamma(a) = Gamma(a+1)/a, which keeps the value an exact
-    rational multiple of pi^(-1/2).
+    Integer a <= 0 gives 0.  Every other value is an exact rational multiple
+    of pi^0 or pi^(-1/2), in closed form (``_reciprocal_gamma_parts``).
     """
     a = Fraction(a)
     if a.denominator not in (1, 2):
         raise ValueError(f"reciprocal_gamma needs a half-integer, got {a}")
-    if a.denominator == 1:
-        if a <= 0:
-            return ScaledRational.zero()
-        return ScaledRational(Fraction(1, math.factorial(int(a) - 1)), 0)
-    if a > 0:
-        g = gamma_half(a)
-        return ScaledRational(1 / g.q, -g.h)
-    # Gamma(a) = Gamma(1/2) / (a (a+1) ... (-1/2))
-    prod = Fraction(1)
-    t = a
-    while t < Fraction(1, 2):
-        prod *= t
-        t += 1
-    return ScaledRational(prod, -1)
+    num, den, h = _reciprocal_gamma_parts(int(2 * a))
+    return ScaledRational(Fraction(num, den), h)
 
 
 # -- Berezin and Pizzetti --------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _pizzetti_weight(M: int, j: int) -> ScaledRational:
-    """2 pi^{M/2} / (4^j j! Gamma(j + M/2)), the weight of (nabla^{2j} f)(0)."""
-    w = reciprocal_gamma(Fraction(M, 2) + j) * Fraction(2, 4 ** j * math.factorial(j))
-    return ScaledRational(w.q, w.h + M)
+    """2 pi^{M/2} / (4^j j! Gamma(j + M/2)), the weight of (nabla^{2j} f)(0).
+    A pure scalar, kept per (M, j): every constant term of a walk reads it."""
+    num, den, h = _reciprocal_gamma_parts(M + 2 * j)
+    return ScaledRational(Fraction(2 * num, 4 ** j * math.factorial(j) * den), h + M)
 
 
 def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
@@ -224,23 +220,33 @@ def _dot(row: Vec, v: Vec):
     return sum(row.get(c, 0) * x for c, x in v.items())
 
 
+def _whole_pairs(fermionic: tuple[int, ...]) -> bool:
+    """Whether an ascending Grassmann mask is a union of whole pairs {2p-1, 2p}."""
+    return len(fermionic) % 2 == 0 and all(
+        fermionic[q] % 2 and fermionic[q + 1] == fermionic[q] + 1
+        for q in range(0, len(fermionic), 2))
+
+
 class PizzettiRows:
     """The Pizzetti functional T of one cell (m|2n), one degree at a time.
 
-    On P_k, T(f) = weight(k) * (row(k) . f).  For even k the row holds
-    (nabla^k x^c)(0) for every basis monomial x^c, and it comes from the
-    transposed chain of the nabla^2 matrices P_k -> P_{k-2} -> ... -> P_0:
-    row(k)[c] = row(k-2) . (column c of nabla^2 on P_k), read off the nabla^2
-    matrices that the owner keeps for its held tree.  The rows are ints, and
-    they and the weights are kept.  For odd k the row is empty and T vanishes.
+    On P_k, T(f) = weight(k) * (row(k) . f).  For even k = 2J the row holds
+    (nabla^k x^c)(0) for every basis monomial x^c, in closed form: it is
+    nonzero only at x^c = x^{2 alpha} theta^P with P a union of s whole pairs
+    {2p-1, 2p}, where it is J! 4^s prod_r (2 alpha_r)!/alpha_r!.  (Of the
+    terms C(J, i) nabla_b^{2i} nabla_f^{2s} of nabla^{2J} only i = |alpha|
+    leaves a constant: nabla_b^{2i} x^{2alpha} gives i! prod (2 alpha_r)!/alpha_r!,
+    and each pair of the ascending mask gives +4, in any of s! orders.)  No
+    operator is applied; the transposed chain of nabla^2 matrices that gives
+    the same rows is the tests' reference.  The rows are ints and are kept.
+    For odd k the row is empty and T vanishes.
     """
 
     def __init__(self, m: int, n: int):
         if m < 1:
             raise ValueError("pizzetti requires m >= 1")
         self.m, self.n = m, n
-        self._rows: dict[int, Vec] = {0: {0: 1}}
-        self._weights: dict[int, ScaledRational] = {}
+        self._rows: dict[int, Vec] = {}
 
     def row(self, k: int) -> Vec:
         """(nabla^k x^c)(0) on the monomial basis of P_k, without zero entries."""
@@ -248,23 +254,22 @@ class PizzettiRows:
             raise ValueError(f"no degree {k}")
         if k % 2:
             return {}
-        top = max(self._rows)
-        while top < k:
-            below = self._rows[top]
-            top += 2
-            mats = operator_matrices(self.m, self.n)
-            cols = enumerate(mats.matrix(mats.nabla2, top))
-            self._rows[top] = {c: x for c, col in cols if (x := _dot(below, col))}
-        return self._rows[k]
+        row = self._rows.get(k)
+        if row is None:
+            row = self._rows[k] = {}
+            for c, (bosonic, fermionic) in enumerate(monomial_basis(self.m, self.n, k)):
+                if _whole_pairs(fermionic) and not any(e % 2 for _, e in bosonic):
+                    x = math.factorial(k // 2) * 4 ** (len(fermionic) // 2)
+                    for _, e in bosonic:
+                        x = x * math.factorial(e) // math.factorial(e // 2)
+                    row[c] = x
+        return row
 
     def weight(self, k: int) -> ScaledRational:
         """The factor of row(k) in T on P_k; zero for odd k."""
         if k % 2:
             return ScaledRational.zero()
-        w = self._weights.get(k)
-        if w is None:
-            w = self._weights[k] = _pizzetti_weight(self.m - 2 * self.n, k // 2)
-        return w
+        return _pizzetti_weight(self.m - 2 * self.n, k // 2)
 
     def value(self, v: Vec, k: int) -> ScaledRational:
         """T of the coordinate vector v of P_k."""
@@ -283,29 +288,31 @@ def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
         raise ValueError("sphere_moment requires m >= 1")
     if any(a % 2 for a in alpha):
         return ScaledRational.zero()
-    # Gamma(1/2) = pi^(1/2) for each zero exponent, so a term costs only its
-    # nonzero exponents
-    num = ScaledRational(Fraction(2), alpha.count(0))
+    # Gamma(b + 1/2) = (2b)!/(4^b b!) sqrt(pi) for each exponent a = 2b
+    num = 2
     for a in alpha:
         if a:
-            num = num * gamma_half(Fraction(a + 1, 2))
-    return num / gamma_half(Fraction(sum(alpha) + m, 2))
+            num *= math.factorial(a) // math.factorial(a // 2)
+    rnum, rden, h = _reciprocal_gamma_parts(sum(alpha) + m)
+    return ScaledRational(Fraction(num * rnum, 2 ** sum(alpha) * rden), h + m)
 
 
 # -- the radial rescaling morphism phi# ------------------------------------------
 
 
-def berezin_density_coefficients(m: int, n: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def berezin_density_coefficients(m: int, n: int) -> tuple[Fraction, ...]:
     """delta_i = (-1)^i C(m/2 - 1, i) = prod_{r<=i} (2r - m)/2r for i = 0..n: the theta^{2i}
-    coefficients of the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency."""
+    coefficients of the Berezin density (1 - theta^2)^(m/2 - 1), truncated by nilpotency.
+    A pure scalar tuple, kept per (m, n): every phi# integral of the cell reads it."""
     out, num, den = [Fraction(1)], 1, 1
     for r in range(1, n + 1):
         num, den = num * (2 * r - m), den * 2 * r
         out.append(Fraction(num, den))
-    return out
+    return tuple(out)
 
 
-def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
+def _sphere_berezin(f: SuperPolynomial, density: Sequence[Fraction],
                     m: int, n: int) -> ScaledRational:
     """int_S int_B alpha(theta^2) phi#(f), term by term in closed form.
 
@@ -327,10 +334,7 @@ def _sphere_berezin(f: SuperPolynomial, density: list[Fraction],
     prefactor = ScaledRational(Fraction(1), -2 * n)
     total = ScaledRational.zero()
     for (bosonic, fermionic), c in f.terms.items():
-        if len(fermionic) % 2 or any(e % 2 for _, e in bosonic):
-            continue
-        if not all(fermionic[q] % 2 and fermionic[q + 1] == fermionic[q] + 1
-                   for q in range(0, len(fermionic), 2)):
+        if any(e % 2 for _, e in bosonic) or not _whole_pairs(fermionic):
             continue
         t = n - len(fermionic) // 2
         half = sum(e for _, e in bosonic) // 2
@@ -370,27 +374,24 @@ class InvarianceReport:
 def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
     """Exact invariance checks of the supersphere functional T.
 
-    T is evaluated by its Pizzetti rows on the columns of per-degree operator
-    matrices, over whole bases:
+    T is evaluated by its Pizzetti rows over whole bases, and no operator
+    acts on a degree above k_max:
 
     (a) T(L_ij f) = 0 for every generator and monomial f of degree <= k_max,
         i.e. row(k)^T L_ij = 0 on P_k, read transposed from the support of
         row(k) by ``generator_failures``;
-    (b) T(R^2 f) = T(f) on the same monomials;
+    (b) T(R^2 f) = T(f) on the same monomials, i.e. weight(k+2) row(k+2)^T R^2
+        = weight(k) row(k) on P_k, read transposed from the support of
+        row(k+2) by ``radial_failures``;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
         k < l <= k_max, by the int pairing of ``orthogonality_failures``:
         one pairing per (k, l) and one int vector per harmonic, no tree.
     """
     T = PizzettiRows(m, n)
-    mats = operator_matrices(m, n)
     failures = []
     for k in range(0, k_max + 1):
-        basis = monomial_basis(m, n, k)
         failures += generator_failures(m, n, T.row(k), k)
-        for c, col in enumerate(mats.matrix(mats.mul_r2, k)):
-            if T.value(col, k + 2) != T.value({c: 1}, k):
-                failures.append(("T(R^2 f) != T(f)", k, None,
-                                 str(SuperPolynomial.monomial(basis[c]))))
+        failures += radial_failures(T, k)
     for k in range(0, k_max + 1):
         hk = harmonic_basis(m, n, k).rows
         for l in range(k + 1, k_max + 1):
@@ -405,6 +406,52 @@ def generator_failures(m: int, n: int, row: Vec, k: int) -> list:
     return [("T(L f) != 0", k, ij, str(SuperPolynomial.monomial(basis[c])))
             for ij, (u,) in operator_matrices(m, n).generator_transposes([row], k)
             for c in sorted(u)]
+
+
+def radial_failures(T: PizzettiRows, k: int) -> list:
+    """Failures of T(R^2 x^c) = T(x^c) over the basis monomials x^c of P_k, in
+    ascending c.
+
+    u = row(k+2)^T R^2 on P_k is read from the support of row(k+2): for each
+    monomial mu where that row is nonzero and each term a nu of R^2 (the
+    owner's held ``mul_r2``) that divides mu, nu x^c = sign mu adds
+    a * sign * row(k+2)[mu] to u[c], the sign from ``_mul_monomials``.  Then
+    weight(k+2) u[c] = weight(k) row(k)[c] is decided over ints, cross-
+    multiplied, the pi powers compared only where the sides are nonzero.
+    """
+    m, n = T.m, T.n
+    mats = operator_matrices(m, n)
+    index = mats.index(k)
+    terms = [(nu, _int_if_whole(a)) for nu, a in mats.mul_r2.poly.terms.items()]
+    above = monomial_basis(m, n, k + 2)
+    u: Vec = {}
+    for mu, x in T.row(k + 2).items():
+        for nu, a in terms:
+            cofactor = _cofactor(above[mu], nu)
+            if cofactor is not None:
+                c = index[cofactor]
+                u[c] = u.get(c, 0) + a * _mul_monomials(nu, cofactor)[0] * x
+    row = T.row(k)
+    hi, lo = T.weight(k + 2), T.weight(k)
+    left, right = hi.q.numerator * lo.q.denominator, lo.q.numerator * hi.q.denominator
+    basis = monomial_basis(m, n, k)
+    return [("T(R^2 f) != T(f)", k, None, str(SuperPolynomial.monomial(basis[c])))
+            for c in sorted(u.keys() | row.keys())
+            if (y := left * u.get(c, 0)) != right * row.get(c, 0) or (y and hi.h != lo.h)]
+
+
+def _cofactor(mu: SuperMonomial, nu: SuperMonomial) -> SuperMonomial | None:
+    """The monomial x^c with nu x^c = +-mu, or None when nu does not divide mu."""
+    exps = dict(mu.bosonic)
+    for i, e in nu.bosonic:
+        rest = exps.get(i, 0) - e
+        if rest < 0:
+            return None
+        exps[i] = rest
+    if not set(nu.fermionic) <= set(mu.fermionic):
+        return None
+    return SuperMonomial(tuple((i, e) for i, e in exps.items() if e),
+                         tuple(g for g in mu.fermionic if g not in nu.fermionic))
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],

@@ -335,6 +335,7 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups,
     if basis is None:
         return None
     if len(groups) <= 1:
+        _read_back_a_vector(rep)
         return True
     inv, owner = basis
     mats = operator_matrices(m, rep.n)
@@ -373,13 +374,29 @@ def _certify_strong_connectivity(rep: RepSpace, groups: PieceGroups,
     return True if strongly_connected() else None
 
 
+def _read_back_a_vector(rep: RepSpace) -> None:
+    """Every generator's image of the first basis vector of sub, read back by
+    ``RepSpace._read_back``: RuntimeError when one leaves sub.  The one-group
+    certificate and a closure whose seeds already span decide without
+    applying a generator, so this keeps them from trusting sub unchecked.
+    (A try need not lie in sub: the groups are read off at sub's pivots.)"""
+    if rep.sub is None:  # all of P_k
+        return
+    mats = operator_matrices(rep.m, rep.n)
+    for (i, j) in rep.gen_pairs:
+        rep._read_back(i, j, mats.generator_image(i, j, rep.sub.rows[0], rep.k))
+
+
 def is_irreducible(rep: RepSpace) -> bool:
     """Exact irreducibility of the module over the rationals.
 
     H_k-type modules with m >= 2 first try the piece-reachability certificate,
     at every dimension.  Otherwise exhaustive exact closures from every piece
     group decide (for m >= 2 every invariant subspace is a sum of pieces, so
-    this is complete), at m = 1 additionally from every basis vector.
+    this is complete), at m = 1 additionally from every basis vector.  A
+    module of dimension >= 2 reads back at least every generator's image of
+    one vector of sub, so a sub that it finds not invariant raises
+    RuntimeError.
     """
     if rep.dim < 1:
         raise ValueError("module must have dimension >= 1")
@@ -388,6 +405,7 @@ def is_irreducible(rep: RepSpace) -> bool:
     groups, tries = _piece_groups(rep)
     if _certify_strong_connectivity(rep, groups, tries):
         return True
+    _read_back_a_vector(rep)  # a closure whose seeds span applies no generator
     for _, vecs in groups:
         if not _closure_reaches_all(rep, vecs):
             return False

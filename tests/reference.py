@@ -11,10 +11,12 @@ components, the bosonic compositions by recursion, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
 lift of module coordinates, the phi# route of the supersphere integral by its
 definition (phi# on Laurent functions of r^2, and the Berezin integral), the
-density's coefficients by their recurrence, and two checks of the invariance
+density's coefficients by their recurrence, three checks of the invariance
 suite by operator columns: (a) by applying each generator to every unit
-column, and the orthogonality check by the columns of multiplication
-operators; and the invariant densities by the same forward loop.  Also here
+column, (b) by the columns of multiplication by R^2, and the orthogonality
+check by the columns of multiplication operators; the Pizzetti rows by the
+transposed chain of nabla^2 matrices; and the invariant densities by the
+same forward loop.  Also here
 are the helpers that only the tests use: the runner of acceptance criterion
 06, the bosonic degree of a monomial, a JSON form of ScaledRational,
 coordinates in a subspace's echelon basis (also read off in pivot order),
@@ -319,6 +321,30 @@ def scaled_rational_to_json(value: ScaledRational) -> dict:
 
 def scaled_rational_from_json(obj: dict) -> ScaledRational:
     return ScaledRational(Fraction(obj["q"]), int(obj["h"]))
+
+
+def pizzetti_row_by_chain(m: int, n: int, k: int) -> Vec:
+    """(nabla^k x^c)(0) on P_k by the transposed chain of the owner's nabla^2
+    matrices P_k -> P_{k-2} -> ... -> P_0: row(d)[c] = row(d-2) . (column c of
+    nabla^2 on P_d).  The package writes the row in closed form."""
+    if k % 2:
+        return {}
+    row: Vec = {0: 1}
+    mats = operator_matrices(m, n)
+    for d in range(2, k + 1, 2):
+        row = {c: x for c, col in enumerate(mats.matrix(mats.nabla2, d)) if (x := _dot(row, col))}
+    return row
+
+
+def radial_failures(T: PizzettiRows, k: int) -> list:
+    """Failures of check (b), T(R^2 x^c) = T(x^c), by the columns of the
+    matrix of R^2 on P_k, compared as ScaledRationals: the package reads
+    row(k+2)^T R^2 transposed from the row's support instead."""
+    mats = operator_matrices(T.m, T.n)
+    basis = monomial_basis(T.m, T.n, k)
+    return [("T(R^2 f) != T(f)", k, None, str(SuperPolynomial.monomial(basis[c])))
+            for c, col in enumerate(mats.matrix(mats.mul_r2, k))
+            if T.value(col, k + 2) != T.value({c: 1}, k)]
 
 
 def orthogonality_columns(T: PizzettiRows, k: int, a: Vec, l: int) -> Vec:

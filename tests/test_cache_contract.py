@@ -5,11 +5,12 @@ cached functions, looked up by name in the module that defines them.  These
 tests keep that contract inside the tier-1 suite.  The other tests pin the
 per-space owner, `diffops.operator_matrices(m, n)`: one object per (m|2n),
 which holds the space's operator trees, which the callers read from it, and
-whose leaf arrays, generator words, kept matrices and flattened held trees do
-not grow when a check runs again or when a tree built per call enters it by
-any entry point; that clearing the owners clears the trees built from them;
-and a fixed list of the package's caches, so that a new one is added on
-purpose.
+whose leaf arrays, compiled words, kept matrices, flattened held trees and
+primitive harmonic rows do not grow when a check runs again or when a tree built
+per call enters it by any entry point; that clearing the owners clears the
+trees built from them; that the integrals pass builds no leaf array above
+its invariance degree; and a fixed list of the package's caches, so that a
+new one is added on purpose.
 """
 
 import importlib
@@ -20,9 +21,10 @@ import pytest
 
 import superh
 from superh import checks
-from superh.diffops import (Add, Compose, LinearOperator, MultiplyBy, OperatorMatrices, Scale, euler,
-                            generator_pairs, laplace_beltrami, laplace_beltrami_bosonic,
-                            nabla2, operator_matrices, osp_generator, vec_to_poly)
+from superh.diffops import (Add, Compose, Differentiate, LinearOperator, MultiplyBy,
+                            OperatorMatrices, Scale, euler, generator_pairs, laplace_beltrami,
+                            laplace_beltrami_bosonic, nabla2, operator_matrices, osp_generator,
+                            vec_to_poly)
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.integration import PizzettiRows
 from superh.modules import SpaceSpec, _piece_groups, branching_explicit_check, rep_space
@@ -55,6 +57,7 @@ PACKAGE_CACHES = {
     "cli": {"build_parser"},
     "diffops": {"osp_generator", "laplace_beltrami", "operator_matrices"},
     "harmonic": {"harmonic_basis", "decompose_Hk"},
+    "integration": {"_pizzetti_weight", "berezin_density_coefficients"},
     "modules": {"hk_window_intersection"},
     "superalgebra": {"_exponent_pair", "monomial_basis"},
 }
@@ -87,8 +90,8 @@ def constructed(monkeypatch):
 
 
 def _sizes(mats):
-    return (len(mats._index), len(mats._leaves), len(mats._words), len(mats._roots),
-            len(mats._flat))
+    return (len(mats._index), len(mats._leaves), len(mats._compiled), len(mats._roots),
+            len(mats._flat), len(mats.primitive_rows))
 
 
 def test_a_second_run_adds_nothing_to_the_owners(constructed):
@@ -173,16 +176,15 @@ def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
             lambda: harmonic_basis.__wrapped__(m, n, k)))
         assert all(id(op) in pieces_trees for _, op in trees(
             lambda: decompose_Hk.__wrapped__(m, n, k)))
-    assert all(op is mats.nabla2 for _, op in trees(lambda: PizzettiRows(m, n).row(4)))
 
-    compiled = []  # (held, tree) of every tree that any owner compiles
-    compile_words = OperatorMatrices._compile
+    compiled = []  # (held, tree) of every tree whose compiled words any owner reads
+    words_on = OperatorMatrices._words_on
 
-    def compile_spy(self, op, k):
+    def words_spy(self, op, k):
         compiled.append((id(op) in self._flat, op))
-        return compile_words(self, op, k)
+        return words_on(self, op, k)
 
-    monkeypatch.setattr(OperatorMatrices, "_compile", compile_spy)
+    monkeypatch.setattr(OperatorMatrices, "_words_on", words_spy)
     for cell in [(2, 1, 3), (4, 2, 3)]:  # (2|2) and (4|4)
         assert branching_explicit_check(*cell) == "verified"
     assert compiled and all(held for held, _ in compiled)
@@ -191,6 +193,32 @@ def test_the_callers_read_the_trees_the_owner_holds(monkeypatch):
         _piece_groups(rep_space(SpaceSpec("PkModR2", m, n, k)))
     assert any(op is mats.mul_theta2 for _, op in compiled)
     assert all(held for held, _ in compiled)
+
+
+def test_the_integrals_pass_builds_nothing_above_the_invariance_degree(monkeypatch):
+    degrees = []  # the degree of every leaf array built
+    leaf_arrays = OperatorMatrices._leaf_arrays
+
+    def leaf_spy(self, what, fermionic, k):
+        degrees.append(k)
+        return leaf_arrays(self, what, fermionic, k)
+
+    monkeypatch.setattr(OperatorMatrices, "_leaf_arrays", leaf_spy)
+    operator_matrices.cache_clear()
+    harmonic_basis.cache_clear()  # so that the pass builds the kernels it reads
+    assert checks.suite_integrals([(4, 2)], 6).status == "pass"
+    assert degrees and max(degrees) <= checks.INVARIANCE_K
+
+    applied = []  # every tree applied and every entry point of the owners called
+    for cls in (MultiplyBy, Differentiate, Scale, Add, Compose):
+        monkeypatch.setattr(cls, "apply", lambda self, f: applied.append(self))
+    for name in ("matrix", "apply", "power", "_apply", "_compile"):
+        monkeypatch.setattr(OperatorMatrices, name,
+                            lambda self, *args, _name=name: applied.append(_name))
+    degrees.clear()
+    T = PizzettiRows(4, 2)
+    assert all(type(x) is int for k in range(0, 9) for x in T.row(k).values())
+    assert applied == [] and degrees == []
 
 
 def test_check_all_builds_each_space_once(constructed):

@@ -469,7 +469,7 @@ def test_generator_words_are_the_flattened_trees():
         mats = OperatorMatrices(m, n)
         for (i, j) in pairs:
             mats.generator_image(i, j, {0: 1}, 2)
-        assert sum(map(len, mats._words.values())) == count
+        assert sum(len(words) for _, _, words in mats._compiled.values()) == count
 
 
 def test_the_two_laplace_beltrami_forms_keep_distinct_words():
@@ -538,7 +538,7 @@ def test_matrix_and_apply_refuse_a_tree_without_a_matrix(op, error):
         mats.matrix(op, 2)
     with pytest.raises(error):
         mats.apply(op, [{0: 1}], 2)
-    assert not mats._roots and not mats._words and mats._flat == held
+    assert not mats._roots and not mats._compiled and mats._flat == held
 
 
 def _top_level_flattens(monkeypatch, trees):

@@ -279,7 +279,7 @@ def test_berezin_density_truncates():
     for m in (1, 2, 3, 4):
         expected = SP.one() - theta2(1).scaled(Fraction(m, 2) - 1)
         assert berezin_density(m, 1) == expected
-        assert berezin_density_coefficients(m, 1) == [1, 1 - Fraction(m, 2)]
+        assert berezin_density_coefficients(m, 1) == (1, 1 - Fraction(m, 2))
         for n in range(0, 4):
             coeffs = berezin_density_coefficients(m, n)
             assert density_poly(coeffs, n) == berezin_density(m, n), (m, n)
@@ -288,11 +288,12 @@ def test_berezin_density_truncates():
 def test_the_closed_form_density_equals_its_recurrence():
     for m in range(1, 31):
         for n in range(0, 8):
-            assert berezin_density_coefficients(m, n) == reference.berezin_density_recurrence(m, n)
+            assert (berezin_density_coefficients(m, n)
+                    == tuple(reference.berezin_density_recurrence(m, n)))
     # for even m the factor 2r - m vanishes at r = m/2, and so does every later delta
-    assert berezin_density_coefficients(4, 3) == [1, -1, 0, 0]
-    assert berezin_density_coefficients(2, 2) == [1, 0, 0]
-    assert berezin_density_coefficients(3, 2) == [1, Fraction(-1, 2), Fraction(-1, 8)]
+    assert berezin_density_coefficients(4, 3) == (1, -1, 0, 0)
+    assert berezin_density_coefficients(2, 2) == (1, 0, 0)
+    assert berezin_density_coefficients(3, 2) == (1, Fraction(-1, 2), Fraction(-1, 8))
 
 
 def test_closed_form_phi_route_matches_its_definition_on_every_monomial():
@@ -398,6 +399,14 @@ def test_pizzetti_rows_match_the_tree_on_every_monomial():
                         (m, n, k, mono)
 
 
+def test_closed_form_rows_equal_the_chain_reference():
+    for m in range(1, 5):
+        for n in range(0, 3):
+            T = PizzettiRows(m, n)
+            for k in range(0, 9):
+                assert T.row(k) == reference.pizzetti_row_by_chain(m, n, k), (m, n, k)
+
+
 def test_pizzetti_rows_on_a_polynomial():
     m, n = 3, 1
     T = PizzettiRows(m, n)
@@ -497,6 +506,34 @@ def test_check_a_fails_where_the_forward_reference_fails():
             failures = integration.generator_failures(m, n, tampered, k)
             assert failures, (m, n, k)
             assert failures == reference.generator_failures(m, n, tampered, k), (m, n, k)
+
+
+def test_check_b_fails_where_the_column_reference_fails():
+    for (m, n, k) in [(2, 1, 2), (3, 2, 4), (4, 0, 4), (1, 1, 2), (1, 2, 3), (2, 2, 0)]:
+        assert integration.radial_failures(PizzettiRows(m, n), k) == [], (m, n, k)
+        tampered = []
+        for d in (k, k + 2):  # one row entry changed, in T(f) and in T(R^2 f)
+            T = PizzettiRows(m, n)
+            row = T.row(d)
+            if row:
+                T._rows[d] = {**row, min(row): row[min(row)] + 1}
+                tampered.append(T)
+        for d in (k, k + 2):  # one weight changed; to zero and to another pi power too
+            for w in (PizzettiRows(m, n).weight(d) * 3, ScaledRational.zero(),
+                      ScaledRational(1, 1)):
+                T = PizzettiRows(m, n)
+                T.weight = lambda e, _d=d, _w=w, _weight=T.weight: _w if e == _d else _weight(e)
+                tampered.append(T)
+        failing = 0
+        for T in tampered:
+            failures = integration.radial_failures(T, k)
+            assert failures == reference.radial_failures(T, k), (m, n, k)
+            failing += bool(failures)
+        assert failing or k % 2, (m, n, k)
+    # an odd degree compares structural zeros, which no row change reaches
+    T = PizzettiRows(2, 1)
+    T._rows[3] = {0: 1}
+    assert integration.radial_failures(T, 1) == reference.radial_failures(T, 1) == []
 
 
 def test_check_a_applies_no_generator_to_a_unit_column(monkeypatch):

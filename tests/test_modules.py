@@ -296,6 +296,30 @@ def test_the_certificate_refuses_an_image_out_of_the_subspace():
             is_irreducible(rep)
 
 
+def test_irreducibility_reads_back_an_image_where_it_applies_no_generator():
+    """Over the (0,1,1) piece of H_2(2|2) the one-group certificate decides,
+    and over the (0,3,0) piece of H_3(2|2) the closure seeds already span;
+    neither applies a generator of its own, and both pieces are not
+    invariant.  The invariant H_3 cap R^2 P_1 of (2|4), whose first tries
+    lie outside it, is not refused."""
+    m, n = 2, 1
+    for k, label in [(2, (0, 1, 1)), (3, (0, 3, 0))]:
+        piece = next(pc for pc in decompose_Hk(m, n, k) if (pc.l, pc.p, pc.q) == label)
+        rep = RepSpace(SpaceSpec("Hk", m, n, k), piece.basis, None, generator_pairs(m, n))
+        groups, _ = _piece_groups(rep)
+        if k == 2:
+            assert len(groups) == 1
+        else:
+            assert all(Subspace.from_vectors(vecs, rep.dim).dim == rep.dim for _, vecs in groups)
+        with pytest.raises(RuntimeError, match="out of its subspace"):
+            is_irreducible(rep)
+    sub = modules.hk_window_intersection(2, 2, 3)
+    rep = RepSpace(SpaceSpec("Hk", 2, 2, 3), sub, None, generator_pairs(2, 2))
+    _, tries = _piece_groups(rep)
+    assert not sub.contains(tries[0][0])
+    assert is_irreducible(rep)
+
+
 def _positive_multiple(u, v) -> bool:
     """u = c v for some c > 0."""
     if u.keys() != v.keys() or not u:
