@@ -40,13 +40,11 @@ from .harmonic import (
     bosonic_harmonics,
     decompose_Hk,
     dim_Hk,
-    f_poly,
     fermionic_harmonics,
     fischer,
     harmonic_basis,
     is_harmonic,
     projection_Q,
-    verify_lemma_Lf,
 )
 from .integration import (
     ScaledRational,

@@ -26,6 +26,7 @@ from .diffops import (
 )
 from .harmonic import (
     ProjectionOperator,
+    _primitive_rows,
     bosonic_eigenvalue,
     decompose_Hk,
     dim_Hk,
@@ -35,7 +36,7 @@ from .harmonic import (
     projection_Q,
 )
 from .integration import invariance_suite, pizzetti, supersphere_integral_phi
-from .linalg import Vec, _int_if_whole, _primitive
+from .linalg import Vec, _int_if_whole
 from .modules import (
     SpaceSpec,
     branching,
@@ -93,7 +94,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
 
     The two forms are evaluated from their own trees as matrices on P_k and
     compared column by column; the eigenvalue is checked on every row of the
-    harmonic basis, scaled to a primitive int vector, by a mat-vec with the
+    harmonic basis, as the owner's primitive int rows, by a mat-vec with the
     form A matrix.
     """
     report = Report("check lb", {"cells": cells, "k_max": k_max})
@@ -112,7 +113,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
                     report.fail(f"LB forms differ on {f} at ({m}|{2*n})")
                     break
             eig = -k * (M - 2 + k)
-            rows = [_primitive(v) for v in harmonic_basis(m, n, k).rows]
+            rows = _primitive_rows(m, n, k)
             for row, image in zip(rows, mats.apply(form_a, rows, k)):
                 if image != _lincomb((eig, row)):
                     eigen_ok = False
@@ -206,10 +207,10 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
     Every piece vector is checked to be a joint eigenvector of the two
     Laplace-Beltrami blocks (exact), the projector factor products then act by
     the exact scalar delta; on top, the operator products are applied
-    literally to a few vectors of every piece.  The vectors are scaled to
-    primitive int vectors, and each target's product runs once on all of them
-    by int factors (``_projector_images``): D Q v = delta D v holds exactly
-    when Q v = delta v does, since the scales are positive and D is not 0.
+    literally to a few vectors of every piece.  The pieces' primitive int
+    vectors are read as they are kept, and each target's product runs once on
+    all of them by int factors (``_projector_images``): D Q v = delta D v holds
+    exactly when Q v = delta v does, since D is not 0.
     """
     report = Report("check projections", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
@@ -226,7 +227,7 @@ def suite_projections(cells: list[tuple[int, int]], k_max: int) -> Report:
             for pc in pieces:
                 lam_b = bosonic_eigenvalue(m, pc.p)
                 lam_f = fermionic_eigenvalue(n, pc.q)
-                rows = [_primitive(v) for v in pc.basis.rows]
+                rows = pc.vectors
                 literal.append(rows[:LITERAL_VECTORS])
                 for v, wb, wf in zip(rows, mats.apply(lb_b, rows, k),
                                      mats.apply(lb_f, rows, k)):

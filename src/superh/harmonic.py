@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
@@ -32,9 +32,6 @@ from .diffops import (
     _lincomb,
     check_variables,
     operator_matrices,
-    osp_generator,
-    r2,
-    theta2,
     vec_to_poly,
 )
 
@@ -81,7 +78,7 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
     width = len(monomial_basis(m, n, k))  # refuses a basis above MAX_BASIS_DIM
     if k < 2:
         # nabla^2 lowers degree by 2, so every polynomial of degree < 2 is harmonic
-        return Subspace.from_vectors([{i: 1} for i in range(width)], width)
+        return Subspace(width, [(i, {i: 1}) for i in range(width)])
     # the equations are the rows of the nabla^2 matrix P_k -> P_{k-2}
     rows: list[Vec] = [{} for _ in range(dim_Pk(m, n, k - 2))]
     mats = operator_matrices(m, n)
@@ -127,12 +124,13 @@ def in_window(m: int, n: int, k: int) -> bool:
 
 @dataclass
 class FischerPiece:
-    j: int
-    subspace: Subspace
+    """The block R^{2j} H_{k-2j} of P_k: ``vectors`` span it (R^{2j} times the
+    owner's primitive int rows of H_{k-2j}, those that vanish left out), and
+    ``dim`` is its certified dimension."""
 
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
+    j: int
+    dim: int
+    vectors: list[Vec]
 
 
 @dataclass
@@ -178,39 +176,36 @@ def _fischer_dependency_witness(m: int, n: int, k: int) -> str | None:
 def fischer(m: int, n: int, k: int) -> FischerDecomposition:
     """Blocks R^{2j} H_{k-2j} of P_k with an exact direct-sum-and-span flag.
 
-    For m = 0 the blocks are theta^{2j} Hf_{k-2j}; blocks that multiply to zero
+    When rank_modp certifies the vectors of all blocks as a basis of P_k, the
+    sum is direct and each block's dim is its vector count; otherwise each
+    block's dim is its rank (mod p when full, else exact).  For m = 0 the
+    blocks are theta^{2j} Hf_{k-2j}; vectors and blocks that multiply to zero
     (the nilpotency truncation) are dropped.
     """
     if k < 0 or m < 0 or n < 0:
         raise ValueError("m, n, k must be nonnegative")
     width = dim_Pk(m, n, k)
-    pieces: list[FischerPiece] = []
-    all_vecs: list[Vec] = []
+    mats = operator_matrices(m, n)
+    blocks: list[tuple[int, list[Vec]]] = []
     for j in range(0, k // 2 + 1):
         deg = k - 2 * j
         if m == 0 and deg > 2 * n:
             continue
-        hb = harmonic_basis(m, n, deg)
-        if hb.dim == 0:
-            continue
-        mats = operator_matrices(m, n)
-        vecs = [v for v in mats.power(mats.mul_r2, hb.rows, deg, j) if v]
-        if not vecs:
-            continue
-        sub = Subspace.from_vectors(vecs, width)
-        pieces.append(FischerPiece(j, sub))
-        all_vecs.extend(vecs)
-    total = sum(p.dim for p in pieces)
-    direct = False
-    witness = None
+        if vecs := [v for v in mats.power(mats.mul_r2, _primitive_rows(m, n, deg), deg, j) if v]:
+            blocks.append((j, vecs))
+    all_vecs = [v for _, vecs in blocks for v in vecs]
     # full rank mod p certifies independence over Q; rank_modp is None when
-    # it refuses the vectors, and then the exact route below decides
-    if total == width and rank_modp(all_vecs, width) == total:
-        direct = True
-    else:
+    # it refuses the vectors, and then the routes below decide
+    direct = len(all_vecs) == width and rank_modp(all_vecs, width) == width
+    # a block's dim: its vector count where mod p certifies its full rank, else exact
+    pieces = [FischerPiece(j, len(vecs) if direct or rank_modp(vecs, width) == len(vecs)
+                           else rank_of_vectors(vecs, width), vecs) for j, vecs in blocks]
+    witness = None
+    if not direct:
         witness = _fischer_dependency_witness(m, n, k)
         if witness is None:
             # no structural dependency; settle it by exact elimination
+            total = sum(p.dim for p in pieces)
             direct = total == width and rank_of_vectors(all_vecs, width) == total
     return FischerDecomposition(m, n, k, pieces, direct, witness)
 
@@ -230,30 +225,27 @@ def _f_coefficients(k: int, p: int, q: int, m: int, n: int) -> list[Fraction]:
             for s in range(0, k + 1)]
 
 
-def f_poly(k: int, p: int, q: int, m: int, n: int) -> SuperPolynomial:
-    """The radial polynomial sum_s a_s r^(2k-2s) theta^(2s) making
-    f * Hb_p * Hf_q harmonic, a_s by `_f_coefficients`."""
-    if m < 1:
-        raise ValueError("f_poly requires m >= 1")
-    if not (0 <= q <= n and 0 <= k <= n - q and p >= 0):
-        raise ValueError(f"invalid f_poly parameters (k={k}, p={p}, q={q}) for ({m}|{2*n})")
-    rb, tf = r2(m, 0), theta2(n)
-    return sum((((rb ** (k - s)) * (tf ** s)).scaled(a)
-                for s, a in enumerate(_f_coefficients(k, p, q, m, n))), SuperPolynomial.zero())
-
-
 @dataclass
 class HarmonicPiece:
-    """One joint eigenspace f_{l,p,q} Hb_p Hf_q inside H_{2l+p+q}."""
+    """One joint eigenspace f_{l,p,q} Hb_p Hf_q inside H_k, k = 2l+p+q:
+    ``vectors`` are the primitive int vectors f b g of P_k, one per pair of
+    basis rows b of Hb_p and g of Hf_q (independent, as `decompose_Hk`
+    certifies), and ``basis``, their canonical echelon Subspace, is built on
+    first read."""
 
     l: int
     p: int
     q: int
-    basis: Subspace
+    vectors: list[Vec]
+    width: int  # dim P_k
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return len(self.vectors)
+
+    @cached_property
+    def basis(self) -> Subspace:
+        return Subspace.from_vectors(self.vectors, self.width)
 
 
 def piece_labels(m: int, n: int, k: int) -> list[tuple[int, int, int, int]]:
@@ -294,7 +286,8 @@ def _product_rows(m: int, n: int, p: int, q: int) -> list[Vec]:
 @lru_cache(maxsize=None)
 def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
     """Pieces f_{l,p,q} Hb_p Hf_q of H_k, picked by `piece_labels`; each is
-    checked harmonic and of full rank, and together they must span H_k.  f
+    checked harmonic, and the vectors of all pieces must be as many as dim H_k
+    and independent (``certified_full_rank``), so each piece has full rank.  f
     acts on the `_product_rows` by Horner in r_b^2 (held ``mul_rb2`` and
     ``mul_theta2``), its a_s ints over one positive common denominator."""
     if m < 1:
@@ -317,14 +310,12 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
                     for v, t in zip(mats.apply(mats.mul_rb2, vecs, d), theta)]
         if any(mats.apply(mats.nabla2, vecs, k)):
             raise RuntimeError(f"{name} is not harmonic")
-        sub = Subspace.from_vectors(vecs, width)
-        if sub.dim != len(vecs):  # also when a product vanishes
+        if not all(vecs):  # a product that vanishes
             raise RuntimeError(f"{name} has deficient rank")
-        pieces.append(HarmonicPiece(l, p, q, sub))
-        all_vecs.extend(vecs)
-    total = sum(piece.dim for piece in pieces)
-    expected = harmonic_basis(m, n, k).dim
-    if total != expected or not certified_full_rank(all_vecs, width):
+        pieces.append(HarmonicPiece(l, p, q, [_primitive(v) for v in vecs], width))
+        all_vecs.extend(pieces[-1].vectors)
+    if (len(all_vecs) != harmonic_basis(m, n, k).dim
+            or not certified_full_rank(all_vecs, width)):
         raise RuntimeError(
             f"piece decomposition of H_{k}({m}|{2*n}) does not reassemble the kernel")
     return tuple(pieces)
@@ -434,21 +425,3 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
             raise ZeroDenominator("fermionic factor cannot degenerate")
         ferm_factors.append((Fraction(j * (-2 * n - 2 + j)), denom))
     return ProjectionOperator(r, s, k, m, n, bos_factors, ferm_factors, fallback)
-
-
-# -- the structural identity for the radial polynomials ---------------------------
-
-
-def verify_lemma_Lf(k: int, p: int, q: int, m: int, n: int) -> bool:
-    """Exact identity L_{1,m+1} f_{k,p,q} = 2k (M/2+p+q+k-1) f_{k-1,p+1,q+1} x1 xg1."""
-    if m < 1 or n < 1:
-        raise ValueError("requires at least one bosonic and one fermionic pair")
-    f = f_poly(k, p, q, m, n)
-    lhs = osp_generator(1, m + 1, m, n).apply(f)
-    if k == 0:
-        return lhs.is_zero()
-    M = m - 2 * n
-    scalar = 2 * k * (Fraction(M, 2) + p + q + k - 1)
-    rhs = (f_poly(k - 1, p + 1, q + 1, m, n)
-           * SuperPolynomial.x(1) * SuperPolynomial.xg(1)).scaled(scalar)
-    return lhs == rhs

@@ -5,7 +5,8 @@ computes another way: R^2 and nabla^2 through the metric, the raised
 derivatives, graded commutators of the generators, the harmonic basis as
 polynomials, f^j times coordinate vectors through polynomials, the
 blocks of the explicit branching check as x1^eps R'^{2j} H'_l by polynomial
-powers, the pieces of H_k from polynomial products f * b * g, the leaf
+powers, their commutation with x1 vector by vector, submodule closures by
+a fixed point over the whole span, the pieces of H_k from polynomial products f * b * g, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
 components, the bosonic compositions by recursion, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
@@ -17,7 +18,8 @@ column, (b) by the columns of multiplication by R^2, and the orthogonality
 check by the columns of multiplication operators; the Pizzetti rows by the
 transposed chain of nabla^2 matrices; and the invariant densities by the
 same forward loop.  Also here
-are the helpers that only the tests use: the runner of acceptance criterion
+are the helpers that only the tests use: the radial polynomials f_poly and
+the identity of verify_lemma_Lf, the runner of acceptance criterion
 06, the bosonic degree of a monomial, a JSON form of ScaledRational,
 coordinates in a subspace's echelon basis (also read off in pivot order),
 and the conversions between polynomials and coordinate vectors
@@ -37,11 +39,11 @@ from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Sc
                             operator_sum, osp_generator, plain_partial, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.checks import Report
-from superh.harmonic import (bosonic_harmonics, f_poly, fermionic_harmonics, harmonic_basis,
-                             piece_labels, verify_lemma_Lf)
+from superh.harmonic import (_f_coefficients, bosonic_harmonics, fermionic_harmonics,
+                             harmonic_basis, piece_labels)
 from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
 from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
-from superh.modules import RepSpace
+from superh.modules import RepSpace, _branching_blocks
 from superh.superalgebra import (SuperMonomial, SuperPolynomial, _mul_monomials, dim_Pk,
                                  monomial_basis)
 
@@ -164,6 +166,37 @@ def branching_blocks_by_polynomials(m: int, n: int, k: int) -> dict[int, list[Ve
     return out
 
 
+def closure_by_fixed_point(rep: RepSpace, seeds: list[Vec]) -> Subspace:
+    """The smallest invariant subspace containing the seeds, by applying every
+    generator to every basis vector of the span until the span is stable: the
+    package applies the generators to the vectors new in each round only, and
+    stops as soon as the span is the whole module."""
+    span = Subspace.from_vectors(seeds, rep.dim)
+    while True:
+        images = [w for v in span.basis_vectors() for (i, j) in rep.gen_pairs
+                  if (w := rep.apply_generator(i, j, v))]
+        grown = Subspace.from_vectors(list(span.rows) + images, rep.dim)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def block_intertwiner_holds(m: int, n: int, k: int) -> bool:
+    """L_ab x1^{k-l} h = x1^{k-l} L_ab h for every subalgebra generator (a, b
+    >= 2) and every vector h of each shifted basis H'_l, l = 0..k, by the
+    generator images, vector by vector: the package certifies it once on the
+    generators' words instead (`modules._commutes_with_x1`)."""
+    mats = operator_matrices(m, n)
+    pairs = [(a, b) for (a, b) in generator_pairs(m, n) if a >= 2 and b >= 2]
+    for l, hs, polys in _branching_blocks(m, n, k):
+        for (a, b) in pairs:
+            moved = [mats.generator_image(a, b, h, l) for h in hs]
+            if ([mats.generator_image(a, b, p, k) for p in polys]
+                    != mats.power(mats.mul_x1, moved, l, k - l)):
+                return False
+    return True
+
+
 def piece_products(radial: SuperPolynomial, m: int, n: int, p: int,
                    q: int) -> list[SuperPolynomial]:
     """radial * b * g for b in Hb_p (outer) and g in Hf_q, the echelon rows
@@ -269,6 +302,33 @@ def fraction_intersection(a: list[Vec], b: list[Vec], width: int) -> list[tuple[
         meets.append({c: x for c in range(width)
                       if (x := sum(coeffs.get(i, 0) * v.get(c, 0) for i, v in enumerate(a)))})
     return fraction_rref(meets, width)
+
+
+def f_poly(k: int, p: int, q: int, m: int, n: int) -> SuperPolynomial:
+    """The radial polynomial sum_s a_s r^(2k-2s) theta^(2s) making
+    f * Hb_p * Hf_q harmonic, a_s by `harmonic._f_coefficients`."""
+    if m < 1:
+        raise ValueError("f_poly requires m >= 1")
+    if not (0 <= q <= n and 0 <= k <= n - q and p >= 0):
+        raise ValueError(f"invalid f_poly parameters (k={k}, p={p}, q={q}) for ({m}|{2*n})")
+    rb, tf = r2(m, 0), theta2(n)
+    return sum((((rb ** (k - s)) * (tf ** s)).scaled(a)
+                for s, a in enumerate(_f_coefficients(k, p, q, m, n))), SuperPolynomial.zero())
+
+
+def verify_lemma_Lf(k: int, p: int, q: int, m: int, n: int) -> bool:
+    """Exact identity L_{1,m+1} f_{k,p,q} = 2k (M/2+p+q+k-1) f_{k-1,p+1,q+1} x1 xg1."""
+    if m < 1 or n < 1:
+        raise ValueError("requires at least one bosonic and one fermionic pair")
+    f = f_poly(k, p, q, m, n)
+    lhs = osp_generator(1, m + 1, m, n).apply(f)
+    if k == 0:
+        return lhs.is_zero()
+    M = m - 2 * n
+    scalar = 2 * k * (Fraction(M, 2) + p + q + k - 1)
+    rhs = (f_poly(k - 1, p + 1, q + 1, m, n)
+           * SuperPolynomial.x(1) * SuperPolynomial.xg(1)).scaled(scalar)
+    return lhs == rhs
 
 
 def suite_lemma_lf(cells: list[tuple[int, int]]) -> Report:

@@ -20,19 +20,18 @@ from superh.harmonic import (
     decompose_Hk,
     dim_Hk,
     dim_H_fermionic,
-    f_poly,
     fermionic_harmonics,
     fischer,
     harmonic_basis,
     is_harmonic,
     piece_labels,
     projection_Q,
-    verify_lemma_Lf,
 )
 from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expected
 from superh.linalg import Subspace, _primitive
 
-from reference import pieces_by_polynomials, poly_to_vec, subspace_coordinates, subspace_polys
+from reference import (f_poly, fraction_rref, pieces_by_polynomials, poly_to_vec,
+                       subspace_coordinates, subspace_polys, verify_lemma_Lf)
 
 
 # -- independent oracle: kernel rank by dense elimination --------------------------
@@ -143,6 +142,40 @@ def test_fischer_purely_fermionic():
     assert [(p.j, p.dim) for p in fischer(0, 2, 4).pieces] == [(2, 1)]
 
 
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (4, 2), (2, 3)])
+def test_fischer_block_dims_are_exact_ranks_on_the_non_direct_cells(m, n):
+    """(2|2), (2|4), (4|4) and (2|6) at k <= 6: each block's dim is the rank of
+    its vectors by dense Fraction elimination, and the vectors span
+    R^{2j} H_{k-2j} as the canonical harmonic rows do."""
+    mats = operator_matrices(m, n)
+    direct = []
+    for k in range(0, 7):
+        fd = fischer(m, n, k)
+        direct.append(fd.direct_sum)
+        width = dim_Pk(m, n, k)
+        for piece in fd.pieces:
+            deg = k - 2 * piece.j
+            assert piece.dim == len(fraction_rref(piece.vectors, width)), (m, n, k, piece.j)
+            assert (Subspace.from_vectors(piece.vectors, width) == Subspace.from_vectors(
+                mats.power(mats.mul_r2, harmonic_basis(m, n, deg).rows, deg, piece.j), width))
+    assert not all(direct)
+
+
+def test_pieces_and_direct_fischer_blocks_build_no_echelon(monkeypatch):
+    """decompose_Hk keeps each piece's int vectors, certified together, and a
+    direct fischer counts the vectors of its blocks: neither builds a Subspace
+    from vectors.  A piece's basis is built on its first read, once."""
+    calls = []
+    from_vectors = Subspace.from_vectors
+    monkeypatch.setattr(Subspace, "from_vectors", staticmethod(
+        lambda vectors, width: calls.append(width) or from_vectors(vectors, width)))
+    pieces = decompose_Hk.__wrapped__(4, 2, 6)
+    fd = fischer(3, 1, 4)
+    assert fd.direct_sum and calls == []
+    assert pieces[0].basis is pieces[0].basis and len(calls) == 1
+    assert pieces[0].basis.dim == pieces[0].dim
+
+
 def test_fischer_witness_certifies_harmonicity(monkeypatch):
     # (2|6) has M = -4, so at k' = 4 the witness is R^2 h for h of degree 2
     m, n, k = 2, 3, 4
@@ -235,6 +268,27 @@ def test_pieces_equal_the_polynomial_route():
             for k in range(0, 7):
                 got = [(pc.l, pc.p, pc.q, pc.basis) for pc in decompose_Hk.__wrapped__(m, n, k)]
                 assert got == pieces_by_polynomials(m, n, k), (m, n, k)
+
+
+def test_pieces_refuse_a_vanishing_or_dependent_product(monkeypatch):
+    """No piece is echelonized on its own: a product that vanishes is refused
+    by name, and a dependent one by the rank certificate over all pieces."""
+    product_rows = harmonic._product_rows
+
+    def vanishing(m, n, p, q):
+        rows = product_rows(m, n, p, q)
+        return [{}] + rows[1:] if (p, q) == (1, 1) else rows
+
+    def repeated(m, n, p, q):
+        rows = product_rows(m, n, p, q)
+        return rows[:1] * len(rows) if (p, q) == (1, 1) else rows
+
+    monkeypatch.setattr(harmonic, "_product_rows", vanishing)
+    with pytest.raises(RuntimeError, match=r"piece \(0,1,1\) of H_2\(3\|2\) has deficient rank"):
+        decompose_Hk.__wrapped__(3, 1, 2)
+    monkeypatch.setattr(harmonic, "_product_rows", repeated)
+    with pytest.raises(RuntimeError, match="does not reassemble the kernel"):
+        decompose_Hk.__wrapped__(3, 1, 2)
 
 
 def test_pieces_are_joint_eigenspaces():

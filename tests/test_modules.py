@@ -11,6 +11,7 @@ from superh.diffops import (
     generator_pairs,
     laplace_beltrami,
     nabla2,
+    operator_matrices,
     osp_generator,
     r2,
     theta2,
@@ -30,6 +31,7 @@ from superh.modules import (
     SpaceSpec,
     _branching_blocks,
     _certify_strong_connectivity,
+    _commutes_with_x1,
     _nonzero_pieces,
     _piece_groups,
     _piece_inverse,
@@ -48,8 +50,9 @@ from superh.modules import (
     window_submodule_check,
 )
 
-from reference import (branching_blocks_by_polynomials, coords_of_poly, lift, piece_products,
-                       poly_to_vec, readoff_in_pivot_order, subspace_polys)
+from reference import (block_intertwiner_holds, branching_blocks_by_polynomials,
+                       closure_by_fixed_point, coords_of_poly, lift, piece_products, poly_to_vec,
+                       readoff_in_pivot_order, subspace_polys)
 
 
 def test_space_spec_validation():
@@ -218,6 +221,38 @@ def test_closure_from_any_seed_in_irreducible_module():
     rep = rep_space(SpaceSpec("Hk", 3, 1, 2))
     for v in rep.basis_coords():
         assert submodule_closure(rep, [v]).dim == rep.dim
+
+
+@pytest.mark.parametrize("kind, m, n, k", [("Hk", 2, 2, 4), ("Pk", 2, 1, 2),
+                                           ("PkModR2", 4, 2, 2), ("HkModSub", 2, 2, 3)])
+def test_closures_equal_the_fixed_point_over_the_whole_span(kind, m, n, k):
+    """From every basis vector, in band cells where proper submodules exist."""
+    rep = rep_space(SpaceSpec(kind, m, n, k))
+    for v in rep.basis_coords():
+        assert submodule_closure(rep, [v]) == closure_by_fixed_point(rep, [v]), (kind, v)
+
+
+def test_a_closure_applies_no_generator_once_its_span_is_full(monkeypatch):
+    events = []
+
+    def add(self, v, _add=Echelon.add):
+        grew = _add(self, v)
+        if self.dim == self.width:
+            events.append("full")
+        return grew
+
+    def apply_generator(self, i, j, coords, _apply=RepSpace.apply_generator):
+        events.append("apply")
+        return _apply(self, i, j, coords)
+
+    monkeypatch.setattr(Echelon, "add", add)
+    monkeypatch.setattr(RepSpace, "apply_generator", apply_generator)
+    for spec in [SpaceSpec("Hk", 3, 1, 2), SpaceSpec("Hk", 3, 2, 3), SpaceSpec("Pk", 2, 1, 1)]:
+        rep = rep_space(spec)
+        for v in rep.basis_coords():
+            events.clear()
+            assert submodule_closure(rep, [v]).dim == rep.dim, spec
+            assert "apply" in events and "apply" not in events[events.index("full"):], spec
 
 
 # -- irreducibility ------------------------------------------------------------------
@@ -434,12 +469,13 @@ def test_pk_seed_groups_are_the_radial_blocks():
     for (m, n) in [(2, 2), (3, 2)]:
         groups, _ = _piece_groups(rep_space(SpaceSpec("Pk", m, n, 4)))
         fd = fischer(m, n, 4)
-        blocks = {piece.j: piece.subspace for piece in fd.pieces}
+        blocks = {piece.j: Subspace.from_vectors(piece.vectors, dim_Pk(m, n, 4))
+                  for piece in fd.pieces}
         for label, vecs in groups:
             assert all(blocks[label[0]].contains(v) for v in vecs), (m, n, label)
         span = Subspace.from_vectors([v for _, vecs in groups for v in vecs], dim_Pk(m, n, 4))
         blocks_sum = Subspace.from_vectors(
-            [v for piece in fd.pieces for v in piece.subspace.rows], dim_Pk(m, n, 4))
+            [v for piece in fd.pieces for v in piece.vectors], dim_Pk(m, n, 4))
         assert span == blocks_sum and (span.dim == dim_Pk(m, n, 4)) == fd.direct_sum
 
 
@@ -621,6 +657,48 @@ def test_the_explicit_work_model_counts_the_subalgebra_pairs(monkeypatch):
             branching_explicit_check(m, n, k)
     monkeypatch.undo()
     assert branching_explicit_check(4, 2, 6) == "verified"
+
+
+# the 13 explicit cells of acceptance criterion 10, then (3|2) and (5|0) at k <= 4
+WORD_CHECK_CELLS = ([(2, 1, k) for k in range(0, 5)] + [(4, 1, k) for k in range(0, 4)]
+                    + [(4, 2, k) for k in range(0, 4)]
+                    + [(m, n, k) for (m, n) in [(3, 1), (5, 0)] for k in range(0, 5)])
+
+
+def _subalgebra_pairs(m, n):
+    return [(a, b) for (a, b) in generator_pairs(m, n) if a >= 2 and b >= 2]
+
+
+def test_the_word_check_agrees_with_the_identity_on_the_block_vectors():
+    for (m, n, k) in WORD_CHECK_CELLS:
+        assert _commutes_with_x1(operator_matrices(m, n), _subalgebra_pairs(m, n)), (m, n, k)
+        assert block_intertwiner_holds(m, n, k), (m, n, k)
+
+
+def test_a_generator_word_holding_d_dx1_is_refused(monkeypatch):
+    """L_23 of (4|2) given the words of L_12 too, in a fresh owner's store,
+    before any word is bound: still a module map of P_k / R^2 P_{k-2} (both
+    commute with R^2), but no longer one that commutes with x1.  The word
+    check refuses the cell, and the identity on the block vectors, which
+    ``generator_image`` evaluates by the same words, fails too."""
+    m, n, k = 4, 1, 2
+    assert branching_explicit_check(m, n, k) == "verified"
+    operator_matrices.cache_clear()
+    try:
+        mats = operator_matrices(m, n)
+        op = mats._hold(osp_generator(2, 3, m, n))
+        words, shift = mats._flat[id(op)][1]
+        extra, _ = mats._flat[id(mats._hold(osp_generator(1, 2, m, n)))][1]
+        assert any((1, False) in chain for chain in extra) and not words.keys() & extra.keys()
+        monkeypatch.setitem(mats._flat, id(op), (op, ({**words, **extra}, shift)))
+        assert not _commutes_with_x1(mats, _subalgebra_pairs(m, n))
+        assert (branching_explicit_check(m, n, k)
+                == "inconclusive: block intertwiner identity failed")
+        assert not block_intertwiner_holds(m, n, k)
+    finally:
+        monkeypatch.undo()
+        operator_matrices.cache_clear()
+    assert branching_explicit_check(m, n, k) == "verified"
 
 
 def test_the_branching_blocks_are_the_blocks_by_polynomial_powers():
