@@ -26,7 +26,6 @@ from .diffops import (
 )
 from .harmonic import (
     ProjectionOperator,
-    _primitive_rows,
     bosonic_eigenvalue,
     decompose_Hk,
     dim_Hk,
@@ -36,7 +35,7 @@ from .harmonic import (
     projection_Q,
 )
 from .integration import invariance_suite, pizzetti, supersphere_integral_phi
-from .linalg import Vec, _int_if_whole
+from .linalg import Vec, _int_if_whole, _primitive
 from .modules import (
     SpaceSpec,
     branching,
@@ -94,7 +93,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
 
     The two forms are evaluated from their own trees as matrices on P_k and
     compared column by column; the eigenvalue is checked on every row of the
-    harmonic basis, as the owner's primitive int rows, by a mat-vec with the
+    harmonic basis, scaled to a primitive int vector, by a mat-vec with the
     form A matrix.
     """
     report = Report("check lb", {"cells": cells, "k_max": k_max})
@@ -113,7 +112,7 @@ def suite_lb(cells: list[tuple[int, int]], k_max: int) -> Report:
                     report.fail(f"LB forms differ on {f} at ({m}|{2*n})")
                     break
             eig = -k * (M - 2 + k)
-            rows = _primitive_rows(m, n, k)
+            rows = [_primitive(v) for v in harmonic_basis(m, n, k).rows]
             for row, image in zip(rows, mats.apply(form_a, rows, k)):
                 if image != _lincomb((eig, row)):
                     eigen_ok = False

@@ -700,6 +700,12 @@ class OperatorMatrices:
             assert compiled[0] == 1  # the coefficients are entries of inv(g), integers
         return compiled[2]
 
+    def generator_differentiates(self, i: int, j: int, x: int) -> bool:
+        """Whether a word of ``osp_generator(i, j)``, as the owner holds it
+        (flattened once), holds the leaf d/dx_x of the bosonic variable x."""
+        words, _ = self._flat[id(self._hold(osp_generator(i, j, self.m, self.n)))][1]
+        return any((x, False) in chain for chain in words)
+
     def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
         """L_ij v for a coordinate vector v of P_k."""
         return _image(self._generator_words(i, j, k), v)

@@ -125,7 +125,7 @@ def in_window(m: int, n: int, k: int) -> bool:
 @dataclass
 class FischerPiece:
     """The block R^{2j} H_{k-2j} of P_k: ``vectors`` span it (R^{2j} times the
-    owner's primitive int rows of H_{k-2j}, those that vanish left out), and
+    rows of harmonic_basis(m, n, k-2j), those that vanish left out), and
     ``dim`` is its certified dimension."""
 
     j: int
@@ -191,7 +191,8 @@ def fischer(m: int, n: int, k: int) -> FischerDecomposition:
         deg = k - 2 * j
         if m == 0 and deg > 2 * n:
             continue
-        if vecs := [v for v in mats.power(mats.mul_r2, _primitive_rows(m, n, deg), deg, j) if v]:
+        rows = harmonic_basis(m, n, deg).rows
+        if vecs := [v for v in mats.power(mats.mul_r2, rows, deg, j) if v]:
             blocks.append((j, vecs))
     all_vecs = [v for _, vecs in blocks for v in vecs]
     # full rank mod p certifies independence over Q; rank_modp is None when
@@ -312,7 +313,8 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
             raise RuntimeError(f"{name} is not harmonic")
         if not all(vecs):  # a product that vanishes
             raise RuntimeError(f"{name} has deficient rank")
-        pieces.append(HarmonicPiece(l, p, q, [_primitive(v) for v in vecs], width))
+        # at l = 0 the products b g of primitive rows in disjoint variables are primitive
+        pieces.append(HarmonicPiece(l, p, q, [_primitive(v) for v in vecs] if l else vecs, width))
         all_vecs.extend(pieces[-1].vectors)
     if (len(all_vecs) != harmonic_basis(m, n, k).dim
             or not certified_full_rank(all_vecs, width)):

@@ -59,8 +59,8 @@ from typing import Iterable, Sequence
 from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPolynomial,
                            _mul_monomials, check_variable_count, monomial_basis)
 from .diffops import check_variables, operator_matrices, vec_to_poly
-from .harmonic import _primitive_rows, harmonic_basis
-from .linalg import Vec, _int_if_whole, kernel_of_equations
+from .harmonic import harmonic_basis
+from .linalg import Vec, _int_if_whole, _primitive, kernel_of_equations
 
 
 # -- scalars q * pi^(h/2) ------------------------------------------------------
@@ -385,8 +385,7 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         row(k+2) by ``radial_failures``;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
         k < l <= k_max, by the int pairing of ``orthogonality_failures``:
-        one pairing per (k, l) on the owner's primitive int rows of each
-        degree, no tree; a failure names the canonical rows' product.
+        one pairing per (k, l) and one int vector per harmonic, no tree.
     """
     T = PizzettiRows(m, n)
     failures = []
@@ -394,10 +393,9 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         failures += generator_failures(m, n, T.row(k), k)
         failures += radial_failures(T, k)
     for k in range(0, k_max + 1):
+        hk = harmonic_basis(m, n, k).rows
         for l in range(k + 1, k_max + 1):
-            failures += orthogonality_failures(
-                T, k, _primitive_rows(m, n, k), l, _primitive_rows(m, n, l),
-                (harmonic_basis(m, n, k).rows, harmonic_basis(m, n, l).rows))
+            failures += orthogonality_failures(T, k, hk, l, harmonic_basis(m, n, l).rows)
     return InvarianceReport(m, n, k_max, not failures, failures, T)
 
 
@@ -457,30 +455,29 @@ def _cofactor(mu: SuperMonomial, nu: SuperMonomial) -> SuperMonomial | None:
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
-                           l: int, b_rows: list[Vec], names=None) -> list:
+                           l: int, b_rows: list[Vec]) -> list:
     """Failures of T(a b) = 0 over all a in a_rows (of P_k) and b in b_rows (of P_l).
 
     T(a b) = weight(k + l) * a^T G b for the int pairing G of ``_pairing``,
     and only whether a^T G b vanishes is asked.  Nonzero scales ca, cb give
-    (ca a)^T G (cb b) = ca cb a^T G b, so the rows are decided exactly as
-    given, over ints for int rows (``invariance_suite`` hands the owner's
-    primitive int rows).  u_a = a^T G is formed once per a, and u_a . b must
-    vanish for every b.  When k + l is odd the row is structurally zero and
-    nothing is checked.  A failure names the product of the rows as given, or
-    of their places in ``names`` = (a_names, b_names), rows they are multiples of.
+    (ca a)^T G (cb b) = ca cb a^T G b, so the rows are scaled to primitive int
+    vectors (by positive scales) and every verdict is decided exactly over
+    ints.  u_a = a^T G is formed once per a, and u_a . b must vanish for every
+    b.  When k + l is odd the row is structurally zero and nothing is checked.
+    A failure names the product of the rows as given.
     """
     if (k + l) % 2:
         return []
     m, n = T.m, T.n
-    a_names, b_names = names or (a_rows, b_rows)
     pairing = _pairing(T.row(k + l), m, n, k, l)
+    b_ints = [_primitive(b) for b in b_rows]
     failures = []
-    for a, a_name in zip(a_rows, a_names):
-        u = _pair(pairing, a)
-        for b, b_name in zip(b_rows, b_names):
-            if _dot(u, b):
-                failures.append(("T(H_k H_l) != 0", (k, l), None, str(
-                    vec_to_poly(a_name, m, n, k) * vec_to_poly(b_name, m, n, l))))
+    for a in a_rows:
+        u = _pair(pairing, _primitive(a))
+        for b, b_int in zip(b_rows, b_ints):
+            if _dot(u, b_int):
+                failures.append(("T(H_k H_l) != 0", (k, l), None,
+                                 str(vec_to_poly(a, m, n, k) * vec_to_poly(b, m, n, l))))
     return failures
 
 

@@ -49,7 +49,7 @@ from .linalg import (
     _residues,
     certified_full_rank,
 )
-from .diffops import OperatorMatrices, generator_pairs, operator_matrices, osp_generator
+from .diffops import generator_pairs, operator_matrices
 from .harmonic import (
     _product_rows,
     decompose_Hk,
@@ -626,25 +626,16 @@ def _branching_blocks(m: int, n: int, k: int):
         yield l, hs, mats.power(mats.mul_x1, hs, l, k - l)
 
 
-def _commutes_with_x1(mats: OperatorMatrices, pairs) -> bool:
-    """True when no word of any L_ab, (a, b) in pairs, holds the leaf d/dx1.
-    Every other leaf commutes with multiplication by the even x1, so then
-    L_ab x1 v = x1 L_ab v for every vector v, by the very words that
-    ``generator_image`` runs: those the owner holds, flattened once."""
-    for a, b in pairs:
-        words, _ = mats._flat[id(mats._hold(osp_generator(a, b, mats.m, mats.n)))][1]
-        if any((1, False) in chain for chain in words):
-            return False
-    return True
-
-
 def branching_explicit_check(m: int, n: int, k: int) -> str:
     """Explicit decomposition certificate for the restricted simple module.
 
     The ambient quotient W = P_k / R^2 P_{k-2} splits under the subalgebra
     into explicit invariant blocks x1^{k-l} H'_l, one per l (`_branching_blocks`),
     each with the plain action: the subalgebra's generators commute with x1,
-    certified once on their words, not vector by vector (`_commutes_with_x1`).
+    certified once on the words the owner holds, not vector by vector: no word
+    holds the leaf d/dx1 (``generator_differentiates``), and every other leaf
+    commutes with multiplication by the even x1, so L_ab x1 v = x1 L_ab v for
+    every v, by the very words that ``generator_image`` runs.
     In W, x1^2 = -R'^2, R'^2 being the norm square on x2..xm and the Grassmann
     pairs, so each is the block x1^eps R'^{2j} H'_l (k - l = eps + 2j, eps
     = 0 or 1) up to the sign (-1)^j.  The simple module embeds as the image of
@@ -671,7 +662,7 @@ def branching_explicit_check(m: int, n: int, k: int) -> str:
     dimW = W.dim
     mats = operator_matrices(m, n)
     Mp = (m - 1) - 2 * n
-    if not _commutes_with_x1(mats, sub_pairs):
+    if any(mats.generator_differentiates(a, b, 1) for (a, b) in sub_pairs):
         return "inconclusive: block intertwiner identity failed"
 
     # explicit blocks of P_k/R^2 P_{k-2} under the subalgebra

@@ -185,7 +185,8 @@ def block_intertwiner_holds(m: int, n: int, k: int) -> bool:
     """L_ab x1^{k-l} h = x1^{k-l} L_ab h for every subalgebra generator (a, b
     >= 2) and every vector h of each shifted basis H'_l, l = 0..k, by the
     generator images, vector by vector: the package certifies it once on the
-    generators' words instead (`modules._commutes_with_x1`)."""
+    generators' words instead
+    (`OperatorMatrices.generator_differentiates`)."""
     mats = operator_matrices(m, n)
     pairs = [(a, b) for (a, b) in generator_pairs(m, n) if a >= 2 and b >= 2]
     for l, hs, polys in _branching_blocks(m, n, k):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
-from superh import diffops, harmonic, integration
+from superh import diffops, integration
 from superh.diffops import r2, theta2, osp_generator, generator_pairs
 from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
@@ -474,36 +474,6 @@ def test_the_pairing_fails_where_the_column_reference_fails():
             == reference.orthogonality_failures(T, k, scaled, l, b_rows)
             == [("T(H_k H_l) != 0", (2, 4), None,
                  str(SP.x(1, 2).scaled(Fraction(-3, 7)) * SP.x(2, 4)))])
-
-
-def test_the_suite_pairs_the_kept_int_rows_and_names_the_canonical_rows(monkeypatch):
-    """Check (c) of the invariance suite decides on the owner's primitive int
-    rows, scaling no row again, and names the product of the canonical rows:
-    with one entry of row(4) of (3|2) changed, its failures are the column
-    reference's on the canonical bases."""
-    m, n = 3, 1
-    row = PizzettiRows.row
-    tampered = dict(row(PizzettiRows(m, n), 4))
-    tampered[min(tampered)] += 1
-    monkeypatch.setattr(PizzettiRows, "row",
-                        lambda self, k: tampered if k == 4 else row(self, k))
-    for k in range(0, 5):
-        harmonic._primitive_rows(m, n, k)
-    calls = []
-
-    def counted(v, _primitive=harmonic._primitive):
-        calls.append(v)
-        return _primitive(v)
-
-    for module in (harmonic, integration):
-        monkeypatch.setattr(module, "_primitive", counted, raising=False)
-    report = invariance_suite(m, n, 4)
-    got = [f for f in report.failures if f[0] == "T(H_k H_l) != 0"]
-    want = [f for k in range(0, 5) for l in range(k + 1, 5)
-            for f in reference.orthogonality_failures(
-                report.functional, k, harmonic_basis(m, n, k).rows, l, harmonic_basis(m, n, l).rows)]
-    assert got == want and got
-    assert calls == []
 
 
 def test_transposed_generator_rows_equal_the_forward_reference():
