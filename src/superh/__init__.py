@@ -37,10 +37,8 @@ from .harmonic import (
     FischerDecomposition,
     HarmonicPiece,
     ProjectionOperator,
-    bosonic_harmonics,
     decompose_Hk,
     dim_Hk,
-    fermionic_harmonics,
     fischer,
     harmonic_basis,
     is_harmonic,

@@ -41,6 +41,8 @@ from typing import Sequence
 from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
+    _dx_image,
+    _dxg_image,
     check_variable_count,
     monomial_basis,
 )
@@ -347,9 +349,11 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # a basis monomial to at most one basis monomial, injectively, so on P_k it is
 # two int arrays (target row or -1, and value), and a word reads each column
 # through its leaves' arrays.  Only the derivative leaves are built from the
-# monomials: multiplication by a variable inverts its derivative one degree
-# up, and multiplication by a monomial chains its variables.  The coefficients of one sum are brought to
-# integers over a common denominator, which is multiplied in once at the end.
+# monomials, by the images `_dx_image` and `_dxg_image` that SuperPolynomial.dx
+# and dxg also use: multiplication by a variable inverts its derivative one
+# degree up, and multiplication by a monomial chains its variables.  The
+# coefficients of one sum are brought to integers over a common denominator,
+# which is multiplied in once at the end.
 # An entry is an int when it is whole and a Fraction otherwise: each function
 # that returns a vector narrows its entries by `_int_if_whole`.  Only the
 # leaf arrays depend on k.  The owner keeps what it holds, and nothing else: a
@@ -443,25 +447,6 @@ def _lincomb(*terms: tuple[int, Vec]) -> Vec:
         for r, x in v.items():
             out[r] = out.get(r, 0) + c * x
     return {r: _int_if_whole(x) for r, x in out.items() if x}
-
-
-def _dx_image(mono: SuperMonomial, i: int):
-    """d/dxi of a monomial as (coefficient, monomial), or None."""
-    for pos, (idx, e) in enumerate(mono.bosonic):
-        if idx == i:
-            rest = ((idx, e - 1),) if e > 1 else ()
-            return e, SuperMonomial(mono.bosonic[:pos] + rest + mono.bosonic[pos + 1:],
-                                    mono.fermionic)
-    return None
-
-
-def _dxg_image(mono: SuperMonomial, j: int):
-    """Left d/dxgj of a monomial: one sign per Grassmann factor passed."""
-    if j not in mono.fermionic:
-        return None
-    pos = mono.fermionic.index(j)
-    return (-1 if pos % 2 else 1), SuperMonomial(
-        mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
 
 
 def _image(words: list[tuple], v: Vec) -> Vec:

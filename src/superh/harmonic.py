@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .superalgebra import SuperMonomial, SuperPolynomial, dim_Pk, monomial_basis
 from .linalg import (
@@ -86,16 +86,6 @@ def harmonic_basis(m: int, n: int, k: int) -> Subspace:
         for t, coeff in col.items():
             rows[t][c] = coeff
     return kernel_of_equations(rows, width)
-
-
-def bosonic_harmonics(m: int, p: int) -> Subspace:
-    """Kernel of the bosonic Laplacian on degree-p polynomials in x1..xm."""
-    return harmonic_basis(m, 0, p)
-
-
-def fermionic_harmonics(n: int, q: int) -> Subspace:
-    """Kernel of the fermionic Laplacian on Grassmann degree q."""
-    return harmonic_basis(0, n, q)
 
 
 def is_harmonic(f: SuperPolynomial, m: int, n: int) -> bool:
@@ -231,22 +221,16 @@ class HarmonicPiece:
     """One joint eigenspace f_{l,p,q} Hb_p Hf_q inside H_k, k = 2l+p+q:
     ``vectors`` are the primitive int vectors f b g of P_k, one per pair of
     basis rows b of Hb_p and g of Hf_q (independent, as `decompose_Hk`
-    certifies), and ``basis``, their canonical echelon Subspace, is built on
-    first read."""
+    certifies)."""
 
     l: int
     p: int
     q: int
     vectors: list[Vec]
-    width: int  # dim P_k
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
-
-    @cached_property
-    def basis(self) -> Subspace:
-        return Subspace.from_vectors(self.vectors, self.width)
 
 
 def piece_labels(m: int, n: int, k: int) -> list[tuple[int, int, int, int]]:
@@ -314,7 +298,7 @@ def decompose_Hk(m: int, n: int, k: int) -> tuple[HarmonicPiece, ...]:
         if not all(vecs):  # a product that vanishes
             raise RuntimeError(f"{name} has deficient rank")
         # at l = 0 the products b g of primitive rows in disjoint variables are primitive
-        pieces.append(HarmonicPiece(l, p, q, [_primitive(v) for v in vecs] if l else vecs, width))
+        pieces.append(HarmonicPiece(l, p, q, [_primitive(v) for v in vecs] if l else vecs))
         all_vecs.extend(pieces[-1].vectors)
     if (len(all_vecs) != harmonic_basis(m, n, k).dim
             or not certified_full_rank(all_vecs, width)):

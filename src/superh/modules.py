@@ -111,9 +111,9 @@ class RepSpace:
     applying a generator to a module vector is a sparse mat-vec over them.
     """
 
-    def __init__(self, spec: SpaceSpec, sub: Subspace | None,
-                 divisor: Subspace | None, gen_pairs: list[tuple[int, int]]):
-        self.spec, self.sub, self.divisor, self.gen_pairs = spec, sub, divisor, gen_pairs
+    def __init__(self, spec: SpaceSpec, sub: Subspace | None, divisor: Subspace | None):
+        self.spec, self.sub, self.divisor = spec, sub, divisor
+        self.gen_pairs = generator_pairs(spec.m, spec.n)
         self.m, self.n, self.k = spec.m, spec.n, spec.k
         width = len(monomial_basis(spec.m, spec.n, spec.k)) if sub is None else sub.dim
         # the sub coordinates that serve as module coordinates, in order
@@ -198,7 +198,7 @@ def rep_space(spec: SpaceSpec) -> RepSpace:
         positions = {p: i for i, p in enumerate(sub.pivots)}
         rows = [_readoff(positions, row) for row in hk_window_intersection(m, n, k).rows]
         divisor = Subspace.from_vectors(rows, sub.dim)
-    rep = RepSpace(spec, sub, divisor, generator_pairs(m, n))
+    rep = RepSpace(spec, sub, divisor)
     _validate_rep(rep)
     return rep
 
@@ -532,7 +532,7 @@ def window_submodule_check(m: int, n: int, k: int) -> WindowReport:
         ok = False
         details.append("subspace identity FAILED")
     # the submodule is invariant iff every generator column stays in it
-    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+    sub_rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None)
     try:
         for (i, j) in sub_rep.gen_pairs:
             sub_rep.generator_matrix(i, j)

@@ -50,31 +50,15 @@ ONE_MONOMIAL = SuperMonomial((), ())
 def _merge_fermionic(a: tuple[int, ...], b: tuple[int, ...]):
     """Merge two ascending masks; return (sign, merged) or (0, None) on a repeat.
 
-    The sign counts the transpositions needed to sort the concatenation a+b.
+    The sign is that of the transpositions sorting the concatenation a+b: one
+    for each pair (x in b, y in a) with y > x.
     """
-    if not a:
-        return 1, b
-    if not b:
-        return 1, a
-    out = []
-    i, j = 0, 0
-    la = len(a)
-    sign = 1
-    while i < la and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        elif a[i] > b[j]:
-            # b[j] jumps over the remaining la - i elements of a
-            if (la - i) & 1:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-        else:
-            return 0, None
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return sign, tuple(out)
+    if not a or not b:
+        return 1, a or b
+    if not set(a).isdisjoint(b):
+        return 0, None
+    swaps = sum(y > x for x in b for y in a)
+    return (-1 if swaps % 2 else 1), tuple(sorted(a + b))
 
 
 def _mul_monomials(u: SuperMonomial, v: SuperMonomial):
@@ -92,6 +76,34 @@ def _mul_monomials(u: SuperMonomial, v: SuperMonomial):
             acc[idx] = acc.get(idx, 0) + e
         bos = tuple(sorted(acc.items()))
     return sign, SuperMonomial(bos, ferm)
+
+
+def _dx_image(mono: SuperMonomial, i: int):
+    """d/dxi of a monomial as (coefficient, monomial), or None."""
+    for pos, (idx, e) in enumerate(mono.bosonic):
+        if idx == i:
+            rest = ((idx, e - 1),) if e > 1 else ()
+            return e, SuperMonomial(mono.bosonic[:pos] + rest + mono.bosonic[pos + 1:],
+                                    mono.fermionic)
+    return None
+
+
+def _dxg_image(mono: SuperMonomial, j: int):
+    """Left d/dxgj of a monomial: one sign per Grassmann factor passed."""
+    if j not in mono.fermionic:
+        return None
+    pos = mono.fermionic.index(j)
+    return (-1 if pos % 2 else 1), SuperMonomial(
+        mono.bosonic, mono.fermionic[:pos] + mono.fermionic[pos + 1:])
+
+
+def _add_term(out: dict, mono: SuperMonomial, c) -> None:
+    """Add c * mono to the terms `out`, dropping a coefficient that cancels."""
+    s = out.get(mono, 0) + c
+    if s:
+        out[mono] = s
+    else:
+        out.pop(mono, None)
 
 
 Coefficient = Union[int, Fraction]
@@ -165,15 +177,7 @@ class SuperPolynomial:
             return self
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
-            else:
-                s = s + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
+            _add_term(out, mono, c)
         return SuperPolynomial(out)
 
     def __neg__(self) -> "SuperPolynomial":
@@ -199,16 +203,7 @@ class SuperPolynomial:
                 sign, mono = _mul_monomials(mu, mv)
                 if sign == 0:
                     continue
-                c = cu * cv if sign > 0 else -(cu * cv)
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
+                _add_term(out, mono, cu * cv if sign > 0 else -(cu * cv))
         return SuperPolynomial(out)
 
     def __rmul__(self, other):
@@ -226,42 +221,22 @@ class SuperPolynomial:
 
     # -- derivations ----------------------------------------------------
 
-    def dx(self, i: int) -> "SuperPolynomial":
-        """Ordinary partial derivative with respect to the bosonic xi."""
+    def _derivative(self, image, index: int) -> "SuperPolynomial":
+        """The sum of the monomial derivative images, each times its coefficient."""
         out: dict[SuperMonomial, Fraction] = {}
         for mono, c in self.terms.items():
-            for pos, (idx, e) in enumerate(mono.bosonic):
-                if idx == i:
-                    if e == 1:
-                        bos = mono.bosonic[:pos] + mono.bosonic[pos + 1:]
-                    else:
-                        bos = mono.bosonic[:pos] + ((idx, e - 1),) + mono.bosonic[pos + 1:]
-                    new = SuperMonomial(bos, mono.fermionic)
-                    v = out.get(new, Fraction(0)) + c * e
-                    if v:
-                        out[new] = v
-                    elif new in out:
-                        del out[new]
-                    break
+            im = image(mono, index)
+            if im is not None:
+                _add_term(out, im[1], c * im[0])
         return SuperPolynomial(out)
+
+    def dx(self, i: int) -> "SuperPolynomial":
+        """Ordinary partial derivative with respect to the bosonic xi."""
+        return self._derivative(_dx_image, i)
 
     def dxg(self, j: int) -> "SuperPolynomial":
         """Left Grassmann derivative with respect to xgj."""
-        out: dict[SuperMonomial, Fraction] = {}
-        for mono, c in self.terms.items():
-            ferm = mono.fermionic
-            try:
-                pos = ferm.index(j)
-            except ValueError:
-                continue
-            new = SuperMonomial(mono.bosonic, ferm[:pos] + ferm[pos + 1:])
-            v = c if pos % 2 == 0 else -c
-            s = out.get(new, Fraction(0)) + v
-            if s:
-                out[new] = s
-            elif new in out:
-                del out[new]
-        return SuperPolynomial(out)
+        return self._derivative(_dxg_image, j)
 
     # -- grading ----------------------------------------------------------
 

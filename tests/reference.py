@@ -8,7 +8,8 @@ blocks of the explicit branching check as x1^eps R'^{2j} H'_l by polynomial
 powers, their commutation with x1 vector by vector, submodule closures by
 a fixed point over the whole span, the pieces of H_k from polynomial products f * b * g, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
-components, the bosonic compositions by recursion, the reduced
+components, the bosonic compositions by recursion, a Grassmann word
+sorted by adjacent swaps, the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
 lift of module coordinates, the phi# route of the supersphere integral by its
 definition (phi# on Laurent functions of r^2, and the Berezin integral), the
@@ -39,8 +40,7 @@ from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Sc
                             operator_sum, osp_generator, plain_partial, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.checks import Report
-from superh.harmonic import (_f_coefficients, bosonic_harmonics, fermionic_harmonics,
-                             harmonic_basis, piece_labels)
+from superh.harmonic import _f_coefficients, harmonic_basis, piece_labels
 from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
 from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
 from superh.modules import RepSpace, _branching_blocks
@@ -202,9 +202,9 @@ def piece_products(radial: SuperPolynomial, m: int, n: int, p: int,
                    q: int) -> list[SuperPolynomial]:
     """radial * b * g for b in Hb_p (outer) and g in Hf_q, the echelon rows
     as polynomials; radial * b is formed once per b."""
-    hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
+    hf = subspace_polys(harmonic_basis(0, n, q), 0, n, q)
     out = []
-    for b in subspace_polys(bosonic_harmonics(m, p), m, 0, p):
+    for b in subspace_polys(harmonic_basis(m, 0, p), m, 0, p):
         rb = radial * b
         out.extend(rb * g for g in hf)
     return out
@@ -261,6 +261,23 @@ def bosonic_compositions_recursive(total: int, parts: int, slot: int = 1) -> lis
         rests = bosonic_compositions_recursive(total - first, parts, slot + 1)
         out += [((slot, first),) + rest for rest in rests] if first else rests
     return out
+
+
+def normalize_word(word):
+    """Sort a list of Grassmann indices, counting swaps; None if repeated."""
+    word = list(word)
+    sign = 1
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(word) - 1):
+            if word[i] == word[i + 1]:
+                return 0, None
+            if word[i] > word[i + 1]:
+                word[i], word[i + 1] = word[i + 1], word[i]
+                sign = -sign
+                changed = True
+    return sign, tuple(word)
 
 
 def fraction_rref(vectors: list[Vec], width: int) -> list[tuple[int, dict]]:

@@ -10,12 +10,17 @@ primitive harmonic rows do not grow when a check runs again or when a tree built
 per call enters it by any entry point; that clearing the owners clears the
 trees built from them; that the integrals pass builds no leaf array above
 its invariance degree; and a fixed list of the package's caches, so that a
-new one is added on purpose.
+new one is added on purpose.  `bench/tracer.py` reads the ring methods and
+operator entry points by name; one test installs it, reads its metrics and
+uninstalls it.
 """
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from superh.diffops import (Add, Compose, Differentiate, LinearOperator, Multipl
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.integration import PizzettiRows
 from superh.modules import SpaceSpec, _piece_groups, branching_explicit_check, rep_space
+from superh.superalgebra import parse
 
 from reference import generator_commutator
 
@@ -72,6 +78,40 @@ def test_the_package_caches_are_the_listed_ones():
         if names:
             found[info.name] = names
     assert found == PACKAGE_CACHES
+
+
+def _bindings():
+    """Every name bound in a module of the package, and in each class it defines."""
+    out = {}
+    for modname, mod in list(sys.modules.items()):
+        if modname == "superh" or modname.startswith("superh."):
+            for name, obj in vars(mod).items():
+                out[modname, name] = obj
+                if isinstance(obj, type) and obj.__module__ == modname:
+                    out.update({(modname, name, attr): member
+                                for attr, member in vars(obj).items()})
+    return out
+
+
+def test_the_bench_tracer_reads_the_names_it_wraps():
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    before = _bindings()
+    tracer = tracer_module.Tracer().install()
+    try:
+        nabla2(2, 1).apply(parse("x1^2 - xg1*xg2"))
+        checks.suite_dims([(2, 1)], 1)
+        tracer.metrics()  # raises KeyError when a name it reads is gone
+        for name in ("__mul__", "__rmul__", "__add__", "scaled", "dx", "dxg"):
+            assert f"superalgebra.SuperPolynomial.{name}" in tracer.calls, name
+        assert tracer.calls["diffops.Add.apply"] >= 1
+    finally:
+        tracer.uninstall()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [key for key in before if after[key] is not before[key]] == []
 
 
 @pytest.fixture

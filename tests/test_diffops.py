@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superh.superalgebra import SuperPolynomial as SP, monomial_basis, render
+from superh.superalgebra import SuperPolynomial as SP, dim_Pk, monomial_basis, render
 import time
 
 from superh import diffops
@@ -612,7 +612,7 @@ def test_apply_on_vectors_matches_the_projector_tree():
         for pc in decompose_Hk(m, n, k):
             Q = projection_Q(pc.l, pc.q, k, m, n)
             for piece in decompose_Hk(m, n, k):
-                rows = piece.basis.rows
+                rows = Subspace.from_vectors(piece.vectors, dim_Pk(m, n, k)).rows
                 vecs = rows
                 for lb, shift, denom in reversed(Q.factors):
                     vecs = [_lincomb((1 / denom, w), (shift / denom, v))

@@ -16,11 +16,9 @@ from superh.diffops import (
 from superh import harmonic
 from superh.harmonic import (
     _fischer_dependency_witness,
-    bosonic_harmonics,
     decompose_Hk,
     dim_Hk,
     dim_H_fermionic,
-    fermionic_harmonics,
     fischer,
     harmonic_basis,
     is_harmonic,
@@ -28,7 +26,7 @@ from superh.harmonic import (
     projection_Q,
 )
 from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expected
-from superh.linalg import Subspace, _primitive
+from superh.linalg import Subspace, _primitive, rank_of_vectors
 
 from reference import (f_poly, fraction_rref, pieces_by_polynomials, poly_to_vec,
                        subspace_coordinates, subspace_polys, verify_lemma_Lf)
@@ -99,12 +97,12 @@ def test_kernel_vectors_are_harmonic():
 
 
 def test_bosonic_fermionic_harmonics():
-    assert bosonic_harmonics(2, 1).dim == 2
-    assert fermionic_harmonics(1, 2).dim == 0  # xg1*xg2 is not in the kernel
-    assert fermionic_harmonics(2, 2).dim == 5
+    assert harmonic_basis(2, 0, 1).dim == 2
+    assert harmonic_basis(0, 1, 2).dim == 0  # xg1*xg2 is not in the kernel
+    assert harmonic_basis(0, 2, 2).dim == 5
     for n in (1, 2):
         for q in range(0, 2 * n + 1):
-            assert fermionic_harmonics(n, q).dim == dim_H_fermionic(n, q)
+            assert harmonic_basis(0, n, q).dim == dim_H_fermionic(n, q)
 
 
 # -- radial decomposition -----------------------------------------------------------
@@ -164,7 +162,7 @@ def test_fischer_block_dims_are_exact_ranks_on_the_non_direct_cells(m, n):
 def test_pieces_and_direct_fischer_blocks_build_no_echelon(monkeypatch):
     """decompose_Hk keeps each piece's int vectors, certified together, and a
     direct fischer counts the vectors of its blocks: neither builds a Subspace
-    from vectors.  A piece's basis is built on its first read, once."""
+    from vectors."""
     calls = []
     from_vectors = Subspace.from_vectors
     monkeypatch.setattr(Subspace, "from_vectors", staticmethod(
@@ -172,8 +170,7 @@ def test_pieces_and_direct_fischer_blocks_build_no_echelon(monkeypatch):
     pieces = decompose_Hk.__wrapped__(4, 2, 6)
     fd = fischer(3, 1, 4)
     assert fd.direct_sum and calls == []
-    assert pieces[0].basis is pieces[0].basis and len(calls) == 1
-    assert pieces[0].basis.dim == pieces[0].dim
+    assert rank_of_vectors(pieces[0].vectors, dim_Pk(4, 2, 6)) == pieces[0].dim
 
 
 def test_fischer_witness_certifies_harmonicity(monkeypatch):
@@ -203,10 +200,10 @@ def test_f_poly_examples():
 def test_f_poly_makes_products_harmonic():
     for (m, n) in [(2, 1), (3, 2), (2, 2)]:
         for q in range(0, n + 1):
-            hf = subspace_polys(fermionic_harmonics(n, q), 0, n, q)
+            hf = subspace_polys(harmonic_basis(0, n, q), 0, n, q)
             for k in range(0, n - q + 1):
                 for p in range(0, 3):
-                    hb = subspace_polys(bosonic_harmonics(m, p), m, 0, p)
+                    hb = subspace_polys(harmonic_basis(m, 0, p), m, 0, p)
                     f = f_poly(k, p, q, m, n)
                     for b in hb[:2]:
                         for g in hf[:2]:
@@ -266,7 +263,8 @@ def test_pieces_equal_the_polynomial_route():
     for m in range(1, 5):
         for n in range(0, 3):
             for k in range(0, 7):
-                got = [(pc.l, pc.p, pc.q, pc.basis) for pc in decompose_Hk.__wrapped__(m, n, k)]
+                got = [(pc.l, pc.p, pc.q, Subspace.from_vectors(pc.vectors, dim_Pk(m, n, k)))
+                       for pc in decompose_Hk.__wrapped__(m, n, k)]
                 assert got == pieces_by_polynomials(m, n, k), (m, n, k)
 
 
@@ -298,7 +296,7 @@ def test_pieces_are_joint_eigenspaces():
         for pc in decompose_Hk(m, n, k):
             lam_b = Fraction(-pc.p * (m - 2 + pc.p))
             lam_f = Fraction(-pc.q * (-2 * n - 2 + pc.q))
-            for row in pc.basis.rows:
+            for row in Subspace.from_vectors(pc.vectors, dim_Pk(m, n, k)).rows:
                 v = vec_to_poly(dict(row), m, n, k)
                 assert lb_b.apply(v) == v.scaled(lam_b)
                 assert lb_f.apply(v) == v.scaled(lam_f)
@@ -320,7 +318,7 @@ def test_projection_delta_action():
             Q = projection_Q(tgt.l, tgt.q, k, m, n)
             for src in pieces:
                 keep = (src.l, src.q) == (tgt.l, tgt.q)
-                for row in src.basis.rows[:2]:
+                for row in Subspace.from_vectors(src.vectors, dim_Pk(m, n, k)).rows[:2]:
                     v = vec_to_poly(dict(row), m, n, k)
                     img = Q.apply(v)
                     assert img == (v if keep else SP.zero()), (m, n, k)
@@ -330,7 +328,7 @@ def test_projection_spec_example():
     # target (r=1, s=0) of H_2(3|2): kills (0,2,0) and (0,1,1), keeps (1,0,0)
     Q = projection_Q(1, 0, 2, 3, 1)
     for pc in decompose_Hk(3, 1, 2):
-        v = vec_to_poly(dict(pc.basis.rows[0]), 3, 1, 2)
+        v = vec_to_poly(dict(Subspace.from_vectors(pc.vectors, dim_Pk(3, 1, 2)).rows[0]), 3, 1, 2)
         img = Q.apply(v)
         if (pc.l, pc.q) == (1, 0):
             assert img == v
@@ -342,7 +340,7 @@ def test_projection_fallback_on_one_bosonic_variable():
     Q = projection_Q(1, 0, 2, 1, 1)
     assert Q.spectral_fallback
     for pc in decompose_Hk(1, 1, 2):
-        v = vec_to_poly(dict(pc.basis.rows[0]), 1, 1, 2)
+        v = vec_to_poly(dict(Subspace.from_vectors(pc.vectors, dim_Pk(1, 1, 2)).rows[0]), 1, 1, 2)
         img = Q.apply(v)
         assert img == (v if (pc.l, pc.q) == (1, 0) else SP.zero())
 
@@ -356,7 +354,8 @@ def test_the_int_projector_chain_is_the_projector_times_its_scale(m, n):
     fallback = False
     for k in range(0, 5):
         pieces = decompose_Hk(m, n, k)
-        vecs = [_primitive(v) for pc in pieces for v in pc.basis.rows[:LITERAL_VECTORS]]
+        vecs = [_primitive(v) for pc in pieces
+                for v in Subspace.from_vectors(pc.vectors, dim_Pk(m, n, k)).rows[:LITERAL_VECTORS]]
         for tgt in pieces:
             Q = projection_Q(tgt.l, tgt.q, k, m, n)
             fallback = fallback or Q.spectral_fallback

@@ -101,7 +101,7 @@ def test_images_that_leave_the_subspace_are_refused():
     # span{x1} in (2|2) is not invariant: L_12 maps x1 to a multiple of x2
     m, n, k = 2, 1, 1
     sub = Subspace.from_vectors([poly_to_vec(SP.x(1), m, n, k)], dim_Pk(m, n, k))
-    rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+    rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None)
     with pytest.raises(RuntimeError):
         rep.apply_generator(1, 2, {0: Fraction(1)})
     with pytest.raises(RuntimeError):
@@ -320,8 +320,8 @@ def test_the_certificate_refuses_an_image_out_of_the_subspace():
     m, n, k = 2, 1, 2
     pieces = [pc for pc in decompose_Hk(m, n, k) if pc.q == 0]
     for chosen in (pieces, pieces[:1]):
-        sub = Subspace.from_vectors([v for pc in chosen for v in pc.basis.rows], dim_Pk(m, n, k))
-        rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None, generator_pairs(m, n))
+        sub = Subspace.from_vectors([v for pc in chosen for v in Subspace.from_vectors(pc.vectors, dim_Pk(m, n, k)).rows], dim_Pk(m, n, k))
+        rep = RepSpace(SpaceSpec("Hk", m, n, k), sub, None)
         if chosen is pieces:
             groups, tries = _piece_groups(rep)
             assert [label for label, _ in groups] == [(pc.l, pc.p, pc.q) for pc in pieces]
@@ -340,7 +340,8 @@ def test_irreducibility_reads_back_an_image_where_it_applies_no_generator():
     m, n = 2, 1
     for k, label in [(2, (0, 1, 1)), (3, (0, 3, 0))]:
         piece = next(pc for pc in decompose_Hk(m, n, k) if (pc.l, pc.p, pc.q) == label)
-        rep = RepSpace(SpaceSpec("Hk", m, n, k), piece.basis, None, generator_pairs(m, n))
+        basis = Subspace.from_vectors(piece.vectors, dim_Pk(m, n, k))
+        rep = RepSpace(SpaceSpec("Hk", m, n, k), basis, None)
         groups, _ = _piece_groups(rep)
         if k == 2:
             assert len(groups) == 1
@@ -349,7 +350,7 @@ def test_irreducibility_reads_back_an_image_where_it_applies_no_generator():
         with pytest.raises(RuntimeError, match="out of its subspace"):
             is_irreducible(rep)
     sub = modules.hk_window_intersection(2, 2, 3)
-    rep = RepSpace(SpaceSpec("Hk", 2, 2, 3), sub, None, generator_pairs(2, 2))
+    rep = RepSpace(SpaceSpec("Hk", 2, 2, 3), sub, None)
     _, tries = _piece_groups(rep)
     assert not sub.contains(tries[0][0])
     assert is_irreducible(rep)
@@ -734,6 +735,6 @@ def test_quotient_charts_are_well_defined():
     from superh.modules import RepSpace, _validate_rep
     m, n, k = 2, 1, 2
     bogus = Subspace.from_vectors([poly_to_vec(SP.x(1, 2), m, n, k)], 8)
-    rep = RepSpace(SpaceSpec("PkModR2", m, n, k), None, bogus, generator_pairs(m, n))
+    rep = RepSpace(SpaceSpec("PkModR2", m, n, k), None, bogus)
     with pytest.raises(RuntimeError):
         _validate_rep(rep)

@@ -9,6 +9,7 @@ from superh.superalgebra import (
     SuperMonomial,
     SuperPolynomial,
     _bosonic_compositions,
+    _merge_fermionic,
     dim_Pk,
     monomial_basis,
     parse,
@@ -19,29 +20,10 @@ from reference import (
     bosonic_compositions_recursive,
     homogeneous_component,
     homogeneous_components,
+    normalize_word,
 )
 
 SP = SuperPolynomial
-
-
-# -- independent oracle: normalize a Grassmann word by bubble sort ---------------
-
-
-def normalize_word(word):
-    """Sort a list of Grassmann indices, counting swaps; None if repeated."""
-    word = list(word)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(word) - 1):
-            if word[i] == word[i + 1]:
-                return 0, None
-            if word[i] > word[i + 1]:
-                word[i], word[i + 1] = word[i + 1], word[i]
-                sign = -sign
-                changed = True
-    return sign, tuple(word)
 
 
 def product_of_word(word):
@@ -63,6 +45,15 @@ def test_grassmann_word_against_bubble_sort(word):
 
 
 # -- multiplication -----------------------------------------------------------
+
+
+def test_mask_merge_against_adjacent_swaps():
+    """Every pair of Grassmann masks over 2n <= 8 generators, the smaller
+    generator counts included as the masks that avoid the top indices."""
+    masks = [tuple(j for j in range(1, 9) if bits >> (j - 1) & 1) for bits in range(256)]
+    for a in masks:
+        for b in masks:
+            assert _merge_fermionic(a, b) == normalize_word(a + b), (a, b)
 
 
 def test_nilpotent_generator():
