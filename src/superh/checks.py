@@ -259,25 +259,22 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
                     seed: int = 20240) -> Report:
     """Pizzetti and phi# agree on every monomial, and T is osp-invariant.
 
-    Each monomial's tree Pizzetti value is also compared with the row
-    functional that the invariance checks used, so that functional is
-    certified on every monomial of degree <= k_max.  `seed` has no effect (the
-    invariance checks sample nothing); it is accepted for callers that pass it.
+    ``pizzetti`` reads the same closed-form entries as the rows that the
+    invariance checks evaluate T by, so comparing it with the independent
+    phi# route certifies those entries on every monomial of degree <= k_max.
+    `seed` has no effect (the invariance checks sample nothing); it is
+    accepted for callers that pass it.
     """
     report = Report("check integrals", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
         inv = invariance_suite(m, n, min(k_max, INVARIANCE_K))
         equal_ok = True
         for k in range(0, k_max + 1):
-            for c, mono in enumerate(monomial_basis(m, n, k)):
+            for mono in monomial_basis(m, n, k):
                 f = SuperPolynomial.monomial(mono)
-                value = pizzetti(f, m, n)
-                if value != supersphere_integral_phi(f, m, n):
+                if pizzetti(f, m, n) != supersphere_integral_phi(f, m, n):
                     equal_ok = False
                     report.fail(f"integral routes differ on {f} at ({m}|{2*n})")
-                if value != inv.functional.value({c: 1}, k):
-                    equal_ok = False
-                    report.fail(f"Pizzetti row and tree differ on {f} at ({m}|{2*n})")
         M = m - 2 * n
         report.rows.append({"m": m, "n": n, "routes": "pass" if equal_ok else "fail",
                             "invariance": "pass" if inv.passed else "fail",

@@ -11,9 +11,7 @@ outside (m|2n); an expression that starts with '-' goes after `--`, as in
 `superh integrate -m 2 -n 1 -- "-x1^2"`.  A command that would build a
 monomial basis larger than MAX_BASIS_DIM, or operator trees on more variables
 m + 2n than that, exits 2 naming the limit; `check` tests its cells before any
-work.  `integrate` also exits 2 naming the limit when its Pizzetti walk reaches
-a nabla^{2j} f of more than MAX_BASIS_DIM terms (x1^2*...*x32^2 would need
-C(32, 16) of them).  No check samples, so `check` has no seed.
+work.  No check samples, so `check` has no seed.
 When the reader of stdout closes it early (`superh dims ... | head -1`), the
 rest of the output is dropped and the exit code is still the verdict's.
 """

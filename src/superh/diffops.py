@@ -844,8 +844,7 @@ def killing_check(coeffs: dict[int, SuperPolynomial], m: int, n: int) -> bool:
     zero = SuperPolynomial.zero()
 
     def nabla_up(jj: int, f: SuperPolynomial) -> SuperPolynomial:
-        d = plain_partial(jj, m, n).apply(f)
-        return -d if jj > m else d
+        return f.dx(jj) if jj <= m else -f.dxg(jj - m)
 
     for j, k in pairs:
         fj = coeffs.get(j, zero)

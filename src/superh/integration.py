@@ -13,21 +13,19 @@ Gamma-function bookkeeping of the two integral representations:
 Both routes are exact and must agree on polynomials; this equality is part of
 the acceptance suite, so neither side may be expressed through the other.
 
-The Pizzetti sum has two evaluators.  ``pizzetti`` applies nabla^2 to one
-polynomial again and again, over int terms (f scaled once by the lcm of its
-denominators), each term differentiated only by the variables it holds
-(``_nabla2_ints``; the nabla^2 tree is its reference in tests); it serves
-one-off integrals (``superh integrate``) and the comparison of the two
-routes, and it refuses a walk whose nabla^{2j} f holds more than
-MAX_BASIS_DIM terms.  ``PizzettiRows`` holds T on P_k as one int row times
-one weight, both in closed form from factorials; the transposed chain of
-nabla^2 matrices that gives the same rows is the tests' reference
-(``tests/reference.py``), and the walk certifies each row value on every
-monomial of the integrals check.  The checks of ``invariance_suite``
-evaluate T by its rows, never apply a tree and build no operator above
-their top degree.  Check (a) reads row^T L_ij transposed, from the row's
-support through the generators' inverse leaf maps
-(``OperatorMatrices.generator_transposes``); check (b) reads
+The Pizzetti sum is written once, in closed form: (nabla^k x^c)(0) vanishes
+unless x^c = x^{2 alpha} theta^P of degree k = 2J, P a union of whole pairs,
+and is then a product of factorials (``_row_entry``).  So only j = k/2 of
+the sum sees the term x^c, and ``pizzetti`` sums weight(M, deg/2) times the
+entry over the terms of f; it serves one-off integrals (``superh
+integrate``) and the comparison of the two routes.  ``PizzettiRows`` holds T
+on P_k as one int row of the same entries times one weight.  The walk of
+nabla^2 that defines the sum, and the transposed chain of nabla^2 matrices
+that gives the rows, are the tests' references (``tests/reference.py``).
+The checks of ``invariance_suite`` evaluate T by its rows, never apply a
+tree and build no operator above their top degree.  Check (a) reads row^T
+L_ij transposed, from the row's support through the generators' inverse
+leaf maps (``OperatorMatrices.generator_transposes``); check (b) reads
 row(k+2)^T R^2 transposed, from the support of row(k+2) and the terms of
 R^2 (``radial_failures``); and the check that harmonics of two degrees are
 orthogonal pairs them, scaled to int vectors, by an int pairing read off
@@ -56,8 +54,8 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .superalgebra import (MAX_BASIS_DIM, ONE_MONOMIAL, SuperMonomial, SuperPolynomial,
-                           _mul_monomials, check_variable_count, monomial_basis)
+from .superalgebra import (SuperMonomial, SuperPolynomial, _mul_monomials,
+                           check_variable_count, monomial_basis)
 from .diffops import check_variables, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
 from .linalg import Vec, _int_if_whole, _primitive, kernel_of_equations
@@ -164,55 +162,46 @@ def reciprocal_gamma(a: Fraction) -> ScaledRational:
 @lru_cache(maxsize=None)
 def _pizzetti_weight(M: int, j: int) -> ScaledRational:
     """2 pi^{M/2} / (4^j j! Gamma(j + M/2)), the weight of (nabla^{2j} f)(0).
-    A pure scalar, kept per (M, j): every constant term of a walk reads it."""
+    A pure scalar, kept per (M, j): every term of degree 2j reads it."""
     num, den, h = _reciprocal_gamma_parts(M + 2 * j)
     return ScaledRational(Fraction(2 * num, 4 ** j * math.factorial(j) * den), h + M)
+
+
+def _row_entry(mono: SuperMonomial) -> int:
+    """(nabla^k x^c)(0) for the monomial x^c of degree k, in closed form.
+
+    It is nonzero only at x^c = x^{2 alpha} theta^P with k = 2J and P a union
+    of s whole pairs {2p-1, 2p}, where it is J! 4^s prod_r (2 alpha_r)!/alpha_r!.
+    (Of the terms C(J, i) nabla_b^{2i} nabla_f^{2s} of nabla^{2J} only
+    i = |alpha| leaves a constant: nabla_b^{2i} x^{2alpha} gives
+    i! prod (2 alpha_r)!/alpha_r!, and each pair of the ascending mask gives
+    +4, in any of s! orders.)
+    """
+    bosonic, fermionic = mono
+    if not _whole_pairs(fermionic) or any(e % 2 for _, e in bosonic):
+        return 0
+    x = math.factorial(mono.degree() // 2) * 4 ** (len(fermionic) // 2)
+    for _, e in bosonic:
+        x = x * math.factorial(e) // math.factorial(e // 2)
+    return x
 
 
 def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
     """Supersphere integral of a polynomial as a Gamma-weighted Laplacian sum.
 
-    nabla^2 walks f's terms scaled to ints by one lcm, divided out at the
-    constant terms.  Raises ValueError once some nabla^{2j} f holds more than
-    MAX_BASIS_DIM terms: the walk can grow like 2^m, e.g. on x1^2 * ... * xm^2.
+    sum_j weight(M, j) (nabla^{2j} f)(0), term by term: a term c x^c of
+    degree d meets only j = d/2, with the value c * ``_row_entry``(x^c).
     """
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
     check_variable_count(m, n)
     check_variables(f, m, n)
     M = m - 2 * n
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    g = {mono: c.numerator * (den // c.denominator) for mono, c in f.terms.items()}
     total = ScaledRational.zero()
-    j = 0
-    while g:
-        if len(g) > MAX_BASIS_DIM:
-            raise ValueError(f"nabla^{2 * j} f has {len(g)} terms, above the "
-                             f"Pizzetti term budget MAX_BASIS_DIM = {MAX_BASIS_DIM}")
-        c = g.get(ONE_MONOMIAL)
-        if c:
-            total = total + _pizzetti_weight(M, j) * Fraction(c, den)
-        g = _nabla2_ints(g)
-        j += 1
+    for mono, c in f.terms.items():
+        if x := _row_entry(mono):
+            total = total + _pizzetti_weight(M, mono.degree() // 2) * (c * x)
     return total
-
-
-def _nabla2_ints(terms: dict[SuperMonomial, int]) -> dict[SuperMonomial, int]:
-    """nabla^2 on int terms, differentiating only the variables a term holds (the
-    tree is its reference in tests): d^2/dxi^2 x_i^e = e(e-1) x_i^{e-2}, and the
-    -4 d/dxg(2p-1) d/dxg(2p) of an adjacent pair is +4, its left derivatives -1."""
-    out: dict[SuperMonomial, int] = {}
-    for (bosonic, fermionic), c in terms.items():
-        for pos, (i, e) in enumerate(bosonic):
-            if e > 1:
-                rest = ((i, e - 2),) if e > 2 else ()
-                new = SuperMonomial(bosonic[:pos] + rest + bosonic[pos + 1:], fermionic)
-                out[new] = out.get(new, 0) + e * (e - 1) * c
-        for pos in range(len(fermionic) - 1):
-            if fermionic[pos] % 2 and fermionic[pos + 1] == fermionic[pos] + 1:
-                new = SuperMonomial(bosonic, fermionic[:pos] + fermionic[pos + 2:])
-                out[new] = out.get(new, 0) + 4 * c
-    return {mono: c for mono, c in out.items() if c}
 
 
 def _dot(row: Vec, v: Vec):
@@ -230,16 +219,11 @@ def _whole_pairs(fermionic: tuple[int, ...]) -> bool:
 class PizzettiRows:
     """The Pizzetti functional T of one cell (m|2n), one degree at a time.
 
-    On P_k, T(f) = weight(k) * (row(k) . f).  For even k = 2J the row holds
-    (nabla^k x^c)(0) for every basis monomial x^c, in closed form: it is
-    nonzero only at x^c = x^{2 alpha} theta^P with P a union of s whole pairs
-    {2p-1, 2p}, where it is J! 4^s prod_r (2 alpha_r)!/alpha_r!.  (Of the
-    terms C(J, i) nabla_b^{2i} nabla_f^{2s} of nabla^{2J} only i = |alpha|
-    leaves a constant: nabla_b^{2i} x^{2alpha} gives i! prod (2 alpha_r)!/alpha_r!,
-    and each pair of the ascending mask gives +4, in any of s! orders.)  No
-    operator is applied; the transposed chain of nabla^2 matrices that gives
-    the same rows is the tests' reference.  The rows are ints and are kept.
-    For odd k the row is empty and T vanishes.
+    On P_k, T(f) = weight(k) * (row(k) . f).  The row holds (nabla^k x^c)(0)
+    for every basis monomial x^c, by ``_row_entry``; no operator is applied,
+    and the transposed chain of nabla^2 matrices that gives the same rows is
+    the tests' reference.  The rows are ints and are kept.  For odd k the row
+    is empty and T vanishes.
     """
 
     def __init__(self, m: int, n: int):
@@ -256,13 +240,8 @@ class PizzettiRows:
             return {}
         row = self._rows.get(k)
         if row is None:
-            row = self._rows[k] = {}
-            for c, (bosonic, fermionic) in enumerate(monomial_basis(self.m, self.n, k)):
-                if _whole_pairs(fermionic) and not any(e % 2 for _, e in bosonic):
-                    x = math.factorial(k // 2) * 4 ** (len(fermionic) // 2)
-                    for _, e in bosonic:
-                        x = x * math.factorial(e) // math.factorial(e // 2)
-                    row[c] = x
+            row = self._rows[k] = {c: x for c, mono in enumerate(monomial_basis(self.m, self.n, k))
+                                   if (x := _row_entry(mono))}
         return row
 
     def weight(self, k: int) -> ScaledRational:
@@ -270,10 +249,6 @@ class PizzettiRows:
         if k % 2:
             return ScaledRational.zero()
         return _pizzetti_weight(self.m - 2 * self.n, k // 2)
-
-    def value(self, v: Vec, k: int) -> ScaledRational:
-        """T of the coordinate vector v of P_k."""
-        return self.weight(k) * _dot(self.row(k), v)
 
 
 def sphere_moment(alpha: Iterable[int], m: int) -> ScaledRational:
@@ -368,7 +343,6 @@ class InvarianceReport:
     k_max: int
     passed: bool
     failures: list
-    functional: PizzettiRows  # the rows the checks evaluated T by
 
 
 def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
@@ -396,7 +370,7 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
         hk = harmonic_basis(m, n, k).rows
         for l in range(k + 1, k_max + 1):
             failures += orthogonality_failures(T, k, hk, l, harmonic_basis(m, n, l).rows)
-    return InvarianceReport(m, n, k_max, not failures, failures, T)
+    return InvarianceReport(m, n, k_max, not failures, failures)
 
 
 def generator_failures(m: int, n: int, row: Vec, k: int) -> list:

@@ -16,9 +16,9 @@ definition (phi# on Laurent functions of r^2, and the Berezin integral), the
 density's coefficients by their recurrence, three checks of the invariance
 suite by operator columns: (a) by applying each generator to every unit
 column, (b) by the columns of multiplication by R^2, and the orthogonality
-check by the columns of multiplication operators; the Pizzetti rows by the
-transposed chain of nabla^2 matrices; and the invariant densities by the
-same forward loop.  Also here
+check by the columns of multiplication operators; the Pizzetti sum by its
+definition, a walk of nabla^2; the Pizzetti rows by the transposed chain of
+nabla^2 matrices; and the invariant densities by the same forward loop.  Also here
 are the helpers that only the tests use: the radial polynomials f_poly and
 the identity of verify_lemma_Lf, the runner of acceptance criterion
 06, the bosonic degree of a monomial, a JSON form of ScaledRational,
@@ -36,16 +36,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Scale,
-                            generator_pairs, index_parity, metric, operator_matrices,
+                            generator_pairs, index_parity, metric, nabla2, operator_matrices,
                             operator_sum, osp_generator, plain_partial, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.checks import Report
 from superh.harmonic import _f_coefficients, harmonic_basis, piece_labels
-from superh.integration import PizzettiRows, ScaledRational, _dot, _sphere_berezin
+from superh.integration import (PizzettiRows, ScaledRational, _dot, _pizzetti_weight,
+                                _sphere_berezin)
 from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
 from superh.modules import RepSpace, _branching_blocks
-from superh.superalgebra import (SuperMonomial, SuperPolynomial, _mul_monomials, dim_Pk,
-                                 monomial_basis)
+from superh.superalgebra import (ONE_MONOMIAL, SuperMonomial, SuperPolynomial, _mul_monomials,
+                                 dim_Pk, monomial_basis)
 
 
 # -- the metric, entry by entry --------------------------------------------------
@@ -401,6 +402,18 @@ def scaled_rational_from_json(obj: dict) -> ScaledRational:
     return ScaledRational(Fraction(obj["q"]), int(obj["h"]))
 
 
+def pizzetti_by_walk(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
+    """The Pizzetti sum by its definition, sum_j weight(M, j) (nabla^{2j} f)(0),
+    nabla^2 stepped by the tree until f vanishes.  The package reads each
+    term's (nabla^{2j} x^c)(0) in closed form instead."""
+    lap = nabla2(m, n)
+    total, j = ScaledRational.zero(), 0
+    while f:
+        total = total + _pizzetti_weight(m - 2 * n, j) * f.terms.get(ONE_MONOMIAL, 0)
+        f, j = lap.apply(f), j + 1
+    return total
+
+
 def pizzetti_row_by_chain(m: int, n: int, k: int) -> Vec:
     """(nabla^k x^c)(0) on P_k by the transposed chain of the owner's nabla^2
     matrices P_k -> P_{k-2} -> ... -> P_0: row(d)[c] = row(d-2) . (column c of
@@ -422,7 +435,7 @@ def radial_failures(T: PizzettiRows, k: int) -> list:
     basis = monomial_basis(T.m, T.n, k)
     return [("T(R^2 f) != T(f)", k, None, str(SuperPolynomial.monomial(basis[c])))
             for c, col in enumerate(mats.matrix(mats.mul_r2, k))
-            if T.value(col, k + 2) != T.value({c: 1}, k)]
+            if T.weight(k + 2) * _dot(T.row(k + 2), col) != T.weight(k) * T.row(k).get(c, 0)]
 
 
 def orthogonality_columns(T: PizzettiRows, k: int, a: Vec, l: int) -> Vec:

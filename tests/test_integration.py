@@ -1,4 +1,3 @@
-import math
 import random
 import time
 from fractions import Fraction
@@ -13,6 +12,7 @@ from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
     PizzettiRows,
     ScaledRational,
+    _dot,
     _pair,
     _pairing,
     _sphere_berezin,
@@ -145,29 +145,16 @@ def test_pizzetti_requires_bosonic_direction():
         pizzetti(SP.one(), 0, 1)
 
 
-def _nabla2_by_ints(f):
-    """nabla^2 f by the int step of the Pizzetti walk, f scaled by the lcm of its
-    denominators and the scale divided out again."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    image = integration._nabla2_ints({mono: int(c * den) for mono, c in f.terms.items()})
-    assert all(type(c) is int and c for c in image.values())
-    return SP({mono: Fraction(c, den) for mono, c in image.items()})
-
-
-def test_term_local_laplacian_equals_the_tree_on_random_polynomials():
-    rng = random.Random(911)
-    for (m, n) in [(1, 0), (0, 2), (1, 1), (2, 2), (3, 1), (4, 2), (2, 3)]:
-        monos = [mono for k in range(0, 7) for mono in monomial_basis(m, n, k)]
-        lap = diffops.nabla2(m, n)
-        for _ in range(20):
-            f = SP({mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
-                    for mono in rng.sample(monos, min(8, len(monos)))})
-            for _ in range(4):
-                assert _nabla2_by_ints(f) == lap.apply(f), (m, n, str(f))
-                f = lap.apply(f) + f
-    # images that cancel leave no zero coefficient behind
-    f = SP.x(1, 2) * SP.x(2) - SP.x(2, 3).scaled(Fraction(1, 3))
-    assert _nabla2_by_ints(f).terms == {}
+def test_pizzetti_equals_the_walk_on_random_polynomials():
+    # mixed degrees up to 8; the cells with M = m - 2n <= 0 are included
+    rng = random.Random(2029)
+    for m in range(1, 5):
+        for n in range(0, 3):
+            monos = [mono for k in range(0, 9) for mono in monomial_basis(m, n, k)]
+            for _ in range(12):
+                f = SP({mono: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+                        for mono in rng.sample(monos, min(10, len(monos)))})
+                assert pizzetti(f, m, n) == reference.pizzetti_by_walk(f, m, n), (m, n, str(f))
 
 
 def test_pizzetti_walk_builds_no_polynomial(monkeypatch):
@@ -395,8 +382,8 @@ def test_pizzetti_rows_match_the_tree_on_every_monomial():
                 if k % 2:
                     assert row == {} and T.weight(k).is_zero()
                 for c, mono in enumerate(monomial_basis(m, n, k)):
-                    assert T.value({c: 1}, k) == pizzetti(SP.monomial(mono), m, n), \
-                        (m, n, k, mono)
+                    assert T.weight(k) * row.get(c, 0) == \
+                        reference.pizzetti_by_walk(SP.monomial(mono), m, n), (m, n, k, mono)
 
 
 def test_closed_form_rows_equal_the_chain_reference():
@@ -411,9 +398,9 @@ def test_pizzetti_rows_on_a_polynomial():
     m, n = 3, 1
     T = PizzettiRows(m, n)
     f = parse("3*x1^2*x2^2 - 1/2*x3^2*xg1*xg2 + x1*x2^3 + 5*xg1*xg2*x1^2")
-    assert T.value(poly_to_vec(f, m, n, 4), 4) == pizzetti(f, m, n)
+    assert T.weight(4) * _dot(T.row(4), poly_to_vec(f, m, n, 4)) == pizzetti(f, m, n)
     R2 = r2(m, n)
-    assert T.value(poly_to_vec(R2 * R2, m, n, 4), 4) == T.value({0: 1}, 0)
+    assert T.weight(4) * _dot(T.row(4), poly_to_vec(R2 * R2, m, n, 4)) == T.weight(0)
     with pytest.raises(ValueError):
         PizzettiRows(0, 1)
     with pytest.raises(ValueError):
