@@ -19,7 +19,7 @@ evaluated in one of two ways:
 * ``operator_matrices(m, n)``, the one ``OperatorMatrices`` of a space,
   compiles the tree into words, each an integer coefficient and a chain of
   leaves (d/dxi, d/dxgj, multiplication by a monomial), and reads the words
-  on P_k through cached integer arrays of the leaves: as a sparse matrix
+  on P_k through cached tables of the leaves: as a sparse matrix
   P_k -> P_k', or on many coordinate vectors of P_k at once; a product whose
   words would outnumber its factors' runs one factor at a time.  The bulk
   checks (sl2, Laplace-Beltrami, projections, harmonic kernels) run on it,
@@ -347,8 +347,11 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # coefficient and a chain of leaves in the order they act, a leaf being a
 # primitive (d/dxi, d/dxgj or multiplication by one monomial).  Each leaf sends
 # a basis monomial to at most one basis monomial, injectively, so on P_k it is
-# two int arrays (target row or -1, and value), and a word reads each column
-# through its leaves' arrays.  Only the derivative leaves are built from the
+# a list of target rows (-1 for none) and an int array of values, and a word
+# reads each column through its leaves.  The rows are a list because reading
+# an array makes a new int object for every value above 256, as row indices
+# of a large P_k are; the values are small ints, which an array keeps in half
+# the memory of a list.  Only the derivative leaves are built from the
 # monomials, by the images `_dx_image` and `_dxg_image` that SuperPolynomial.dx
 # and dxg also use: multiplication by a variable inverts its derivative one
 # degree up, and multiplication by a monomial chains its variables.  The
@@ -356,10 +359,12 @@ def vec_to_poly(v: Vec, m: int, n: int, k: int) -> SuperPolynomial:
 # which is multiplied in once at the end.
 # An entry is an int when it is whole and a Fraction otherwise: each function
 # that returns a vector narrows its entries by `_int_if_whole`.  Only the
-# leaf arrays depend on k.  The owner keeps what it holds, and nothing else: a
+# leaves depend on k.  The owner keeps what it holds, and nothing else: a
 # held tree is flattened once per space, any other tree per call.  Vectors in
 # flight are dicts; a kept matrix is packed in compressed sparse column form.
-# `vecs is None` stands for the basis of P_k.
+# `vecs is None` stands for the basis of P_k, which is filled word by word
+# (`_basis_images`); given vectors are read one at a time (`_image`), since
+# `generator_image` reads one vector per call.
 
 
 def _flatten(op: LinearOperator) -> tuple[dict[tuple, Fraction], int | None] | None:
@@ -420,7 +425,7 @@ def _flatten(op: LinearOperator) -> tuple[dict[tuple, Fraction], int | None] | N
 
 def _pack(cols: list[Vec]) -> tuple:
     """A kept matrix in compressed sparse column form (starts, rows, values)."""
-    starts, rows, vals = array("i", [0]), array("i"), []
+    starts, rows, vals = [0], [], []
     for col in cols:
         rows.extend(col)
         vals.extend(col.values())
@@ -451,7 +456,7 @@ def _lincomb(*terms: tuple[int, Vec]) -> Vec:
 
 def _image(words: list[tuple], v: Vec) -> Vec:
     """The sum of the words' images of v, without zero entries.  A word walks
-    each column of v through its leaf arrays, multiplies the int leaf values,
+    each column of v through its leaves, multiplies the int leaf values,
     and multiplies the entry in once at the end."""
     out: Vec = {}
     for coef, chain in words:
@@ -468,6 +473,25 @@ def _image(words: list[tuple], v: Vec) -> Vec:
                 s = out.get(r)
                 out[r] = y if s is None else s + y
     return {r: _int_if_whole(y) for r, y in out.items() if y}
+
+
+def _basis_images(words: list[tuple], size: int) -> list[Vec]:
+    """The words' images of the size basis columns, without zero entries.
+    Each word walks every column; the entries stay ints, since the word
+    coefficients, the leaf values and the unit entry are ints."""
+    cols: list[Vec] = [{} for _ in range(size)]
+    for coef, chain in words:
+        for c, col in enumerate(cols):
+            r, y = c, coef
+            for rows, vals in chain:
+                t = rows[r]
+                if t < 0:
+                    break
+                y *= vals[r]
+                r = t
+            else:
+                col[r] = col.get(r, 0) + y
+    return [{r: y for r, y in col.items() if y} for col in cols]
 
 
 class OperatorMatrices:
@@ -487,8 +511,8 @@ class OperatorMatrices:
     part by part.
 
     The owner keeps what it holds, and nothing else: besides the space's
-    basis index maps and leaf arrays, the words of each held tree and of the
-    parts it runs by structure, flattened once and bound to the leaf arrays
+    basis index maps and leaves, the words of each held tree and of the
+    parts it runs by structure, flattened once and bound to the leaves
     once per degree (the generators' among them), the packed matrix of a held
     tree passed to ``matrix`` (a later ``apply`` of that tree reads it by
     mat-vec; the words bound to build it are dropped), and the harmonic basis
@@ -501,7 +525,7 @@ class OperatorMatrices:
         check_variable_count(m, n)
         self.m, self.n = m, n
         self._index: dict[int, dict[SuperMonomial, int]] = {}
-        self._leaves: dict[tuple, tuple[array, array]] = {}
+        self._leaves: dict[tuple, tuple[list[int], array]] = {}
         self._roots: dict[tuple[int, int], tuple] = {}  # (id, k) -> (packed, k_out)
         # (id of a held tree, k), or (i, j, k) for L_ij, -> _compile(op, k)
         self._compiled: dict[tuple, tuple] = {}
@@ -596,7 +620,7 @@ class OperatorMatrices:
 
     def _compile(self, op: LinearOperator, k: int) -> tuple | None:
         """op on P_k as (factor, target degree or None, words), op being factor
-        times the sum of the words, a word (int coefficient, leaf arrays in the
+        times the sum of the words, a word (int coefficient, leaves in the
         order they act); None when op does not flatten.  The words of a held
         tree are read from the owner, any other tree is flattened here."""
         entry = self._flat.get(id(op))
@@ -607,11 +631,11 @@ class OperatorMatrices:
         denom = math.lcm(*(c.denominator for c in words.values()))
         compiled = []
         for chain, c in words.items():
-            arrays, d = [], k
+            leaves, d = [], k
             for what, fermionic in chain:
-                arrays.append(self._leaf_arrays(what, fermionic, d))
+                leaves.append(self._leaf_arrays(what, fermionic, d))
                 d += -1 if fermionic is not None else what.degree()
-            compiled.append((int(c * denom), tuple(arrays)))
+            compiled.append((int(c * denom), tuple(leaves)))
         factor = Fraction(1, denom) if denom > 1 else 1
         return factor, None if shift is None else k + shift, compiled
 
@@ -630,13 +654,14 @@ class OperatorMatrices:
         """(the compiled operator applied to vecs, target degree)."""
         factor, k_out, words = compiled
         if vecs is None:
-            vecs = [{c: 1} for c in range(len(self.index(k)))]
-        outs = [_image(words, v) for v in vecs]
+            outs = _basis_images(words, len(self.index(k)))
+        else:
+            outs = [_image(words, v) for v in vecs]
         if factor != 1:
             outs = [{r: _int_if_whole(factor * y) for r, y in w.items()} for w in outs]
         return outs, k_out
 
-    def _leaf_arrays(self, what, fermionic, k: int) -> tuple[array, array]:
+    def _leaf_arrays(self, what, fermionic, k: int) -> tuple[list[int], array]:
         """(target row or -1, value) per basis monomial of P_k of a primitive:
         d/dxi or d/dxgj for an int `what` (fermionic False or True), or
         multiplication by the monomial `what` for fermionic None, read from the
@@ -651,7 +676,7 @@ class OperatorMatrices:
             target = self.index(k - 1)
             images = [_dxg_image(mono, what) if fermionic else _dx_image(mono, what)
                       for mono in basis]
-            rows = array("i", [-1 if im is None else target[im[1]] for im in images])
+            rows = [-1 if im is None else target[im[1]] for im in images]
             vals = array("i", [0 if im is None else im[0] for im in images])
         else:
             if ((what.bosonic and what.bosonic[-1][0] > self.m)
@@ -661,7 +686,7 @@ class OperatorMatrices:
                     if set(what.fermionic).isdisjoint(mono.fermionic):
                         raise ValueError(
                             f"{what} times {mono} lies outside ({self.m}|{2 * self.n})")
-            rows, vals = array("i", range(len(basis))), array("i", [1]) * len(basis)
+            rows, vals = list(range(len(basis))), array("i", [1]) * len(basis)
             for d, (var, odd) in enumerate(
                     [(j, True) for j in reversed(what.fermionic)]
                     + [(i, False) for i, e in what.bosonic for _ in range(e)], k + 1):

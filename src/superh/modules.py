@@ -104,7 +104,7 @@ class RepSpace:
     subspace of sub's echelon coordinates (None without a quotient).  Module
     coordinates are sub's coordinates off the divisor's pivots.  Generators act
     through ``image``, which evaluates L_ij on the P_k vector by its words
-    (``OperatorMatrices.generator_image``, from the words and leaf arrays that
+    (``OperatorMatrices.generator_image``, from the words and leaves that
     ``operator_matrices(m, n)`` keeps for every module of the space) and checks
     by ``_read_back`` that every image stays in sub.  A column of a generator matrix is
     the divisor-reduced image of a basis vector, computed on first use;

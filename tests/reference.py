@@ -221,12 +221,12 @@ def pieces_by_polynomials(m: int, n: int, k: int) -> list[tuple[int, int, int, S
             for l, p, q, _ in piece_labels(m, n, k)]
 
 
-def product_leaf_arrays(what: SuperMonomial, m: int, n: int, k: int) -> tuple[array, array]:
+def product_leaf_arrays(what: SuperMonomial, m: int, n: int, k: int) -> tuple[list[int], array]:
     """(target row or -1, value) per basis monomial of P_k of multiplication
     by the monomial `what`, from each product what * mono; ValueError at the
     first nonzero product outside (m|2n)."""
     target = {mono: i for i, mono in enumerate(monomial_basis(m, n, k + what.degree()))}
-    rows, vals = array("i"), array("i")
+    rows, vals = [], array("i")
     for mono in monomial_basis(m, n, k) if k >= 0 else ():
         sign, prod = _mul_monomials(what, mono)
         row = target.get(prod) if sign else -1
