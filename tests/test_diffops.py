@@ -312,7 +312,9 @@ def _named_operators(m, n):
            ("lb_form_a", form_a, 0), ("lb_form_b", form_b, 0),
            ("lb_bosonic", laplace_beltrami_bosonic(m), 0),
            ("lb_fermionic", laplace_beltrami_fermionic(n), 0),
-           ("r2", MultiplyBy(r2(m, n)), 2)]
+           ("r2", MultiplyBy(r2(m, n)), 2), ("rb2", MultiplyBy(r2(m, 0)), 2),
+           ("theta2", MultiplyBy(theta2(n)), 2)]
+    ops += [("x1", MultiplyBy(SP.x(1)), 1)] if m else []
     ops += [(f"L_{i}{j}", osp_generator(i, j, m, n), 0)
             for i in range(1, size + 1) for j in range(1, size + 1)]
     return ops
@@ -323,17 +325,37 @@ def _tree_column(op, mono, m, n, k_out):
     return poly_to_vec(image, m, n, k_out) if image else {}
 
 
-def test_matrices_equal_the_tree_on_every_monomial():
-    for (m, n) in MATRIX_GRID:
-        mats = OperatorMatrices(m, n)
-        for name, op, shift in _named_operators(m, n):
-            for k in range(0, 4):
-                cols = mats.matrix(op, k)
-                basis = monomial_basis(m, n, k)
-                assert len(cols) == len(basis), (m, n, name, k)
-                for mono, col in zip(basis, cols):
-                    assert col == _tree_column(op, mono, m, n, k + shift), \
-                        (m, n, name, k, render(SP.monomial(mono)))
+def test_matrices_equal_the_tree_on_every_monomial(monkeypatch):
+    """matrix(op, k) reads the basis of P_k and apply(op, units, k) the unit
+    vectors; both equal the tree on every monomial.  Each operator is held by
+    a fresh owner, so that no kept matrix stands in for either path."""
+    seen = set()  # the cases met on the basis
+    eval_words = OperatorMatrices._eval_words
+
+    def spy(self, compiled, vecs, k):
+        factor, k_out, words = compiled
+        if vecs is None:
+            seen.update({("factor", factor), ("empty chain", any(not c for _, c in words)),
+                         ("dim 0", not self.index(k)),
+                         ("below 0", k_out is not None and k_out < 0)})
+        return eval_words(self, compiled, vecs, k)
+
+    monkeypatch.setattr(OperatorMatrices, "_eval_words", spy)
+    for m in range(0, 5):
+        for n in range(0, 3):
+            for name, op, shift in _named_operators(m, n):
+                mats = OperatorMatrices(m, n)
+                mats._hold(op)
+                for k in range(-1, 5):
+                    basis = monomial_basis(m, n, k) if k >= 0 else ()
+                    cols = mats.apply(op, [{c: 1} for c in range(len(basis))], k)
+                    assert mats.matrix(op, k) == cols, (m, n, name, k)
+                    assert len(cols) == len(basis), (m, n, name, k)
+                    for mono, col in zip(basis, cols):
+                        assert col == _tree_column(op, mono, m, n, k + shift), \
+                            (m, n, name, k, render(SP.monomial(mono)))
+    assert {("factor", Fraction(1, 2)), ("empty chain", True), ("dim 0", True),
+            ("below 0", True)} <= seen
 
 
 def test_primitive_matrices_match_dx_and_dxg():
@@ -517,56 +539,6 @@ def test_a_sum_run_part_by_part_ignores_its_zero_parts():
             assert col == _tree_column(op, mono, m, n, k + 2)
         assert mats._roots[(id(op), k)][1] == k + 2
 
-
-
-def _held_trees(m, n):
-    """(name, getter, degree shift) of every tree an owner of (m|2n) holds; a
-    getter returns the tree held by the owner it is given."""
-    trees = [(name, lambda mats, name=name: getattr(mats, name), shift)
-             for name, shift in [("nabla2", -2), ("mul_r2", 2), ("mul_rb2", 2),
-                                 ("mul_theta2", 2), ("mul_x1", 1), ("euler", 0),
-                                 ("lb_bosonic", 0), ("lb_fermionic", 0)]]
-    trees += [(f"lb_form_{form}", lambda mats, pos=pos: mats._hold(laplace_beltrami(m, n)[pos]), 0)
-              for pos, form in enumerate("ab")]
-    size = m + 2 * n
-    trees += [(f"L_{i}{j}", lambda mats, i=i, j=j: mats._hold(osp_generator(i, j, m, n)), 0)
-              for i in range(1, size + 1) for j in range(1, size + 1)]
-    return trees
-
-
-def test_the_basis_path_equals_the_vector_path_and_the_tree(monkeypatch):
-    """matrix(op, k) fills the basis word by word; apply(op, units, k) reads
-    one unit vector at a time.  Both equal the tree on every monomial, for
-    every held tree on a fresh owner (so that no kept matrix stands in for
-    either path), on P_-1 (dimension 0) to P_4."""
-    seen = set()  # the cases the basis path met
-    eval_words = OperatorMatrices._eval_words
-
-    def spy(self, compiled, vecs, k):
-        factor, k_out, words = compiled
-        if vecs is None:
-            seen.update({("factor", factor), ("empty chain", any(not c for _, c in words)),
-                         ("dim 0", not self.index(k)),
-                         ("below 0", k_out is not None and k_out < 0)})
-        return eval_words(self, compiled, vecs, k)
-
-    monkeypatch.setattr(OperatorMatrices, "_eval_words", spy)
-    for m in range(1, 5):
-        for n in range(0, 3):
-            for name, tree, shift in _held_trees(m, n):
-                mats = OperatorMatrices(m, n)
-                op = tree(mats)
-                for k in range(-1, 5):
-                    basis = monomial_basis(m, n, k) if k >= 0 else ()
-                    units = [{c: 1} for c in range(len(basis))]
-                    by_vectors = mats.apply(op, units, k)
-                    cols = mats.matrix(op, k)
-                    assert cols == by_vectors, (m, n, name, k)
-                    assert len(cols) == len(basis), (m, n, name, k)
-                    for mono, col in zip(basis, cols):
-                        assert col == _tree_column(op, mono, m, n, k + shift), (m, n, name, k)
-    assert {("factor", Fraction(1, 2)), ("empty chain", True), ("dim 0", True),
-            ("below 0", True)} <= seen
 
 class _Unknown(LinearOperator):
     pass
