@@ -779,35 +779,43 @@ def check_sl2(m: int, n: int, k_max: int) -> CheckReport:
     [A, B] = H, [A, H] = 2A and [B, H] = -2B.  They are checked on every basis
     column of the per-degree matrices, in the integral form
     [nabla^2, R^2] = 2(2H), [nabla^2, 2H] = 4 nabla^2, [R^2, 2H] = -4 R^2.
+    The matrix of E on every P_d they touch, d <= k_max + 2, is first
+    compared with d times the identity (a column that differs fails as
+    "E=deg"), so that 2H acts on P_d as the scalar 2d + M in the relations.
     """
     if k_max < 2:
         raise ValueError("k_max must be at least 2")
     M = m - 2 * n
     mats = operator_matrices(m, n)
-    lap, mulr2, E = mats.nabla2, mats.mul_r2, mats.euler
+    lap, mulr2 = mats.nabla2, mats.mul_r2
     failures = []
 
-    def two_h(vecs: list[Vec], d: int) -> list[Vec]:
-        """2H = 2E + M on vectors of P_d."""
-        return [_lincomb((2, e), (M, v)) for v, e in zip(vecs, mats.apply(E, vecs, d))]
+    def scaled(c: int, vecs: list[Vec]) -> list[Vec]:
+        return [_lincomb((c, v)) for v in vecs]
 
     def holds(left: list[Vec], right: list[Vec], c: int, vecs: list[Vec]) -> list[bool]:
         """left - right == c * vecs, column by column."""
         return [_lincomb((1, a), (-1, b)) == _lincomb((c, v))
                 for a, b, v in zip(left, right, vecs)]
 
-    for k in range(0, k_max + 1):
+    for k in range(0, k_max + 3):
+        basis = monomial_basis(m, n, k)
+        for c, col in enumerate(mats.matrix(mats.euler, k)):
+            if col != ({c: k} if k else {}):
+                failures.append((k, "E=deg", str(SuperPolynomial.monomial(basis[c]))))
+        if k > k_max:
+            continue
         lapf = mats.matrix(lap, k)
         r2f = mats.matrix(mulr2, k)
-        hf = two_h([{c: 1} for c in range(len(lapf))], k)
+        hf = scaled(2 * k + M, [{c: 1} for c in range(len(lapf))])  # 2H on P_k
         # one relation at a time, so that only its images are alive
         relations = [("[A,B]=H", holds(mats.apply(lap, r2f, k + 2),
                                        mats.apply(mulr2, lapf, k - 2), 2, hf))]
-        relations.append(("[A,H]=2A", holds(mats.apply(lap, hf, k), two_h(lapf, k - 2),
-                                            4, lapf)))
-        relations.append(("[B,H]=-2B", holds(mats.apply(mulr2, hf, k), two_h(r2f, k + 2),
-                                             -4, r2f)))
-        for c, mono in enumerate(monomial_basis(m, n, k)):
+        relations.append(("[A,H]=2A", holds(scaled(2 * k + M, lapf),
+                                            scaled(2 * (k - 2) + M, lapf), 4, lapf)))
+        relations.append(("[B,H]=-2B", holds(scaled(2 * k + M, r2f),
+                                             scaled(2 * (k + 2) + M, r2f), -4, r2f)))
+        for c, mono in enumerate(basis):
             for name, passed in relations:
                 if not passed[c]:
                     failures.append((k, name, str(SuperPolynomial.monomial(mono))))

@@ -355,15 +355,18 @@ class ProjectionOperator:
         return f
 
     def scalar_on_piece(self, p: int, q: int) -> Fraction:
-        """Exact scalar by which the product acts on a (p, q) joint eigenvector."""
-        lam_b = Fraction(bosonic_eigenvalue(self.m, p))
-        lam_f = Fraction(fermionic_eigenvalue(self.n, q))
-        out = Fraction(1)
-        for shift, denom in self.bosonic_factors:
-            out *= (lam_b + shift) / denom
-        for shift, denom in self.fermionic_factors:
-            out *= (lam_f + shift) / denom
-        return out
+        """Exact scalar by which the product acts on a (p, q) joint eigenvector.
+
+        A factor (lam + a/b) / (c/d) is (lam b + a) d / (b c), so the product
+        is one fraction of two int products, reduced once at the end.
+        """
+        num = den = 1
+        for lam, factors in ((bosonic_eigenvalue(self.m, p), self.bosonic_factors),
+                             (fermionic_eigenvalue(self.n, q), self.fermionic_factors)):
+            for shift, denom in factors:
+                num *= (lam * shift.denominator + shift.numerator) * denom.denominator
+                den *= shift.denominator * denom.numerator
+        return Fraction(num, den)
 
 
 class ZeroDenominator(ArithmeticError):

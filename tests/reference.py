@@ -6,7 +6,9 @@ derivatives, graded commutators of the generators, the harmonic basis as
 polynomials, f^j times coordinate vectors through polynomials, the
 blocks of the explicit branching check as x1^eps R'^{2j} H'_l by polynomial
 powers, their commutation with x1 vector by vector, submodule closures by
-a fixed point over the whole span, the pieces of H_k from polynomial products f * b * g, the leaf
+a fixed point over the whole span, the pieces of H_k from polynomial
+products f * b * g, a projector's scalar on a piece factor by factor in
+Fractions, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
 components, the bosonic compositions by recursion, a Grassmann word
 sorted by adjacent swaps, the reduced
@@ -40,7 +42,8 @@ from superh.diffops import (Add, Compose, LinearOperator, Metric, MultiplyBy, Sc
                             operator_sum, osp_generator, plain_partial, r2,
                             theta2, variable_poly, vec_to_poly)
 from superh.checks import Report
-from superh.harmonic import _f_coefficients, harmonic_basis, piece_labels
+from superh.harmonic import (ProjectionOperator, _f_coefficients, bosonic_eigenvalue,
+                             fermionic_eigenvalue, harmonic_basis, piece_labels)
 from superh.integration import (PizzettiRows, ScaledRational, _dot, _pizzetti_weight,
                                 _sphere_berezin)
 from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
@@ -219,6 +222,17 @@ def pieces_by_polynomials(m: int, n: int, k: int) -> list[tuple[int, int, int, S
                 [poly_to_vec(f, m, n, k) for f in piece_products(f_poly(l, p, q, m, n), m, n, p, q)],
                 width))
             for l, p, q, _ in piece_labels(m, n, k)]
+
+
+def scalar_on_piece_by_fractions(Q: ProjectionOperator, p: int, q: int) -> Fraction:
+    """The scalar of Q on a (p, q) joint eigenvector, factor by factor in
+    Fractions: the product of (lam + shift) / denom over both factor lists."""
+    out = Fraction(1)
+    for lam, factors in ((bosonic_eigenvalue(Q.m, p), Q.bosonic_factors),
+                         (fermionic_eigenvalue(Q.n, q), Q.fermionic_factors)):
+        for shift, denom in factors:
+            out *= (Fraction(lam) + shift) / denom
+    return out
 
 
 def product_leaf_arrays(what: SuperMonomial, m: int, n: int, k: int) -> tuple[list[int], array]:

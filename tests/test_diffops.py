@@ -181,6 +181,56 @@ def test_sl2_requires_kmax():
         check_sl2(2, 1, 1)
 
 
+def test_sl2_relations_where_2H_vanishes():
+    """2d + M = 0 on P_1 of (2|4) and on P_0 of (4|4): 2H is the zero map there."""
+    for (m, n, d) in [(2, 2, 1), (4, 2, 0)]:
+        assert 2 * d + m - 2 * n == 0
+        rep = check_sl2(m, n, 2)
+        assert rep.passed, (m, n, rep.failures[:2])
+
+
+def _sl2_with_tampered(m, n, k_max, name, extra):
+    """check_sl2 on a fresh owner whose held tree `name` has `extra` added."""
+    operator_matrices.cache_clear()
+    try:
+        mats = operator_matrices(m, n)
+        setattr(mats, name, mats._hold(Add((getattr(mats, name), extra))))
+        return check_sl2(m, n, k_max)
+    finally:
+        operator_matrices.cache_clear()
+
+
+def _x1_power_times_d1_power(j):
+    """x1^j (d/dx1)^j, which vanishes below degree j and not on x1^j."""
+    return Compose((MultiplyBy(SP.x(1, j)),) + (Differentiate(1),) * j)
+
+
+def test_sl2_fails_on_a_wrong_euler_operator():
+    for (m, n) in [(1, 0), (2, 1), (2, 2)]:
+        rep = _sl2_with_tampered(m, n, 3, "euler", _x1_power_times_d1_power(2))
+        assert not rep.passed
+        assert rep.failures[0] == (2, "E=deg", "x1^2"), (m, n, rep.failures[:2])
+        assert {name for _, name, _ in rep.failures} == {"E=deg"}
+
+
+def test_sl2_reads_the_euler_operator_above_k_max():
+    """E is checked on every P_d the relations touch, d <= k_max + 2."""
+    for j in (3, 4):
+        rep = _sl2_with_tampered(2, 1, 2, "euler", _x1_power_times_d1_power(j))
+        assert rep.failures[0] == (j, "E=deg", f"x1^{j}"), (j, rep.failures[:2])
+
+
+def test_sl2_fails_on_a_wrong_r2():
+    """R^2 + x1^2 breaks [A,B] = H, also where 2d + M = 0 (P_1 of (2|4))."""
+    for (m, n) in [(1, 0), (2, 1), (2, 2)]:
+        rep = _sl2_with_tampered(m, n, 2, "mul_r2", MultiplyBy(SP.x(1, 2)))
+        assert not rep.passed
+        assert "[A,B]=H" in {name for _, name, _ in rep.failures}, (m, n, rep.failures[:2])
+        assert "E=deg" not in {name for _, name, _ in rep.failures}
+        if (m, n) == (2, 2):
+            assert any(k == 1 for k, _, _ in rep.failures), rep.failures
+
+
 def test_laplace_beltrami_forms_agree():
     for (m, n) in [(1, 1), (2, 1), (3, 1), (2, 2), (2, 0), (0, 2)]:
         form_a, form_b = laplace_beltrami(m, n)

@@ -15,6 +15,7 @@ from superh.diffops import (
 )
 from superh import harmonic
 from superh.harmonic import (
+    ProjectionOperator,
     _fischer_dependency_witness,
     decompose_Hk,
     dim_Hk,
@@ -29,7 +30,8 @@ from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expec
 from superh.linalg import Subspace, _primitive, rank_of_vectors
 
 from reference import (f_poly, fraction_rref, pieces_by_polynomials, poly_to_vec,
-                       subspace_coordinates, subspace_polys, verify_lemma_Lf)
+                       scalar_on_piece_by_fractions, subspace_coordinates, subspace_polys,
+                       verify_lemma_Lf)
 
 
 # -- independent oracle: kernel rank by dense elimination --------------------------
@@ -365,6 +367,39 @@ def test_the_int_projector_chain_is_the_projector_times_its_scale(m, n):
                 image = Q.apply(vec_to_poly(v, m, n, k))
                 assert got == _lincomb((scale, poly_to_vec(image, m, n, k))), (m, n, k)
     assert fallback == (m == 1)
+
+
+def test_scalar_on_piece_equals_the_fraction_product():
+    """Every (target, source) piece pair of m = 1..4, n = 0..2, k <= 6, the
+    spectral fallback (m = 1) among them."""
+    fallback = set()
+    for m in range(1, 5):
+        for n in range(0, 3):
+            for k in range(0, 7):
+                labels = piece_labels(m, n, k)
+                for l, _, s, _ in labels:
+                    Q = projection_Q(l, s, k, m, n)
+                    if Q.spectral_fallback:
+                        fallback.add(m)
+                    for src_l, p, q, _ in labels:
+                        got = Q.scalar_on_piece(p, q)
+                        assert type(got) is Fraction
+                        assert got == scalar_on_piece_by_fractions(Q, p, q), (m, n, k, l, s, p, q)
+                        assert got == (1 if (src_l, q) == (l, s) else 0)
+    assert fallback == {1}
+
+
+def test_scalar_on_piece_on_factors_that_are_not_whole():
+    """Shifts and denominators that are not whole, of either sign, in both lists."""
+    third, five_halves = Fraction(1, 3), Fraction(-5, 2)
+    Q = ProjectionOperator(0, 0, 2, 3, 1,
+                           [(third, five_halves), (five_halves, Fraction(7)), (Fraction(4), third)],
+                           [(Fraction(-2, 9), Fraction(3, 4)), (Fraction(6), five_halves)], False)
+    for p in range(0, 4):
+        for q in range(0, 2):
+            got = Q.scalar_on_piece(p, q)
+            assert got == scalar_on_piece_by_fractions(Q, p, q), (p, q)
+            assert got.denominator > 1, (p, q)
 
 
 def test_projection_idempotent_and_orthogonal_as_matrices():
