@@ -355,11 +355,8 @@ class ProjectionOperator:
         return f
 
     def scalar_on_piece(self, p: int, q: int) -> Fraction:
-        """Exact scalar by which the product acts on a (p, q) joint eigenvector.
-
-        A factor (lam + a/b) / (c/d) is (lam b + a) d / (b c), so the product
-        is one fraction of two int products, reduced once at the end.
-        """
+        """Exact scalar by which the product acts on a (p, q) joint eigenvector:
+        a factor (lam + a/b) / (c/d) is (lam b + a) d / (b c), in two int products."""
         num = den = 1
         for lam, factors in ((bosonic_eigenvalue(self.m, p), self.bosonic_factors),
                              (fermionic_eigenvalue(self.n, q), self.fermionic_factors)):

@@ -391,10 +391,10 @@ def test_scalar_on_piece_equals_the_fraction_product():
 
 def test_scalar_on_piece_on_factors_that_are_not_whole():
     """Shifts and denominators that are not whole, of either sign, in both lists."""
-    third, five_halves = Fraction(1, 3), Fraction(-5, 2)
-    Q = ProjectionOperator(0, 0, 2, 3, 1,
-                           [(third, five_halves), (five_halves, Fraction(7)), (Fraction(4), third)],
-                           [(Fraction(-2, 9), Fraction(3, 4)), (Fraction(6), five_halves)], False)
+    third, minus_five_halves = Fraction(1, 3), Fraction(-5, 2)
+    bosonic = [(third, minus_five_halves), (minus_five_halves, Fraction(7)), (Fraction(4), third)]
+    fermionic = [(Fraction(-2, 9), Fraction(3, 4)), (Fraction(6), minus_five_halves)]
+    Q = ProjectionOperator(0, 0, 2, 3, 1, bosonic, fermionic, False)
     for p in range(0, 4):
         for q in range(0, 2):
             got = Q.scalar_on_piece(p, q)
