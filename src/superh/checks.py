@@ -34,7 +34,7 @@ from .harmonic import (
     harmonic_basis,
     projection_Q,
 )
-from .integration import invariance_suite, pizzetti, supersphere_integral_phi
+from .integration import ScaledRational, invariance_suite, pizzetti, supersphere_integral_phi
 from .linalg import Vec, _int_if_whole, _primitive
 from .modules import (
     SpaceSpec,
@@ -262,8 +262,11 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
     ``pizzetti`` reads the same closed-form entries as the rows that the
     invariance checks evaluate T by, so comparing it with the independent
     phi# route certifies those entries on every monomial of degree <= k_max.
-    `seed` has no effect (the invariance checks sample nothing); it is
-    accepted for callers that pass it.
+    A factor common to both routes cancels in that comparison, so at n = 0
+    T(1) is also compared with the sphere area A_m (``_sphere_area``), which
+    neither route reads; a mismatch fails the routes.  `seed` has no effect
+    (the invariance checks sample nothing); it is accepted for callers that
+    pass it.
     """
     report = Report("check integrals", {"cells": cells, "k_max": k_max})
     for (m, n) in cells:
@@ -275,6 +278,9 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
                 if pizzetti(f, m, n) != supersphere_integral_phi(f, m, n):
                     equal_ok = False
                     report.fail(f"integral routes differ on {f} at ({m}|{2*n})")
+        if n == 0 and pizzetti(SuperPolynomial.one(), m, 0) != _sphere_area(m):
+            equal_ok = False
+            report.fail(f"normalization: T(1) is not the area of the unit sphere at ({m}|0)")
         M = m - 2 * n
         report.rows.append({"m": m, "n": n, "routes": "pass" if equal_ok else "fail",
                             "invariance": "pass" if inv.passed else "fail",
@@ -282,6 +288,15 @@ def suite_integrals(cells: list[tuple[int, int]], k_max: int,
         if not inv.passed:
             report.fail(f"invariance failed at ({m}|{2*n}): {inv.failures[0]}")
     return report
+
+
+def _sphere_area(m: int) -> ScaledRational:
+    """The area of the unit sphere in R^m, by A_1 = 2, A_2 = 2 pi and
+    A_m = 2 pi A_(m-2) / (m - 2), in ints and powers of pi."""
+    area = ScaledRational(Fraction(2), 2 - 2 * (m % 2))
+    for d in range(4 - m % 2, m + 1, 2):
+        area = area * ScaledRational(Fraction(2, d - 2), 2)
+    return area
 
 
 def suite_irreducibility(cells: list[tuple[int, int]], k_max: int) -> Report:

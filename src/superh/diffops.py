@@ -41,8 +41,10 @@ from typing import Sequence
 from .superalgebra import (
     SuperMonomial,
     SuperPolynomial,
+    _cofactor,
     _dx_image,
     _dxg_image,
+    _mul_monomials,
     check_variable_count,
     monomial_basis,
 )
@@ -701,47 +703,58 @@ class OperatorMatrices:
         self._leaves[key] = rows, vals
         return rows, vals
 
-    def _generator_words(self, i: int, j: int, k: int) -> list:
-        """The words of ``osp_generator(i, j)``, flattened once and bound per degree."""
+    def _generator_chains(self, i: int, j: int) -> dict:
+        """{leaf chain: int coefficient} of ``osp_generator(i, j)``, as the owner
+        holds it (flattened once)."""
+        return self._flat[id(self._hold(osp_generator(i, j, self.m, self.n)))][1][0]
+
+    def generator_differentiates(self, i: int, j: int, x: int) -> bool:
+        """Whether a word of ``osp_generator(i, j)`` holds the leaf d/dx_x of
+        the bosonic variable x."""
+        return any((x, False) in chain for chain in self._generator_chains(i, j))
+
+    def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
+        """L_ij v for a coordinate vector v of P_k, by the words of
+        ``osp_generator(i, j)``, flattened once and bound per degree."""
         compiled = self._compiled.get((i, j, k))  # read once per generator image
         if compiled is None:
             op = self._hold(osp_generator(i, j, self.m, self.n))
             compiled = self._compiled[(i, j, k)] = self._compile(op, k)
             assert compiled[0] == 1  # the coefficients are entries of inv(g), integers
-        return compiled[2]
-
-    def generator_differentiates(self, i: int, j: int, x: int) -> bool:
-        """Whether a word of ``osp_generator(i, j)``, as the owner holds it
-        (flattened once), holds the leaf d/dx_x of the bosonic variable x."""
-        words, _ = self._flat[id(self._hold(osp_generator(i, j, self.m, self.n)))][1]
-        return any((x, False) in chain for chain in words)
-
-    def generator_image(self, i: int, j: int, v: Vec, k: int) -> Vec:
-        """L_ij v for a coordinate vector v of P_k."""
-        return _image(self._generator_words(i, j, k), v)
+        return _image(compiled[2], v)
 
     def generator_transposes(self, rows: Sequence[Vec], k: int):
         """((i, j), [u = row^T L_ij on P_k for each row]) for every generator,
-        without zero entries: each word is walked backwards from each row's
-        support through the inverses of its leaf maps (a leaf is injective),
-        built once per call."""
-        inverses: dict[int, dict[int, int]] = {}  # id of a leaf's rows, which the owner holds
+        without zero entries.  Each word is walked backwards from each row's
+        support, one monomial preimage per leaf (a leaf is injective): a
+        multiplier by division (``_cofactor``), a derivative by multiplying
+        its variable back (``_mul_monomials``).  Every Grassmann sign is the
+        ring's own, by ``_merge_fermionic`` inside the two: the value of
+        d/dxgj is the sign of xgj times the preimage, since d/dxgj (xgj nu)
+        = nu, and that of d/dxi the exponent ``_dx_image`` reads.  The row's
+        entry is multiplied in once, at the end.  No word is bound to a degree
+        and no leaf table is read."""
+        basis, index = monomial_basis(self.m, self.n, k), self.index(k)
         for (i, j) in generator_pairs(self.m, self.n):
             us: list[Vec] = [{} for _ in rows]
-            for coef, chain in self._generator_words(i, j, k):
-                for leaf, _ in chain:
-                    if id(leaf) not in inverses:
-                        inverses[id(leaf)] = {t: r for r, t in enumerate(leaf) if t >= 0}
+            for chain, coef in self._generator_chains(i, j).items():
                 for row, u in zip(rows, us):
                     for mu, x in row.items():
-                        r, y = mu, coef * x
-                        for leaf, vals in reversed(chain):
-                            r = inverses[id(leaf)].get(r)
-                            if r is None:
+                        mono, y = basis[mu], coef
+                        for what, fermionic in reversed(chain):
+                            if fermionic is None:
+                                sign, pre = _cofactor(mono, what)
+                            elif fermionic:
+                                sign, pre = _mul_monomials(SuperMonomial((), (what,)), mono)
+                            else:
+                                pre = _mul_monomials(SuperMonomial(((what, 1),), ()), mono)[1]
+                                sign = _dx_image(pre, what)[0]
+                            if not sign:
                                 break
-                            y *= vals[r]
+                            mono, y = pre, y * sign
                         else:
-                            u[r] = u.get(r, 0) + y
+                            c = index[mono]
+                            u[c] = u.get(c, 0) + y * x
             yield (i, j), [{c: y for c, y in u.items() if y} for u in us]
 
 

@@ -24,13 +24,18 @@ nabla^2 that defines the sum, and the transposed chain of nabla^2 matrices
 that gives the rows, are the tests' references (``tests/reference.py``).
 The checks of ``invariance_suite`` evaluate T by its rows, never apply a
 tree and build no operator above their top degree.  Check (a) reads row^T
-L_ij transposed, from the row's support through the generators' inverse
-leaf maps (``OperatorMatrices.generator_transposes``); check (b) reads
+L_ij transposed, walking each generator word back from the row's support
+one monomial at a time (``OperatorMatrices.generator_transposes``), so it
+binds no word to a degree and builds no leaf table; check (b) reads
 row(k+2)^T R^2 transposed, from the support of row(k+2) and the terms of
-R^2 (``radial_failures``); and the check that harmonics of two degrees are
-orthogonal pairs them, scaled to int vectors, by an int pairing read off
-one row (``orthogonality_failures``).  The Gamma values are closed forms in
-factorials, Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi).
+R^2 (``radial_failures``); and check (c), that harmonics of two degrees are
+orthogonal, pairs them, scaled to int vectors, by an int pairing read off
+one row, and dots each image only with the harmonics that share a column
+with it (``orthogonality_failures``).  The Gamma values are closed forms in
+factorials, Gamma(j + 1/2) = (2j)!/(4^j j!) sqrt(pi).  Both routes read
+them, so a factor common to both cancels when they are compared;
+``checks.suite_integrals`` also compares T(1) at n = 0 with the sphere area,
+from a recursion that neither route reads.
 
 The phi# route has a definition and an evaluator, and neither uses Pizzetti.
 The definition (phi# on Laurent functions of r^2, the product with the
@@ -54,7 +59,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .superalgebra import (SuperMonomial, SuperPolynomial, _mul_monomials,
+from .superalgebra import (SuperMonomial, SuperPolynomial, _cofactor, _merge_fermionic,
                            check_variable_count, monomial_basis)
 from .diffops import check_variables, operator_matrices, vec_to_poly
 from .harmonic import harmonic_basis
@@ -302,11 +307,11 @@ def _sphere_berezin(f: SuperPolynomial, density: Sequence[Fraction],
       * x^a integrates to sphere_moment(a), which is 0 unless every a_i is even.
     So the term contributes
       c * sphere_moment(a) * pi^(-n) * (-1)^(n-s) (n-s)!
-        * sum_j (-1)^j C(d/2, j) density[n-s-j].
+        * sum_j (-1)^j C(d/2, j) density[n-s-j],
+    and pi^(-n) is multiplied in once, into a nonzero total.
     phi#, the product with the density polynomial and the Berezin integral
     remain the definition; the tests compare the two on whole bases.
     """
-    prefactor = ScaledRational(Fraction(1), -2 * n)
     total = ScaledRational.zero()
     for (bosonic, fermionic), c in f.terms.items():
         if any(e % 2 for _, e in bosonic) or not _whole_pairs(fermionic):
@@ -320,9 +325,8 @@ def _sphere_berezin(f: SuperPolynomial, density: Sequence[Fraction],
         exps = [0] * m
         for idx, e in bosonic:
             exps[idx - 1] = e
-        total = total + sphere_moment(exps, m) * prefactor * (
-            c * (-1) ** t * math.factorial(t) * series)
-    return total
+        total = total + sphere_moment(exps, m) * (c * (-1) ** t * math.factorial(t) * series)
+    return ScaledRational(total.q, total.h - 2 * n) if total.q else total
 
 
 def supersphere_integral_phi(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
@@ -353,13 +357,15 @@ def invariance_suite(m: int, n: int, k_max: int) -> InvarianceReport:
 
     (a) T(L_ij f) = 0 for every generator and monomial f of degree <= k_max,
         i.e. row(k)^T L_ij = 0 on P_k, read transposed from the support of
-        row(k) by ``generator_failures``;
+        row(k) by ``generator_failures``, monomial by monomial through the
+        generators' words;
     (b) T(R^2 f) = T(f) on the same monomials, i.e. weight(k+2) row(k+2)^T R^2
         = weight(k) row(k) on P_k, read transposed from the support of
         row(k+2) by ``radial_failures``;
     (c) T(h_k h_l) = 0 for every pair of harmonic basis vectors of degrees
         k < l <= k_max, by the int pairing of ``orthogonality_failures``:
-        one pairing per (k, l) and one int vector per harmonic, no tree.
+        one pairing per (k, l) and one int vector per harmonic, no tree, and
+        a dot only where h_k's image and h_l share a column.
     """
     T = PizzettiRows(m, n)
     failures = []
@@ -389,7 +395,7 @@ def radial_failures(T: PizzettiRows, k: int) -> list:
     u = row(k+2)^T R^2 on P_k is read from the support of row(k+2): for each
     monomial mu where that row is nonzero and each term a nu of R^2 (the
     owner's held ``mul_r2``) that divides mu, nu x^c = sign mu adds
-    a * sign * row(k+2)[mu] to u[c], the sign from ``_mul_monomials``.  Then
+    a * sign * row(k+2)[mu] to u[c], both from ``_cofactor``.  Then
     weight(k+2) u[c] = weight(k) row(k)[c] is decided over ints, cross-
     multiplied, the pi powers compared only where the sides are nonzero.
     """
@@ -401,10 +407,10 @@ def radial_failures(T: PizzettiRows, k: int) -> list:
     u: Vec = {}
     for mu, x in T.row(k + 2).items():
         for nu, a in terms:
-            cofactor = _cofactor(above[mu], nu)
-            if cofactor is not None:
+            sign, cofactor = _cofactor(above[mu], nu)
+            if sign:
                 c = index[cofactor]
-                u[c] = u.get(c, 0) + a * _mul_monomials(nu, cofactor)[0] * x
+                u[c] = u.get(c, 0) + a * sign * x
     row = T.row(k)
     hi, lo = T.weight(k + 2), T.weight(k)
     left, right = hi.q.numerator * lo.q.denominator, lo.q.numerator * hi.q.denominator
@@ -412,20 +418,6 @@ def radial_failures(T: PizzettiRows, k: int) -> list:
     return [("T(R^2 f) != T(f)", k, None, str(SuperPolynomial.monomial(basis[c])))
             for c in sorted(u.keys() | row.keys())
             if (y := left * u.get(c, 0)) != right * row.get(c, 0) or (y and hi.h != lo.h)]
-
-
-def _cofactor(mu: SuperMonomial, nu: SuperMonomial) -> SuperMonomial | None:
-    """The monomial x^c with nu x^c = +-mu, or None when nu does not divide mu."""
-    exps = dict(mu.bosonic)
-    for i, e in nu.bosonic:
-        rest = exps.get(i, 0) - e
-        if rest < 0:
-            return None
-        exps[i] = rest
-    if not set(nu.fermionic) <= set(mu.fermionic):
-        return None
-    return SuperMonomial(tuple((i, e) for i, e in exps.items() if e),
-                         tuple(g for g in mu.fermionic if g not in nu.fermionic))
 
 
 def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
@@ -437,21 +429,27 @@ def orthogonality_failures(T: PizzettiRows, k: int, a_rows: list[Vec],
     (ca a)^T G (cb b) = ca cb a^T G b, so the rows are scaled to primitive int
     vectors (by positive scales) and every verdict is decided exactly over
     ints.  u_a = a^T G is formed once per a, and u_a . b must vanish for every
-    b.  When k + l is odd the row is structurally zero and nothing is checked.
-    A failure names the product of the rows as given.
+    b; it is dotted only with the b that share a column with it, in ascending
+    order, through an index of the columns of the b rows, since every other
+    dot is exactly 0.  When k + l is odd the row is structurally zero and
+    nothing is checked.  A failure names the product of the rows as given.
     """
     if (k + l) % 2:
         return []
     m, n = T.m, T.n
     pairing = _pairing(T.row(k + l), m, n, k, l)
     b_ints = [_primitive(b) for b in b_rows]
+    holders: dict[int, list[int]] = {}  # column -> the b rows holding it, ascending
+    for t, b in enumerate(b_ints):
+        for s in b:
+            holders.setdefault(s, []).append(t)
     failures = []
     for a in a_rows:
         u = _pair(pairing, _primitive(a))
-        for b, b_int in zip(b_rows, b_ints):
-            if _dot(u, b_int):
+        for t in sorted({t for s in u for t in holders.get(s, ())}):
+            if _dot(u, b_ints[t]):
                 failures.append(("T(H_k H_l) != 0", (k, l), None,
-                                 str(vec_to_poly(a, m, n, k) * vec_to_poly(b, m, n, l))))
+                                 str(vec_to_poly(a, m, n, k) * vec_to_poly(b_rows[t], m, n, l))))
     return failures
 
 
@@ -460,8 +458,11 @@ def _pairing(row: Vec, m: int, n: int, k: int, l: int) -> dict[int, dict[int, in
 
     Each monomial mu where the row (of degree k + l) is nonzero is split into
     its divisors x^c of degree k, a bosonic exponent vector <= mu's and a
-    subset of its Grassmann factors, and their cofactors x^s; the sign is the
-    one ``_mul_monomials`` gives.  Each nonzero G[c][s] is reached once.
+    subset of its Grassmann factors, and their cofactors x^s.  The bosonic
+    splits are listed once, by degree, and only in the degrees that a subset
+    completes to k; the sign depends only on the Grassmann subset, so it is
+    taken once per subset, by ``_merge_fermionic``, for every bosonic split of
+    the matching degree.  Each nonzero G[c][s] is reached once.
     """
     mats = operator_matrices(m, n)
     index_k, index_l = mats.index(k), mats.index(l)
@@ -469,15 +470,19 @@ def _pairing(row: Vec, m: int, n: int, k: int, l: int) -> dict[int, dict[int, in
     pairing: dict[int, dict[int, int]] = {}
     for mu, x in row.items():
         bosonic, fermionic = basis[mu]
+        splits: dict[int, list[tuple]] = {}  # degree of the divisor -> (divisor, cofactor)
         for exps in itertools.product(*(range(e + 1) for _, e in bosonic)):
-            nf = k - sum(exps)
-            lo = tuple((i, b) for (i, _), b in zip(bosonic, exps) if b)
-            hi = tuple((i, e - b) for (i, e), b in zip(bosonic, exps) if b < e)
-            for sub in itertools.combinations(fermionic, nf) if nf >= 0 else ():
-                left = SuperMonomial(lo, sub)
-                right = SuperMonomial(hi, tuple(g for g in fermionic if g not in sub))
-                pairing.setdefault(index_k[left], {})[index_l[right]] = (
-                    _mul_monomials(left, right)[0] * x)
+            if k - len(fermionic) <= sum(exps) <= k:
+                splits.setdefault(sum(exps), []).append((
+                    tuple((i, b) for (i, _), b in zip(bosonic, exps) if b),
+                    tuple((i, e - b) for (i, e), b in zip(bosonic, exps) if b < e)))
+        for nf in range(min(k, len(fermionic)) + 1):
+            for sub in itertools.combinations(fermionic, nf) if k - nf in splits else ():
+                rest = tuple(g for g in fermionic if g not in sub)
+                y = _merge_fermionic(sub, rest)[0] * x
+                for lo, hi in splits[k - nf]:
+                    pairing.setdefault(index_k[SuperMonomial(lo, sub)], {})[
+                        index_l[SuperMonomial(hi, rest)]] = y
     return pairing
 
 

@@ -78,6 +78,22 @@ def _mul_monomials(u: SuperMonomial, v: SuperMonomial):
     return sign, SuperMonomial(bos, ferm)
 
 
+def _cofactor(mu: SuperMonomial, nu: SuperMonomial):
+    """Division of monomials: (sign, x^c) with nu x^c = sign * mu, the sign by
+    ``_merge_fermionic``, or (0, None) when nu does not divide mu."""
+    exps = dict(mu.bosonic)
+    for i, e in nu.bosonic:
+        rest = exps.get(i, 0) - e
+        if rest < 0:
+            return 0, None
+        exps[i] = rest
+    if not set(nu.fermionic) <= set(mu.fermionic):
+        return 0, None
+    rest = tuple(g for g in mu.fermionic if g not in nu.fermionic)
+    return (_merge_fermionic(nu.fermionic, rest)[0],
+            SuperMonomial(tuple((i, e) for i, e in exps.items() if e), rest))
+
+
 def _dx_image(mono: SuperMonomial, i: int):
     """d/dxi of a monomial as (coefficient, monomial), or None."""
     for pos, (idx, e) in enumerate(mono.bosonic):

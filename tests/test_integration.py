@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, parse
-from superh import diffops, integration
+from superh import checks, diffops, integration
 from superh.diffops import r2, theta2, osp_generator, generator_pairs
 from superh.harmonic import harmonic_basis, is_harmonic
 from superh.integration import (
@@ -464,10 +464,10 @@ def test_the_pairing_fails_where_the_column_reference_fails():
 
 
 def test_transposed_generator_rows_equal_the_forward_reference():
-    # (1|2), (2|2), (3|4), (4|0) and (4|4); the Pizzetti rows are invariant, so
-    # a random int row over the whole of P_k is checked too
+    # every cell of m = 1..4, n = 0..2; the Pizzetti rows are invariant, so a
+    # random int row over the whole of P_k is checked too
     rng = random.Random(1717)
-    for (m, n) in [(1, 1), (2, 1), (3, 2), (4, 0), (4, 2)]:
+    for (m, n) in [(m, n) for m in range(1, 5) for n in range(0, 3)]:
         mats = diffops.operator_matrices(m, n)
         T = PizzettiRows(m, n)
         for k in range(0, 5):
@@ -480,7 +480,57 @@ def test_transposed_generator_rows_equal_the_forward_reference():
                 got = {ij: us[t] for ij, us in together.items()}
                 assert got == reference.generator_row_products(row, m, n, k), (m, n, k)
                 assert got == {ij: u for ij, (u,) in mats.generator_transposes([row], k)}
-            assert any(u for u, in dict(mats.generator_transposes([dense], k)).values()) or k == 0
+            assert (any(u for u, in dict(mats.generator_transposes([dense], k)).values())
+                    or k == 0 or (m, n) == (1, 0))  # (1|0) has no generator
+
+
+def test_the_pairing_on_a_tampered_row_equals_the_column_reference():
+    # entries off the x^{2 alpha} theta^P support, where no class premise holds:
+    # the pairing and the failure lists still equal the column reference
+    rng = random.Random(3203)
+    failing = 0
+    for (m, n) in [(1, 1), (2, 1), (3, 2), (4, 0), (2, 2)]:
+        for k in range(0, 4):
+            for l in range(k + 2, 5, 2):
+                T = PizzettiRows(m, n)
+                row = T.row(k + l)
+                off = [c for c in range(len(monomial_basis(m, n, k + l))) if c not in row]
+                T._rows[k + l] = {**row, **{c: rng.choice([-3, -1, 2, 5])
+                                            for c in rng.sample(off, min(4, len(off)))}}
+                a_rows, b_rows = harmonic_basis(m, n, k).rows, harmonic_basis(m, n, l).rows
+                pairing = _pairing(T.row(k + l), m, n, k, l)
+                for a in a_rows:
+                    assert _pair(pairing, a) == reference.orthogonality_columns(T, k, a, l)
+                failures = orthogonality_failures(T, k, a_rows, l, b_rows)
+                assert failures == reference.orthogonality_failures(T, k, a_rows, l, b_rows), \
+                    (m, n, k, l)
+                failing += bool(failures)
+    assert failing
+
+
+def test_a_doubled_gamma_fails_the_normalization(monkeypatch):
+    # a factor common to both routes passes their comparison, not T(1) = A_m
+    parts = integration._reciprocal_gamma_parts
+    integration._pizzetti_weight.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(integration, "_reciprocal_gamma_parts",
+                          lambda t: (2 * parts(t)[0], *parts(t)[1:]))
+            x = SP.x(1, 2)  # twice 4/3 pi on both routes, so they agree
+            assert (pizzetti(x, 3, 0) == supersphere_integral_phi(x, 3, 0)
+                    == ScaledRational(Fraction(8, 3), 2))
+            report = checks.suite_integrals([(3, 0)], 2)
+            assert report.status == "fail"
+            assert (report.counterexample
+                    == "normalization: T(1) is not the area of the unit sphere at (3|0)")
+            assert report.rows == [{"m": 3, "n": 0, "routes": "fail", "invariance": "pass",
+                                    "degenerate_superdimension": False}]
+            # a cell with Grassmann variables has no such check
+            assert checks.suite_integrals([(3, 1)], 2).status == "pass"
+    finally:
+        integration._pizzetti_weight.cache_clear()  # of the doubled weights
+    assert pizzetti(x, 3, 0) == ScaledRational(Fraction(4, 3), 2)
+    assert checks.suite_integrals([(m, 0) for m in range(1, 9)], 2).status == "pass"
 
 
 def test_check_a_fails_where_the_forward_reference_fails():
@@ -523,6 +573,28 @@ def test_check_b_fails_where_the_column_reference_fails():
     assert integration.radial_failures(T, 1) == reference.radial_failures(T, 1) == []
 
 
+def test_check_b_reads_the_signs_of_a_multiplier_with_split_pairs():
+    # each Grassmann term of R^2 is a whole pair, whose sign against any
+    # cofactor is +1; a multiplier with split pairs makes the signs matter.  T
+    # is tampered so that T(R^2 f) = T(f) holds exactly for that multiplier.
+    m, n, k = 2, 2, 2
+    diffops.operator_matrices.cache_clear()
+    try:
+        mats = diffops.operator_matrices(m, n)
+        mats.mul_r2 = mats._hold(diffops.MultiplyBy(r2(m, n) + parse("3*xg1*xg3 - xg2*xg4")))
+        T = PizzettiRows(m, n)
+        T._rows[k] = {c: x for c, col in enumerate(mats.matrix(mats.mul_r2, k))
+                      if (x := _dot(T.row(k + 2), col))}
+        T.weight = lambda d: ScaledRational(1, 0)
+        assert integration.radial_failures(T, k) == reference.radial_failures(T, k) == []
+        c = mats.index(k)[parse("xg2*xg4").terms.popitem()[0]]
+        T._rows[k][c] = -T._rows[k][c]
+        assert (integration.radial_failures(T, k) == reference.radial_failures(T, k)
+                == [("T(R^2 f) != T(f)", k, None, "xg2*xg4")])
+    finally:
+        diffops.operator_matrices.cache_clear()
+
+
 def test_check_a_applies_no_generator_to_a_unit_column(monkeypatch):
     calls = []
 
@@ -537,6 +609,29 @@ def test_check_a_applies_no_generator_to_a_unit_column(monkeypatch):
     # the patch does count the forward reference
     reference.generator_failures(2, 1, PizzettiRows(2, 1).row(2), 2)
     assert calls
+
+
+def test_the_integrals_pass_binds_no_generator_word(monkeypatch):
+    leaves, compiled = [], []  # the kind of each leaf table built, each tree bound
+    owner = diffops.OperatorMatrices
+    leaf_arrays, compile_words = owner._leaf_arrays, owner._compile
+    monkeypatch.setattr(owner, "_leaf_arrays", lambda self, what, fermionic, k: (
+        leaves.append(fermionic) or leaf_arrays(self, what, fermionic, k)))
+    monkeypatch.setattr(owner, "_compile", lambda self, op, k: (
+        compiled.append(op) or compile_words(self, op, k)))
+    diffops.operator_matrices.cache_clear()
+    harmonic_basis.cache_clear()  # so that the pass builds the kernels it reads
+    cells = [(3, 2), (4, 1), (2, 0)]
+    assert checks.suite_integrals(cells, 6).status == "pass"
+    assert invariant_density_solutions(3, 2, k_max=4)
+    generators = {id(osp_generator(i, j, m, n))
+                  for (m, n) in cells for (i, j) in generator_pairs(m, n)}
+    # only the derivative leaves of the kernels' nabla^2, no multiplier leaf
+    assert leaves and None not in leaves
+    assert not any(id(op) in generators for op in compiled)
+    # the spies do see a generator applied forward
+    diffops.operator_matrices(3, 2).generator_image(1, 2, {0: 1}, 1)
+    assert None in leaves and id(compiled[-1]) in generators
 
 
 def test_bulk_invariance_checks_apply_no_tree(monkeypatch):
