@@ -326,10 +326,11 @@ class ProjectionOperator:
 
     ``bosonic_factors`` and ``fermionic_factors`` hold (shift, denominator)
     pairs; the operator is the product of (Delta + shift)/denominator over both
-    lists, Delta being the held bosonic or fermionic Laplace-Beltrami tree of
-    the space's owner (``factors``).  ``spectral_fallback`` marks that a
-    vanishing denominator forced the bosonic product to be rebuilt by
-    interpolation over the eigenvalues that actually occur.
+    lists.  ``factors`` pairs each list with its block, Delta being the held
+    bosonic or fermionic Laplace-Beltrami tree of the space's owner, and both
+    ``apply`` and ``scalar_on_piece`` read that pairing.  ``spectral_fallback``
+    marks that a vanishing denominator forced the bosonic product to be
+    rebuilt by interpolation over the eigenvalues that actually occur.
     """
 
     r: int
@@ -355,19 +356,20 @@ class ProjectionOperator:
         return f
 
     def scalar_on_piece(self, p: int, q: int) -> Fraction:
-        """Exact scalar by which the product acts on a (p, q) joint eigenvector:
-        a factor (lam + a/b) / (c/d) is (lam b + a) d / (b c), in two int products."""
+        """Exact scalar by which the product acts on a (p, q) joint eigenvector.
+
+        Each factor of ``factors`` takes the eigenvalue of the block it acts
+        through: lambda_b on Hb_p for the bosonic Laplace-Beltrami operator,
+        lambda_f on Hf_q for the fermionic one.  A factor
+        (lam + a/b) / (c/d) is (lam b + a) d / (b c), in two int products."""
+        lb_bosonic = operator_matrices(self.m, self.n).lb_bosonic
+        lam_b, lam_f = bosonic_eigenvalue(self.m, p), fermionic_eigenvalue(self.n, q)
         num = den = 1
-        for lam, factors in ((bosonic_eigenvalue(self.m, p), self.bosonic_factors),
-                             (fermionic_eigenvalue(self.n, q), self.fermionic_factors)):
-            for shift, denom in factors:
-                num *= (lam * shift.denominator + shift.numerator) * denom.denominator
-                den *= shift.denominator * denom.numerator
+        for lb, shift, denom in self.factors:
+            lam = lam_b if lb is lb_bosonic else lam_f
+            num *= (lam * shift.denominator + shift.numerator) * denom.denominator
+            den *= shift.denominator * denom.numerator
         return Fraction(num, den)
-
-
-class ZeroDenominator(ArithmeticError):
-    pass
 
 
 def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
@@ -377,6 +379,8 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
     fermionic ones over j = 0..min(n,k) skipping s.  When a bosonic denominator
     vanishes (possible for m <= 2) the bosonic product is replaced by the exact
     interpolation polynomial over the distinct eigenvalues occurring in H_k.
+    A fermionic denominator (j - s)(j + s - 2n - 2) never vanishes: j != s,
+    and j, s <= min(n, k) give j + s <= 2n < 2n + 2.
     """
     p = k - 2 * r - s
     valid = (0 <= s <= min(n, k) and 0 <= r <= min(n - s, (k - s) // 2)
@@ -407,7 +411,5 @@ def projection_Q(r: int, s: int, k: int, m: int, n: int) -> ProjectionOperator:
         if j == s:
             continue
         denom = Fraction((j - s) * (j + s - 2 * n - 2))
-        if denom == 0:
-            raise ZeroDenominator("fermionic factor cannot degenerate")
         ferm_factors.append((Fraction(j * (-2 * n - 2 + j)), denom))
     return ProjectionOperator(r, s, k, m, n, bos_factors, ferm_factors, fallback)

@@ -196,6 +196,9 @@ def pizzetti(f: SuperPolynomial, m: int, n: int) -> ScaledRational:
 
     sum_j weight(M, j) (nabla^{2j} f)(0), term by term: a term c x^c of
     degree d meets only j = d/2, with the value c * ``_row_entry``(x^c).
+    It shares one helper with the phi# route, ``_reciprocal_gamma_parts``
+    (in the weight), which the n = 0 normalization of ``check integrals``
+    covers; ``_whole_pairs`` is this route's alone.
     """
     if m < 1:
         raise ValueError("pizzetti requires m >= 1")
@@ -215,7 +218,8 @@ def _dot(row: Vec, v: Vec):
 
 
 def _whole_pairs(fermionic: tuple[int, ...]) -> bool:
-    """Whether an ascending Grassmann mask is a union of whole pairs {2p-1, 2p}."""
+    """Whether an ascending Grassmann mask is a union of whole pairs {2p-1, 2p};
+    the support of ``_row_entry`` (the phi# route tests it its own way)."""
     return len(fermionic) % 2 == 0 and all(
         fermionic[q] % 2 and fermionic[q + 1] == fermionic[q] + 1
         for q in range(0, len(fermionic), 2))
@@ -311,10 +315,17 @@ def _sphere_berezin(f: SuperPolynomial, density: Sequence[Fraction],
     and pi^(-n) is multiplied in once, into a nonzero total.
     phi#, the product with the density polynomial and the Berezin integral
     remain the definition; the tests compare the two on whole bases.
+    The support test on b is this route's own, not ``pizzetti``'s
+    ``_whole_pairs``.  The one helper the routes share is
+    ``_reciprocal_gamma_parts`` (here through ``sphere_moment``); a factor
+    it gives both cancels in their comparison, and the n = 0 normalization
+    of ``check integrals`` (T(1) against the sphere area) covers it.
     """
     total = ScaledRational.zero()
     for (bosonic, fermionic), c in f.terms.items():
-        if any(e % 2 for _, e in bosonic) or not _whole_pairs(fermionic):
+        # b is a union of whole pairs when its factors fall in len(b) / 2 pairs
+        if (any(e % 2 for _, e in bosonic)
+                or 2 * len({(g + 1) // 2 for g in fermionic}) != len(fermionic)):
             continue
         t = n - len(fermionic) // 2
         half = sum(e for _, e in bosonic) // 2

@@ -4,7 +4,6 @@ import pytest
 
 from superh.superalgebra import SuperPolynomial as SP, monomial_basis, dim_Pk
 from superh.diffops import (
-    _lincomb,
     laplace_beltrami_bosonic,
     laplace_beltrami_fermionic,
     nabla2,
@@ -26,8 +25,8 @@ from superh.harmonic import (
     piece_labels,
     projection_Q,
 )
-from superh.checks import LITERAL_VECTORS, _projector_images, fischer_flag_expected
-from superh.linalg import Subspace, _primitive, rank_of_vectors
+from superh.checks import fischer_flag_expected, suite_projections
+from superh.linalg import Subspace, rank_of_vectors
 
 from reference import (f_poly, fraction_rref, pieces_by_polynomials, poly_to_vec,
                        scalar_on_piece_by_fractions, subspace_coordinates, subspace_polys,
@@ -314,16 +313,24 @@ def test_projection_identity_on_degree_zero():
 
 
 def test_projection_delta_action():
-    for (m, n, k) in [(3, 1, 2), (2, 1, 2), (2, 2, 3)]:
+    """Q.apply on two vectors of every piece is delta times the vector; (1|1)
+    takes the spectral fallback and (2|2) has the degenerate band."""
+    cells = [(3, 1, 2)] + [(m, n, k) for (m, n) in [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)]
+                           for k in range(0, 5)]
+    fallback = set()
+    for (m, n, k) in cells:
         pieces = decompose_Hk(m, n, k)
         for tgt in pieces:
             Q = projection_Q(tgt.l, tgt.q, k, m, n)
+            if Q.spectral_fallback:
+                fallback.add(m)
             for src in pieces:
                 keep = (src.l, src.q) == (tgt.l, tgt.q)
                 for row in Subspace.from_vectors(src.vectors, dim_Pk(m, n, k)).rows[:2]:
                     v = vec_to_poly(dict(row), m, n, k)
                     img = Q.apply(v)
                     assert img == (v if keep else SP.zero()), (m, n, k)
+    assert fallback == {1}
 
 
 def test_projection_spec_example():
@@ -345,28 +352,6 @@ def test_projection_fallback_on_one_bosonic_variable():
         v = vec_to_poly(dict(Subspace.from_vectors(pc.vectors, dim_Pk(1, 1, 2)).rows[0]), 1, 1, 2)
         img = Q.apply(v)
         assert img == (v if (pc.l, pc.q) == (1, 0) else SP.zero())
-
-
-@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)])
-def test_the_int_projector_chain_is_the_projector_times_its_scale(m, n):
-    """_projector_images gives D Q v on the literal int vectors of every piece,
-    Q v being Q.apply on the polynomial; (1|1) takes the spectral fallback and
-    (2|2) has the degenerate band."""
-    mats = operator_matrices(m, n)
-    fallback = False
-    for k in range(0, 5):
-        pieces = decompose_Hk(m, n, k)
-        vecs = [_primitive(v) for pc in pieces
-                for v in Subspace.from_vectors(pc.vectors, dim_Pk(m, n, k)).rows[:LITERAL_VECTORS]]
-        for tgt in pieces:
-            Q = projection_Q(tgt.l, tgt.q, k, m, n)
-            fallback = fallback or Q.spectral_fallback
-            images, scale = _projector_images(mats, Q, vecs, k)
-            assert scale
-            for v, got in zip(vecs, images, strict=True):
-                image = Q.apply(vec_to_poly(v, m, n, k))
-                assert got == _lincomb((scale, poly_to_vec(image, m, n, k))), (m, n, k)
-    assert fallback == (m == 1)
 
 
 def test_scalar_on_piece_equals_the_fraction_product():
@@ -400,6 +385,24 @@ def test_scalar_on_piece_on_factors_that_are_not_whole():
             got = Q.scalar_on_piece(p, q)
             assert got == scalar_on_piece_by_fractions(Q, p, q), (p, q)
             assert got.denominator > 1, (p, q)
+
+
+def test_a_swapped_factor_pairing_fails_check_projections(monkeypatch):
+    """scalar_on_piece reads which block each factor acts through from
+    ``factors``, as apply does, so check projections sees a swapped pairing
+    without applying the chain."""
+    def swapped(self):
+        mats = operator_matrices(self.m, self.n)
+        return ([(mats.lb_fermionic, *f) for f in self.bosonic_factors]
+                + [(mats.lb_bosonic, *f) for f in self.fermionic_factors])
+
+    cells = [(1, 1), (2, 1), (3, 2)]
+    assert suite_projections(cells, 3).status == "pass"
+    monkeypatch.setattr(ProjectionOperator, "factors", property(swapped))
+    report = suite_projections(cells, 3)
+    assert report.status == "fail"
+    assert report.counterexample == "projector scalar failed at (1,1,1) target (0,0) source (0,1)"
+    assert {row["result"] for row in report.rows if row["k"] == 0} == {"pass"}
 
 
 def test_projection_idempotent_and_orthogonal_as_matrices():

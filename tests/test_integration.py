@@ -533,6 +533,16 @@ def test_a_doubled_gamma_fails_the_normalization(monkeypatch):
     assert checks.suite_integrals([(m, 0) for m in range(1, 9)], 2).status == "pass"
 
 
+def test_a_pizzetti_support_without_four_factor_masks_fails_the_routes(monkeypatch):
+    # phi# reads the Berezin support by itself, so a fault in _whole_pairs
+    # moves the Pizzetti route alone and the routes differ
+    whole = integration._whole_pairs
+    monkeypatch.setattr(integration, "_whole_pairs", lambda b: len(b) < 4 and whole(b))
+    report = checks.suite_integrals([(2, 2)], 4)
+    assert report.rows[0]["routes"] == "fail"
+    assert report.counterexample == "integral routes differ on xg1*xg2*xg3*xg4 at (2|4)"
+
+
 def test_check_a_fails_where_the_forward_reference_fails():
     for (m, n, k) in [(2, 1, 2), (3, 2, 4), (4, 0, 4), (1, 1, 2)]:
         row = dict(PizzettiRows(m, n).row(k))
