@@ -145,11 +145,6 @@ class SuperPolynomial:
         return SuperPolynomial({ONE_MONOMIAL: Fraction(1)})
 
     @staticmethod
-    def constant(c: Coefficient) -> "SuperPolynomial":
-        c = Fraction(c)
-        return SuperPolynomial({ONE_MONOMIAL: c} if c else {})
-
-    @staticmethod
     def monomial(mono: SuperMonomial, coeff: Coefficient = 1) -> "SuperPolynomial":
         c = Fraction(coeff)
         return SuperPolynomial({mono: c} if c else {})
@@ -423,16 +418,20 @@ def _tokenize(text: str) -> list[str]:
 def parse(text: str) -> SuperPolynomial:
     """Parse the rendering grammar: sums of '*'-joined factors with '^' powers.
 
-    Exponents and the degree of every term are capped at MAX_DEGREE, so that
-    parsing, and integrating what was parsed, ends in bounded time.
+    Each term is one coefficient and one monomial, multiplied factor by factor
+    by `_mul_monomials` (so the Grassmann reordering sign and the exponent
+    merge are the ring's), and added once by `_add_term`.  Exponents and the
+    degree of every nonzero term are capped at MAX_DEGREE, so that parsing,
+    and integrating what was parsed, ends in bounded time.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    result = SuperPolynomial.zero()
+    terms: dict[SuperMonomial, Coefficient] = {}
     i = 0
 
     def parse_factor(i):
+        """(coefficient, monomial, index of the next token) of the factor at i."""
         if i >= len(tokens):
             raise ParseError("expected a factor")
         tok = tokens[i]
@@ -441,7 +440,7 @@ def parse(text: str) -> SuperPolynomial:
             num, den = tok.split("/")
             if int(den) == 0:
                 raise ParseError(f"zero denominator in {tok}")
-            return SuperPolynomial.constant(Fraction(int(num), int(den))), i
+            return Fraction(int(num), int(den)), ONE_MONOMIAL, i
         if not tok[-1].isdigit():
             raise ParseError(f"expected a factor, got {tok!r}")
         e = 1
@@ -454,14 +453,16 @@ def parse(text: str) -> SuperPolynomial:
                 raise ParseError(f"exponent {e} exceeds the cap {MAX_DEGREE}")
             i += 1
         if not tok.startswith("x"):
-            return SuperPolynomial.constant(int(tok) ** e), i
+            return int(tok) ** e, ONE_MONOMIAL, i
         index = int(tok.lstrip("xg"))
         if index < 1:
             raise ParseError(f"variable index 0 in {tok}")
+        if e == 0:
+            return 1, ONE_MONOMIAL, i
         if not tok.startswith("xg"):
-            return SuperPolynomial.x(index, e), i
+            return 1, SuperMonomial(((index, e),), ()), i
         # xg^2 = 0, so only the powers 0 and 1 survive
-        return (SuperPolynomial.xg(index) ** e if e < 2 else SuperPolynomial.zero()), i
+        return (1, SuperMonomial((), (index,)), i) if e == 1 else (0, ONE_MONOMIAL, i)
 
     while i < len(tokens):
         sign = 1
@@ -469,11 +470,15 @@ def parse(text: str) -> SuperPolynomial:
             if tokens[i] == "-":
                 sign = -sign
             i += 1
-        term, i = parse_factor(i)
+        coeff, mono, i = parse_factor(i)
         while i < len(tokens) and tokens[i] == "*":
-            factor, i = parse_factor(i + 1)
-            term = term * factor
-            if term.degree() > MAX_DEGREE:
-                raise ParseError(f"a term exceeds the degree cap {MAX_DEGREE}")
-        result = result + term.scaled(sign)
-    return result
+            c, factor, i = parse_factor(i + 1)
+            coeff *= c
+            if coeff:
+                s, mono = _mul_monomials(mono, factor)
+                coeff *= s
+                if coeff and mono.degree() > MAX_DEGREE:
+                    raise ParseError(f"a term exceeds the degree cap {MAX_DEGREE}")
+        if coeff:
+            _add_term(terms, mono, sign * coeff)
+    return SuperPolynomial({mono: Fraction(c) for mono, c in terms.items()})

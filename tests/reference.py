@@ -11,7 +11,8 @@ products f * b * g, a projector's scalar on a piece factor by factor in
 Fractions, the leaf
 arrays of multiplication by a monomial, monomial by monomial, homogeneous
 components, the bosonic compositions by recursion, a Grassmann word
-sorted by adjacent swaps, the reduced
+sorted by adjacent swaps, the parser by polynomial products (a polynomial
+per factor, multiplied and summed in the ring), the reduced
 echelon form, kernel and intersection by dense all-Fraction elimination, the
 lift of module coordinates, the phi# route of the supersphere integral by its
 definition (phi# on Laurent functions of r^2, and the Berezin integral), the
@@ -25,7 +26,8 @@ are the helpers that only the tests use: the radial polynomials f_poly and
 the identity of verify_lemma_Lf, the runner of acceptance criterion
 06, the bosonic degree of a monomial, a JSON form of ScaledRational,
 coordinates in a subspace's echelon basis (also read off in pivot order),
-and the conversions between polynomials and coordinate vectors
+the constant polynomial, and the conversions between polynomials and
+coordinate vectors
 (`poly_to_vec`, `subspace_polys`, `coords_of_poly`).  Nothing in the package
 calls them, so they live with the tests.
 """
@@ -48,7 +50,8 @@ from superh.integration import (PizzettiRows, ScaledRational, _dot, _pizzetti_we
                                 _sphere_berezin)
 from superh.linalg import Subspace, Vec, _int_if_whole, kernel_of_equations
 from superh.modules import RepSpace, _branching_blocks
-from superh.superalgebra import (ONE_MONOMIAL, SuperMonomial, SuperPolynomial, _mul_monomials,
+from superh.superalgebra import (MAX_DEGREE, ONE_MONOMIAL, Coefficient, ParseError,
+                                 SuperMonomial, SuperPolynomial, _mul_monomials, _tokenize,
                                  dim_Pk, monomial_basis)
 
 
@@ -293,6 +296,69 @@ def normalize_word(word):
                 sign = -sign
                 changed = True
     return sign, tuple(word)
+
+
+def constant(c: Coefficient) -> SuperPolynomial:
+    c = Fraction(c)
+    return SuperPolynomial({ONE_MONOMIAL: c} if c else {})
+
+
+def parse_by_products(text: str) -> SuperPolynomial:
+    """`superalgebra.parse` with a polynomial per factor: each term is the ring
+    product of its factors, scaled by its sign and added to the running sum.
+    The grammar, the caps and every ParseError, in the order of its checks,
+    are the package parser's."""
+    SP = SuperPolynomial
+    tokens = _tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression")
+    result = SP.zero()
+    i = 0
+
+    def parse_factor(i):
+        if i >= len(tokens):
+            raise ParseError("expected a factor")
+        tok = tokens[i]
+        i += 1
+        if "/" in tok:
+            num, den = tok.split("/")
+            if int(den) == 0:
+                raise ParseError(f"zero denominator in {tok}")
+            return constant(Fraction(int(num), int(den))), i
+        if not tok[-1].isdigit():
+            raise ParseError(f"expected a factor, got {tok!r}")
+        e = 1
+        if i < len(tokens) and tokens[i] == "^":
+            i += 1
+            if i >= len(tokens) or not tokens[i].isdigit():
+                raise ParseError("expected an integer exponent after '^'")
+            e = int(tokens[i])
+            if e > MAX_DEGREE:
+                raise ParseError(f"exponent {e} exceeds the cap {MAX_DEGREE}")
+            i += 1
+        if not tok.startswith("x"):
+            return constant(int(tok) ** e), i
+        index = int(tok.lstrip("xg"))
+        if index < 1:
+            raise ParseError(f"variable index 0 in {tok}")
+        if not tok.startswith("xg"):
+            return SP.x(index, e), i
+        return (SP.xg(index) ** e if e < 2 else SP.zero()), i
+
+    while i < len(tokens):
+        sign = 1
+        while i < len(tokens) and tokens[i] in "+-":
+            if tokens[i] == "-":
+                sign = -sign
+            i += 1
+        term, i = parse_factor(i)
+        while i < len(tokens) and tokens[i] == "*":
+            factor, i = parse_factor(i + 1)
+            term = term * factor
+            if term.degree() > MAX_DEGREE:
+                raise ParseError(f"a term exceeds the degree cap {MAX_DEGREE}")
+        result = result + term.scaled(sign)
+    return result
 
 
 def fraction_rref(vectors: list[Vec], width: int) -> list[tuple[int, dict]]:

@@ -15,7 +15,7 @@ from superh.cli import (
 )
 from superh.checks import SUITES, Report, run_suite
 from superh.modules import MAX_EXPLICIT_WORK
-from superh.superalgebra import MAX_BASIS_DIM, dim_Pk, monomial_basis
+from superh.superalgebra import MAX_BASIS_DIM, SuperPolynomial, dim_Pk, monomial_basis
 
 
 def run(capsys, *argv):
@@ -180,6 +180,27 @@ def test_integrate_leading_minus_after_double_dash(capsys):
                        "--", "-x1^2")
     assert code == EXIT_PASS
     assert all(r["value"] == "-1 * pi^0" for r in json.loads(out)["rows"])
+
+
+def test_the_integrate_command_runs_no_polynomial_product(monkeypatch, capsys):
+    calls = []
+    for name in ("__mul__", "__add__", "scaled"):
+        def counted(self, other, _name=name, _op=getattr(SuperPolynomial, name)):
+            calls.append(_name)
+            return _op(self, other)
+        monkeypatch.setattr(SuperPolynomial, name, counted)
+    values = []
+    for m, n, expr in [("2", "2", "xg2*xg1*x1^2"), ("3", "1", "1/2*x1^2 - x2*x3 + 2"),
+                       ("1", "2", "-xg4*xg3*xg2*xg1 + 3*x1^2*xg2*xg1")]:
+        code, out, _ = run(capsys, "integrate", "-m", m, "-n", n, "--format", "json",
+                           "--", expr)
+        assert code == EXIT_PASS
+        values.append({r["value"] for r in json.loads(out)["rows"]})
+    assert calls == []
+    assert values[0] == {"-1 * pi^-1"}  # the sign of xg2*xg1 = -xg1*xg2
+    # the spies do see a product
+    SuperPolynomial.x(1) * SuperPolynomial.x(2)
+    assert calls == ["__mul__"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -43,8 +43,8 @@ from superh.checks import suite_killing
 from superh.harmonic import decompose_Hk, harmonic_basis, projection_Q
 from superh.linalg import Subspace
 
-from reference import (entry, generator_commutator, inv_entry, nabla2_from_metric, nabla_upper,
-                       nabla_upper_by_raising, poly_to_vec, product_leaf_arrays,
+from reference import (constant, entry, generator_commutator, inv_entry, nabla2_from_metric,
+                       nabla_upper, nabla_upper_by_raising, poly_to_vec, product_leaf_arrays,
                        power_by_polynomials, r2_from_metric)
 
 SMALL_GRID = [(1, 0), (2, 0), (1, 1), (2, 1), (3, 1), (0, 1), (0, 2), (2, 2)]
@@ -102,9 +102,9 @@ def test_r2_agrees_with_metric_construction():
 
 
 def test_nabla2_examples():
-    assert nabla2(1, 0).apply(SP.x(1, 2)) == SP.constant(2)
+    assert nabla2(1, 0).apply(SP.x(1, 2)) == constant(2)
     # -4 d/dxg1 d/dxg2 applied to xg1*xg2: inner derivative first
-    assert nabla2(0, 1).apply(SP.xg(1) * SP.xg(2)) == SP.constant(4)
+    assert nabla2(0, 1).apply(SP.xg(1) * SP.xg(2)) == constant(4)
 
 
 def test_nabla2_agrees_with_metric_construction():
@@ -129,7 +129,7 @@ def test_nabla_upper_raising_agrees():
 def test_nabla2_of_r2_is_twice_superdimension():
     for (m, n) in SMALL_GRID:
         M = m - 2 * n
-        assert nabla2(m, n).apply(r2(m, n)) == SP.constant(2 * M), (m, n)
+        assert nabla2(m, n).apply(r2(m, n)) == constant(2 * M), (m, n)
 
 
 def test_euler_operators():

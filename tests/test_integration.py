@@ -27,7 +27,7 @@ from superh.integration import (
 )
 
 import reference
-from reference import (LaurentSuperFunction, berezin, harmonic_polys, phi_sharp,
+from reference import (LaurentSuperFunction, berezin, constant, harmonic_polys, phi_sharp,
                        phi_sharp_inverse, poly_to_vec, sqrt_one_minus_theta2_over_r2)
 
 
@@ -113,7 +113,7 @@ def test_berezin_examples():
     top, _ = berezin(SP.xg(1) * SP.xg(2), 1)
     assert top == SP.one()
     top, _ = berezin(theta2(1), 1)
-    assert top == SP.constant(-1)
+    assert top == constant(-1)
     # bosonic coefficients ride along
     top, _ = berezin(SP.x(1, 2) * SP.xg(1) * SP.xg(2), 1)
     assert top == SP.x(1, 2)

@@ -1,5 +1,8 @@
+import importlib.util
+import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +21,11 @@ from superh.superalgebra import (
 
 from reference import (
     bosonic_compositions_recursive,
+    constant,
     homogeneous_component,
     homogeneous_components,
     normalize_word,
+    parse_by_products,
 )
 
 SP = SuperPolynomial
@@ -81,7 +86,7 @@ def small_polys(max_vars=2, max_ferm=3):
     def build(terms):
         out = SP.zero()
         for (bos, ferm), c in terms:
-            t = SP.constant(c)
+            t = constant(c)
             for i, e in bos:
                 t = t * SP.x(i, e)
             for j in sorted(ferm):
@@ -213,13 +218,13 @@ def test_parity():
 
 
 def test_render_example():
-    f = SP.constant(2) * SP.x(1, 2) - SP.xg(1) * SP.xg(2)
+    f = constant(2) * SP.x(1, 2) - SP.xg(1) * SP.xg(2)
     assert render(f) == "2*x1^2 - xg1*xg2"
 
 
 def test_render_zero_and_constants():
     assert render(SP.zero()) == "0"
-    assert render(SP.constant(Fraction(-3, 2))) == "-3/2"
+    assert render(constant(Fraction(-3, 2))) == "-3/2"
 
 
 @given(small_polys())
@@ -228,10 +233,99 @@ def test_parse_render_roundtrip(f):
     assert parse(render(f)) == f
 
 
+def parsed_or_error(parser, text):
+    """The rendered parse of `text`, or the type and message of its error."""
+    try:
+        return render(parser(text))
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
 def test_parse_errors():
-    with pytest.raises(ParseError):
-        parse("")
-    with pytest.raises(ParseError):
-        parse("x1 + $")
-    with pytest.raises(ParseError):
-        parse("x1^")
+    # one input per ParseError, then the quirks of the grammar
+    cases = [
+        ("", "ParseError: empty expression"),
+        ("x1 + $", "ParseError: unexpected character at ' $'"),
+        ("x1^", "ParseError: expected an integer exponent after '^'"),
+        ("x1 *", "ParseError: expected a factor"),
+        ("x1 * * x2", "ParseError: expected a factor, got '*'"),
+        ("2/0*x1", "ParseError: zero denominator in 2/0"),
+        ("x1^65", "ParseError: exponent 65 exceeds the cap 64"),
+        ("x0^65", "ParseError: exponent 65 exceeds the cap 64"),
+        ("x1 + xg0", "ParseError: variable index 0 in xg0"),
+        ("0*x0", "ParseError: variable index 0 in x0"),
+        ("x1^64*x1", "ParseError: a term exceeds the degree cap 64"),
+        ("1/2^2", "ParseError: expected a factor, got '^'"),
+        ("2 3", "5"),
+        ("x1^0", "1"),
+        ("xg1^0", "1"),
+        ("xg1^1*x2", "x2*xg1"),
+        ("xg1^2", "0"),
+        ("0*x1^64*x1", "0"),
+        ("xg1*xg1*x1^64*x1", "0"),
+        ("--x1", "x1"),
+        ("-+-x1 - -x2", "x1 + x2"),
+        ("-x1*x2 - 2*xg2*xg1", "-x1*x2 + 2*xg1*xg2"),
+        ("xg2*xg1*x1^2", "-x1^2*xg1*xg2"),
+        ("xg3*x1*xg1*xg2*x1", "x1^2*xg1*xg2*xg3"),
+        ("x1*x1 + 0/3*x2", "x1^2"),
+    ]
+    assert [(text, parsed_or_error(parse, text)) for text, _ in cases] == cases
+
+
+PARSE_FACTORS = ["x1", "x2", "x3", "x0", "xg1", "xg2", "xg3", "xg4", "xg0",
+                 "0", "1", "2", "0/3", "1/0", "3/2"]
+PARSE_EXPONENTS = ["0", "1", "2", "3", "63", "64", "65"]
+
+
+def random_expression(rng: random.Random) -> str:
+    """Up to three signed terms of up to five factors, some with a power,
+    often out of order or repeated; now and then one token is inserted
+    anywhere, so that every ParseError is reached."""
+    tokens = []
+    for _ in range(rng.randint(1, 3)):
+        tokens += rng.choices("+-", k=rng.randint(0 if not tokens else 1, 2))
+        for j in range(rng.randint(1, 5)):
+            if j:
+                tokens.append("*")
+            if rng.random() < 0.25:
+                tokens.append(rng.choice(PARSE_FACTORS))
+            else:
+                tokens.append(rng.choice(["x1", "x2", "xg1", "xg2", "xg3", "2"]))
+            if rng.random() < 0.3:
+                tokens += ["^", rng.choice(PARSE_EXPONENTS)]
+    if rng.random() < 0.1:
+        tokens.insert(rng.randint(0, len(tokens)),
+                      rng.choice(PARSE_FACTORS + ["^", "*", "+", "-"]))
+    return " ".join(tokens)
+
+
+def parse_outcome(parser, text):
+    """The terms with their coefficient types, or the error's type and message."""
+    try:
+        f = parser(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {mono: (c, type(c)) for mono, c in f.terms.items()}
+
+
+def committed_integrands() -> list[str]:
+    """The benchmark's integrands, from bench/workloads.py read as a file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [t for cell in workloads.FULL_GRID for t in workloads.integrands(*cell)]
+
+
+def test_parse_equals_the_product_reference():
+    rng = random.Random("parse")
+    texts = committed_integrands()
+    assert len(texts) == 192
+    texts += [random_expression(rng) for _ in range(6000)]
+    mismatches = [t for t in texts
+                  if parse_outcome(parse, t) != parse_outcome(parse_by_products, t)]
+    assert mismatches == []
+    # the random strings reach zero, a sign from reordering, and every error
+    outcomes = {parsed_or_error(parse_by_products, t).split(" ")[:2][-1] for t in texts}
+    assert {"0", "-xg1*xg2", "expected", "zero", "exponent", "variable", "a"} <= outcomes
