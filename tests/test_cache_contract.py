@@ -12,7 +12,8 @@ trees built from them; that the integrals pass builds no leaf array above
 its invariance degree; and a fixed list of the package's caches, so that a
 new one is added on purpose.  `bench/tracer.py` reads the ring methods and
 operator entry points by name; one test installs it, reads its metrics and
-uninstalls it.
+uninstalls it, and one runs the harness's layer test sequence under it and
+asserts a counted call in every layer.
 """
 
 import importlib
@@ -25,7 +26,8 @@ from pathlib import Path
 import pytest
 
 import superh
-from superh import checks
+from superh import (checks, cli, diffops, harmonic, integration, linalg, modules,
+                    superalgebra)
 from superh.diffops import (Add, Compose, Differentiate, LinearOperator, MultiplyBy,
                             OperatorMatrices, Scale, euler, generator_pairs, laplace_beltrami,
                             laplace_beltrami_bosonic, nabla2, operator_matrices, osp_generator,
@@ -112,6 +114,38 @@ def test_the_bench_tracer_reads_the_names_it_wraps():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+def test_the_bench_tracer_counts_a_call_in_every_layer(capsys):
+    # The call sequence of the harness's own layer test, whose one polynomial
+    # product was inside parse; here the product is made on purpose.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    tracer = tracer_module.Tracer().install()
+    try:
+        x = superalgebra.parse("x1^2 - xg1*xg2")
+        assert x * x == superalgebra.parse("x1^4 - 2*x1^2*xg1*xg2")
+        diffops.nabla2(2, 1).apply(x)
+        linalg.rank_of_vectors([{0: Fraction(1)}], 1)
+        harmonic.dim_Hk(2, 1, 2)
+        integration.pizzetti(x, 2, 1)
+        modules.simple_dim(2, 1, 2)
+        checks.suite_dims([(2, 1)], 1)
+        cli.main(["dims", "-m", "2", "-n", "1", "-k", "1", "--format", "json"])
+        capsys.readouterr()
+        for key in ("superalgebra.parse", "superalgebra.SuperPolynomial.__mul__",
+                    "diffops.nabla2", "diffops.Add.apply", "linalg.rank_of_vectors",
+                    "harmonic.dim_Hk", "integration.pizzetti", "modules.simple_dim",
+                    "checks.suite_dims", "cli.main", "cli.cmd_dims"):
+            assert tracer.calls[key] >= 1, key
+        layers = {key.split(".")[0] for key, n in tracer.calls.items() if n}
+        assert layers == set(tracer_module.LAYERS)
+        # suite_dims reaches harmonic_basis through the name checks imported.
+        assert tracer.entries["harmonic.harmonic_basis"] >= 1
+    finally:
+        tracer.uninstall()
 
 
 @pytest.fixture
